@@ -16,14 +16,6 @@ loss = T.tsum(T.mul(x, x))
 T.backward(loss)
 print("d/dx sum(x^2) at [2, -1]:", x.grad)           # -> [4, -2]
 
-# Attention with a single key degenerates to the value row: the softmax of
-# one logit is 1. This is exactly how the denoiser reads its conditioning
-# vector as a single key/value token.
-q = T.Tensor(np.random.default_rng(0).normal(size=(4, 8)))
-kv = T.Tensor(np.random.default_rng(1).normal(size=(1, 8)))
-out = T.attention(q, kv, kv)
-print("attention rows all equal the value:", np.allclose(out.data, kv.data))
-
 # grad_check compares the tape's gradients against central finite
 # differences; every registered primitive stays below 1e-5 relative error.
 rng = np.random.default_rng(2)

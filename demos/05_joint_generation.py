@@ -1,5 +1,6 @@
 """Couple two frozen diffusion generators through trainable projections and
-cross-attention so one prompt yields a coherent (image, report) pair.
+coupling adapters (one-token cross-attention, a linear map of the partner's
+projected latent) so one prompt yields a coherent (image, report) pair.
 
 Run:  python3 demos/05_joint_generation.py   (several minutes)
 """

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .nn import AdamWState, Linear, ParameterSet, adamw_step, fill_missing_grads
+from .nn import (AdamWState, Linear, ParameterSet, adamw_step, fill_missing_grads,
+                 finite_loss)
 from .rng import stream
-from .toydata import (MAX_REPORT_LEN, VIEW_SIZE, VOCAB, Dataset, payload,
-                      report_to_ids)
+from .toydata import (MAX_REPORT_LEN, VIEW_SIZE, VOCAB, Dataset,
+                      payload_batch, report_to_ids)
 
 #: round-robin pair schedule for alignment training
 PAIR_SCHEDULE = (("view_a", "report"), ("view_b", "report"), ("view_a", "view_b"))
@@ -162,24 +163,18 @@ def train_alignment(dataset: Dataset, encoders: PromptEncoders, epochs: int,
                 if len(idx) < 2:
                     continue
                 batch = [train[i] for i in idx]
-                h_a = encoders.forward_batch(pair[0], _payload_batch(batch, pair[0]))
-                h_b = encoders.forward_batch(pair[1], _payload_batch(batch, pair[1]))
+                h_a = encoders.forward_batch(pair[0], payload_batch(batch, pair[0]))
+                h_b = encoders.forward_batch(pair[1], payload_batch(batch, pair[1]))
                 loss = symmetric_loss(h_a, h_b, tau)
+                losses.append(finite_loss(loss, "alignment"))
                 encoders.params.zero_grad()
                 T.backward(loss)
                 fill_missing_grads(encoders.params)
                 adamw_step(encoders.params, state, lr=lr, weight_decay=weight_decay)
                 T.reset_tape()
-                losses.append(loss.item())
             history.append({"epoch": epoch, "pair": f"{pair[0]}|{pair[1]}",
                             "loss": float(np.mean(losses))})
     return history
-
-
-def _payload_batch(records, modality):
-    if modality == "report":
-        return [payload(r, modality) for r in records]
-    return np.stack([payload(r, modality) for r in records])
 
 
 def loss_trend_ok(history: list[dict]) -> bool:
@@ -214,7 +209,7 @@ def retrieval_eval(encoders, records, batch_size: int = 64, seed: int = 0,
     for b in range(n_batches):
         idx = perm[b * batch_size:(b + 1) * batch_size]
         batch = [records[i] for i in idx]
-        embs = {m: encoders.encode_batch(m, _payload_batch(batch, m)) for m in modalities}
+        embs = {m: encoders.encode_batch(m, payload_batch(batch, m)) for m in modalities}
         total += batch_size
         for m1, m2 in correct:
             sims = embs[m1] @ embs[m2].T

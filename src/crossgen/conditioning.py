@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bridging import SharedEmbedding
+from .toydata import payload_batch
 
 
 @dataclass
@@ -90,12 +91,11 @@ def draw_conditioning_batch(sampler: SubsetSampler, encoders, records,
 
     Returns (omega matrix of shape (B, d), list of ConditioningVector).
     """
-    from .bridging import _payload_batch
     if target in sampler.available:
         raise ValueError(f"target {target!r} cannot also be a conditioning modality")
     if not records:
         raise ValueError("empty batch")
-    embs = {m: encoders.encode_batch(m, _payload_batch(records, m))
+    embs = {m: encoders.encode_batch(m, payload_batch(records, m))
             for m in sampler.available}
     vectors = []
     provenance = []

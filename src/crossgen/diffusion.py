@@ -4,15 +4,14 @@ training on the noise-prediction objective and ancestral sampling."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .errors import NumericError
-from .nn import AdamWState, Linear, ParameterSet, adamw_step
+from .nn import AdamWState, Linear, ParameterSet, adamw_step, finite_loss
 from .rng import stream
-from .toydata import (MAX_REPORT_LEN, VIEW_SIZE, VOCAB, payload,
+from .toydata import (MAX_REPORT_LEN, VIEW_SIZE, VOCAB, payload_batch,
                       report_to_ids)
 
 # ---------------------------------------------------------------------------
@@ -129,11 +128,11 @@ class ImageCodec:
                 recon = self._decode_t(self._encode_t(patches))
                 diff = T.sub(recon, patches)
                 loss = T.tmean(T.mul(diff, diff))
+                losses.append(finite_loss(loss, "image codec"))
                 self.params.zero_grad()
                 T.backward(loss)
                 adamw_step(self.params, state, lr=lr, weight_decay=weight_decay)
                 T.reset_tape()
-                losses.append(loss.item())
             history.append(float(np.mean(losses)))
         lat = self.encode_raw(images)
         self.mu = lat.mean(axis=0)
@@ -209,11 +208,11 @@ class TextCodec:
                 logits = T.reshape(self._logits_t(latent), (len(batch) * MAX_REPORT_LEN, v))
                 logp = T.log_softmax(logits)
                 loss = T.neg(T.tmean(T.tsum(T.mul(logp, T.Tensor(onehot)), axis=1)))
+                losses.append(finite_loss(loss, "text codec"))
                 self.params.zero_grad()
                 T.backward(loss)
                 adamw_step(self.params, state, lr=lr, weight_decay=weight_decay)
                 T.reset_tape()
-                losses.append(loss.item())
             history.append(float(np.mean(losses)))
         lat = self.encode_raw(reports)
         self.mu = lat.mean(axis=0)
@@ -261,8 +260,9 @@ def codec_for(modality: str, image_codec: ImageCodec, text_codec: TextCodec):
 
 class Denoiser:
     """Residual fully connected blocks with a per-block additive timestep
-    embedding and one cross-attention site reading the conditioning vector
-    as a single key/value token."""
+    embedding and one conditioning site per block. The site reads omega as a
+    single key/value token; cross-attention onto one key is exactly the
+    learned linear map wo(wv(omega)) (width ``attn_dim``), computed as such."""
 
     def __init__(self, latent_dim: int, cond_dim: int, T_steps: int,
                  hidden: int = 96, n_blocks: int = 2, attn_dim: int = 32,
@@ -280,29 +280,23 @@ class Denoiser:
         self.time_table = p.add("time.embed", T.Tensor(rng.normal(0.0, 0.02, (T_steps, hidden))))
         self.blocks = []
         for i in range(n_blocks):
+            fc1 = Linear(p, f"block{i}.fc1", hidden, hidden, rng)
+            fc2 = Linear(p, f"block{i}.fc2", hidden, hidden, rng)
+            # retired query/key projections: draw and discard, so later inits match
+            for n_in in (hidden, cond_dim):
+                Linear(ParameterSet(), "retired", n_in, attn_dim, rng)
             self.blocks.append({
-                "fc1": Linear(p, f"block{i}.fc1", hidden, hidden, rng),
-                "fc2": Linear(p, f"block{i}.fc2", hidden, hidden, rng),
-                "wq": Linear(p, f"block{i}.attn.wq", hidden, attn_dim, rng),
-                "wk": Linear(p, f"block{i}.attn.wk", cond_dim, attn_dim, rng),
+                "fc1": fc1, "fc2": fc2,
                 "wv": Linear(p, f"block{i}.attn.wv", cond_dim, attn_dim, rng),
                 "wo": Linear(p, f"block{i}.attn.wo", attn_dim, hidden, rng),
             })
         self.out_proj = Linear(p, "out", hidden, latent_dim, rng)
 
-    def _cross_site(self, block, h: T.Tensor, omega: T.Tensor) -> T.Tensor:
-        b = h.shape[0]
-        q = T.reshape(block["wq"](h), (b, 1, self.attn_dim))
-        k = T.reshape(block["wk"](omega), (b, 1, self.attn_dim))
-        v = T.reshape(block["wv"](omega), (b, 1, self.attn_dim))
-        a = T.reshape(T.attention(q, k, v), (b, self.attn_dim))
-        return block["wo"](a)
-
     def forward(self, z, t, omega, extra_site=None) -> T.Tensor:
         """Predict the noise for latents z at (1-based) timesteps t.
 
-        ``extra_site(block_index, hidden)`` lets a coupling wrapper inject an
-        additional additive term after the conditioning attention.
+        ``extra_site(block_index)`` lets a coupling wrapper inject an
+        additional additive term after the conditioning site.
         """
         z_t = z if isinstance(z, T.Tensor) else T.Tensor(np.asarray(z, dtype=np.float64))
         om = omega if isinstance(omega, T.Tensor) else T.Tensor(np.asarray(omega, dtype=np.float64))
@@ -316,9 +310,9 @@ class Denoiser:
             h = T.layer_norm(h)
             h = T.add(h, temb)
             h = T.silu(block["fc1"](h))
-            h = T.add(h, self._cross_site(block, h, om))
+            h = T.add(h, block["wo"](block["wv"](om)))
             if extra_site is not None:
-                h = T.add(h, extra_site(i, h))
+                h = T.add(h, extra_site(i))
             h = T.silu(block["fc2"](h))
             h = T.add(r, h)
         return self.out_proj(h)
@@ -343,7 +337,7 @@ def denoise_loss(records, target: str, encoders, sampler, denoiser: Denoiser,
     from .conditioning import draw_conditioning_batch
     if not records:
         raise ValueError("empty batch")
-    z0 = codec.encode(_payloads(records, target))
+    z0 = codec.encode(payload_batch(records, target))
     t = noise_rng.integers(1, schedule.T + 1, size=len(records))
     eps = noise_rng.standard_normal(z0.shape)
     z_t = q_sample(z0, t, eps, schedule)
@@ -351,12 +345,6 @@ def denoise_loss(records, target: str, encoders, sampler, denoiser: Denoiser,
         omega, _ = draw_conditioning_batch(sampler, encoders, records, target)
     eps_hat = denoiser.forward(z_t, t, omega)
     return noise_prediction_loss(eps_hat, eps)
-
-
-def _payloads(records, modality):
-    if modality == "report":
-        return [payload(r, modality) for r in records]
-    return np.stack([payload(r, modality) for r in records])
 
 
 def train_ldm(dataset, target: str, encoders, codec, schedule: DiffusionSchedule,
@@ -387,14 +375,11 @@ def train_ldm(dataset, target: str, encoders, codec, schedule: DiffusionSchedule
             batch = [train[i] for i in perm[lo:lo + batch_size]]
             loss = denoise_loss(batch, target, encoders, sampler, denoiser,
                                 codec, schedule, noise_rng)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise NumericError(f"non-finite diffusion loss for {target}")
+            losses.append(finite_loss(loss, f"diffusion ({target})"))
             denoiser.params.zero_grad()
             T.backward(loss)
             adamw_step(denoiser.params, state, lr=lr, weight_decay=weight_decay)
             T.reset_tape()
-            losses.append(value)
         history.append(float(np.mean(losses)))
     return denoiser, history
 

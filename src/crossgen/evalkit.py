@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .nn import AdamWState, Linear, ParameterSet, adamw_step
+from .nn import AdamWState, Linear, ParameterSet, adamw_step, finite_loss
 from .rng import stream
 from .toydata import NUM_CONDITIONS, rule_label_text
 
@@ -285,6 +285,7 @@ def train_classifier(train_views, train_labels, test_views, test_labels,
             idx = perm[lo:lo + batch_size]
             _, logits = model._forward(flat[idx])
             loss = T.tmean(T.bce_with_logits(logits, labels[idx]))
+            finite_loss(loss, "classifier")
             params.zero_grad()
             T.backward(loss)
             adamw_step(params, state, lr=lr, weight_decay=weight_decay)

@@ -1,6 +1,8 @@
 """Coupled joint generation: frozen per-modality diffusion backbones plus
-trainable projection encoders and cross-attention adapters that let two
-concurrent reverse processes condition on each other's latent state."""
+trainable projection encoders and coupling adapters that let two concurrent
+reverse processes condition on each other's latent state. Each adapter is
+one-token cross-attention onto the partner's projected latent, computed in
+its exact form: the learned linear map wo(wv(partner))."""
 
 from __future__ import annotations
 
@@ -12,11 +14,11 @@ from . import tensor as T
 from .bridging import symmetric_loss
 from .conditioning import SubsetSampler, draw_conditioning_batch
 from .diffusion import (Denoiser, DiffusionSchedule, noise_prediction_loss,
-                        noise_stream, q_sample, sample_latents)
+                        noise_stream, q_sample)
 from .errors import NumericError
-from .nn import AdamWState, Linear, ParameterSet, adamw_step
+from .nn import AdamWState, Linear, ParameterSet, adamw_step, finite_loss
 from .rng import stream
-from .toydata import MODALITIES
+from .toydata import MODALITIES, payload_batch
 
 
 class ProjectionEncoder:
@@ -41,10 +43,10 @@ class ProjectionEncoder:
 
 
 class CoupledDenoiser:
-    """A frozen base denoiser with one additional cross-attention site per
-    block attending to the partner trajectory's projected latent. The
-    adapter output projections start at zero, so an untrained coupling
-    reproduces the base exactly."""
+    """A frozen base denoiser plus one coupling site per block, the linear map
+    wo(wv(partner)) of the partner trajectory's projected latent. The adapter
+    output projections start at zero, so an untrained coupling reproduces
+    the base exactly."""
 
     def __init__(self, base: Denoiser, params: ParameterSet, prefix: str,
                  coupling_dim: int, rng: np.random.Generator):
@@ -53,28 +55,22 @@ class CoupledDenoiser:
         self.adapters = []
         attn = base.attn_dim
         for i in range(base.n_blocks):
+            # retired query/key projections: draw and discard, so later inits match
+            for n_in in (base.hidden, coupling_dim):
+                Linear(ParameterSet(), "retired", n_in, attn, rng)
             self.adapters.append({
-                "wq": Linear(params, f"{prefix}.block{i}.wq", base.hidden, attn, rng),
-                "wk": Linear(params, f"{prefix}.block{i}.wk", coupling_dim, attn, rng),
                 "wv": Linear(params, f"{prefix}.block{i}.wv", coupling_dim, attn, rng),
                 "wo": Linear(params, f"{prefix}.block{i}.wo", attn, base.hidden, rng,
                              zero_init=True),
             })
 
-    def _site(self, i: int, h: T.Tensor, partner: T.Tensor) -> T.Tensor:
+    def _site(self, i: int, partner: T.Tensor) -> T.Tensor:
         ad = self.adapters[i]
-        b = h.shape[0]
-        attn = self.base.attn_dim
-        q = T.reshape(ad["wq"](h), (b, 1, attn))
-        k = T.reshape(ad["wk"](partner), (b, 1, attn))
-        v = T.reshape(ad["wv"](partner), (b, 1, attn))
-        a = T.reshape(T.attention(q, k, v), (b, attn))
-        return ad["wo"](a)
+        return ad["wo"](ad["wv"](partner))
 
     def forward(self, z, t, omega, partner) -> T.Tensor:
         p = partner if isinstance(partner, T.Tensor) else T.Tensor(np.asarray(partner, dtype=np.float64))
-        return self.base.forward(z, t, omega,
-                                 extra_site=lambda i, h: self._site(i, h, p))
+        return self.base.forward(z, t, omega, extra_site=lambda i: self._site(i, p))
 
 
 @dataclass
@@ -147,7 +143,6 @@ def train_joint(dataset, pair: tuple[str, str], encoders, codecs: dict,
         order = stream(seed, f"train-batches:{m_i}+{m_j}")
         state = AdamWState()
         history = []
-        from .diffusion import _payloads
         for _ in range(epochs):
             perm = order.permutation(len(train))
             losses = []
@@ -158,7 +153,7 @@ def train_joint(dataset, pair: tuple[str, str], encoders, codecs: dict,
                 t_shared = noise_rng.integers(1, schedule.T + 1, size=len(batch))
                 z_t, t_map, eps_map = {}, {}, {}
                 for m in pair:
-                    z0 = codecs[m].encode(_payloads(batch, m))
+                    z0 = codecs[m].encode(payload_batch(batch, m))
                     e = noise_rng.standard_normal(z0.shape)
                     z_t[m] = q_sample(z0, t_shared, e, schedule)
                     t_map[m] = t_shared
@@ -168,15 +163,12 @@ def train_joint(dataset, pair: tuple[str, str], encoders, codecs: dict,
                                                        target=m_i)
                 loss = coupled_pair_loss(components, z_t, t_map, eps_map, omega,
                                          lam=lam, tau=tau)
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise NumericError(f"non-finite joint loss for {m_i}+{m_j}")
+                losses.append(finite_loss(loss, f"joint ({m_i}+{m_j})"))
                 components.trainable.zero_grad()
                 T.backward(loss)
                 adamw_step(components.trainable, state, lr=lr,
                            weight_decay=weight_decay)
                 T.reset_tape()
-                losses.append(value)
             history.append(float(np.mean(losses)))
     finally:
         for m in pair:
@@ -192,8 +184,8 @@ def joint_sample(components: JointComponents, schedule: DiffusionSchedule,
                  sigma_mode: str = "beta") -> dict:
     """Advance both reverse processes in lockstep over t = T..1.
 
-    At every step each denoiser attends to the partner's current latent,
-    projected once and shared across its attention sites. Noise streams are
+    At every step each denoiser's coupling sites map the partner's current
+    latent, projected once and shared, through their linear wo(wv(.)). Noise streams are
     per modality and match what independent sampling with the same seed
     would draw, so zeroed couplings reproduce independent generation."""
     m_i, m_j = components.pair

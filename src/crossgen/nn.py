@@ -6,6 +6,7 @@ import hashlib
 
 import numpy as np
 
+from .errors import NumericError
 from .tensor import Tensor, add, matmul
 
 
@@ -87,6 +88,15 @@ class Linear:
 
     def __call__(self, x: Tensor) -> Tensor:
         return add(matmul(x, self.w), self.b)
+
+
+def finite_loss(loss: Tensor, what: str) -> float:
+    """The scalar value of ``loss``; NumericError if it is not finite, so a
+    training loop stops before the update would spread it to the weights."""
+    value = loss.item()
+    if not np.isfinite(value):
+        raise NumericError(f"non-finite {what} loss")
+    return value
 
 
 def fill_missing_grads(params: ParameterSet) -> None:

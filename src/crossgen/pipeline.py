@@ -53,12 +53,14 @@ def manifest_path(home, stage: str) -> Path:
 
 
 def write_manifest(home, stage: str, artifact: Path, cfg_hash: str,
-                   prerequisites: dict[str, str]) -> None:
+                   prerequisites: dict[str, str], sidecar: Path | None = None) -> None:
     path = manifest_path(home, stage)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {"stage": stage, "artifact": artifact.name,
                "checksum": file_checksum(artifact), "config_hash": cfg_hash,
                "prerequisites": prerequisites}
+    if sidecar is not None:
+        payload["sidecar_checksum"] = file_checksum(sidecar)
     path.write_text(json.dumps(payload, sort_keys=True, indent=1))
 
 
@@ -93,7 +95,8 @@ def run_gen_data(cfg: dict, home, force: bool = False) -> Path:
     ds = td.generate_dataset(cfg["seed"], cfg["dataset"]["n"],
                              cfg["dataset"]["positive_rates"])
     td.save_dataset(ds, path)
-    write_manifest(home, "dataset", path, config_hash(cfg), {})
+    write_manifest(home, "dataset", path, config_hash(cfg), {},
+                   sidecar=td.sidecar_path(path))
     return path
 
 
@@ -102,6 +105,9 @@ def load_data(cfg: dict, home) -> td.Dataset:
     path = dataset_path(home)
     if file_checksum(path) != manifest["checksum"]:
         raise ArtifactError(f"{path}: content does not match its manifest")
+    sidecar = td.sidecar_path(path)
+    if not sidecar.exists() or file_checksum(sidecar) != manifest.get("sidecar_checksum"):
+        raise ArtifactError(f"{sidecar}: split sidecar does not match its manifest")
     return td.load_dataset(path)
 
 
@@ -341,17 +347,29 @@ def save_payload(path, modality: str, payload) -> None:
 
 
 def load_payload(path):
+    """Read one payload file; any defect in it is an ArtifactError."""
     doc = json.loads(Path(path).read_text())
-    modality = doc.get("modality")
+    modality = doc.get("modality") if isinstance(doc, dict) else None
+    if modality not in td.MODALITIES:
+        raise ArtifactError(f"{path}: unknown payload modality {modality!r}")
+    key = "tokens" if modality == "report" else "pixels"
+    if key not in doc:
+        raise ArtifactError(f"{path}: {modality} payload has no {key!r} key")
     if modality == "report":
-        return modality, tuple(doc["tokens"])
-    if modality in ("view_a", "view_b"):
+        tokens = doc["tokens"]
+        if (not isinstance(tokens, list) or not 0 < len(tokens) <= td.MAX_REPORT_LEN
+                or not all(isinstance(t, str) and t in td.TOKEN_TO_ID for t in tokens)):
+            raise ArtifactError(f"{path}: a report must be a list of 1 to "
+                                f"{td.MAX_REPORT_LEN} tokens from the vocabulary")
+        return modality, tuple(tokens)
+    try:
         pixels = np.asarray(doc["pixels"], dtype=np.float64)
-        if pixels.shape != (td.VIEW_SIZE, td.VIEW_SIZE):
-            raise ArtifactError(f"{path}: pixel grid must be "
-                                f"{td.VIEW_SIZE}x{td.VIEW_SIZE}, got {pixels.shape}")
-        return modality, pixels
-    raise ArtifactError(f"{path}: unknown payload modality {modality!r}")
+    except (TypeError, ValueError):
+        pixels = np.zeros(0)
+    if pixels.shape != (td.VIEW_SIZE, td.VIEW_SIZE) or not np.isfinite(pixels).all():
+        raise ArtifactError(f"{path}: pixels must be a finite "
+                            f"{td.VIEW_SIZE}x{td.VIEW_SIZE} grid, got shape {pixels.shape}")
+    return modality, pixels
 
 
 def conditioning_from_prompts(encoders: PromptEncoders, prompts: dict):

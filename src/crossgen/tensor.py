@@ -15,7 +15,7 @@ from .errors import ShapeError
 
 __all__ = [
     "Tensor", "Tape", "tape", "reset_tape", "no_grad", "backward",
-    "grad_check", "attention", "PRIMITIVE_OPS",
+    "grad_check", "PRIMITIVE_OPS",
     "add", "sub", "neg", "mul", "div", "matmul", "transpose", "reshape",
     "concat", "slice_axis", "tsum", "tmean", "exp", "log", "sqrt", "silu",
     "sigmoid", "softmax", "log_softmax", "layer_norm", "embedding",
@@ -133,7 +133,12 @@ class no_grad:
 
 
 def _record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, backward_fn) -> Tensor:
-    out = Tensor(out_data)
+    # The primitive just computed out_data, so wrap it without the defensive
+    # copy Tensor() makes; full reductions yield numpy scalars, hence asarray.
+    out = Tensor.__new__(Tensor)
+    out.data = np.asarray(out_data, dtype=np.float64)
+    out.grad = None
+    out.requires_grad = False
     if _GRAD_ENABLED[0] and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         _TAPE.nodes.append(_Node(op, inputs, out, backward_fn))
@@ -148,6 +153,10 @@ def _pad_shape(shape: tuple[int, ...], rank: int) -> tuple[int, ...]:
 
 
 def _check_leading_broadcast(op: str, sa: tuple[int, ...], sb: tuple[int, ...]) -> tuple[int, ...]:
+    # fast paths: equal shapes, and a (..., n) + (n,) bias whose leading axes
+    # all exceed 1 (a size-1 one needs the general rule, which may reject it)
+    if sa == sb or (len(sb) == 1 and sa and sa[-1] == sb[0] and 1 not in sa[:-1]):
+        return sa
     rank = max(len(sa), len(sb))
     pa, pb = _pad_shape(sa, rank), _pad_shape(sb, rank)
     out = []
@@ -461,25 +470,6 @@ def bce_with_logits(logits: Tensor, targets) -> Tensor:
         return (g * (s - t),)
 
     return _record("bce_with_logits", (logits,), out, bw)
-
-
-# ---------------------------------------------------------------------------
-# attention (composite of recorded primitives)
-
-def attention(queries: Tensor, keys: Tensor, values: Tensor) -> Tensor:
-    """Single-head scaled dot-product attention.
-
-    2D operands (n_q, d), (n_k, d), (n_k, d_v) or 3D with a shared leading
-    batch axis. Rows of the internal weight matrix sum to one.
-    """
-    q, k, v = _wrap(queries), _wrap(keys), _wrap(values)
-    if q.shape[-1] == 0 or q.shape[-1] != k.shape[-1]:
-        raise ShapeError("attention", q.shape, k.shape)
-    if k.shape[-2] == 0 or k.shape[-2] != v.shape[-2]:
-        raise ShapeError("attention", k.shape, v.shape)
-    d = q.shape[-1]
-    scores = mul(matmul(q, transpose(k)), Tensor(1.0 / np.sqrt(d)))
-    return matmul(softmax(scores), v)
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,14 @@ def payload(record: Record, modality: str):
     raise ValueError(f"unknown modality {modality!r}")
 
 
+def payload_batch(records, modality: str):
+    """The records' data for one modality: a list of reports, or a stacked
+    (B, 16, 16) array of views."""
+    if modality == "report":
+        return [payload(r, modality) for r in records]
+    return np.stack([payload(r, modality) for r in records])
+
+
 def report_to_ids(report) -> np.ndarray:
     """Token ids padded with 0 to MAX_REPORT_LEN."""
     ids = np.zeros(MAX_REPORT_LEN, dtype=np.int64)

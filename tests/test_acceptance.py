@@ -217,7 +217,7 @@ def test_criterion_01_autodiff_soundness():
 
     for name in ["proj.view_a.l1.w", "proj.view_a.l2.w", "proj.report.l1.w",
                  "proj.report.l2.w", "couple.view_a.block0.wo.w",
-                 "couple.view_a.block0.wq.w", "couple.report.block0.wk.w",
+                 "couple.view_a.block0.wv.w", "couple.report.block0.wo.w",
                  "couple.report.block0.wv.w"]:
         check(coupled_loss, comps.trainable[name], name)
     for b in bases.values():

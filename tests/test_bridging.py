@@ -7,6 +7,7 @@ import pytest
 
 from crossgen import tensor as T
 from crossgen import toydata as td
+from crossgen.errors import NumericError
 from crossgen.bridging import (PromptEncoders, infonce_loss, loss_trend_ok,
                                retrieval_eval, symmetric_loss, train_alignment)
 
@@ -162,6 +163,16 @@ def test_train_alignment_empty_dataset_errors():
     ds.split["train"] = np.array([], dtype=np.int64)
     with pytest.raises(ValueError, match="empty"):
         train_alignment(ds, PromptEncoders(dim=8, hidden=16, seed=0), epochs=1)
+
+
+def test_train_alignment_stops_on_non_finite_loss():
+    ds = td.generate_dataset(seed=8, n=40)
+    ds.records[ds.split["train"][0]].view_a[0, 0] = np.nan
+    encoders = PromptEncoders(dim=8, hidden=16, seed=0)
+    before = encoders.params.checksum()
+    with pytest.raises(NumericError, match="alignment"):
+        train_alignment(ds, encoders, epochs=1, batch_size=64)
+    assert encoders.params.checksum() == before
 
 
 class _OneHotOracle:

@@ -12,6 +12,7 @@ from crossgen import toydata as td
 from crossgen.checkpoint import file_checksum
 from crossgen.cli import main
 from crossgen.config import load_config
+from crossgen.errors import ArtifactError
 
 TINY = {
     "seed": 3,
@@ -165,6 +166,42 @@ def test_generate_joint_pair(trained_home, cfg_file, tmp_path):
     assert len(list(out.glob("sample_*.report.json"))) == 2
     prov = json.loads((out / "provenance.json").read_text())
     assert prov["joint"] is True and prov["seed"] == 9
+
+
+BAD_PROMPTS = {
+    "missing_tokens": ("report", {"modality": "report"}),
+    "missing_pixels": ("view_a", {"modality": "view_a"}),
+    "unknown_token": ("report", {"modality": "report", "tokens": ["study", "zebra"]}),
+    "too_many_tokens": ("report", {"modality": "report", "tokens": ["study"] * 33}),
+    "empty_report": ("report", {"modality": "report", "tokens": []}),
+    "non_finite_pixels": ("view_a", {"modality": "view_a",
+                                     "pixels": [[float("nan")] * 16] * 16}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PROMPTS))
+def test_generate_rejects_bad_prompt_payload(trained_home, cfg_file, tmp_path, case):
+    modality, doc = BAD_PROMPTS[case]
+    prompt_file = tmp_path / f"p.{modality}.json"
+    prompt_file.write_text(json.dumps(doc))
+    target = "view_b" if modality == "report" else "report"
+    assert main(["--config", cfg_file, "--home", trained_home, "generate",
+                 "--prompt", f"{modality}={prompt_file}", "--target", target,
+                 "--out", str(tmp_path / "out")]) == 2
+    with pytest.raises(ArtifactError):
+        pl.load_payload(prompt_file)
+
+
+def test_tampered_split_sidecar_is_exit_2(tmp_path, cfg_file):
+    home = tmp_path / "h"
+    assert main(["--config", cfg_file, "--home", str(home), "gen-data"]) == 0
+    sidecar = td.sidecar_path(pl.dataset_path(home))
+    splits = json.loads(sidecar.read_text())
+    splits["train"], splits["test"] = splits["test"], splits["train"]
+    sidecar.write_text(json.dumps(splits, sort_keys=True))
+    assert main(["--config", cfg_file, "--home", str(home), "train", "align"]) == 2
+    with pytest.raises(ArtifactError, match="sidecar"):
+        pl.load_data(load_config(cfg_file), home)
 
 
 def test_eval_fid_of_real_against_itself_is_zero(trained_home, cfg_file, tmp_path):

@@ -9,10 +9,12 @@ from crossgen import tensor as T
 from crossgen import toydata as td
 from crossgen.bridging import PromptEncoders
 from crossgen.conditioning import SubsetSampler
+from crossgen.config import load_config
 from crossgen.diffusion import (Denoiser, DiffusionSchedule, ImageCodec,
                                 TextCodec, denoise_loss, make_schedule,
                                 noise_prediction_loss, q_sample, sample,
                                 sample_latents, train_ldm)
+from crossgen.errors import NumericError
 from crossgen.rng import stream
 
 
@@ -135,6 +137,23 @@ def test_text_codec_round_trip(toy_train):
     assert codec.token_accuracy(held) > 0.95
 
 
+def test_image_codec_fit_stops_on_non_finite_loss(toy_train):
+    codec = ImageCodec(seed=1, hidden=8)
+    before = codec.params.checksum()
+    images = np.stack([r.view_a for r in toy_train.subset("train")[:40]])
+    images[3, 2, 2] = np.nan
+    with pytest.raises(NumericError, match="image codec"):
+        codec.fit(images, epochs=1, batch_size=64, seed=1)
+    assert codec.params.checksum() == before
+
+
+def test_text_codec_fit_stops_on_non_finite_loss(toy_train):
+    codec = TextCodec(seed=2, latent_dim=8, hidden=8)
+    codec.table.data[:, 0] = np.nan
+    with pytest.raises(NumericError, match="text codec"):
+        codec.fit([r.report for r in toy_train.subset("train")[:40]], epochs=1, seed=2)
+
+
 # ---------------------------------------------------------------------------
 # loss
 
@@ -180,6 +199,44 @@ def test_denoiser_grad_check():
         assert err < 1e-5, f"{name}: {err}"
         checked += 1
     assert checked == len(den.params.names())
+
+
+def test_denoiser_init_replays_the_attention_draw_order():
+    # each block once also held query/key projections; their draws are
+    # still consumed, so every surviving tensor keeps its initial values
+    latent, cond, steps, hidden, attn = 6, 5, 10, 8, 4
+    rng = stream(13, "denoiser-init")
+    expected = {}
+
+    def linear(name, n_in, n_out):
+        expected[f"{name}.w"] = rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(n_in, n_out))
+        expected[f"{name}.b"] = np.zeros(n_out)
+
+    linear("in", latent, hidden)
+    expected["time.embed"] = rng.normal(0.0, 0.02, (steps, hidden))
+    for i in range(2):
+        linear(f"block{i}.fc1", hidden, hidden)
+        linear(f"block{i}.fc2", hidden, hidden)
+        linear(f"block{i}.attn.wq", hidden, attn)
+        linear(f"block{i}.attn.wk", cond, attn)
+        linear(f"block{i}.attn.wv", cond, attn)
+        linear(f"block{i}.attn.wo", attn, hidden)
+    linear("out", hidden, latent)
+    survivors = {k: v for k, v in expected.items() if ".wq." not in k and ".wk." not in k}
+    den = Denoiser(latent, cond, steps, hidden=hidden, n_blocks=2, attn_dim=attn, seed=13)
+    assert den.params.names() == sorted(survivors)
+    for name, value in survivors.items():
+        np.testing.assert_array_equal(den.params[name].data, value, err_msg=name)
+
+
+def test_default_report_denoiser_size():
+    cfg = load_config()
+    d = cfg["diffusion"]
+    den = Denoiser(d["text_codec"]["latent_dim"], cfg["encoder"]["dim"],
+                   d["timesteps"], hidden=d["hidden"], n_blocks=d["blocks"],
+                   attn_dim=d["attn_dim"])
+    assert den.params.num_values() == 194_720
+    assert not [n for n in den.params.names() if ".wq." in n or ".wk." in n]
 
 
 def test_denoise_loss_rejects_empty_batch():

@@ -8,6 +8,7 @@ import scipy.linalg
 
 from crossgen import evalkit as ek
 from crossgen import toydata as td
+from crossgen.errors import NumericError
 
 
 def random_spd(rng, dim):
@@ -191,6 +192,15 @@ def test_classifier_rejects_single_class_training_set():
     labels = np.tile(np.array([1, 0, 0, 0, 0], dtype=np.uint8), (20, 1))
     with pytest.raises(ValueError, match="single-class"):
         ek.train_classifier(views, labels, views, labels)
+
+
+def test_classifier_stops_on_non_finite_loss():
+    rng = np.random.default_rng(4)
+    views = rng.random((40, 16, 16))
+    labels = (rng.random((40, 5)) < 0.5).astype(np.uint8)
+    views[7, 3, 3] = np.nan
+    with pytest.raises(NumericError, match="classifier"):
+        ek.train_classifier(views, labels, views, labels, epochs=1)
 
 
 def test_classifier_same_seed_identical_metrics():

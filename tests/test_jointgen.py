@@ -72,17 +72,48 @@ def test_projection_rejects_wrong_width():
         proj.project(np.zeros((2, 5)))
 
 
+def test_build_joint_replays_the_attention_draw_order():
+    # each adapter once also held query/key projections; their draws are
+    # still consumed, so every surviving tensor keeps its initial values
+    bases = {"view_a": Denoiser(6, 5, 10, hidden=8, n_blocks=2, attn_dim=4, seed=1),
+             "report": Denoiser(4, 5, 10, hidden=8, n_blocks=2, attn_dim=4, seed=2)}
+    comps = build_joint(("view_a", "report"), bases, coupling_dim=3,
+                        proj_hidden=7, seed=21)
+    rng = stream(21, "joint-init:view_a+report")
+    expected = {}
+
+    def linear(name, n_in, n_out, zero_init=False):
+        expected[f"{name}.w"] = (np.zeros((n_in, n_out)) if zero_init else
+                                 rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(n_in, n_out)))
+        expected[f"{name}.b"] = np.zeros(n_out)
+
+    for m in ("view_a", "report"):
+        linear(f"proj.{m}.l1", bases[m].latent_dim, 7)
+        linear(f"proj.{m}.l2", 7, 3)
+    for m in ("view_a", "report"):
+        for i in range(2):
+            linear(f"couple.{m}.block{i}.wq", 8, 4)
+            linear(f"couple.{m}.block{i}.wk", 3, 4)
+            linear(f"couple.{m}.block{i}.wv", 3, 4)
+            linear(f"couple.{m}.block{i}.wo", 4, 8, zero_init=True)
+    survivors = {k: v for k, v in expected.items() if ".wq." not in k and ".wk." not in k}
+    assert comps.trainable.names() == sorted(survivors)
+    for name, value in survivors.items():
+        np.testing.assert_array_equal(comps.trainable[name].data, value, err_msg=name)
+
+
 def test_zero_couplings_reduce_to_base_losses(small_world):
     ds, enc, codecs, sched, bases = small_world
     pair = ("view_a", "report")
     comps = build_joint(pair, bases, coupling_dim=4, proj_hidden=8, seed=1)
     rng = np.random.default_rng(2)
     batch = ds.subset("train")[:8]
-    from crossgen.diffusion import _payloads, noise_prediction_loss, q_sample
+    from crossgen.diffusion import noise_prediction_loss, q_sample
+    from crossgen.toydata import payload_batch
     t = np.full(8, 5)
     z_t, eps = {}, {}
     for m in pair:
-        z0 = codecs[m].encode(_payloads(batch, m))
+        z0 = codecs[m].encode(payload_batch(batch, m))
         eps[m] = rng.standard_normal(z0.shape)
         z_t[m] = q_sample(z0, t, eps[m], sched)
     omega = rng.standard_normal((8, enc.dim))
@@ -115,11 +146,12 @@ def test_gradients_flow_only_into_trainable(small_world):
         comps = build_joint(pair, bases, coupling_dim=4, proj_hidden=8, seed=2)
         rng = np.random.default_rng(3)
         batch = ds.subset("train")[:6]
-        from crossgen.diffusion import _payloads, q_sample
+        from crossgen.diffusion import q_sample
+        from crossgen.toydata import payload_batch
         t = np.full(6, 4)
         z_t, eps = {}, {}
         for m in pair:
-            z0 = codecs[m].encode(_payloads(batch, m))
+            z0 = codecs[m].encode(payload_batch(batch, m))
             eps[m] = rng.standard_normal(z0.shape)
             z_t[m] = q_sample(z0, t, eps[m], sched)
         omega = rng.standard_normal((6, enc.dim))
@@ -152,11 +184,12 @@ def test_coupled_path_grad_check(small_world):
             if name.endswith("wo.w"):
                 comps.trainable[name].data[...] = r.normal(0, 0.05, comps.trainable[name].shape)
         batch = ds.subset("train")[:4]
-        from crossgen.diffusion import _payloads, q_sample
+        from crossgen.diffusion import q_sample
+        from crossgen.toydata import payload_batch
         t = np.full(4, 3)
         z_t, eps = {}, {}
         for m in pair:
-            z0 = codecs[m].encode(_payloads(batch, m))
+            z0 = codecs[m].encode(payload_batch(batch, m))
             eps[m] = r.standard_normal(z0.shape)
             z_t[m] = q_sample(z0, t, eps[m], sched)
         omega = r.standard_normal((4, enc.dim))
@@ -165,7 +198,7 @@ def test_coupled_path_grad_check(small_world):
             return coupled_pair_loss(comps, z_t, {m: t for m in pair}, eps, omega)
 
         for name in ["proj.view_a.l1.w", "proj.report.l2.w",
-                     "couple.view_a.block0.wo.w", "couple.report.block1.wk.w"]:
+                     "couple.view_a.block0.wo.w", "couple.report.block1.wv.w"]:
             err = T.grad_check(f, comps.trainable[name])
             assert err < 1e-5, f"{name}: {err}"
     finally:
