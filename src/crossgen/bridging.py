@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .nn import (AdamWState, Linear, ParameterSet, adamw_step, fill_missing_grads,
-                 finite_loss)
+                 finite_loss, init_normal)
 from .rng import stream
 from .toydata import (MAX_REPORT_LEN, VIEW_SIZE, VOCAB, Dataset,
                       payload_batch, report_to_ids)
@@ -61,7 +61,7 @@ class TextPromptEncoder:
     def __init__(self, params: ParameterSet, prefix: str, dim: int,
                  hidden: int, embed_dim: int, rng: np.random.Generator):
         self.table = params.add(f"{prefix}.embed",
-                                T.Tensor(rng.normal(0.0, 0.5, size=(len(VOCAB), embed_dim))))
+                                T.Tensor(init_normal(rng, 0.5, (len(VOCAB), embed_dim))))
         self.l1 = Linear(params, f"{prefix}.l1", embed_dim, hidden, rng)
         self.l2 = Linear(params, f"{prefix}.l2", hidden, hidden, rng)
         self.out = Linear(params, f"{prefix}.out", hidden, dim, rng)
@@ -83,12 +83,15 @@ class TextPromptEncoder:
 
 
 class PromptEncoders:
-    """Bundle of the shared image encoder and the text encoder."""
+    """Bundle of the shared image encoder and the text encoder.
+
+    ``seed=None`` allocates zero tensors without drawing, for encoders that
+    a checkpoint load fills."""
 
     def __init__(self, dim: int = 32, hidden: int = 128, text_embed: int = 32,
-                 seed: int = 0):
+                 seed: int | None = 0):
         self.params = ParameterSet()
-        rng = stream(seed, "encoder-init")
+        rng = None if seed is None else stream(seed, "encoder-init")
         self.image = ImagePromptEncoder(self.params, "image", dim, hidden, rng)
         self.text = TextPromptEncoder(self.params, "text", dim, hidden, text_embed, rng)
         self.dim = dim

@@ -54,8 +54,9 @@ def load_checkpoint(path, expect_stage: str | None = None,
     raw = path.read_bytes()
     if len(raw) < 38 or raw[:4] != XGCK_MAGIC:
         raise ArtifactError(f"{path}: not a checkpoint file")
-    body, digest = raw[:-32], raw[-32:]
-    if hashlib.sha256(body).digest() != digest:
+    body = raw[:-32]
+    checksum = hashlib.sha256(body).digest()
+    if checksum != raw[-32:]:
         raise ArtifactError(f"{path}: checksum mismatch, file is corrupt")
     off = 4
 
@@ -96,7 +97,7 @@ def load_checkpoint(path, expect_stage: str | None = None,
             f"{path}: config hash {cfg_hash[:12]}... does not match the active "
             f"config {expect_config_hash[:12]}...")
     return {"stage": stage, "config_hash": cfg_hash, "metadata": metadata,
-            "arrays": arrays, "checksum": hashlib.sha256(body).hexdigest()}
+            "arrays": arrays, "checksum": checksum.hex()}
 
 
 def file_checksum(path) -> str:

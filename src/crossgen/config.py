@@ -79,6 +79,22 @@ DEFAULTS = {
 }
 
 
+def _check_type(value, default, here: str) -> None:
+    """ConfigError unless ``value`` has the type of ``default``: an int field
+    takes an int (not a bool), a float field an int or a float, a list field
+    a list whose elements each match the default's first element."""
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"config key {here} must be a list, got {value!r}")
+        for i, item in enumerate(value):
+            _check_type(item, default[0], f"{here}[{i}]")
+        return
+    wanted = (int, float) if isinstance(default, float) else type(default)
+    if isinstance(value, bool) or not isinstance(value, wanted):
+        raise ConfigError(f"config key {here} must be {type(default).__name__}, "
+                          f"got {value!r}")
+
+
 def _merge(defaults: dict, overrides: dict, path: str) -> dict:
     out = copy.deepcopy(defaults)
     for key, value in overrides.items():
@@ -90,6 +106,7 @@ def _merge(defaults: dict, overrides: dict, path: str) -> dict:
                 raise ConfigError(f"config key {here} must be a section")
             out[key] = _merge(defaults[key], value, here)
         else:
+            _check_type(value, defaults[key], here)
             out[key] = value
     return out
 

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .nn import AdamWState, Linear, ParameterSet, adamw_step, finite_loss
+from .nn import (AdamWState, Linear, ParameterSet, adamw_step, finite_loss,
+                 init_normal)
 from .rng import stream
 from .toydata import (MAX_REPORT_LEN, VIEW_SIZE, VOCAB, payload_batch,
                       report_to_ids)
@@ -74,14 +75,15 @@ def q_sample(z0: np.ndarray, t, eps: np.ndarray, schedule: DiffusionSchedule) ->
 
 class ImageCodec:
     """Patch autoencoder: 16 patches of 4x4 pixels, each mapped to 4 latent
-    dims by a shared MLP (4x downsampling, 64-dim latent overall)."""
+    dims by a shared MLP (4x downsampling, 64-dim latent overall).
+    ``seed=None`` builds zero tensors without drawing, for a checkpoint load."""
 
     PATCH = 4
     latent_dim = (VIEW_SIZE // PATCH) ** 2 * PATCH  # 16 patches x 4 dims
 
-    def __init__(self, seed: int = 0, hidden: int = 32):
+    def __init__(self, seed: int | None = 0, hidden: int = 32):
         self.params = ParameterSet()
-        rng = stream(seed, "image-codec-init")
+        rng = None if seed is None else stream(seed, "image-codec-init")
         px = self.PATCH * self.PATCH
         per_patch = self.PATCH
         self.enc1 = Linear(self.params, "enc1", px, hidden, rng)
@@ -164,14 +166,15 @@ class ImageCodec:
 
 class TextCodec:
     """Token-embedding average encoder plus a decoder head that predicts
-    token logits for every report position."""
+    token logits for every report position. ``seed=None`` builds zero
+    tensors without drawing, for a checkpoint load."""
 
-    def __init__(self, seed: int = 0, latent_dim: int = 32, hidden: int = 64):
+    def __init__(self, seed: int | None = 0, latent_dim: int = 32, hidden: int = 64):
         self.params = ParameterSet()
-        rng = stream(seed, "text-codec-init")
+        rng = None if seed is None else stream(seed, "text-codec-init")
         self.latent_dim = latent_dim
         self.table = self.params.add(
-            "embed", T.Tensor(rng.normal(0.0, 0.5, size=(len(VOCAB), latent_dim))))
+            "embed", T.Tensor(init_normal(rng, 0.5, (len(VOCAB), latent_dim))))
         self.dec1 = Linear(self.params, "dec1", latent_dim, hidden, rng)
         self.dec2 = Linear(self.params, "dec2", hidden, MAX_REPORT_LEN * len(VOCAB), rng)
         self.mu = np.zeros(latent_dim)
@@ -262,11 +265,16 @@ class Denoiser:
     """Residual fully connected blocks with a per-block additive timestep
     embedding and one conditioning site per block. The site reads omega as a
     single key/value token; cross-attention onto one key is exactly the
-    learned linear map wo(wv(omega)) (width ``attn_dim``), computed as such."""
+    learned linear map wo(wv(omega)) (width ``attn_dim``), computed as such.
+    omega is fixed for a whole reverse draw, so the samplers compute each
+    block's term once per draw (``condition``) and reuse it on every step.
+
+    ``seed=None`` allocates zero tensors without drawing, for a denoiser
+    that a checkpoint load fills."""
 
     def __init__(self, latent_dim: int, cond_dim: int, T_steps: int,
                  hidden: int = 96, n_blocks: int = 2, attn_dim: int = 32,
-                 seed: int = 0):
+                 seed: int | None = 0):
         self.latent_dim = latent_dim
         self.cond_dim = cond_dim
         self.T_steps = T_steps
@@ -274,17 +282,18 @@ class Denoiser:
         self.n_blocks = n_blocks
         self.attn_dim = attn_dim
         self.params = ParameterSet()
-        rng = stream(seed, "denoiser-init")
+        rng = None if seed is None else stream(seed, "denoiser-init")
         p = self.params
         self.in_proj = Linear(p, "in", latent_dim, hidden, rng)
-        self.time_table = p.add("time.embed", T.Tensor(rng.normal(0.0, 0.02, (T_steps, hidden))))
+        self.time_table = p.add("time.embed", T.Tensor(init_normal(rng, 0.02, (T_steps, hidden))))
         self.blocks = []
         for i in range(n_blocks):
             fc1 = Linear(p, f"block{i}.fc1", hidden, hidden, rng)
             fc2 = Linear(p, f"block{i}.fc2", hidden, hidden, rng)
             # retired query/key projections: draw and discard, so later inits match
-            for n_in in (hidden, cond_dim):
-                Linear(ParameterSet(), "retired", n_in, attn_dim, rng)
+            if rng is not None:
+                for n_in in (hidden, cond_dim):
+                    Linear(ParameterSet(), "retired", n_in, attn_dim, rng)
             self.blocks.append({
                 "fc1": fc1, "fc2": fc2,
                 "wv": Linear(p, f"block{i}.attn.wv", cond_dim, attn_dim, rng),
@@ -292,17 +301,25 @@ class Denoiser:
             })
         self.out_proj = Linear(p, "out", hidden, latent_dim, rng)
 
-    def forward(self, z, t, omega, extra_site=None) -> T.Tensor:
+    def condition(self, omega) -> list[T.Tensor]:
+        """Each block's conditioning term wo(wv(omega)), in block order."""
+        om = omega if isinstance(omega, T.Tensor) else T.Tensor(np.asarray(omega, dtype=np.float64))
+        return [block["wo"](block["wv"](om)) for block in self.blocks]
+
+    def forward(self, z, t, omega, extra_site=None, cond=None) -> T.Tensor:
         """Predict the noise for latents z at (1-based) timesteps t.
 
+        ``cond``, the list ``condition(omega)`` returned, stands in for omega
+        when given, so a reverse loop computes it once per draw.
         ``extra_site(block_index)`` lets a coupling wrapper inject an
         additional additive term after the conditioning site.
         """
         z_t = z if isinstance(z, T.Tensor) else T.Tensor(np.asarray(z, dtype=np.float64))
-        om = omega if isinstance(omega, T.Tensor) else T.Tensor(np.asarray(omega, dtype=np.float64))
         t = np.atleast_1d(np.asarray(t, dtype=np.int64))
         if np.any(t < 1) or np.any(t > self.T_steps):
             raise ValueError(f"timestep out of range 1..{self.T_steps}")
+        if cond is None:
+            cond = self.condition(omega)
         temb = T.embedding(self.time_table, t - 1)
         h = self.in_proj(z_t)
         for i, block in enumerate(self.blocks):
@@ -310,15 +327,12 @@ class Denoiser:
             h = T.layer_norm(h)
             h = T.add(h, temb)
             h = T.silu(block["fc1"](h))
-            h = T.add(h, block["wo"](block["wv"](om)))
+            h = T.add(h, cond[i])
             if extra_site is not None:
                 h = T.add(h, extra_site(i))
             h = T.silu(block["fc2"](h))
             h = T.add(r, h)
         return self.out_proj(h)
-
-    def __call__(self, z, t, omega) -> T.Tensor:
-        return self.forward(z, t, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -396,18 +410,25 @@ def sample_latents(eps_model, schedule: DiffusionSchedule, omega: np.ndarray,
                    sigma_mode: str = "beta") -> np.ndarray:
     """Reverse process from pure noise, shared by single and joint sampling.
 
-    ``eps_model(z, t, omega)`` returns the predicted noise tensor. The step
-    noise scale is sqrt(beta_t) by default, or the alpha-bar-ratio variant.
+    ``eps_model(z, t, omega)`` returns the predicted noise tensor. A
+    ``Denoiser`` computes its conditioning terms once for the draw and
+    reuses them on every step. The step noise scale is sqrt(beta_t) by
+    default, or the alpha-bar-ratio variant.
     """
     if sigma_mode not in ("beta", "alpha_bar_ratio"):
         raise ValueError(f"unknown sigma mode {sigma_mode!r}")
     omega = np.atleast_2d(np.asarray(omega, dtype=np.float64))
     b = len(omega)
+    cond = None
+    if isinstance(eps_model, Denoiser):
+        with T.no_grad():
+            cond = eps_model.condition(omega)
     z = rng.standard_normal((b, latent_dim))
     for t in range(schedule.T, 0, -1):
         t_arr = np.full(b, t, dtype=np.int64)
         with T.no_grad():
-            eps_hat = eps_model(z, t_arr, omega)
+            eps_hat = (eps_model(z, t_arr, omega) if cond is None
+                       else eps_model.forward(z, t_arr, omega, cond=cond))
         eps_hat = eps_hat.data if isinstance(eps_hat, T.Tensor) else np.asarray(eps_hat)
         ab = schedule.alpha_bars[t - 1]
         alpha = schedule.alphas[t - 1]

@@ -49,15 +49,16 @@ class CoupledDenoiser:
     the base exactly."""
 
     def __init__(self, base: Denoiser, params: ParameterSet, prefix: str,
-                 coupling_dim: int, rng: np.random.Generator):
+                 coupling_dim: int, rng: np.random.Generator | None):
         self.base = base
         self.coupling_dim = coupling_dim
         self.adapters = []
         attn = base.attn_dim
         for i in range(base.n_blocks):
             # retired query/key projections: draw and discard, so later inits match
-            for n_in in (base.hidden, coupling_dim):
-                Linear(ParameterSet(), "retired", n_in, attn, rng)
+            if rng is not None:
+                for n_in in (base.hidden, coupling_dim):
+                    Linear(ParameterSet(), "retired", n_in, attn, rng)
             self.adapters.append({
                 "wv": Linear(params, f"{prefix}.block{i}.wv", coupling_dim, attn, rng),
                 "wo": Linear(params, f"{prefix}.block{i}.wo", attn, base.hidden, rng,
@@ -68,9 +69,12 @@ class CoupledDenoiser:
         ad = self.adapters[i]
         return ad["wo"](ad["wv"](partner))
 
-    def forward(self, z, t, omega, partner) -> T.Tensor:
+    def forward(self, z, t, omega, partner, cond=None) -> T.Tensor:
+        """The base forward plus the coupling sites; ``cond`` is the base's
+        ``condition(omega)``, computed once per draw by the sampler."""
         p = partner if isinstance(partner, T.Tensor) else T.Tensor(np.asarray(partner, dtype=np.float64))
-        return self.base.forward(z, t, omega, extra_site=lambda i: self._site(i, p))
+        return self.base.forward(z, t, omega, extra_site=lambda i: self._site(i, p),
+                                 cond=cond)
 
 
 @dataclass
@@ -84,10 +88,12 @@ class JointComponents:
 
 def build_joint(pair: tuple[str, str], bases: dict[str, Denoiser],
                 coupling_dim: int = 16, proj_hidden: int = 32,
-                seed: int = 0) -> JointComponents:
+                seed: int | None = 0) -> JointComponents:
+    """Projections and couplings for ``pair``; ``seed=None`` allocates zero
+    tensors without drawing, for components that a checkpoint load fills."""
     m_i, m_j = pair
     params = ParameterSet()
-    rng = stream(seed, f"joint-init:{m_i}+{m_j}")
+    rng = None if seed is None else stream(seed, f"joint-init:{m_i}+{m_j}")
     projections = {
         m: ProjectionEncoder(params, f"proj.{m}", bases[m].latent_dim,
                              coupling_dim, proj_hidden, rng)
@@ -184,6 +190,7 @@ def joint_sample(components: JointComponents, schedule: DiffusionSchedule,
                  sigma_mode: str = "beta") -> dict:
     """Advance both reverse processes in lockstep over t = T..1.
 
+    Each base denoiser's conditioning terms are computed once for the draw.
     At every step each denoiser's coupling sites map the partner's current
     latent, projected once and shared, through their linear wo(wv(.)). Noise streams are
     per modality and match what independent sampling with the same seed
@@ -191,6 +198,8 @@ def joint_sample(components: JointComponents, schedule: DiffusionSchedule,
     m_i, m_j = components.pair
     omega = np.atleast_2d(np.asarray(omega, dtype=np.float64))
     b = len(omega)
+    with T.no_grad():
+        cond = {m: components.coupled[m].base.condition(omega) for m in components.pair}
     rngs = {m: noise_stream(seed, m) for m in components.pair}
     z = {m: rngs[m].standard_normal((b, components.coupled[m].base.latent_dim))
          for m in components.pair}
@@ -201,8 +210,10 @@ def joint_sample(components: JointComponents, schedule: DiffusionSchedule,
         proj = {m: components.projections[m].project(z[m]) for m in components.pair}
         with T.no_grad():
             eps_hat = {
-                m_i: components.coupled[m_i].forward(z[m_i], t_arr, omega, proj[m_j]).data,
-                m_j: components.coupled[m_j].forward(z[m_j], t_arr, omega, proj[m_i]).data,
+                m_i: components.coupled[m_i].forward(z[m_i], t_arr, omega, proj[m_j],
+                                                     cond=cond[m_i]).data,
+                m_j: components.coupled[m_j].forward(z[m_j], t_arr, omega, proj[m_i],
+                                                     cond=cond[m_j]).data,
             }
         ab = schedule.alpha_bars[t - 1]
         alpha = schedule.alphas[t - 1]

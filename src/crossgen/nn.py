@@ -67,6 +67,13 @@ class ParameterSet:
         return {name: t.data.copy() for name, t in self.items()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Fill every tensor from ``arrays``, which must name exactly the
+        parameters of this set (ValueError otherwise)."""
+        missing = sorted(set(self._entries) - set(arrays))
+        unexpected = sorted(set(arrays) - set(self._entries))
+        if missing or unexpected:
+            raise ValueError(f"state arrays do not match the parameters: "
+                             f"missing {missing}, unexpected {unexpected}")
         for name, t in self.items():
             src = arrays[name]
             if src.shape != t.data.shape:
@@ -74,15 +81,21 @@ class ParameterSet:
             t.data[...] = src
 
 
+def init_normal(rng: np.random.Generator | None, std: float, shape) -> np.ndarray:
+    """Normal(0, std) initial values, or zeros drawn from no stream when
+    ``rng`` is None (a module built only to be filled from a checkpoint)."""
+    if rng is None:
+        return np.zeros(shape)
+    return rng.normal(0.0, std, size=shape)
+
+
 class Linear:
-    """Affine map registered under ``<name>.w`` / ``<name>.b``."""
+    """Affine map registered under ``<name>.w`` / ``<name>.b``; ``rng=None``
+    allocates zeros without drawing."""
 
     def __init__(self, params: ParameterSet, name: str, n_in: int, n_out: int,
-                 rng: np.random.Generator, zero_init: bool = False):
-        if zero_init:
-            w = np.zeros((n_in, n_out))
-        else:
-            w = rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(n_in, n_out))
+                 rng: np.random.Generator | None, zero_init: bool = False):
+        w = init_normal(None if zero_init else rng, 1.0 / np.sqrt(n_in), (n_in, n_out))
         self.w = params.add(f"{name}.w", Tensor(w))
         self.b = params.add(f"{name}.b", Tensor(np.zeros(n_out)))
 

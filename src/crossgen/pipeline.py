@@ -142,7 +142,7 @@ def load_encoders(cfg: dict, home) -> PromptEncoders:
                          config_hash(cfg))
     meta = ck["metadata"]
     encoders = PromptEncoders(dim=meta["dim"], hidden=meta["hidden"],
-                              text_embed=meta["text_embed"], seed=0)
+                              text_embed=meta["text_embed"], seed=None)
     encoders.params.load_state_arrays(ck["arrays"])
     return encoders
 
@@ -185,9 +185,9 @@ def _codec_from_arrays(cfg: dict, modality: str, arrays: dict, prefix: str):
     d = cfg["diffusion"]
     if modality == "report":
         tc = d["text_codec"]
-        codec = TextCodec(seed=0, latent_dim=tc["latent_dim"], hidden=tc["hidden"])
+        codec = TextCodec(seed=None, latent_dim=tc["latent_dim"], hidden=tc["hidden"])
     else:
-        codec = ImageCodec(seed=0, hidden=d["image_codec"]["hidden"])
+        codec = ImageCodec(seed=None, hidden=d["image_codec"]["hidden"])
     codec.params.load_state_arrays(
         {k[len(prefix) + 7:]: v for k, v in arrays.items()
          if k.startswith(f"{prefix}.param.")})
@@ -230,10 +230,9 @@ def load_ldm(cfg: dict, home, target: str):
     read_manifest(home, stage, config_hash(cfg))
     ck = load_checkpoint(checkpoint_path(home, stage), stage, config_hash(cfg))
     meta = ck["metadata"]
-    d = cfg["diffusion"]
     denoiser = Denoiser(meta["latent_dim"], meta["cond_dim"], meta["timesteps"],
                         hidden=meta["hidden"], n_blocks=meta["blocks"],
-                        attn_dim=meta["attn_dim"], seed=0)
+                        attn_dim=meta["attn_dim"], seed=None)
     denoiser.params.load_state_arrays(
         {k[len("denoiser."):]: v for k, v in ck["arrays"].items()
          if k.startswith("denoiser.")})
@@ -289,7 +288,7 @@ def load_joint(cfg: dict, home, pair: tuple[str, str]):
                 f"{stage}: base denoiser for {m} does not match the checksum "
                 "recorded at joint training time")
     components = build_joint(pair, bases, coupling_dim=meta["coupling_dim"],
-                             proj_hidden=meta["proj_hidden"], seed=0)
+                             proj_hidden=meta["proj_hidden"], seed=None)
     components.trainable.load_state_arrays(ck["arrays"])
     return components, codecs
 
@@ -325,10 +324,9 @@ def load_classifier(cfg: dict, home) -> tuple[FeatureExtractor, dict]:
     hidden = tuple(ck["metadata"]["hidden"])
     from .nn import Linear, ParameterSet
     params = ParameterSet()
-    rng = stream(0, "classifier-init")
-    Linear(params, "l1", td.VIEW_SIZE * td.VIEW_SIZE, hidden[0], rng)
-    Linear(params, "l2", hidden[0], hidden[1], rng)
-    Linear(params, "out", hidden[1], td.NUM_CONDITIONS, rng)
+    Linear(params, "l1", td.VIEW_SIZE * td.VIEW_SIZE, hidden[0], None)
+    Linear(params, "l2", hidden[0], hidden[1], None)
+    Linear(params, "out", hidden[1], td.NUM_CONDITIONS, None)
     params.load_state_arrays(ck["arrays"])
     return FeatureExtractor(params, hidden, dict(ck["metadata"])), ck["metadata"]
 

@@ -412,12 +412,13 @@ def log_softmax(a: Tensor) -> Tensor:
 def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean, unit variance (no affine part)."""
     a = _wrap(a)
-    mu = a.data.mean(axis=-1, keepdims=True)
+    n = a.shape[-1]
+    # sum / n is what ndarray.mean computes, without its dispatch overhead
+    mu = a.data.sum(axis=-1, keepdims=True) / n
     xc = a.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    n = a.shape[-1]
 
     def bw(g):
         gs = g.sum(axis=-1, keepdims=True)

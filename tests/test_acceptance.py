@@ -37,6 +37,9 @@ from crossgen.bridging import SharedEmbedding
 
 from test_tensor import PRIMITIVE_CASES  # noqa: E402  (shared grad-check battery)
 
+# the module trains the full default pipeline; `pytest -m "not slow"` skips it
+pytestmark = pytest.mark.slow
+
 
 def _criterion(n, name, ok, detail=""):
     tail = f" ({detail})" if detail else ""

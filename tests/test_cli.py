@@ -2,6 +2,8 @@
 provenance and deterministic checkpoints."""
 
 import json
+import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +11,11 @@ import pytest
 
 from crossgen import pipeline as pl
 from crossgen import toydata as td
-from crossgen.checkpoint import file_checksum
+from crossgen.checkpoint import file_checksum, load_checkpoint, save_checkpoint
 from crossgen.cli import main
 from crossgen.config import load_config
 from crossgen.errors import ArtifactError
+from crossgen.rng import stream
 
 TINY = {
     "seed": 3,
@@ -96,6 +99,14 @@ def test_train_before_data_is_exit_3(tmp_path, cfg_file):
 def test_unknown_config_key_is_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"no_such": 1}))
+    assert main(["--config", str(bad), "--home", str(tmp_path / "h"),
+                 "gen-data"]) == 2
+
+
+def test_mistyped_config_value_is_exit_2(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(TINY, diffusion=dict(TINY["diffusion"],
+                                                        batch_size=32.0))))
     assert main(["--config", str(bad), "--home", str(tmp_path / "h"),
                  "gen-data"]) == 2
 
@@ -202,6 +213,55 @@ def test_tampered_split_sidecar_is_exit_2(tmp_path, cfg_file):
     assert main(["--config", cfg_file, "--home", str(home), "train", "align"]) == 2
     with pytest.raises(ArtifactError, match="sidecar"):
         pl.load_data(load_config(cfg_file), home)
+
+
+def test_checkpoint_missing_an_array_is_exit_2(trained_home, cfg_file, tmp_path):
+    home = tmp_path / "home"
+    shutil.copytree(trained_home, home)
+    path = pl.checkpoint_path(home, "ldm:view_a")
+    ck = load_checkpoint(path)
+    del ck["arrays"]["denoiser.out.b"]
+    save_checkpoint(path, ck["stage"], ck["config_hash"], ck["arrays"], ck["metadata"])
+    prompt_file = tmp_path / "p.report.json"
+    pl.save_payload(prompt_file, "report", ("routine", "study"))
+    assert main(["--config", cfg_file, "--home", str(home), "generate",
+                 "--prompt", f"report={prompt_file}", "--target", "view_a",
+                 "--out", str(tmp_path / "out")]) == 2
+    with pytest.raises(ValueError, match=r"missing \['out.b'\]"):
+        pl.load_ldm(load_config(cfg_file), home, "view_a")
+
+
+def test_loaders_draw_nothing_and_restore_every_array(trained_home, cfg_file,
+                                                      monkeypatch):
+    def no_stream(*_):
+        raise AssertionError("a loader drew random numbers")
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("crossgen") and getattr(module, "stream", None) is stream:
+            monkeypatch.setattr(module, "stream", no_stream)
+
+    def saved(stage, prefix=""):
+        arrays = load_checkpoint(pl.checkpoint_path(trained_home, stage))["arrays"]
+        return {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)}
+
+    def assert_restored(params, arrays):
+        assert params.names() == sorted(arrays)
+        for name, t in params.items():
+            assert t.shape == arrays[name].shape
+            assert t.data.tobytes() == arrays[name].tobytes(), name
+
+    cfg = load_config(cfg_file)
+    assert_restored(pl.load_encoders(cfg, trained_home).params, saved("alignment"))
+    for m in td.MODALITIES:
+        denoiser, codec, _ = pl.load_ldm(cfg, trained_home, m)
+        assert_restored(denoiser.params, saved(f"ldm:{m}", "denoiser."))
+        assert_restored(codec.params, saved(f"ldm:{m}", "codec.param."))
+        stats = saved(f"ldm:{m}", "codec.stats.")
+        assert codec.mu.tobytes() == stats["mu"].tobytes()
+        assert codec.sd.tobytes() == stats["sd"].tobytes()
+    components, _ = pl.load_joint(cfg, trained_home, ("view_a", "report"))
+    assert_restored(components.trainable, saved("joint:view_a+report"))
+    assert_restored(pl.load_classifier(cfg, trained_home)[0].params, saved("classifier"))
 
 
 def test_eval_fid_of_real_against_itself_is_zero(trained_home, cfg_file, tmp_path):

@@ -35,6 +35,30 @@ def test_unknown_keys_rejected():
         load_config({"eval": {"utility": {"bad": 1}}})
 
 
+MISTYPED = {
+    "float_for_int": ({"diffusion": {"batch_size": 64.0}}, "diffusion.batch_size"),
+    "bool_for_int": ({"encoder": {"epochs": True}}, "encoder.epochs"),
+    "bool_for_float": ({"diffusion": {"lr": False}}, "diffusion.lr"),
+    "float_in_int_list": ({"eval": {"classifier_hidden": [64, 32.0]}},
+                          r"eval.classifier_hidden\[1\]"),
+    "scalar_for_list": ({"dataset": {"positive_rates": 0.5}}, "dataset.positive_rates"),
+    "int_for_str": ({"diffusion": {"sigma_mode": 1}}, "diffusion.sigma_mode"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED))
+def test_value_types_checked_at_load(case):
+    overrides, key = MISTYPED[case]
+    with pytest.raises(ConfigError, match=key):
+        load_config(overrides)
+
+
+def test_int_accepted_for_float_field():
+    cfg = load_config({"diffusion": {"lr": 1, "beta_max": 0},
+                       "eval": {"utility": {"scarcity_multipliers": [0, 1, 2.0]}}})
+    assert cfg["diffusion"]["lr"] == 1
+
+
 def test_config_file_loading(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seed": 99}))
@@ -51,9 +75,10 @@ def test_checkpoint_roundtrip(tmp_path):
     arrays = {"w": np.arange(6.0).reshape(2, 3), "b": np.array(1.5)}
     meta = {"kind": "test", "n": 3}
     path = tmp_path / "ck.xgck"
-    save_checkpoint(path, "ldm:view_a", "cafe" * 16, arrays, meta)
+    digest = save_checkpoint(path, "ldm:view_a", "cafe" * 16, arrays, meta)
     back = load_checkpoint(path, expect_stage="ldm:view_a",
                            expect_config_hash="cafe" * 16)
+    assert back["checksum"] == digest
     assert back["metadata"] == meta
     np.testing.assert_array_equal(back["arrays"]["w"], arrays["w"])
     np.testing.assert_array_equal(back["arrays"]["b"], arrays["b"])

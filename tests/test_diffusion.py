@@ -290,6 +290,40 @@ def test_sampling_deterministic_given_seed():
     np.testing.assert_array_equal(a, b)
 
 
+def _reference_reverse(eps_fn, s, z, rng, sigma_mode):
+    """The reverse process written out step by step, nothing hoisted."""
+    for t in range(s.T, 0, -1):
+        with T.no_grad():
+            eps_hat = eps_fn(z, np.full(len(z), t, dtype=np.int64)).data
+        ab, alpha, beta = s.alpha_bars[t - 1], s.alphas[t - 1], s.betas[t - 1]
+        mean = (z - beta / np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(alpha)
+        if t == 1:
+            return mean
+        if sigma_mode == "beta":
+            sigma = np.sqrt(beta)
+        else:
+            sigma = np.sqrt(beta * (1.0 - s.alpha_bars[t - 2]) / (1.0 - ab))
+        z = mean + sigma * rng.standard_normal(z.shape)
+
+
+@pytest.mark.parametrize("sigma_mode", ["beta", "alpha_bar_ratio"])
+def test_sample_latents_matches_per_step_forward_reference(sigma_mode, monkeypatch):
+    den = Denoiser(latent_dim=6, cond_dim=4, T_steps=12, hidden=16, n_blocks=2,
+                   attn_dim=5, seed=21)
+    s = make_schedule(12, 1e-3, 0.2)
+    omega = np.random.default_rng(22).standard_normal((5, 4))
+    rng = stream(3, "ref")
+    ref = _reference_reverse(lambda z, t: den.forward(z, t, omega), s,
+                             rng.standard_normal((5, 6)), rng, sigma_mode)
+    calls = []
+    forward = Denoiser.forward
+    monkeypatch.setattr(Denoiser, "forward",
+                        lambda self, *a, **k: calls.append(1) or forward(self, *a, **k))
+    out = sample_latents(den, s, omega, stream(3, "ref"), 6, sigma_mode=sigma_mode)
+    np.testing.assert_array_equal(out, ref)
+    assert len(calls) == s.T  # one forward per reverse step
+
+
 def test_sample_decodes_via_codec(toy_train):
     codec = ImageCodec(seed=3)
     images = np.stack([r.view_a for r in toy_train.subset("train")[:100]])

@@ -245,3 +245,32 @@ def test_joint_sample_deterministic(small_world):
     out2 = joint_sample(comps, sched, omega, codecs, seed=5)
     np.testing.assert_array_equal(out1["view_a"], out2["view_a"])
     assert out1["report"] == out2["report"]
+
+
+def test_joint_sample_matches_per_step_coupled_forward_reference(small_world, monkeypatch):
+    ds, enc, codecs, sched, bases = small_world
+    pair = ("view_a", "report")
+    comps, _ = train_joint(ds, pair, enc, codecs, bases, sched, epochs=1,
+                           batch_size=32, coupling_dim=4, proj_hidden=8, seed=12)
+    omega = np.random.default_rng(13).standard_normal((4, enc.dim))
+    # the lockstep reverse process written out, nothing hoisted
+    rngs = {m: noise_stream(17, m) for m in pair}
+    z = {m: rngs[m].standard_normal((4, bases[m].latent_dim)) for m in pair}
+    for t in range(sched.T, 0, -1):
+        t_arr = np.full(4, t, dtype=np.int64)
+        proj = {m: comps.projections[m].project(z[m]) for m in pair}
+        with T.no_grad():
+            eps = {m: comps.coupled[m].forward(z[m], t_arr, omega, proj[o]).data
+                   for m, o in zip(pair, pair[::-1])}
+        ab, alpha, beta = sched.alpha_bars[t - 1], sched.alphas[t - 1], sched.betas[t - 1]
+        for m in pair:
+            mean = (z[m] - beta / np.sqrt(1.0 - ab) * eps[m]) / np.sqrt(alpha)
+            z[m] = mean + np.sqrt(beta) * rngs[m].standard_normal(z[m].shape) if t > 1 else mean
+    calls = []
+    forward = Denoiser.forward
+    monkeypatch.setattr(Denoiser, "forward",
+                        lambda self, *a, **k: calls.append(1) or forward(self, *a, **k))
+    out = joint_sample(comps, sched, omega, codecs, seed=17)
+    np.testing.assert_array_equal(out["view_a"], codecs["view_a"].decode(z["view_a"]))
+    assert out["report"] == codecs["report"].decode(z["report"])
+    assert len(calls) == 2 * sched.T  # one forward per stream and step

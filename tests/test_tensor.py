@@ -313,3 +313,24 @@ def test_parameter_set_lexicographic_order_and_checksum():
     c1 = params.checksum()
     params["a"].data[0] = 2.0
     assert params.checksum() != c1
+
+
+def test_load_state_arrays_names_missing_and_unexpected():
+    params = ParameterSet()
+    Linear(params, "l", 2, 3, None)  # no stream: zeros until loaded
+    assert params["l.w"].shape == (2, 3) and not params["l.w"].data.any()
+    w, b = np.ones((2, 3)), np.arange(3.0)
+    with pytest.raises(ValueError, match=r"missing \['l.b'\], unexpected \['l.bias'\]"):
+        params.load_state_arrays({"l.w": w, "l.bias": b})
+    with pytest.raises(ValueError, match=r"missing \[\], unexpected \['x'\]"):
+        params.load_state_arrays({"l.w": w, "l.b": b, "x": b})
+    params.load_state_arrays({"l.w": w, "l.b": b})
+    np.testing.assert_array_equal(params["l.w"].data, w)
+    np.testing.assert_array_equal(params["l.b"].data, b)
+
+
+def test_layer_norm_equals_the_mean_formula_bit_for_bit():
+    x = np.random.default_rng(3).standard_normal((7, 193)) * 5.0 + 2.0
+    xc = x - x.mean(axis=-1, keepdims=True)
+    ref = xc * (1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5))
+    np.testing.assert_array_equal(T.layer_norm(T.Tensor(x)).data, ref)
