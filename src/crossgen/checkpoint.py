@@ -47,15 +47,19 @@ def load_checkpoint(path, expect_stage: str | None = None,
                     expect_config_hash: str | None = None) -> dict:
     """Read and verify a checkpoint.
 
-    Returns {"stage", "config_hash", "metadata", "arrays", "checksum"}.
-    Any magic, version, checksum, stage or config-hash mismatch raises.
+    Returns {"stage", "config_hash", "metadata", "arrays", "checksum",
+    "file_checksum"}: ``checksum`` is the verified SHA-256 of the body,
+    ``file_checksum`` that of the whole file (what ``file_checksum`` returns),
+    taken from a copy of the body's hash state without reading the body
+    twice. Any magic, version, checksum, stage or config-hash mismatch raises.
     """
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < 38 or raw[:4] != XGCK_MAGIC:
         raise ArtifactError(f"{path}: not a checkpoint file")
     body = raw[:-32]
-    checksum = hashlib.sha256(body).digest()
+    body_hash = hashlib.sha256(body)
+    checksum = body_hash.digest()
     if checksum != raw[-32:]:
         raise ArtifactError(f"{path}: checksum mismatch, file is corrupt")
     off = 4
@@ -96,8 +100,11 @@ def load_checkpoint(path, expect_stage: str | None = None,
         raise ArtifactError(
             f"{path}: config hash {cfg_hash[:12]}... does not match the active "
             f"config {expect_config_hash[:12]}...")
+    file_hash = body_hash.copy()
+    file_hash.update(checksum)
     return {"stage": stage, "config_hash": cfg_hash, "metadata": metadata,
-            "arrays": arrays, "checksum": checksum.hex()}
+            "arrays": arrays, "checksum": checksum.hex(),
+            "file_checksum": file_hash.hexdigest()}
 
 
 def file_checksum(path) -> str:

@@ -8,9 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridging import SharedEmbedding
-from .toydata import payload_batch
-
 
 @dataclass
 class ConditioningVector:
@@ -84,25 +81,29 @@ def draw_conditioning(sampler: SubsetSampler, encoders, record,
     return combine(embs, sampler.sample_weights(len(embs)))
 
 
-def draw_conditioning_batch(sampler: SubsetSampler, encoders, records,
+def draw_conditioning_batch(sampler: SubsetSampler, embeddings: dict,
                             target: str):
-    """Vectorized variant: encode each available modality once for the whole
-    batch, then sample a subset and weights per record.
+    """Combine a batch's precomputed prompt embeddings into omega.
 
-    Returns (omega matrix of shape (B, d), list of ConditioningVector).
+    ``embeddings`` maps each modality of ``sampler.available`` to its (B, d)
+    shared embeddings, row i for record i of the batch; the training loops
+    encode them once per stage and index them per batch. For each row in
+    turn the sampler draws a subset, then its weights, so the random stream
+    is the one a per-record loop over ``combine`` draws. Each row of omega
+    is the vector-matrix product ``combine`` computes, over every available
+    modality with zero weight on those outside the row's subset, and has the
+    same bits.
+
+    Returns (omega of shape (B, d), weights of shape (B, k)): column j of
+    ``weights`` is the weight of ``sampler.available[j]`` in each row.
     """
     if target in sampler.available:
         raise ValueError(f"target {target!r} cannot also be a conditioning modality")
-    if not records:
+    stacked = np.stack([embeddings[m] for m in sampler.available], axis=1)
+    if not len(stacked):
         raise ValueError("empty batch")
-    embs = {m: encoders.encode_batch(m, payload_batch(records, m))
-            for m in sampler.available}
-    vectors = []
-    provenance = []
-    for i in range(len(records)):
+    weights = np.zeros(stacked.shape[:2])
+    for row in weights:
         subset = sampler.sample_subset()
-        members = [SharedEmbedding(embs[m][i], m) for m in subset]
-        cv = combine(members, sampler.sample_weights(len(subset)))
-        vectors.append(cv.omega)
-        provenance.append(cv)
-    return np.stack(vectors), provenance
+        row[[sampler.available.index(m) for m in subset]] = sampler.sample_weights(len(subset))
+    return (weights[:, None, :] @ stacked)[:, 0, :], weights

@@ -1,4 +1,5 @@
-"""Run configuration: defaults, strict validation and content hashing.
+"""Run configuration: defaults, strict validation (keys, types and value
+ranges) and content hashing.
 
 Every artifact embeds the hash of the full resolved configuration that
 produced it; loading an artifact under a different configuration fails.
@@ -111,6 +112,37 @@ def _merge(defaults: dict, overrides: dict, path: str) -> dict:
     return out
 
 
+#: leaf keys whose values (every element, for a list) must be at least 1:
+#: dataset sizes, batch sizes and layer widths
+_AT_LEAST_ONE = {"n", "imbalance_n", "batch_size", "retrieval_batch", "dim",
+                 "hidden", "text_embed", "attn_dim", "latent_dim",
+                 "coupling_dim", "proj_hidden", "classifier_hidden"}
+
+
+def _check_ranges(section: dict, path: str) -> None:
+    """ConfigError for a value outside its range: sizes and widths at least
+    1, epoch counts at least 0, at least 2 timesteps, 0 < beta_min <=
+    beta_max < 1 and positive temperatures."""
+    for key, value in section.items():
+        here = f"{path}.{key}" if path else key
+        if isinstance(value, dict):
+            _check_ranges(value, here)
+            continue
+        least = min(value, default=1) if isinstance(value, list) else value
+        if key in _AT_LEAST_ONE and least < 1:
+            raise ConfigError(f"config key {here} must be at least 1, got {value!r}")
+        elif key.endswith("epochs") and value < 0:
+            raise ConfigError(f"config key {here} must not be negative, got {value!r}")
+        elif key == "timesteps" and value < 2:
+            raise ConfigError(f"config key {here} must be at least 2, got {value!r}")
+        elif key == "temperature" and value <= 0:
+            raise ConfigError(f"config key {here} must be positive, got {value!r}")
+    if "beta_min" in section and not 0 < section["beta_min"] <= section["beta_max"] < 1:
+        raise ConfigError(f"config keys {path}.beta_min/beta_max need 0 < beta_min "
+                          f"<= beta_max < 1, got {section['beta_min']!r}, "
+                          f"{section['beta_max']!r}")
+
+
 def load_config(source=None) -> dict:
     """Resolve a full configuration from a dict, a JSON file path, or None."""
     if source is None:
@@ -127,7 +159,9 @@ def load_config(source=None) -> dict:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(overrides, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
-    return _merge(DEFAULTS, overrides, "")
+    cfg = _merge(DEFAULTS, overrides, "")
+    _check_ranges(cfg, "")
+    return cfg
 
 
 def config_hash(cfg: dict) -> str:

@@ -5,15 +5,17 @@ training on the noise-prediction objective and ancestral sampling."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import tensor as T
+from .conditioning import SubsetSampler, draw_conditioning_batch
 from .nn import (AdamWState, Linear, ParameterSet, adamw_step, finite_loss,
                  init_normal)
 from .rng import stream
-from .toydata import (MAX_REPORT_LEN, VIEW_SIZE, VOCAB, payload_batch,
-                      report_to_ids)
+from .toydata import (MAX_REPORT_LEN, MODALITIES, VIEW_SIZE, VOCAB,
+                      payload_batch, report_to_ids)
 
 # ---------------------------------------------------------------------------
 # noise schedule
@@ -344,19 +346,31 @@ def noise_prediction_loss(eps_hat: T.Tensor, eps: np.ndarray) -> T.Tensor:
     return T.tmean(T.tsum(T.mul(diff, diff), axis=1))
 
 
-def denoise_loss(records, target: str, encoders, sampler, denoiser: Denoiser,
-                 codec, schedule: DiffusionSchedule,
+def encode_records(encode, records, modality: str, batch_size: int) -> np.ndarray:
+    """``encode`` over the ``modality`` payloads of ``records``, one call per
+    ``batch_size`` records, rows stacked in record order.
+
+    A training stage encodes its frozen inputs once this way and indexes
+    the rows per batch. Chunks of a training batch's size keep each BLAS
+    call at the row count of a per-batch encode, so every row has the bits
+    a per-batch encode gives it; one call over all records can make
+    OpenBLAS pick another gemm kernel and move the last bit.
+    """
+    return np.concatenate([encode(payload_batch(records[lo:lo + batch_size], modality))
+                           for lo in range(0, len(records), batch_size)])
+
+
+def denoise_loss(z0: np.ndarray, prompts: dict, target: str, sampler,
+                 denoiser: Denoiser, schedule: DiffusionSchedule,
                  noise_rng: np.random.Generator) -> T.Tensor:
-    """Assemble one multi-prompt training batch and return its loss."""
-    from .conditioning import draw_conditioning_batch
-    if not records:
+    """Loss of one multi-prompt training batch, from its codec latents
+    ``z0`` and its shared embeddings ``prompts`` per available modality."""
+    if not len(z0):
         raise ValueError("empty batch")
-    z0 = codec.encode(payload_batch(records, target))
-    t = noise_rng.integers(1, schedule.T + 1, size=len(records))
+    t = noise_rng.integers(1, schedule.T + 1, size=len(z0))
     eps = noise_rng.standard_normal(z0.shape)
     z_t = q_sample(z0, t, eps, schedule)
-    with T.no_grad():
-        omega, _ = draw_conditioning_batch(sampler, encoders, records, target)
+    omega, _ = draw_conditioning_batch(sampler, prompts, target)
     eps_hat = denoiser.forward(z_t, t, omega)
     return noise_prediction_loss(eps_hat, eps)
 
@@ -367,9 +381,12 @@ def train_ldm(dataset, target: str, encoders, codec, schedule: DiffusionSchedule
               attn_dim: int = 32, seed: int = 0,
               weight_mode: str = "uniform") -> tuple[Denoiser, list[float]]:
     """Train one conditional generator for ``target`` under multi-prompt
-    conditioning drawn from the other two modalities."""
-    from .conditioning import SubsetSampler
-    from .toydata import MODALITIES
+    conditioning drawn from the other two modalities.
+
+    The codec and the prompt encoders are frozen for the stage: the codec
+    latents of every train record and their shared embeddings for each
+    conditioning modality are encoded once (``encode_records``) and each
+    batch indexes them."""
     train = dataset.subset("train")
     if not train:
         raise ValueError("empty dataset")
@@ -380,15 +397,18 @@ def train_ldm(dataset, target: str, encoders, codec, schedule: DiffusionSchedule
     sampler = SubsetSampler(available, stream(seed, f"subset:{target}"), weight_mode)
     noise_rng = stream(seed, f"train-noise:{target}")
     order = stream(seed, f"train-batches:{target}")
+    z0 = encode_records(codec.encode, train, target, batch_size)
+    prompts = {m: encode_records(partial(encoders.encode_batch, m), train, m, batch_size)
+               for m in available}
     state = AdamWState()
     history = []
     for _ in range(epochs):
         perm = order.permutation(len(train))
         losses = []
         for lo in range(0, len(train), batch_size):
-            batch = [train[i] for i in perm[lo:lo + batch_size]]
-            loss = denoise_loss(batch, target, encoders, sampler, denoiser,
-                                codec, schedule, noise_rng)
+            idx = perm[lo:lo + batch_size]
+            loss = denoise_loss(z0[idx], {m: h[idx] for m, h in prompts.items()},
+                                target, sampler, denoiser, schedule, noise_rng)
             losses.append(finite_loss(loss, f"diffusion ({target})"))
             denoiser.params.zero_grad()
             T.backward(loss)

@@ -7,18 +7,19 @@ its exact form: the learned linear map wo(wv(partner))."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import tensor as T
 from .bridging import symmetric_loss
 from .conditioning import SubsetSampler, draw_conditioning_batch
-from .diffusion import (Denoiser, DiffusionSchedule, noise_prediction_loss,
-                        noise_stream, q_sample)
+from .diffusion import (Denoiser, DiffusionSchedule, encode_records,
+                        noise_prediction_loss, noise_stream, q_sample)
 from .errors import NumericError
 from .nn import AdamWState, Linear, ParameterSet, adamw_step, finite_loss
 from .rng import stream
-from .toydata import MODALITIES, payload_batch
+from .toydata import MODALITIES
 
 
 class ProjectionEncoder:
@@ -132,7 +133,12 @@ def train_joint(dataset, pair: tuple[str, str], encoders, codecs: dict,
                 proj_hidden: int = 32, lam: float = 0.1, tau: float = 0.07,
                 seed: int = 0) -> tuple[JointComponents, list[float]]:
     """Train projections and couplings for one target pair; the base
-    denoisers are frozen and verified unchanged."""
+    denoisers are frozen and verified unchanged.
+
+    The codecs and the prompt encoders are frozen too: each pair member's
+    codec latents and the shared embeddings of the remaining modality are
+    encoded once for the train split (``encode_records``) and each batch
+    indexes them."""
     train = dataset.subset("train")
     if not train:
         raise ValueError("empty dataset")
@@ -147,26 +153,29 @@ def train_joint(dataset, pair: tuple[str, str], encoders, codecs: dict,
         sampler = SubsetSampler(others, stream(seed, f"subset:{m_i}+{m_j}"))
         noise_rng = stream(seed, f"train-noise:{m_i}+{m_j}")
         order = stream(seed, f"train-batches:{m_i}+{m_j}")
+        z0 = {m: encode_records(codecs[m].encode, train, m, batch_size) for m in pair}
+        prompts = {m: encode_records(partial(encoders.encode_batch, m), train, m,
+                                     batch_size)
+                   for m in others}
         state = AdamWState()
         history = []
         for _ in range(epochs):
             perm = order.permutation(len(train))
             losses = []
             for lo in range(0, len(train), batch_size):
-                batch = [train[i] for i in perm[lo:lo + batch_size]]
-                if len(batch) < 2:
+                idx = perm[lo:lo + batch_size]
+                if len(idx) < 2:
                     continue
-                t_shared = noise_rng.integers(1, schedule.T + 1, size=len(batch))
+                t_shared = noise_rng.integers(1, schedule.T + 1, size=len(idx))
                 z_t, t_map, eps_map = {}, {}, {}
                 for m in pair:
-                    z0 = codecs[m].encode(payload_batch(batch, m))
-                    e = noise_rng.standard_normal(z0.shape)
-                    z_t[m] = q_sample(z0, t_shared, e, schedule)
+                    z0_batch = z0[m][idx]
+                    e = noise_rng.standard_normal(z0_batch.shape)
+                    z_t[m] = q_sample(z0_batch, t_shared, e, schedule)
                     t_map[m] = t_shared
                     eps_map[m] = e
-                with T.no_grad():
-                    omega, _ = draw_conditioning_batch(sampler, encoders, batch,
-                                                       target=m_i)
+                omega, _ = draw_conditioning_batch(
+                    sampler, {m: h[idx] for m, h in prompts.items()}, target=m_i)
                 loss = coupled_pair_loss(components, z_t, t_map, eps_map, omega,
                                          lam=lam, tau=tau)
                 losses.append(finite_loss(loss, f"joint ({m_i}+{m_j})"))

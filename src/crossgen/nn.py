@@ -137,8 +137,12 @@ def adamw_step(params: ParameterSet, state: AdamWState, lr: float,
                eps: float = 1e-8) -> None:
     """One AdamW update with decoupled weight decay.
 
-    Parameters are updated in place in lexicographic order; gradients are
-    left untouched (the caller zeroes them).
+    Parameters are updated in lexicographic order; gradients are left
+    untouched (the caller zeroes them). ``m``, ``v`` and the parameter are
+    updated in place, with two scratch arrays per parameter, by the
+    operations of the formula below in its order of evaluation, so the
+    result has the formula's bits (c1 = 1 - b1 ** step, c2 = 1 - b2 ** step):
+    p - lr * (m / c1 / (sqrt(v / c2) + eps) + weight_decay * p).
     """
     for name, p in params.items():
         if p.grad is None:
@@ -146,6 +150,8 @@ def adamw_step(params: ParameterSet, state: AdamWState, lr: float,
     b1, b2 = betas
     state.step += 1
     t = state.step
+    c1 = 1.0 - b1 ** t
+    c2 = 1.0 - b2 ** t
     for name, p in params.items():
         g = p.grad
         m = state.m.get(name)
@@ -154,8 +160,20 @@ def adamw_step(params: ParameterSet, state: AdamWState, lr: float,
             state.m[name] = m
             state.v[name] = np.zeros_like(p.data)
         v = state.v[name]
-        m[...] = b1 * m + (1.0 - b1) * g
-        v[...] = b2 * v + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        p.data[...] = p.data - lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p.data)
+        x = p.data
+        a = np.multiply(1.0 - b1, g)        # m = b1 m + (1 - b1) g
+        m *= b1
+        m += a
+        np.multiply(1.0 - b2, g, out=a)     # v = b2 v + ((1 - b2) g) g
+        a *= g
+        v *= b2
+        v += a
+        np.divide(v, c2, out=a)             # sqrt(v / c2) + eps
+        np.sqrt(a, out=a)
+        a += eps
+        step = np.divide(m, c1)             # lr (m / c1 / (...) + wd p)
+        step /= a
+        np.multiply(weight_decay, x, out=a)
+        step += a
+        step *= lr
+        x -= step

@@ -76,6 +76,18 @@ def read_manifest(home, stage: str, cfg_hash: str) -> dict:
     return manifest
 
 
+def _load_stage(cfg: dict, home, stage: str) -> dict:
+    """The verified checkpoint of ``stage`` (see ``load_checkpoint``);
+    ArtifactError unless the file is the one its manifest recorded."""
+    cfg_hash = config_hash(cfg)
+    manifest = read_manifest(home, stage, cfg_hash)
+    path = checkpoint_path(home, stage)
+    ck = load_checkpoint(path, stage, cfg_hash)
+    if ck["file_checksum"] != manifest["checksum"]:
+        raise ArtifactError(f"{path}: content does not match its manifest")
+    return ck
+
+
 def _write_history_csv(path: Path, rows, header) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
@@ -137,9 +149,7 @@ def run_train_align(cfg: dict, home) -> Path:
 
 
 def load_encoders(cfg: dict, home) -> PromptEncoders:
-    read_manifest(home, "alignment", config_hash(cfg))
-    ck = load_checkpoint(checkpoint_path(home, "alignment"), "alignment",
-                         config_hash(cfg))
+    ck = _load_stage(cfg, home, "alignment")
     meta = ck["metadata"]
     encoders = PromptEncoders(dim=meta["dim"], hidden=meta["hidden"],
                               text_embed=meta["text_embed"], seed=None)
@@ -226,9 +236,7 @@ def run_train_ldm(cfg: dict, home, target: str) -> Path:
 
 
 def load_ldm(cfg: dict, home, target: str):
-    stage = f"ldm:{target}"
-    read_manifest(home, stage, config_hash(cfg))
-    ck = load_checkpoint(checkpoint_path(home, stage), stage, config_hash(cfg))
+    ck = _load_stage(cfg, home, f"ldm:{target}")
     meta = ck["metadata"]
     denoiser = Denoiser(meta["latent_dim"], meta["cond_dim"], meta["timesteps"],
                         hidden=meta["hidden"], n_blocks=meta["blocks"],
@@ -277,8 +285,7 @@ def run_train_joint(cfg: dict, home, pair: tuple[str, str]) -> Path:
 def load_joint(cfg: dict, home, pair: tuple[str, str]):
     pair = tuple(pair)
     stage = f"joint:{pair[0]}+{pair[1]}"
-    read_manifest(home, stage, config_hash(cfg))
-    ck = load_checkpoint(checkpoint_path(home, stage), stage, config_hash(cfg))
+    ck = _load_stage(cfg, home, stage)
     meta = ck["metadata"]
     bases, codecs = {}, {}
     for m in pair:
@@ -318,9 +325,7 @@ def run_train_classifier(cfg: dict, home) -> Path:
 
 
 def load_classifier(cfg: dict, home) -> tuple[FeatureExtractor, dict]:
-    read_manifest(home, "classifier", config_hash(cfg))
-    ck = load_checkpoint(checkpoint_path(home, "classifier"), "classifier",
-                         config_hash(cfg))
+    ck = _load_stage(cfg, home, "classifier")
     hidden = tuple(ck["metadata"]["hidden"])
     from .nn import Linear, ParameterSet
     params = ParameterSet()

@@ -256,9 +256,16 @@ def sqrt(a: Tensor) -> Tensor:
     return _record("sqrt", (a,), out, lambda g: (g / (2.0 * out),))
 
 
+def _exp_neg(x: np.ndarray) -> np.ndarray:
+    """exp(-x); an overflow to inf is the right limit (the logistic
+    1 / (1 + inf) is exactly 0), so it is not warned about."""
+    with np.errstate(over="ignore"):
+        return np.exp(-x)
+
+
 def silu(a: Tensor) -> Tensor:
     a = _wrap(a)
-    s = 1.0 / (1.0 + np.exp(-a.data))
+    s = 1.0 / (1.0 + _exp_neg(a.data))
     out = a.data * s
 
     def bw(g):
@@ -269,7 +276,7 @@ def silu(a: Tensor) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     a = _wrap(a)
-    s = 1.0 / (1.0 + np.exp(-a.data))
+    s = 1.0 / (1.0 + _exp_neg(a.data))
     return _record("sigmoid", (a,), s, lambda g: (g * s * (1.0 - s),))
 
 

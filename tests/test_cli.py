@@ -111,6 +111,15 @@ def test_mistyped_config_value_is_exit_2(tmp_path):
                  "gen-data"]) == 2
 
 
+def test_out_of_range_config_value_is_exit_2(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(TINY, diffusion=dict(TINY["diffusion"],
+                                                        batch_size=0))))
+    home = tmp_path / "h"
+    assert main(["--config", str(bad), "--home", str(home), "gen-data"]) == 2
+    assert not home.exists()
+
+
 def test_config_mismatch_on_load_is_exit_2(tmp_path, cfg_file):
     home = str(tmp_path / "h")
     assert main(["--config", cfg_file, "--home", home, "gen-data"]) == 0
@@ -222,6 +231,12 @@ def test_checkpoint_missing_an_array_is_exit_2(trained_home, cfg_file, tmp_path)
     ck = load_checkpoint(path)
     del ck["arrays"]["denoiser.out.b"]
     save_checkpoint(path, ck["stage"], ck["config_hash"], ck["arrays"], ck["metadata"])
+    # record the rewritten file in its manifest, so the load gets past the
+    # manifest checksum to the array-set check
+    manifest_file = pl.manifest_path(home, "ldm:view_a")
+    manifest = json.loads(manifest_file.read_text())
+    manifest["checksum"] = file_checksum(path)
+    manifest_file.write_text(json.dumps(manifest))
     prompt_file = tmp_path / "p.report.json"
     pl.save_payload(prompt_file, "report", ("routine", "study"))
     assert main(["--config", cfg_file, "--home", str(home), "generate",
@@ -229,6 +244,46 @@ def test_checkpoint_missing_an_array_is_exit_2(trained_home, cfg_file, tmp_path)
                  "--out", str(tmp_path / "out")]) == 2
     with pytest.raises(ValueError, match=r"missing \['out.b'\]"):
         pl.load_ldm(load_config(cfg_file), home, "view_a")
+
+
+LOADERS = {
+    "alignment": pl.load_encoders,
+    "ldm:view_a": lambda cfg, home: pl.load_ldm(cfg, home, "view_a"),
+    "joint:view_a+report": lambda cfg, home: pl.load_joint(cfg, home, ("view_a", "report")),
+    "classifier": pl.load_classifier,
+}
+
+
+@pytest.mark.parametrize("stage", sorted(LOADERS))
+def test_loader_rejects_a_checkpoint_its_manifest_did_not_record(
+        stage, trained_home, cfg_file, tmp_path):
+    home = tmp_path / "home"
+    shutil.copytree(trained_home, home)
+    cfg = load_config(cfg_file)
+    path = pl.checkpoint_path(home, stage)
+    ck = load_checkpoint(path)
+    name = sorted(ck["arrays"])[0]
+    ck["arrays"][name] = ck["arrays"][name] + 1.0
+    # a well-formed checkpoint with its own valid trailing checksum
+    save_checkpoint(path, ck["stage"], ck["config_hash"], ck["arrays"], ck["metadata"])
+    load_checkpoint(path, stage, ck["config_hash"])
+    with pytest.raises(ArtifactError, match="does not match its manifest"):
+        LOADERS[stage](cfg, home)
+
+
+def test_checkpoint_rewritten_after_its_manifest_is_exit_2(trained_home, cfg_file,
+                                                           tmp_path):
+    home = tmp_path / "home"
+    shutil.copytree(trained_home, home)
+    path = pl.checkpoint_path(home, "ldm:view_a")
+    ck = load_checkpoint(path)
+    ck["metadata"]["note"] = "rewritten"
+    save_checkpoint(path, ck["stage"], ck["config_hash"], ck["arrays"], ck["metadata"])
+    prompt_file = tmp_path / "p.report.json"
+    pl.save_payload(prompt_file, "report", ("routine", "study"))
+    assert main(["--config", cfg_file, "--home", str(home), "generate",
+                 "--prompt", f"report={prompt_file}", "--target", "view_a",
+                 "--out", str(tmp_path / "out")]) == 2
 
 
 def test_loaders_draw_nothing_and_restore_every_array(trained_home, cfg_file,

@@ -6,9 +6,8 @@ from scipy import stats
 
 from crossgen import toydata as td
 from crossgen.bridging import PromptEncoders, SharedEmbedding
-from crossgen.conditioning import (ConditioningVector, SubsetSampler, combine,
-                                   draw_conditioning, draw_conditioning_batch,
-                                   sample_subset)
+from crossgen.conditioning import (SubsetSampler, combine, draw_conditioning,
+                                   draw_conditioning_batch, sample_subset)
 from crossgen.rng import stream
 
 
@@ -134,17 +133,51 @@ def test_generation_task_shares_at_k2():
         assert abs(c / n - 1.0 / 3) < 0.02
 
 
+def _batch_embeddings(records, enc, modalities):
+    return {m: enc.encode_batch(m, td.payload_batch(records, m)) for m in modalities}
+
+
 def test_draw_conditioning_batch_matches_invariants():
     ds = td.generate_dataset(seed=7, n=20, positive_rates=[0.5] * 5)
     enc = PromptEncoders(dim=8, hidden=16, seed=7)
     sampler = SubsetSampler(["view_b", "report"], stream(7, "batch"))
-    omega, provenance = draw_conditioning_batch(sampler, enc, ds.records, "view_a")
+    embs = _batch_embeddings(ds.records, enc, sampler.available)
+    omega, weights = draw_conditioning_batch(sampler, embs, "view_a")
     assert omega.shape == (20, 8)
-    for i, cv in enumerate(provenance):
-        assert isinstance(cv, ConditioningVector)
-        assert cv.subset
-        np.testing.assert_array_equal(omega[i], cv.omega)
-        assert abs(cv.weights.sum() - 1.0) <= 1e-12
+    assert weights.shape == (20, 2)
+    assert np.all(weights >= 0) and np.all(weights.sum(axis=1) > 0)
+    np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(omega, embs["view_b"] * weights[:, :1]
+                               + embs["report"] * weights[:, 1:], atol=1e-15)
+
+
+@pytest.mark.parametrize("weight_mode", ["uniform", "dirichlet"])
+@pytest.mark.parametrize("available", [("view_b", "report"), ("report",)])
+def test_draw_conditioning_batch_equals_per_record_combine(weight_mode, available):
+    ds = td.generate_dataset(seed=9, n=300, positive_rates=[0.5] * 5)
+    enc = PromptEncoders(dim=32, hidden=128, text_embed=32, seed=9)
+    embs = _batch_embeddings(ds.records, enc, available)
+    sampler = SubsetSampler(available, stream(9, "draw"), weight_mode)
+    reference = SubsetSampler(available, stream(9, "draw"), weight_mode)
+    omega, weights = draw_conditioning_batch(sampler, embs, "view_a")
+    for i in range(len(ds.records)):
+        subset = reference.sample_subset()
+        cv = combine([SharedEmbedding(embs[m][i], m) for m in subset],
+                     reference.sample_weights(len(subset)))
+        assert omega[i].tobytes() == cv.omega.tobytes(), i
+        for m, w in zip(cv.subset, cv.weights):
+            assert weights[i, available.index(m)] == w
+        assert np.count_nonzero(weights[i]) == len(subset)
+    assert sampler.rng.bit_generator.state == reference.rng.bit_generator.state
+
+
+def test_draw_conditioning_batch_rejects_target_and_empty_batch():
+    sampler = SubsetSampler(["view_b", "report"], stream(5, "draw"))
+    embs = {m: np.zeros((3, 4)) for m in ("view_a", "view_b", "report")}
+    with pytest.raises(ValueError, match="target"):
+        draw_conditioning_batch(sampler, embs, "report")
+    with pytest.raises(ValueError, match="empty"):
+        draw_conditioning_batch(sampler, {m: np.zeros((0, 4)) for m in embs}, "view_a")
 
 
 def test_dirichlet_mode_weights_on_simplex():

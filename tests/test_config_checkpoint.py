@@ -53,8 +53,43 @@ def test_value_types_checked_at_load(case):
         load_config(overrides)
 
 
+OUT_OF_RANGE = {
+    "zero_batch_size": ({"diffusion": {"batch_size": 0}}, "diffusion.batch_size"),
+    "zero_joint_batch_size": ({"joint": {"batch_size": 0}}, "joint.batch_size"),
+    "zero_width": ({"encoder": {"hidden": 0}}, "encoder.hidden"),
+    "zero_codec_width": ({"diffusion": {"text_codec": {"latent_dim": 0}}},
+                         "diffusion.text_codec.latent_dim"),
+    "zero_width_in_list": ({"eval": {"classifier_hidden": [64, 0]}},
+                           "eval.classifier_hidden"),
+    "zero_dataset": ({"dataset": {"n": 0}}, "dataset.n"),
+    "negative_epochs": ({"encoder": {"epochs": -1}}, "encoder.epochs"),
+    "negative_nested_epochs": ({"eval": {"utility": {"scarcity_epochs": -3}}},
+                               "eval.utility.scarcity_epochs"),
+    "one_timestep": ({"diffusion": {"timesteps": 1}}, "diffusion.timesteps"),
+    "zero_beta_min": ({"diffusion": {"beta_min": 0.0}}, "beta_min"),
+    "beta_min_above_max": ({"diffusion": {"beta_min": 0.3, "beta_max": 0.2}}, "beta_min"),
+    "beta_max_one": ({"diffusion": {"beta_max": 1.0}}, "beta_max"),
+    "zero_temperature": ({"encoder": {"temperature": 0.0}}, "encoder.temperature"),
+    "negative_temperature": ({"joint": {"temperature": -0.07}}, "joint.temperature"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_value_ranges_checked_at_load(case):
+    overrides, key = OUT_OF_RANGE[case]
+    with pytest.raises(ConfigError, match=key):
+        load_config(overrides)
+
+
+def test_range_edges_accepted():
+    cfg = load_config({"encoder": {"epochs": 0, "batch_size": 1},
+                       "diffusion": {"timesteps": 2, "beta_min": 0.1, "beta_max": 0.1},
+                       "joint": {"temperature": 1e-9}})
+    assert cfg["diffusion"]["timesteps"] == 2
+
+
 def test_int_accepted_for_float_field():
-    cfg = load_config({"diffusion": {"lr": 1, "beta_max": 0},
+    cfg = load_config({"diffusion": {"lr": 1, "weight_decay": 0},
                        "eval": {"utility": {"scarcity_multipliers": [0, 1, 2.0]}}})
     assert cfg["diffusion"]["lr"] == 1
 

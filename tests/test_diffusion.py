@@ -1,6 +1,8 @@
 """Schedule oracles, forward-corruption marginals, codec round trips,
 denoiser gradients and ancestral sampling."""
 
+from functools import partial
+
 import mpmath
 import numpy as np
 import pytest
@@ -11,8 +13,8 @@ from crossgen.bridging import PromptEncoders
 from crossgen.conditioning import SubsetSampler
 from crossgen.config import load_config
 from crossgen.diffusion import (Denoiser, DiffusionSchedule, ImageCodec,
-                                TextCodec, denoise_loss, make_schedule,
-                                noise_prediction_loss, q_sample, sample,
+                                TextCodec, denoise_loss, encode_records,
+                                make_schedule, noise_prediction_loss, q_sample, sample,
                                 sample_latents, train_ldm)
 from crossgen.errors import NumericError
 from crossgen.rng import stream
@@ -240,9 +242,8 @@ def test_default_report_denoiser_size():
 
 
 def test_denoise_loss_rejects_empty_batch():
-    enc = PromptEncoders(dim=8, hidden=16, seed=0)
     with pytest.raises(ValueError, match="empty"):
-        denoise_loss([], "view_a", enc, None, None, None,
+        denoise_loss(np.zeros((0, 64)), {}, "view_a", None, None,
                      make_schedule(10, 0.01, 0.1), stream(0, "x"))
 
 
@@ -346,6 +347,112 @@ def test_sigma_mode_validated():
 
 # ---------------------------------------------------------------------------
 # training
+
+def test_stage_encodes_equal_a_per_batch_encode_of_a_permuted_batch():
+    # default widths and batch size, so BLAS sees the shapes of training
+    cfg = load_config()
+    d = cfg["diffusion"]
+    train = td.generate_dataset(seed=21, n=400, positive_rates=[0.5] * 5).subset("train")
+    enc = PromptEncoders(dim=cfg["encoder"]["dim"], hidden=cfg["encoder"]["hidden"],
+                         text_embed=cfg["encoder"]["text_embed"], seed=21)
+    image_codec = ImageCodec(seed=21, hidden=d["image_codec"]["hidden"])
+    text_codec = TextCodec(seed=21, latent_dim=d["text_codec"]["latent_dim"],
+                           hidden=d["text_codec"]["hidden"])
+    rng = np.random.default_rng(21)
+    for codec in (image_codec, text_codec):
+        codec.mu = rng.normal(size=codec.latent_dim)
+        codec.sd = rng.uniform(0.5, 2.0, size=codec.latent_dim)
+    encodes = [(partial(enc.encode_batch, m), m) for m in td.MODALITIES]
+    encodes += [(image_codec.encode, "view_a"), (image_codec.encode, "view_b"),
+                (text_codec.encode, "report")]
+    bs = d["batch_size"]
+    perm = rng.permutation(len(train))
+    for encode, m in encodes:
+        stage = encode_records(encode, train, m, bs)
+        assert stage.shape[0] == len(train)
+        for lo in range(0, len(train), bs):
+            idx = perm[lo:lo + bs]
+            batch = encode(td.payload_batch([train[i] for i in idx], m))
+            assert stage[idx].tobytes() == batch.tobytes(), (m, lo)
+
+
+def _count_calls(monkeypatch, owner, name, counts):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("weight_mode", ["uniform", "dirichlet"])
+def test_train_ldm_matches_per_batch_encode_reference(toy_train, weight_mode):
+    """The stage-level encodes train the same denoiser, bit for bit, as
+    encoding each batch's records inside the loop and combining per record."""
+    from crossgen.bridging import SharedEmbedding
+    from crossgen.conditioning import combine
+    from crossgen.nn import AdamWState, adamw_step
+    enc = PromptEncoders(dim=8, hidden=16, seed=12)
+    codec = ImageCodec(seed=12)
+    codec.fit(np.stack([r.view_b for r in toy_train.subset("train")[:60]]), epochs=2,
+              seed=12)
+    s = make_schedule(10, 1e-3, 0.2)
+    kw = dict(batch_size=32, hidden=16, n_blocks=1, attn_dim=8, seed=5)
+    den, hist = train_ldm(toy_train, "view_b", enc, codec, s, epochs=2,
+                          weight_mode=weight_mode, **kw)
+
+    train = toy_train.subset("train")
+    ref = Denoiser(codec.latent_dim, enc.dim, s.T, hidden=16, n_blocks=1, attn_dim=8,
+                   seed=5)
+    sampler = SubsetSampler(["view_a", "report"], stream(5, "subset:view_b"), weight_mode)
+    noise_rng = stream(5, "train-noise:view_b")
+    order = stream(5, "train-batches:view_b")
+    state = AdamWState()
+    ref_hist = []
+    for _ in range(2):
+        perm = order.permutation(len(train))
+        losses = []
+        for lo in range(0, len(train), 32):
+            batch = [train[i] for i in perm[lo:lo + 32]]
+            z0 = codec.encode(td.payload_batch(batch, "view_b"))
+            t = noise_rng.integers(1, s.T + 1, size=len(batch))
+            eps = noise_rng.standard_normal(z0.shape)
+            embs = {m: enc.encode_batch(m, td.payload_batch(batch, m))
+                    for m in sampler.available}
+            omega = []
+            for i in range(len(batch)):
+                subset = sampler.sample_subset()
+                omega.append(combine([SharedEmbedding(embs[m][i], m) for m in subset],
+                                     sampler.sample_weights(len(subset))).omega)
+            loss = noise_prediction_loss(
+                ref.forward(q_sample(z0, t, eps, s), t, np.stack(omega)), eps)
+            losses.append(loss.item())
+            ref.params.zero_grad()
+            T.backward(loss)
+            adamw_step(ref.params, state, lr=2e-3, weight_decay=1e-4)
+            T.reset_tape()
+        ref_hist.append(float(np.mean(losses)))
+    assert hist == ref_hist
+    assert den.params.checksum() == ref.params.checksum()
+
+
+def test_train_ldm_encodes_once_per_stage(toy_train, monkeypatch):
+    enc = PromptEncoders(dim=8, hidden=16, seed=13)
+    codec = TextCodec(seed=13, latent_dim=8, hidden=16)
+    s = make_schedule(10, 1e-3, 0.2)
+    runs = []
+    for epochs in (1, 3):
+        counts = {}
+        with monkeypatch.context() as mp:
+            _count_calls(mp, PromptEncoders, "encode_batch", counts)
+            _count_calls(mp, TextCodec, "encode", counts)
+            train_ldm(toy_train, "report", enc, codec, s, epochs=epochs,
+                      batch_size=64, hidden=16, n_blocks=1, attn_dim=8, seed=13)
+        runs.append(counts)
+    chunks = -(-len(toy_train.subset("train")) // 64)
+    assert runs[0] == runs[1] == {"encode_batch": 2 * chunks, "encode": chunks}
+
 
 def test_train_ldm_zero_epochs_and_determinism(toy_train):
     enc = PromptEncoders(dim=8, hidden=16, seed=11)

@@ -1,5 +1,7 @@
 """Autodiff core: forward identities, backward contracts, gradient checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,17 @@ def test_softmax_rows_sum_to_one():
 
 def test_silu_at_zero():
     assert T.silu(T.Tensor(0.0)).item() == 0.0
+
+
+def test_silu_and_sigmoid_of_large_negative_are_finite_without_warning():
+    x = np.array([-1000.0, -710.0, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        silu = T.silu(T.Tensor(x)).data
+        sig = T.sigmoid(T.Tensor(x)).data
+    assert np.all(np.isfinite(silu)) and np.all(np.isfinite(sig))
+    assert silu[0] == 0.0 and sig[0] == 0.0
+    assert silu[2] == 3.0 * (1.0 / (1.0 + np.exp(-3.0)))
 
 
 def test_shape_mismatch_names_primitive_and_shapes():
@@ -294,6 +307,36 @@ def test_adamw_matches_hand_recurrence():
     p.grad = np.array([g])
     adamw_step(params, AdamWState(), lr=lr, weight_decay=wd, betas=(b1, b2), eps=eps)
     np.testing.assert_allclose(p.data, [expected], rtol=0, atol=1e-15)
+
+
+def test_adamw_in_place_matches_the_formula_bit_for_bit():
+    rng = np.random.default_rng(17)
+    shapes = {"a.w": (192, 192), "a.b": (192,), "c": (7, 3), "d": (1,)}
+    params = ParameterSet()
+    for name, shape in shapes.items():
+        params.add(name, T.Tensor(rng.normal(size=shape)))
+    expected = {name: params[name].data.copy() for name in shapes}
+    m = {name: np.zeros(shape) for name, shape in shapes.items()}
+    v = {name: np.zeros(shape) for name, shape in shapes.items()}
+    state = AdamWState()
+    lr, wd, b1, b2, eps = 2e-3, 0.05, 0.9, 0.999, 1e-8
+    for step in range(1, 7):
+        for name, shape in shapes.items():
+            g = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3)
+            params[name].grad = g
+            m[name] = b1 * m[name] + (1.0 - b1) * g
+            v[name] = b2 * v[name] + (1.0 - b2) * g * g
+            m_hat = m[name] / (1.0 - b1 ** step)
+            v_hat = v[name] / (1.0 - b2 ** step)
+            p = expected[name]
+            expected[name] = p - lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * p)
+        data_ids = {name: id(params[name].data) for name in shapes}
+        adamw_step(params, state, lr=lr, weight_decay=wd, betas=(b1, b2), eps=eps)
+        for name in shapes:
+            assert id(params[name].data) == data_ids[name]
+            assert params[name].data.tobytes() == expected[name].tobytes(), (step, name)
+            assert state.m[name].tobytes() == m[name].tobytes(), (step, name)
+            assert state.v[name].tobytes() == v[name].tobytes(), (step, name)
 
 
 def test_adamw_missing_grad_names_parameter():
