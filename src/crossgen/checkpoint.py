@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -17,6 +18,19 @@ XGCK_MAGIC = b"XGCK"
 XGCK_VERSION = 1
 
 STAGES = ("alignment", "classifier")  # plus "ldm:<modality>" and "joint:<pair>"
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temporary file in the same
+    directory and ``os.replace``, so a write that fails partway leaves the
+    previous file (or none) and no temporary file behind."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def save_checkpoint(path, stage: str, config_hash: str,
@@ -39,7 +53,7 @@ def save_checkpoint(path, stage: str, config_hash: str,
         chunks.append(arr.tobytes())
     body = b"".join(chunks)
     digest = hashlib.sha256(body).digest()
-    Path(path).write_bytes(body + digest)
+    write_atomic(path, body + digest)
     return digest.hex()
 
 

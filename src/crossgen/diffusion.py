@@ -256,10 +256,6 @@ class TextCodec:
         return match / total if total else 1.0
 
 
-def codec_for(modality: str, image_codec: ImageCodec, text_codec: TextCodec):
-    return text_codec if modality == "report" else image_codec
-
-
 # ---------------------------------------------------------------------------
 # conditioned denoiser
 
@@ -305,7 +301,7 @@ class Denoiser:
 
     def condition(self, omega) -> list[T.Tensor]:
         """Each block's conditioning term wo(wv(omega)), in block order."""
-        om = omega if isinstance(omega, T.Tensor) else T.Tensor(np.asarray(omega, dtype=np.float64))
+        om = omega if isinstance(omega, T.Tensor) else T.Tensor(omega)
         return [block["wo"](block["wv"](om)) for block in self.blocks]
 
     def forward(self, z, t, omega, extra_site=None, cond=None) -> T.Tensor:
@@ -316,9 +312,10 @@ class Denoiser:
         ``extra_site(block_index)`` lets a coupling wrapper inject an
         additional additive term after the conditioning site.
         """
-        z_t = z if isinstance(z, T.Tensor) else T.Tensor(np.asarray(z, dtype=np.float64))
-        t = np.atleast_1d(np.asarray(t, dtype=np.int64))
-        if np.any(t < 1) or np.any(t > self.T_steps):
+        z_t = z if isinstance(z, T.Tensor) else T.Tensor(z)
+        t = np.asarray(t, dtype=np.int64).reshape(-1)
+        steps = t.tolist()  # min/max over a list beat numpy's at this size
+        if steps and (min(steps) < 1 or max(steps) > self.T_steps):
             raise ValueError(f"timestep out of range 1..{self.T_steps}")
         if cond is None:
             cond = self.condition(omega)
@@ -425,43 +422,53 @@ def noise_stream(seed: int, modality: str) -> np.random.Generator:
     return stream(seed, f"diffusion-noise:{modality}")
 
 
+def reverse_steps(schedule: DiffusionSchedule, sigma_mode: str = "beta") -> list[tuple]:
+    """``(t, beta_t / sqrt(1 - abar_t), sqrt(alpha_t), sigma_t)`` for t = T..1,
+    vectorised over the schedule: elementwise IEEE operations give the bits a
+    per-step scalar evaluation gives. sigma_t is sqrt(beta_t) or the ratio form."""
+    if sigma_mode not in ("beta", "alpha_bar_ratio"):
+        raise ValueError(f"unknown sigma mode {sigma_mode!r}")
+    betas, abars = schedule.betas, schedule.alpha_bars
+    if sigma_mode == "beta":
+        sigma = np.sqrt(betas)
+    else:  # sigma_1 is never used; abar_0 = 1 makes it 0
+        sigma = np.sqrt(betas * (1.0 - np.concatenate(([1.0], abars[:-1]))) / (1.0 - abars))
+    steps = zip(range(1, schedule.T + 1), (betas / np.sqrt(1.0 - abars)).tolist(),
+                np.sqrt(schedule.alphas).tolist(), sigma.tolist())
+    return list(steps)[::-1]
+
+
+def reverse_update(z: np.ndarray, eps_hat: np.ndarray, step: tuple,
+                   rng: np.random.Generator) -> np.ndarray:
+    """One ancestral step z_t -> z_{t-1}; the last (t = 1) adds no noise."""
+    t, coef, root_alpha, sigma = step
+    z = (z - coef * eps_hat) / root_alpha
+    return z + sigma * rng.standard_normal(z.shape) if t > 1 else z
+
+
 def sample_latents(eps_model, schedule: DiffusionSchedule, omega: np.ndarray,
                    rng: np.random.Generator, latent_dim: int,
                    sigma_mode: str = "beta") -> np.ndarray:
-    """Reverse process from pure noise, shared by single and joint sampling.
+    """Reverse process from pure noise; joint sampling takes the same step
+    (``reverse_update``).
 
     ``eps_model(z, t, omega)`` returns the predicted noise tensor. A
     ``Denoiser`` computes its conditioning terms once for the draw and
     reuses them on every step. The step noise scale is sqrt(beta_t) by
-    default, or the alpha-bar-ratio variant.
+    default, or the alpha-bar-ratio variant (``reverse_steps``).
     """
-    if sigma_mode not in ("beta", "alpha_bar_ratio"):
-        raise ValueError(f"unknown sigma mode {sigma_mode!r}")
+    steps = reverse_steps(schedule, sigma_mode)
     omega = np.atleast_2d(np.asarray(omega, dtype=np.float64))
     b = len(omega)
-    cond = None
-    if isinstance(eps_model, Denoiser):
-        with T.no_grad():
-            cond = eps_model.condition(omega)
-    z = rng.standard_normal((b, latent_dim))
-    for t in range(schedule.T, 0, -1):
-        t_arr = np.full(b, t, dtype=np.int64)
-        with T.no_grad():
+    with T.no_grad():
+        cond = eps_model.condition(omega) if isinstance(eps_model, Denoiser) else None
+        z = rng.standard_normal((b, latent_dim))
+        for step in steps:
+            t_arr = np.full(b, step[0], dtype=np.int64)
             eps_hat = (eps_model(z, t_arr, omega) if cond is None
                        else eps_model.forward(z, t_arr, omega, cond=cond))
-        eps_hat = eps_hat.data if isinstance(eps_hat, T.Tensor) else np.asarray(eps_hat)
-        ab = schedule.alpha_bars[t - 1]
-        alpha = schedule.alphas[t - 1]
-        beta = schedule.betas[t - 1]
-        mean = (z - beta / np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(alpha)
-        if t > 1:
-            if sigma_mode == "beta":
-                sigma = np.sqrt(beta)
-            else:
-                sigma = np.sqrt(beta * (1.0 - schedule.alpha_bars[t - 2]) / (1.0 - ab))
-            z = mean + sigma * rng.standard_normal(z.shape)
-        else:
-            z = mean
+            eps_hat = eps_hat.data if isinstance(eps_hat, T.Tensor) else np.asarray(eps_hat)
+            z = reverse_update(z, eps_hat, step, rng)
     return z
 
 

@@ -15,7 +15,8 @@ from . import tensor as T
 from .bridging import symmetric_loss
 from .conditioning import SubsetSampler, draw_conditioning_batch
 from .diffusion import (Denoiser, DiffusionSchedule, encode_records,
-                        noise_prediction_loss, noise_stream, q_sample)
+                        noise_prediction_loss, noise_stream, q_sample,
+                        reverse_steps, reverse_update)
 from .errors import NumericError
 from .nn import AdamWState, Linear, ParameterSet, adamw_step, finite_loss
 from .rng import stream
@@ -33,9 +34,9 @@ class ProjectionEncoder:
         self.coupling_dim = coupling_dim
 
     def forward(self, z) -> T.Tensor:
-        z_t = z if isinstance(z, T.Tensor) else T.Tensor(np.asarray(z, dtype=np.float64))
-        if z_t.shape[-1] != self.latent_dim:
-            raise ValueError(f"latent width {z_t.shape[-1]} != {self.latent_dim}")
+        z_t = z if isinstance(z, T.Tensor) else T.Tensor(z)
+        if z_t.data.shape[-1] != self.latent_dim:
+            raise ValueError(f"latent width {z_t.data.shape[-1]} != {self.latent_dim}")
         return T.l2_normalize(self.l2(T.silu(self.l1(z_t))))
 
     def project(self, z: np.ndarray) -> np.ndarray:
@@ -66,15 +67,12 @@ class CoupledDenoiser:
                              zero_init=True),
             })
 
-    def _site(self, i: int, partner: T.Tensor) -> T.Tensor:
-        ad = self.adapters[i]
-        return ad["wo"](ad["wv"](partner))
-
     def forward(self, z, t, omega, partner, cond=None) -> T.Tensor:
         """The base forward plus the coupling sites; ``cond`` is the base's
         ``condition(omega)``, computed once per draw by the sampler."""
-        p = partner if isinstance(partner, T.Tensor) else T.Tensor(np.asarray(partner, dtype=np.float64))
-        return self.base.forward(z, t, omega, extra_site=lambda i: self._site(i, p),
+        p = partner if isinstance(partner, T.Tensor) else T.Tensor(partner)
+        ad = self.adapters
+        return self.base.forward(z, t, omega, extra_site=lambda i: ad[i]["wo"](ad[i]["wv"](p)),
                                  cond=cond)
 
 
@@ -201,41 +199,28 @@ def joint_sample(components: JointComponents, schedule: DiffusionSchedule,
 
     Each base denoiser's conditioning terms are computed once for the draw.
     At every step each denoiser's coupling sites map the partner's current
-    latent, projected once and shared, through their linear wo(wv(.)). Noise streams are
-    per modality and match what independent sampling with the same seed
-    would draw, so zeroed couplings reproduce independent generation."""
-    m_i, m_j = components.pair
+    latent, projected once and shared, through their linear wo(wv(.)), and
+    each stream takes the ``reverse_update`` step of single sampling. Noise
+    streams are per modality and match what independent sampling with the
+    same seed would draw, so zeroed couplings reproduce independent generation."""
+    pair = m_i, m_j = components.pair
+    partner = {m_i: m_j, m_j: m_i}
+    steps = reverse_steps(schedule, sigma_mode)
     omega = np.atleast_2d(np.asarray(omega, dtype=np.float64))
     b = len(omega)
+    rngs = {m: noise_stream(seed, m) for m in pair}
+    z = {m: rngs[m].standard_normal((b, components.coupled[m].base.latent_dim)) for m in pair}
     with T.no_grad():
-        cond = {m: components.coupled[m].base.condition(omega) for m in components.pair}
-    rngs = {m: noise_stream(seed, m) for m in components.pair}
-    z = {m: rngs[m].standard_normal((b, components.coupled[m].base.latent_dim))
-         for m in components.pair}
-    if sigma_mode not in ("beta", "alpha_bar_ratio"):
-        raise ValueError(f"unknown sigma mode {sigma_mode!r}")
-    for t in range(schedule.T, 0, -1):
-        t_arr = np.full(b, t, dtype=np.int64)
-        proj = {m: components.projections[m].project(z[m]) for m in components.pair}
-        with T.no_grad():
-            eps_hat = {
-                m_i: components.coupled[m_i].forward(z[m_i], t_arr, omega, proj[m_j],
-                                                     cond=cond[m_i]).data,
-                m_j: components.coupled[m_j].forward(z[m_j], t_arr, omega, proj[m_i],
-                                                     cond=cond[m_j]).data,
-            }
-        ab = schedule.alpha_bars[t - 1]
-        alpha = schedule.alphas[t - 1]
-        beta = schedule.betas[t - 1]
-        if sigma_mode == "beta":
-            sigma = np.sqrt(beta)
-        else:
-            sigma = np.sqrt(beta * (1.0 - (schedule.alpha_bars[t - 2] if t > 1 else 1.0))
-                            / (1.0 - ab))
-        for m in components.pair:
-            mean = (z[m] - beta / np.sqrt(1.0 - ab) * eps_hat[m]) / np.sqrt(alpha)
-            z[m] = mean + sigma * rngs[m].standard_normal(z[m].shape) if t > 1 else mean
-    return {m: codecs[m].decode(z[m]) for m in components.pair}
+        cond = {m: components.coupled[m].base.condition(omega) for m in pair}
+        for step in steps:
+            t_arr = np.full(b, step[0], dtype=np.int64)
+            proj = {m: components.projections[m].project(z[m]) for m in pair}
+            eps_hat = {m: components.coupled[m].forward(z[m], t_arr, omega, proj[partner[m]],
+                                                        cond=cond[m]).data
+                       for m in pair}
+            for m in pair:
+                z[m] = reverse_update(z[m], eps_hat[m], step, rngs[m])
+    return {m: codecs[m].decode(z[m]) for m in pair}
 
 
 def zero_couplings(components: JointComponents) -> None:

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import toydata as td
 from .bridging import PromptEncoders, retrieval_eval, train_alignment
-from .checkpoint import file_checksum, load_checkpoint, save_checkpoint
+from .checkpoint import (file_checksum, load_checkpoint, save_checkpoint,
+                         write_atomic)
 from .conditioning import SubsetSampler, combine
 from .config import config_hash
 from .diffusion import (Denoiser, ImageCodec, TextCodec, make_schedule,
@@ -61,7 +62,7 @@ def write_manifest(home, stage: str, artifact: Path, cfg_hash: str,
                "prerequisites": prerequisites}
     if sidecar is not None:
         payload["sidecar_checksum"] = file_checksum(sidecar)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1))
+    write_atomic(path, json.dumps(payload, sort_keys=True, indent=1).encode())
 
 
 def read_manifest(home, stage: str, cfg_hash: str) -> dict:

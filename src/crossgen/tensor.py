@@ -1,8 +1,10 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Every primitive records a node on a global append-only tape when any input
-requires a gradient. ``backward`` walks the tape in reverse creation order
-(a valid topological order) and accumulates gradients additively into every
+requires a gradient. Under ``no_grad`` a primitive records nothing: it
+validates its operands, computes, and wraps the result without building a
+backward rule. ``backward`` walks the tape in reverse creation order (a
+valid topological order) and accumulates gradients additively into every
 requires-grad tensor it reaches. Broadcasting is restricted to leading-1
 axes so the backward rules stay small and auditable.
 """
@@ -132,14 +134,21 @@ class no_grad:
         return False
 
 
-def _record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, backward_fn) -> Tensor:
-    # The primitive just computed out_data, so wrap it without the defensive
-    # copy Tensor() makes; full reductions yield numpy scalars, hence asarray.
+def _bare(data) -> Tensor:
+    # The primitive just computed data, so wrap it without the defensive copy
+    # Tensor() makes; only a numpy scalar (a full reduction, or a ufunc of a
+    # 0-d array) needs converting, as every input holds a float64 array.
     out = Tensor.__new__(Tensor)
-    out.data = np.asarray(out_data, dtype=np.float64)
+    out.data = data if type(data) is np.ndarray else np.asarray(data, dtype=np.float64)
     out.grad = None
     out.requires_grad = False
-    if _GRAD_ENABLED[0] and any(t.requires_grad for t in inputs):
+    return out
+
+
+def _record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, backward_fn) -> Tensor:
+    # grad enabled only: under no_grad a primitive returns _bare(out) first
+    out = _bare(out_data)
+    if any(t.requires_grad for t in inputs):
         out.requires_grad = True
         _TAPE.nodes.append(_Node(op, inputs, out, backward_fn))
     return out
@@ -157,20 +166,14 @@ def _check_leading_broadcast(op: str, sa: tuple[int, ...], sb: tuple[int, ...]) 
     # all exceed 1 (a size-1 one needs the general rule, which may reject it)
     if sa == sb or (len(sb) == 1 and sa and sa[-1] == sb[0] and 1 not in sa[:-1]):
         return sa
-    rank = max(len(sa), len(sb))
-    pa, pb = _pad_shape(sa, rank), _pad_shape(sb, rank)
-    out = []
-    for x, y in zip(pa, pb):
-        if x == y:
-            out.append(x)
-        elif x == 1 or y == 1:
-            out.append(max(x, y))
-        else:
-            raise ShapeError(op, sa, sb)
-    out = tuple(out)
-    for padded, orig in ((pa, sa), (pb, sb)):
-        bc = [i for i in range(rank) if padded[i] == 1 and out[i] > 1]
-        if bc and bc != list(range(len(bc))):
+    try:
+        out = np.broadcast_shapes(sa, sb)
+    except ValueError:
+        raise ShapeError(op, sa, sb) from None
+    for shape in (sa, sb):
+        padded = _pad_shape(shape, len(out))
+        bc = [i for i, (p, o) in enumerate(zip(padded, out)) if p == 1 and o > 1]
+        if bc != list(range(len(bc))):
             raise ShapeError(op, sa, sb)
     return out
 
@@ -190,46 +193,41 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    _check_leading_broadcast("add", a.shape, b.shape)
+    _check_leading_broadcast("add", a.data.shape, b.data.shape)
     out = a.data + b.data
-
-    def bw(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return _record("add", (a, b), out, bw)
+    return (_record("add", (a, b), out, lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+            if _GRAD_ENABLED[0] else _bare(out))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    _check_leading_broadcast("sub", a.shape, b.shape)
+    _check_leading_broadcast("sub", a.data.shape, b.data.shape)
     out = a.data - b.data
-
-    def bw(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _record("sub", (a, b), out, bw)
+    return (_record("sub", (a, b), out, lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+            if _GRAD_ENABLED[0] else _bare(out))
 
 
 def neg(a: Tensor) -> Tensor:
     a = _wrap(a)
-    return _record("neg", (a,), -a.data, lambda g: (-g,))
+    out = -a.data
+    return _record("neg", (a,), out, lambda g: (-g,)) if _GRAD_ENABLED[0] else _bare(out)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    _check_leading_broadcast("mul", a.shape, b.shape)
+    _check_leading_broadcast("mul", a.data.shape, b.data.shape)
     out = a.data * b.data
-
-    def bw(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-
-    return _record("mul", (a, b), out, bw)
+    return (_record("mul", (a, b), out, lambda g: (_unbroadcast(g * b.data, a.shape),
+                                                   _unbroadcast(g * a.data, b.shape)))
+            if _GRAD_ENABLED[0] else _bare(out))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    _check_leading_broadcast("div", a.shape, b.shape)
+    _check_leading_broadcast("div", a.data.shape, b.data.shape)
     out = a.data / b.data
+    if not _GRAD_ENABLED[0]:
+        return _bare(out)
 
     def bw(g):
         ga = _unbroadcast(g / b.data, a.shape)
@@ -242,23 +240,29 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 def exp(a: Tensor) -> Tensor:
     a = _wrap(a)
     out = np.exp(a.data)
-    return _record("exp", (a,), out, lambda g: (g * out,))
+    return _record("exp", (a,), out, lambda g: (g * out,)) if _GRAD_ENABLED[0] else _bare(out)
 
 
 def log(a: Tensor) -> Tensor:
     a = _wrap(a)
-    return _record("log", (a,), np.log(a.data), lambda g: (g / a.data,))
+    out = np.log(a.data)
+    return _record("log", (a,), out, lambda g: (g / a.data,)) if _GRAD_ENABLED[0] else _bare(out)
 
 
 def sqrt(a: Tensor) -> Tensor:
     a = _wrap(a)
     out = np.sqrt(a.data)
-    return _record("sqrt", (a,), out, lambda g: (g / (2.0 * out),))
+    return (_record("sqrt", (a,), out, lambda g: (g / (2.0 * out),))
+            if _GRAD_ENABLED[0] else _bare(out))
 
 
 def _exp_neg(x: np.ndarray) -> np.ndarray:
-    """exp(-x); an overflow to inf is the right limit (the logistic
-    1 / (1 + inf) is exactly 0), so it is not warned about."""
+    """exp(-x). It overflows to inf, the right limit (the logistic 1 / (1 + inf)
+    is exactly 0), only for x below about -709.78, so only an input reaching
+    below -700 (or holding NaN) silences the warning: the common path enters no
+    errstate. argmin finds the minimum for less than an errstate or ndarray.min."""
+    if x.size and x.item(x.argmin()) >= -700.0:
+        return np.exp(-x)
     with np.errstate(over="ignore"):
         return np.exp(-x)
 
@@ -267,17 +271,15 @@ def silu(a: Tensor) -> Tensor:
     a = _wrap(a)
     s = 1.0 / (1.0 + _exp_neg(a.data))
     out = a.data * s
-
-    def bw(g):
-        return (g * (s + a.data * s * (1.0 - s)),)
-
-    return _record("silu", (a,), out, bw)
+    return (_record("silu", (a,), out, lambda g: (g * (s + a.data * s * (1.0 - s)),))
+            if _GRAD_ENABLED[0] else _bare(out))
 
 
 def sigmoid(a: Tensor) -> Tensor:
     a = _wrap(a)
-    s = 1.0 / (1.0 + _exp_neg(a.data))
-    return _record("sigmoid", (a,), s, lambda g: (g * s * (1.0 - s),))
+    out = 1.0 / (1.0 + _exp_neg(a.data))
+    return (_record("sigmoid", (a,), out, lambda g: (g * out * (1.0 - out),))
+            if _GRAD_ENABLED[0] else _bare(out))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +289,8 @@ def reshape(a: Tensor, shape) -> Tensor:
     a = _wrap(a)
     shape = tuple(shape)
     out = a.data.reshape(shape)
-    return _record("reshape", (a,), out, lambda g: (g.reshape(a.shape),))
+    return (_record("reshape", (a,), out, lambda g: (g.reshape(a.shape),))
+            if _GRAD_ENABLED[0] else _bare(out))
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -296,7 +299,8 @@ def transpose(a: Tensor) -> Tensor:
     if a.data.ndim < 2:
         raise ShapeError("transpose", a.shape)
     out = np.swapaxes(a.data, -1, -2)
-    return _record("transpose", (a,), out, lambda g: (np.swapaxes(g, -1, -2),))
+    return (_record("transpose", (a,), out, lambda g: (np.swapaxes(g, -1, -2),))
+            if _GRAD_ENABLED[0] else _bare(out))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -307,6 +311,8 @@ def concat(tensors, axis: int = 0) -> Tensor:
     if len(ranks) != 1:
         raise ShapeError("concat", *[t.shape for t in ts])
     out = np.concatenate([t.data for t in ts], axis=axis)
+    if not _GRAD_ENABLED[0]:
+        return _bare(out)
     sizes = [t.shape[axis] for t in ts]
     offsets = np.cumsum([0] + sizes)
 
@@ -325,6 +331,8 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     idx[axis] = slice(start, stop)
     idx = tuple(idx)
     out = a.data[idx]
+    if not _GRAD_ENABLED[0]:
+        return _bare(out)
 
     def bw(g):
         full = np.zeros_like(a.data)
@@ -340,6 +348,8 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
 def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = _wrap(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
+    if not _GRAD_ENABLED[0]:
+        return _bare(out)
 
     def bw(g):
         if axis is None:
@@ -353,6 +363,8 @@ def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = _wrap(a)
     out = a.data.mean(axis=axis, keepdims=keepdims)
+    if not _GRAD_ENABLED[0]:
+        return _bare(out)
     n = a.data.size if axis is None else a.shape[axis]
 
     def bw(g):
@@ -370,11 +382,13 @@ def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product. Supports 2D @ 2D, 3D @ 2D and 3D @ 3D (shared batch)."""
     a, b = _wrap(a), _wrap(b)
-    da, db = a.data.ndim, b.data.ndim
-    ok = (da, db) in ((2, 2), (3, 2), (3, 3))
-    if not ok or a.shape[-1] != b.shape[-2] or (da == 3 and db == 3 and a.shape[0] != b.shape[0]):
-        raise ShapeError("matmul", a.shape, b.shape)
+    sa, sb = a.data.shape, b.data.shape
+    da, db = len(sa), len(sb)
+    if not (db == 2 and da in (2, 3) or da == db == 3 and sa[0] == sb[0]) or sa[-1] != sb[-2]:
+        raise ShapeError("matmul", sa, sb)
     out = a.data @ b.data
+    if not _GRAD_ENABLED[0]:
+        return _bare(out)
 
     def bw(g):
         ga = g @ np.swapaxes(b.data, -1, -2)
@@ -395,6 +409,8 @@ def softmax(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=-1, keepdims=True)
+    if not _GRAD_ENABLED[0]:
+        return _bare(out)
 
     def bw(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
@@ -408,12 +424,10 @@ def log_softmax(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = shifted - lse
+    if not _GRAD_ENABLED[0]:
+        return _bare(out)
     sm = np.exp(out)
-
-    def bw(g):
-        return (g - sm * g.sum(axis=-1, keepdims=True),)
-
-    return _record("log_softmax", (a,), out, bw)
+    return _record("log_softmax", (a,), out, lambda g: (g - sm * g.sum(axis=-1, keepdims=True),))
 
 
 def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
@@ -426,6 +440,8 @@ def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
     var = (xc * xc).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
+    if not _GRAD_ENABLED[0]:
+        return _bare(xhat)
 
     def bw(g):
         gs = g.sum(axis=-1, keepdims=True)
@@ -440,6 +456,8 @@ def l2_normalize(a: Tensor, eps: float = 1e-12) -> Tensor:
     a = _wrap(a)
     norm = np.sqrt((a.data * a.data).sum(axis=-1, keepdims=True) + eps)
     out = a.data / norm
+    if not _GRAD_ENABLED[0]:
+        return _bare(out)
 
     def bw(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
@@ -452,9 +470,11 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup: result shape = ids.shape + (table_width,)."""
     table = _wrap(table)
     ids = np.asarray(ids)
-    if not np.issubdtype(ids.dtype, np.integer):
+    if ids.dtype.kind not in "iu":
         raise ShapeError("embedding", table.shape, ids.shape)
     out = table.data[ids]
+    if not _GRAD_ENABLED[0]:
+        return _bare(out)
 
     def bw(g):
         gt = np.zeros_like(table.data)
@@ -472,12 +492,10 @@ def bce_with_logits(logits: Tensor, targets) -> Tensor:
         raise ShapeError("bce_with_logits", logits.shape, t.shape)
     x = logits.data
     out = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))
+    if not _GRAD_ENABLED[0]:
+        return _bare(out)
     s = 1.0 / (1.0 + np.exp(-x))
-
-    def bw(g):
-        return (g * (s - t),)
-
-    return _record("bce_with_logits", (logits,), out, bw)
+    return _record("bce_with_logits", (logits,), out, lambda g: (g * (s - t),))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import write_atomic
 from .errors import ArtifactError, ConfigError
 from .rng import stream
 
@@ -290,10 +291,10 @@ def save_dataset(dataset: Dataset, path) -> None:
         chunks.append(np.asarray(ids, dtype="<u2").tobytes())
         chunks.append(np.asarray(rec.labels, dtype=np.uint8).tobytes())
         chunks.append(np.ascontiguousarray(rec.factors, dtype="<f8").tobytes())
-    path.write_bytes(b"".join(chunks))
+    write_atomic(path, b"".join(chunks))
 
     splits = {name: [int(i) for i in idx] for name, idx in dataset.split.items()}
-    sidecar_path(path).write_text(json.dumps(splits, sort_keys=True))
+    write_atomic(sidecar_path(path), json.dumps(splits, sort_keys=True).encode())
 
 
 def load_dataset(path) -> Dataset:

@@ -1,6 +1,7 @@
 """Config validation/hashing and the XGCK checkpoint container."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from crossgen.checkpoint import (XGCK_VERSION, load_checkpoint,
                                  save_checkpoint)
 from crossgen.config import DEFAULTS, config_hash, load_config
 from crossgen.errors import ArtifactError, ConfigError
+from crossgen.pipeline import write_manifest
+from crossgen.toydata import generate_dataset, save_dataset
 
 
 def test_defaults_resolve():
@@ -156,3 +159,44 @@ def test_checkpoint_stage_and_hash_mismatch(tmp_path):
         load_checkpoint(path, expect_stage="classifier")
     with pytest.raises(ArtifactError, match="config hash"):
         load_checkpoint(path, expect_config_hash="bb" * 32)
+
+
+def _write_checkpoint(path, version):
+    save_checkpoint(path, "alignment", "00" * 32, {"w": np.full(64, float(version))},
+                    {"version": version})
+
+
+def _write_dataset(path, version):
+    save_dataset(generate_dataset(seed=version, n=20), path)
+
+
+def _write_manifest(path, version):
+    home = path.parent.parent
+    artifact = home / "artifact.bin"
+    with open(artifact, "wb") as f:  # not through the failing Path writers
+        f.write(bytes([version]) * 8)
+    write_manifest(home, "align", artifact, "ab" * 32, {"v": str(version)})
+
+
+@pytest.mark.parametrize("write", [_write_checkpoint, _write_dataset, _write_manifest],
+                         ids=["checkpoint", "dataset", "manifest"])
+def test_failed_artifact_write_keeps_the_previous_file(write, tmp_path, monkeypatch):
+    """A write that dies partway (here: half the bytes, then a full disk)
+    leaves every file of the artifact with its previous bytes and no
+    temporary file beside it."""
+    path = tmp_path / "manifests" / "align.json"  # write_manifest's path for "align"
+    path.parent.mkdir()
+    write(path, 1)
+    before = {p.name: p.read_bytes() for p in path.parent.iterdir()}
+
+    def half_then_fail(self, data, *args, **kwargs):
+        with open(self, "wb" if isinstance(data, bytes) else "w") as f:
+            f.write(data[:len(data) // 2])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", half_then_fail)
+    monkeypatch.setattr(Path, "write_text", half_then_fail)
+    with pytest.raises(OSError, match="no space"):
+        write(path, 2)
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in path.parent.iterdir()} == before

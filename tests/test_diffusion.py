@@ -241,6 +241,42 @@ def test_default_report_denoiser_size():
     assert not [n for n in den.params.names() if ".wq." in n or ".wk." in n]
 
 
+def _default_denoiser(latent_dim, seed):
+    cfg = load_config()
+    d = cfg["diffusion"]
+    return Denoiser(latent_dim, cfg["encoder"]["dim"], d["timesteps"], hidden=d["hidden"],
+                    n_blocks=d["blocks"], attn_dim=d["attn_dim"], seed=seed)
+
+
+@pytest.mark.parametrize("batch", [8, 500])
+def test_default_width_forward_without_a_tape_equals_the_recorded_forward(batch):
+    den = _default_denoiser(ImageCodec.latent_dim, seed=3)
+    rng = np.random.default_rng(batch)
+    z = rng.standard_normal((batch, den.latent_dim))
+    omega = rng.standard_normal((batch, den.cond_dim))
+    t = rng.integers(1, den.T_steps + 1, size=batch)
+    live = den.forward(z, t, omega)
+    assert live.requires_grad and len(T.tape()) > 0
+    T.reset_tape()
+    with T.no_grad():
+        bare = den.forward(z, t, omega)
+        cached = den.forward(z, t, omega, cond=den.condition(omega))
+    assert len(T.tape()) == 0
+    assert bare.data.tobytes() == live.data.tobytes() == cached.data.tobytes()
+
+
+@pytest.mark.parametrize("t", [0, 11, -3, [1, 0], [10, 11], [[4, 12]]])
+def test_denoiser_rejects_out_of_range_timesteps(t):
+    den = Denoiser(latent_dim=3, cond_dim=2, T_steps=10, hidden=4, n_blocks=1,
+                   attn_dim=2, seed=1)
+    z, omega = np.zeros((2, 3)), np.zeros((2, 2))
+    with pytest.raises(ValueError, match="timestep out of range 1..10"):
+        den.forward(z, t, omega)
+    with T.no_grad(), pytest.raises(ValueError, match="timestep out of range 1..10"):
+        den.forward(z, t, omega)
+    assert den.forward(z, [1, 10], omega).shape == (2, 3)  # both ends are in range
+
+
 def test_denoise_loss_rejects_empty_batch():
     with pytest.raises(ValueError, match="empty"):
         denoise_loss(np.zeros((0, 64)), {}, "view_a", None, None,

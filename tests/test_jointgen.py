@@ -6,6 +6,7 @@ import pytest
 from crossgen import tensor as T
 from crossgen import toydata as td
 from crossgen.bridging import PromptEncoders, train_alignment
+from crossgen.config import load_config
 from crossgen.diffusion import (Denoiser, ImageCodec, TextCodec, make_schedule,
                                 noise_stream, sample, train_ldm)
 from crossgen.jointgen import (ProjectionEncoder, build_joint,
@@ -70,6 +71,38 @@ def test_projection_rejects_wrong_width():
     proj = ProjectionEncoder(params, "p", 6, 4, 5, stream(0, "x"))
     with pytest.raises(ValueError):
         proj.project(np.zeros((2, 5)))
+
+
+@pytest.mark.parametrize("batch", [8, 500])
+def test_default_width_coupled_forwards_without_a_tape_equal_the_recorded_ones(batch):
+    cfg = load_config()
+    d, j = cfg["diffusion"], cfg["joint"]
+    latent = {"view_a": ImageCodec.latent_dim, "report": d["text_codec"]["latent_dim"]}
+    bases = {m: Denoiser(latent[m], cfg["encoder"]["dim"], d["timesteps"], hidden=d["hidden"],
+                         n_blocks=d["blocks"], attn_dim=d["attn_dim"], seed=i)
+             for i, m in enumerate(latent)}
+    comps = build_joint(("view_a", "report"), bases, coupling_dim=j["coupling_dim"],
+                        proj_hidden=j["proj_hidden"], seed=5)
+    rng = np.random.default_rng(batch)
+    for _, p in comps.trainable.items():  # live couplings: the adapters' wo start at zero
+        p.data[...] = rng.normal(0.0, 0.3, p.shape)
+    omega = rng.standard_normal((batch, cfg["encoder"]["dim"]))
+    t = rng.integers(1, d["timesteps"] + 1, size=batch)
+    z = {m: rng.standard_normal((batch, latent[m])) for m in latent}
+
+    def forwards():
+        proj = {m: comps.projections[m].forward(z[m]) for m in z}
+        eps = [comps.coupled[m].forward(z[m], t, omega, proj[o])
+               for m, o in (("view_a", "report"), ("report", "view_a"))]
+        return [x.data.tobytes() for x in [*proj.values(), *eps]]
+
+    live = forwards()
+    assert len(T.tape()) > 0
+    T.reset_tape()
+    with T.no_grad():
+        bare = forwards()
+    assert len(T.tape()) == 0 and bare == live
+    assert comps.projections["report"].project(z["report"]).tobytes() == bare[1]
 
 
 def test_build_joint_replays_the_attention_draw_order():

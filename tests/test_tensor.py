@@ -238,6 +238,82 @@ def test_primitive_grad_check(name):
         del local
 
 
+def _bits(t):
+    return t.data.dtype, t.data.shape, t.data.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))
+def test_no_grad_output_equals_the_recorded_output_bit_for_bit(name):
+    build = PRIMITIVE_CASES[name]
+    for shape in [(3, 4), (2, 3, 5)]:
+        x = T.Tensor(np.random.default_rng(len(shape)).normal(size=shape), requires_grad=True)
+        live = build(x, np.random.default_rng(0))
+        assert live.requires_grad and len(T.tape()) > 0
+        T.reset_tape()
+        with T.no_grad():
+            bare = build(x, np.random.default_rng(0))
+        assert len(T.tape()) == 0 and not bare.requires_grad and bare.grad is None
+        assert _bits(bare) == _bits(live)
+
+
+def _z(*shape):
+    return T.Tensor(np.zeros(shape), requires_grad=True)
+
+
+PRIMITIVE_REJECTIONS = {
+    "add_incompatible": lambda: T.add(_z(2, 3), _z(2, 4)),
+    "sub_trailing_stretch": lambda: T.sub(_z(4, 1), _z(4, 3)),
+    "mul_middle_stretch": lambda: T.mul(_z(1, 2, 3), _z(3)),
+    "div_incompatible": lambda: T.div(_z(3), _z(4)),
+    "matmul_rank_1": lambda: T.matmul(_z(3), _z(3, 2)),
+    "matmul_rank_2_by_3": lambda: T.matmul(_z(2, 3), _z(2, 3, 4)),
+    "matmul_inner": lambda: T.matmul(_z(2, 3), _z(4, 2)),
+    "matmul_batch": lambda: T.matmul(_z(2, 3, 4), _z(3, 4, 5)),
+    "transpose_rank_1": lambda: T.transpose(_z(3)),
+    "concat_empty": lambda: T.concat([]),
+    "concat_ranks": lambda: T.concat([_z(2, 3), _z(3)]),
+    "embedding_float_ids": lambda: T.embedding(_z(5, 2), np.array([0.0, 1.0])),
+    "embedding_bool_ids": lambda: T.embedding(_z(5, 2), np.array([True, False])),
+    "bce_shape": lambda: T.bce_with_logits(_z(2, 3), np.zeros((3, 2))),
+    "reshape_size": lambda: T.reshape(_z(2, 3), (4,)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRIMITIVE_REJECTIONS))
+def test_no_grad_raises_what_the_recorded_path_raises(case):
+    with pytest.raises(ValueError) as live:
+        PRIMITIVE_REJECTIONS[case]()
+    with T.no_grad(), pytest.raises(ValueError) as bare:
+        PRIMITIVE_REJECTIONS[case]()
+    assert type(bare.value) is type(live.value) and str(bare.value) == str(live.value)
+    assert len(T.tape()) == 0
+
+
+def _logistic(x):
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def test_silu_and_sigmoid_match_the_logistic_formula_across_the_overflow_edge():
+    edge = -np.log(np.finfo(np.float64).max)  # exp(-x) overflows for x just below
+    x = np.array([-1000.0, -710.0, -709.8, np.nextafter(np.nextafter(edge, -1e3), -1e3),
+                  np.nextafter(edge, -1e3), edge, np.nextafter(edge, 0.0), -709.7, -700.0,
+                  np.nextafter(-700.0, -1e3), -699.99, -30.0, -0.5, -0.0, 0.0, 0.5, 30.0,
+                  709.8, 1000.0])
+    x = np.concatenate([x, np.linspace(-720.0, 720.0, 2001)])
+    s = _logistic(x)
+    assert s[0] == 0.0 and s[4] == 0.0 and s[6] > 0.0  # both sides of the edge
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for shape in [x.shape, (1, x.size)]:
+            xt = T.Tensor(x.reshape(shape))
+            assert T.sigmoid(xt).data.tobytes() == s.tobytes()
+            assert T.silu(xt).data.tobytes() == (x * s).tobytes()
+        for v in x:  # each element alone takes its own side of the guard
+            assert T.sigmoid(T.Tensor(v)).data.tobytes() == _logistic(v).tobytes()
+            assert T.silu(T.Tensor(v)).data.tobytes() == (v * _logistic(v)).tobytes()
+
+
 def test_mlp_grad_matches_finite_differences():
     params = ParameterSet()
     rng = np.random.default_rng(7)
