@@ -33,9 +33,7 @@ for key, value in after.items():
         print(f"  {key}: {value:.4f}")
 
 # All embeddings are unit vectors, so dot product == cosine similarity.
-rec = ds.records[0]
-h_img = encoders.encode("view_a", rec.view_a).vector
-h_txt = encoders.encode("report", rec.report).vector
-other = encoders.encode("report", ds.records[1].report).vector
+h_img = encoders.encode_batch("view_a", [ds.records[0].view_a])[0]
+h_txt, other = encoders.encode_batch("report", [r.report for r in ds.records[:2]])
 print(f"\ncos(view_a, own report)   = {h_img @ h_txt:+.3f}")
 print(f"cos(view_a, other report) = {h_img @ other:+.3f}")

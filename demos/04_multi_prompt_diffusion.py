@@ -12,7 +12,7 @@ import numpy as np
 
 from crossgen import toydata as td
 from crossgen.bridging import PromptEncoders, train_alignment
-from crossgen.conditioning import SubsetSampler, sample_subset
+from crossgen.conditioning import SubsetSampler
 from crossgen.diffusion import (ImageCodec, make_schedule, noise_stream,
                                 sample, train_ldm)
 from crossgen.rng import stream
@@ -28,7 +28,7 @@ print("alignment done")
 # the subset sampler behind multi-prompt training: with two available
 # prompt modalities there are three equally likely conditioning tasks
 sampler = SubsetSampler(["view_b", "report"], stream(9, "demo"))
-draws = [sample_subset(sampler) for _ in range(9)]
+draws = [sampler.sample_subset() for _ in range(9)]
 print("subset draws:", draws)
 
 # frozen image codec: 16 patches of 4x4 pixels -> 64-dim latent

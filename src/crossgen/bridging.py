@@ -8,26 +8,18 @@ contrastive use, and similarity is the plain dot product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import tensor as T
-from .nn import (AdamWState, Linear, ParameterSet, adamw_step, fill_missing_grads,
-                 finite_loss, init_normal)
+from .nn import (AdamWState, Linear, ParameterSet, init_normal,
+                 mean_token_embedding, train_epoch)
 from .rng import stream
-from .toydata import (MAX_REPORT_LEN, VIEW_SIZE, VOCAB, Dataset,
-                      payload_batch, report_to_ids)
+from .toydata import VIEW_SIZE, VOCAB, Dataset, payload_batch
 
 #: round-robin pair schedule for alignment training
 PAIR_SCHEDULE = (("view_a", "report"), ("view_b", "report"), ("view_a", "view_b"))
-
-
-@dataclass
-class SharedEmbedding:
-    """Unit-norm vector in the shared latent space, tagged by source."""
-    vector: np.ndarray
-    modality: str
 
 
 class ImagePromptEncoder:
@@ -65,19 +57,12 @@ class TextPromptEncoder:
         self.l1 = Linear(params, f"{prefix}.l1", embed_dim, hidden, rng)
         self.l2 = Linear(params, f"{prefix}.l2", hidden, hidden, rng)
         self.out = Linear(params, f"{prefix}.out", hidden, dim, rng)
-        self.embed_dim = embed_dim
         self.output_dim = dim
 
     def forward(self, reports) -> T.Tensor:
         if not reports or isinstance(reports[0], str):
             raise ValueError("text payload batch must be a sequence of token sequences")
-        ids = np.stack([report_to_ids(r) for r in reports])
-        weights = np.zeros((len(reports), MAX_REPORT_LEN, self.embed_dim))
-        for i, r in enumerate(reports):
-            weights[i, :len(r), :] = 1.0 / len(r)
-        emb = T.embedding(self.table, ids)
-        mean_emb = T.tsum(T.mul(emb, T.Tensor(weights)), axis=1)
-        h = T.silu(self.l1(mean_emb))
+        h = T.silu(self.l1(mean_token_embedding(self.table, reports)))
         h = T.silu(self.l2(h))
         return T.l2_normalize(self.out(h))
 
@@ -112,14 +97,6 @@ class PromptEncoders:
     def encode_batch(self, modality: str, payloads) -> np.ndarray:
         with T.no_grad():
             return self.forward_batch(modality, payloads).data
-
-    def encode(self, modality: str, single_payload) -> SharedEmbedding:
-        if modality in ("view_a", "view_b"):
-            batch = np.asarray(single_payload, dtype=np.float64)[None]
-        else:
-            batch = [tuple(single_payload)]
-        vec = self.encode_batch(modality, batch)[0]
-        return SharedEmbedding(vector=vec, modality=modality)
 
 
 # ---------------------------------------------------------------------------
@@ -156,28 +133,19 @@ def train_alignment(dataset: Dataset, encoders: PromptEncoders, epochs: int,
         raise ValueError("empty dataset")
     order_rng = stream(seed, "align-batches")
     state = AdamWState()
-    history = []
-    for epoch in range(epochs):
-        for pair in PAIR_SCHEDULE:
-            perm = order_rng.permutation(len(train))
-            losses = []
-            for lo in range(0, len(train), batch_size):
-                idx = perm[lo:lo + batch_size]
-                if len(idx) < 2:
-                    continue
-                batch = [train[i] for i in idx]
-                h_a = encoders.forward_batch(pair[0], payload_batch(batch, pair[0]))
-                h_b = encoders.forward_batch(pair[1], payload_batch(batch, pair[1]))
-                loss = symmetric_loss(h_a, h_b, tau)
-                losses.append(finite_loss(loss, "alignment"))
-                encoders.params.zero_grad()
-                T.backward(loss)
-                fill_missing_grads(encoders.params)
-                adamw_step(encoders.params, state, lr=lr, weight_decay=weight_decay)
-                T.reset_tape()
-            history.append({"epoch": epoch, "pair": f"{pair[0]}|{pair[1]}",
-                            "loss": float(np.mean(losses))})
-    return history
+
+    def batch_loss(idx, pair):
+        batch = [train[i] for i in idx]
+        h_a = encoders.forward_batch(pair[0], payload_batch(batch, pair[0]))
+        h_b = encoders.forward_batch(pair[1], payload_batch(batch, pair[1]))
+        return symmetric_loss(h_a, h_b, tau)
+
+    return [{"epoch": epoch, "pair": f"{pair[0]}|{pair[1]}",
+             "loss": train_epoch(encoders.params, state, order_rng, len(train),
+                                 batch_size, partial(batch_loss, pair=pair),
+                                 "alignment", lr, weight_decay, min_rows=2,
+                                 fill_missing=True)}
+            for epoch in range(epochs) for pair in PAIR_SCHEDULE]
 
 
 def loss_trend_ok(history: list[dict]) -> bool:

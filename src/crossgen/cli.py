@@ -17,7 +17,7 @@ import numpy as np
 
 from . import pipeline as pl
 from . import toydata as td
-from .config import config_hash, load_config
+from .config import load_config
 from .errors import (ArtifactError, ConfigError, MissingPrerequisiteError,
                      NumericError)
 from .evalkit import (anonymization_experiment, bleu, frechet_distance,

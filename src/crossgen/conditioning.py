@@ -4,17 +4,7 @@ embeddings into a single conditioning vector."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass
-class ConditioningVector:
-    """Convex combination of shared embeddings plus its provenance."""
-    omega: np.ndarray
-    subset: tuple[str, ...]
-    weights: np.ndarray
 
 
 class SubsetSampler:
@@ -41,44 +31,27 @@ class SubsetSampler:
         return np.full(size, 1.0 / size)
 
 
-def sample_subset(sampler: SubsetSampler) -> tuple[str, ...]:
-    return sampler.sample_subset()
-
-
-def combine(embeddings, weights=None) -> ConditioningVector:
+def combine(vectors, weights=None) -> tuple[np.ndarray, np.ndarray]:
     """omega = sum_j alpha_j h_j with alpha on the probability simplex.
 
-    ``embeddings`` is a non-empty sequence of SharedEmbedding; weights
-    default to uniform over the subset.
+    ``vectors`` holds the k shared embeddings h_j, as a non-empty sequence
+    or a (k, d) array; weights default to uniform. Returns (omega, weights).
     """
-    embs = list(embeddings)
-    if not embs:
+    if not len(vectors):
         raise ValueError("combine requires a non-empty subset")
-    vectors = np.stack([e.vector for e in embs])
-    subset = tuple(e.modality for e in embs)
+    vectors = np.stack(list(vectors))
+    k = len(vectors)
     if weights is None:
-        w = np.full(len(embs), 1.0 / len(embs))
+        w = np.full(k, 1.0 / k)
     else:
         w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (len(embs),):
-            raise ValueError(f"got {w.shape[0] if w.ndim else 0} weights for {len(embs)} embeddings")
+        if w.shape != (k,):
+            raise ValueError(f"got {w.shape[0] if w.ndim else 0} weights for {k} embeddings")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-9:
             raise ValueError(f"weights sum to {w.sum()!r}, not 1")
-    omega = w @ vectors
-    return ConditioningVector(omega=omega, subset=subset, weights=w)
-
-
-def draw_conditioning(sampler: SubsetSampler, encoders, record,
-                      target: str) -> ConditioningVector:
-    """Sample a subset, encode its members and combine them."""
-    from .toydata import payload
-    if target in sampler.available:
-        raise ValueError(f"target {target!r} cannot also be a conditioning modality")
-    subset = sampler.sample_subset()
-    embs = [encoders.encode(m, payload(record, m)) for m in subset]
-    return combine(embs, sampler.sample_weights(len(embs)))
+    return w @ vectors, w
 
 
 def draw_conditioning_batch(sampler: SubsetSampler, embeddings: dict,

@@ -11,8 +11,8 @@ import numpy as np
 
 from . import tensor as T
 from .conditioning import SubsetSampler, draw_conditioning_batch
-from .nn import (AdamWState, Linear, ParameterSet, adamw_step, finite_loss,
-                 init_normal)
+from .nn import (AdamWState, Linear, ParameterSet, init_normal,
+                 mean_token_embedding, train_epoch)
 from .rng import stream
 from .toydata import (MAX_REPORT_LEN, MODALITIES, VIEW_SIZE, VOCAB,
                       payload_batch, report_to_ids)
@@ -120,24 +120,16 @@ class ImageCodec:
     def fit(self, images: np.ndarray, epochs: int = 60, batch_size: int = 64,
             lr: float = 3e-3, weight_decay: float = 0.0, seed: int = 0) -> list[float]:
         images = np.asarray(images, dtype=np.float64)
-        order = stream(seed, "image-codec-batches")
-        state = AdamWState()
-        history = []
-        for _ in range(epochs):
-            perm = order.permutation(len(images))
-            losses = []
-            for lo in range(0, len(images), batch_size):
-                batch = images[perm[lo:lo + batch_size]]
-                patches = T.Tensor(self._patchify(batch))
-                recon = self._decode_t(self._encode_t(patches))
-                diff = T.sub(recon, patches)
-                loss = T.tmean(T.mul(diff, diff))
-                losses.append(finite_loss(loss, "image codec"))
-                self.params.zero_grad()
-                T.backward(loss)
-                adamw_step(self.params, state, lr=lr, weight_decay=weight_decay)
-                T.reset_tape()
-            history.append(float(np.mean(losses)))
+
+        def batch_loss(idx):
+            patches = T.Tensor(self._patchify(images[idx]))
+            diff = T.sub(self._decode_t(self._encode_t(patches)), patches)
+            return T.tmean(T.mul(diff, diff))
+
+        order, state = stream(seed, "image-codec-batches"), AdamWState()
+        history = [train_epoch(self.params, state, order, len(images), batch_size,
+                               batch_loss, "image codec", lr, weight_decay)
+                   for _ in range(epochs)]
         lat = self.encode_raw(images)
         self.mu = lat.mean(axis=0)
         self.sd = np.maximum(lat.std(axis=0), 1e-6)
@@ -184,41 +176,30 @@ class TextCodec:
         self.meta: dict = {}
 
     def _encode_t(self, reports) -> T.Tensor:
-        ids = np.stack([report_to_ids(r) for r in reports])
-        weights = np.zeros((len(reports), MAX_REPORT_LEN, self.latent_dim))
-        for i, r in enumerate(reports):
-            weights[i, :len(r), :] = 1.0 / len(r)
-        emb = T.embedding(self.table, ids)
-        return T.tsum(T.mul(emb, T.Tensor(weights)), axis=1)
+        return mean_token_embedding(self.table, reports)
 
     def _logits_t(self, latent: T.Tensor) -> T.Tensor:
         return self.dec2(T.silu(self.dec1(latent)))
 
     def fit(self, reports, epochs: int = 60, batch_size: int = 64,
             lr: float = 3e-3, weight_decay: float = 0.0, seed: int = 0) -> list[float]:
-        order = stream(seed, "text-codec-batches")
-        state = AdamWState()
         v = len(VOCAB)
-        history = []
         reports = list(reports)
-        for _ in range(epochs):
-            perm = order.permutation(len(reports))
-            losses = []
-            for lo in range(0, len(reports), batch_size):
-                batch = [reports[i] for i in perm[lo:lo + batch_size]]
-                ids = np.stack([report_to_ids(r) for r in batch])
-                onehot = np.zeros((len(batch) * MAX_REPORT_LEN, v))
-                onehot[np.arange(len(batch) * MAX_REPORT_LEN), ids.reshape(-1)] = 1.0
-                latent = self._encode_t(batch)
-                logits = T.reshape(self._logits_t(latent), (len(batch) * MAX_REPORT_LEN, v))
-                logp = T.log_softmax(logits)
-                loss = T.neg(T.tmean(T.tsum(T.mul(logp, T.Tensor(onehot)), axis=1)))
-                losses.append(finite_loss(loss, "text codec"))
-                self.params.zero_grad()
-                T.backward(loss)
-                adamw_step(self.params, state, lr=lr, weight_decay=weight_decay)
-                T.reset_tape()
-            history.append(float(np.mean(losses)))
+
+        def batch_loss(idx):
+            batch = [reports[i] for i in idx]
+            ids = np.stack([report_to_ids(r) for r in batch])
+            onehot = np.zeros((len(batch) * MAX_REPORT_LEN, v))
+            onehot[np.arange(len(batch) * MAX_REPORT_LEN), ids.reshape(-1)] = 1.0
+            latent = self._encode_t(batch)
+            logits = T.reshape(self._logits_t(latent), (len(batch) * MAX_REPORT_LEN, v))
+            logp = T.log_softmax(logits)
+            return T.neg(T.tmean(T.tsum(T.mul(logp, T.Tensor(onehot)), axis=1)))
+
+        order, state = stream(seed, "text-codec-batches"), AdamWState()
+        history = [train_epoch(self.params, state, order, len(reports), batch_size,
+                               batch_loss, "text codec", lr, weight_decay)
+                   for _ in range(epochs)]
         lat = self.encode_raw(reports)
         self.mu = lat.mean(axis=0)
         self.sd = np.maximum(lat.std(axis=0), 1e-6)
@@ -398,20 +379,14 @@ def train_ldm(dataset, target: str, encoders, codec, schedule: DiffusionSchedule
     prompts = {m: encode_records(partial(encoders.encode_batch, m), train, m, batch_size)
                for m in available}
     state = AdamWState()
-    history = []
-    for _ in range(epochs):
-        perm = order.permutation(len(train))
-        losses = []
-        for lo in range(0, len(train), batch_size):
-            idx = perm[lo:lo + batch_size]
-            loss = denoise_loss(z0[idx], {m: h[idx] for m, h in prompts.items()},
-                                target, sampler, denoiser, schedule, noise_rng)
-            losses.append(finite_loss(loss, f"diffusion ({target})"))
-            denoiser.params.zero_grad()
-            T.backward(loss)
-            adamw_step(denoiser.params, state, lr=lr, weight_decay=weight_decay)
-            T.reset_tape()
-        history.append(float(np.mean(losses)))
+
+    def batch_loss(idx):
+        return denoise_loss(z0[idx], {m: h[idx] for m, h in prompts.items()},
+                            target, sampler, denoiser, schedule, noise_rng)
+
+    history = [train_epoch(denoiser.params, state, order, len(train), batch_size,
+                           batch_loss, f"diffusion ({target})", lr, weight_decay)
+               for _ in range(epochs)]
     return denoiser, history
 
 

@@ -1,7 +1,7 @@
-"""Evaluation battery: Frechet feature distance, BLEU, cosine alignment,
-Hamming coherence, the multi-label MLP classifier used both as a task model
-and as the feature backbone, and the three synthetic-data utility
-experiments (anonymization, imbalance, scarcity)."""
+"""Evaluation battery: Frechet feature distance, BLEU, Hamming coherence,
+the multi-label MLP classifier used both as a task model and as the
+feature backbone, and the three synthetic-data utility experiments
+(anonymization, imbalance, scarcity)."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .nn import AdamWState, Linear, ParameterSet, adamw_step, finite_loss
+from .nn import AdamWState, Linear, ParameterSet, train_epoch
 from .rng import stream
 from .toydata import NUM_CONDITIONS, rule_label_text
 
@@ -103,14 +103,7 @@ def bleu(candidate, references, max_n: int = 4) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# cosine alignment and Hamming coherence
-
-def cosine_alignment(payload_i, payload_j, encode_i, encode_j) -> float:
-    """Dot product of the two unit-norm shared-space embeddings."""
-    hi = np.asarray(encode_i(payload_i), dtype=np.float64).reshape(-1)
-    hj = np.asarray(encode_j(payload_j), dtype=np.float64).reshape(-1)
-    return float(hi @ hj)
-
+# Hamming coherence
 
 def hamming_distance(labels_i, labels_j) -> int:
     a = np.asarray(labels_i).astype(np.uint8)
@@ -256,6 +249,17 @@ class FeatureExtractor:
         return self.hidden[1]
 
 
+def build_classifier(n_in: int, hidden: tuple[int, int], n_out: int,
+                     rng: np.random.Generator | None) -> FeatureExtractor:
+    """The classifier's ``l1``/``l2``/``out`` layers, drawn from ``rng`` (zeros
+    without drawing when it is None, for a checkpoint load to fill)."""
+    params = ParameterSet()
+    Linear(params, "l1", n_in, hidden[0], rng)
+    Linear(params, "l2", hidden[0], hidden[1], rng)
+    Linear(params, "out", hidden[1], n_out, rng)
+    return FeatureExtractor(params, tuple(hidden))
+
+
 def train_classifier(train_views, train_labels, test_views, test_labels,
                      seed: int = 0, epochs: int = 40, batch_size: int = 64,
                      lr: float = 3e-3, weight_decay: float = 1e-4,
@@ -268,28 +272,17 @@ def train_classifier(train_views, train_labels, test_views, test_labels,
     if np.all(labels == labels[0]):
         raise ValueError("single-class training set: every label vector is identical")
 
-    rng = stream(seed, "classifier-init")
-    params = ParameterSet()
-    n_in = views.reshape(len(views), -1).shape[1]
-    Linear(params, "l1", n_in, hidden[0], rng)
-    Linear(params, "l2", hidden[0], hidden[1], rng)
-    Linear(params, "out", hidden[1], labels.shape[1], rng)
-    model = FeatureExtractor(params, hidden)
-
-    order_rng = stream(seed, "classifier-batches")
-    state = AdamWState()
     flat = views.reshape(len(views), -1)
+    model = build_classifier(flat.shape[1], hidden, labels.shape[1],
+                             stream(seed, "classifier-init"))
+
+    def batch_loss(idx):
+        return T.tmean(T.bce_with_logits(model._forward(flat[idx])[1], labels[idx]))
+
+    order_rng, state = stream(seed, "classifier-batches"), AdamWState()
     for _ in range(epochs):
-        perm = order_rng.permutation(len(flat))
-        for lo in range(0, len(flat), batch_size):
-            idx = perm[lo:lo + batch_size]
-            _, logits = model._forward(flat[idx])
-            loss = T.tmean(T.bce_with_logits(logits, labels[idx]))
-            finite_loss(loss, "classifier")
-            params.zero_grad()
-            T.backward(loss)
-            adamw_step(params, state, lr=lr, weight_decay=weight_decay)
-            T.reset_tape()
+        train_epoch(model.params, state, order_rng, len(flat), batch_size,
+                    batch_loss, "classifier", lr, weight_decay)
 
     report = classification_report(model.scores(np.asarray(test_views)),
                                    np.asarray(test_labels))
@@ -381,17 +374,6 @@ def scarcity_experiment(base_train, synth_pool, multipliers, test, seed: int = 0
         _, report = train_classifier(vx, vy, tx, ty, seed=seed, **train_kw)
         levels.append({"multiplier": float(mult), "n_synthetic": k, "report": report})
     return {"mode": "scarcity", "levels": levels}
-
-
-def utility_experiments(mode: str, **kwargs) -> dict:
-    runners = {
-        "anonymization": anonymization_experiment,
-        "imbalance": imbalance_experiment,
-        "scarcity": scarcity_experiment,
-    }
-    if mode not in runners:
-        raise ValueError(f"unknown utility mode {mode!r}; pick one of {sorted(runners)}")
-    return runners[mode](**kwargs)
 
 
 # ---------------------------------------------------------------------------

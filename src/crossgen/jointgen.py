@@ -18,7 +18,7 @@ from .diffusion import (Denoiser, DiffusionSchedule, encode_records,
                         noise_prediction_loss, noise_stream, q_sample,
                         reverse_steps, reverse_update)
 from .errors import NumericError
-from .nn import AdamWState, Linear, ParameterSet, adamw_step, finite_loss
+from .nn import AdamWState, Linear, ParameterSet, train_epoch
 from .rng import stream
 from .toydata import MODALITIES
 
@@ -156,33 +156,25 @@ def train_joint(dataset, pair: tuple[str, str], encoders, codecs: dict,
                                      batch_size)
                    for m in others}
         state = AdamWState()
-        history = []
-        for _ in range(epochs):
-            perm = order.permutation(len(train))
-            losses = []
-            for lo in range(0, len(train), batch_size):
-                idx = perm[lo:lo + batch_size]
-                if len(idx) < 2:
-                    continue
-                t_shared = noise_rng.integers(1, schedule.T + 1, size=len(idx))
-                z_t, t_map, eps_map = {}, {}, {}
-                for m in pair:
-                    z0_batch = z0[m][idx]
-                    e = noise_rng.standard_normal(z0_batch.shape)
-                    z_t[m] = q_sample(z0_batch, t_shared, e, schedule)
-                    t_map[m] = t_shared
-                    eps_map[m] = e
-                omega, _ = draw_conditioning_batch(
-                    sampler, {m: h[idx] for m, h in prompts.items()}, target=m_i)
-                loss = coupled_pair_loss(components, z_t, t_map, eps_map, omega,
-                                         lam=lam, tau=tau)
-                losses.append(finite_loss(loss, f"joint ({m_i}+{m_j})"))
-                components.trainable.zero_grad()
-                T.backward(loss)
-                adamw_step(components.trainable, state, lr=lr,
-                           weight_decay=weight_decay)
-                T.reset_tape()
-            history.append(float(np.mean(losses)))
+
+        def batch_loss(idx):
+            t_shared = noise_rng.integers(1, schedule.T + 1, size=len(idx))
+            z_t, t_map, eps_map = {}, {}, {}
+            for m in pair:
+                z0_batch = z0[m][idx]
+                e = noise_rng.standard_normal(z0_batch.shape)
+                z_t[m] = q_sample(z0_batch, t_shared, e, schedule)
+                t_map[m] = t_shared
+                eps_map[m] = e
+            omega, _ = draw_conditioning_batch(
+                sampler, {m: h[idx] for m, h in prompts.items()}, target=m_i)
+            return coupled_pair_loss(components, z_t, t_map, eps_map, omega,
+                                     lam=lam, tau=tau)
+
+        history = [train_epoch(components.trainable, state, order, len(train),
+                               batch_size, batch_loss, f"joint ({m_i}+{m_j})", lr,
+                               weight_decay, min_rows=2)
+                   for _ in range(epochs)]
     finally:
         for m in pair:
             bases[m].params.unfreeze()

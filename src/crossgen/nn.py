@@ -7,7 +7,8 @@ import hashlib
 import numpy as np
 
 from .errors import NumericError
-from .tensor import Tensor, add, matmul
+from .tensor import Tensor, add, backward, embedding, matmul, mul, reset_tape, tsum
+from .toydata import MAX_REPORT_LEN, report_to_ids
 
 
 class ParameterSet:
@@ -103,6 +104,16 @@ class Linear:
         return add(matmul(x, self.w), self.b)
 
 
+def mean_token_embedding(table: Tensor, reports) -> Tensor:
+    """Each report's mean over its tokens' rows of ``table`` (pad excluded),
+    as a (B, width) tensor."""
+    ids = np.stack([report_to_ids(r) for r in reports])
+    weights = np.zeros((len(reports), MAX_REPORT_LEN, table.shape[1]))
+    for i, r in enumerate(reports):
+        weights[i, :len(r), :] = 1.0 / len(r)
+    return tsum(mul(embedding(table, ids), Tensor(weights)), axis=1)
+
+
 def finite_loss(loss: Tensor, what: str) -> float:
     """The scalar value of ``loss``; NumericError if it is not finite, so a
     training loop stops before the update would spread it to the weights."""
@@ -110,17 +121,6 @@ def finite_loss(loss: Tensor, what: str) -> float:
     if not np.isfinite(value):
         raise NumericError(f"non-finite {what} loss")
     return value
-
-
-def fill_missing_grads(params: ParameterSet) -> None:
-    """Zero-fill gradients of parameters the current loss did not touch.
-
-    Needed by training loops where alternating objectives use only part of
-    a parameter set (e.g. one contrastive pair per step).
-    """
-    for _, t in params.items():
-        if t.grad is None:
-            t.grad = np.zeros_like(t.data)
 
 
 class AdamWState:
@@ -177,3 +177,37 @@ def adamw_step(params: ParameterSet, state: AdamWState, lr: float,
         step += a
         step *= lr
         x -= step
+
+
+def train_epoch(params: ParameterSet, state: AdamWState, order: np.random.Generator,
+                n: int, batch_size: int, batch_loss, what: str, lr: float,
+                weight_decay: float, min_rows: int = 1,
+                fill_missing: bool = False) -> float:
+    """One epoch over ``n`` rows in the order of one permutation drawn from
+    ``order``; returns the mean batch loss.
+
+    For each batch of indices, in order, ``batch_loss(idx)`` builds the loss
+    on the tape; the loss is checked finite (``finite_loss``), gradients are
+    zeroed and recomputed, one AdamW step is taken and the tape is reset.
+    Batches of fewer than ``min_rows`` rows are skipped before ``batch_loss``
+    runs. ``fill_missing`` zero-fills the gradients of parameters the loss
+    did not touch (an alignment pair of two views leaves the text encoder
+    out); without it ``adamw_step`` rejects such a parameter.
+    """
+    perm = order.permutation(n)
+    losses = []
+    for lo in range(0, n, batch_size):
+        idx = perm[lo:lo + batch_size]
+        if len(idx) < min_rows:
+            continue
+        loss = batch_loss(idx)
+        losses.append(finite_loss(loss, what))
+        params.zero_grad()
+        backward(loss)
+        if fill_missing:
+            for _, t in params.items():
+                if t.grad is None:
+                    t.grad = np.zeros_like(t.data)
+        adamw_step(params, state, lr=lr, weight_decay=weight_decay)
+        reset_tape()
+    return float(np.mean(losses))

@@ -15,16 +15,16 @@ from pathlib import Path
 import numpy as np
 
 from . import toydata as td
-from .bridging import PromptEncoders, retrieval_eval, train_alignment
+from .bridging import PromptEncoders, train_alignment
 from .checkpoint import (file_checksum, load_checkpoint, save_checkpoint,
                          write_atomic)
-from .conditioning import SubsetSampler, combine
+from .conditioning import combine
 from .config import config_hash
 from .diffusion import (Denoiser, ImageCodec, TextCodec, make_schedule,
                         noise_stream, sample, train_ldm)
 from .errors import ArtifactError, ConfigError, MissingPrerequisiteError
-from .evalkit import train_classifier, FeatureExtractor
-from .jointgen import JointComponents, build_joint, joint_sample, train_joint
+from .evalkit import FeatureExtractor, build_classifier, train_classifier
+from .jointgen import build_joint, joint_sample, train_joint
 from .rng import stream
 
 JOINT_PAIRS = (("view_a", "view_b"), ("view_a", "report"), ("view_b", "report"))
@@ -327,14 +327,11 @@ def run_train_classifier(cfg: dict, home) -> Path:
 
 def load_classifier(cfg: dict, home) -> tuple[FeatureExtractor, dict]:
     ck = _load_stage(cfg, home, "classifier")
-    hidden = tuple(ck["metadata"]["hidden"])
-    from .nn import Linear, ParameterSet
-    params = ParameterSet()
-    Linear(params, "l1", td.VIEW_SIZE * td.VIEW_SIZE, hidden[0], None)
-    Linear(params, "l2", hidden[0], hidden[1], None)
-    Linear(params, "out", hidden[1], td.NUM_CONDITIONS, None)
-    params.load_state_arrays(ck["arrays"])
-    return FeatureExtractor(params, hidden, dict(ck["metadata"])), ck["metadata"]
+    model = build_classifier(td.VIEW_SIZE * td.VIEW_SIZE, ck["metadata"]["hidden"],
+                             td.NUM_CONDITIONS, None)
+    model.params.load_state_arrays(ck["arrays"])
+    model.meta = dict(ck["metadata"])
+    return model, ck["metadata"]
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +373,6 @@ def load_payload(path):
     return modality, pixels
 
 
-def conditioning_from_prompts(encoders: PromptEncoders, prompts: dict):
-    """Combine the provided prompt payloads into one conditioning vector."""
-    if not prompts:
-        raise ConfigError("at least one prompt payload is required")
-    embeddings = [encoders.encode(m, p) for m, p in sorted(prompts.items())]
-    return combine(embeddings)
-
-
 def generate_samples(cfg: dict, home, prompts: dict, targets: list[str],
                      joint: bool, seed: int, count: int) -> tuple[list[dict], dict]:
     """Generate ``count`` samples for the targets from fixed prompt payloads.
@@ -395,8 +384,11 @@ def generate_samples(cfg: dict, home, prompts: dict, targets: list[str],
         if t in prompts:
             raise ConfigError(f"target {t!r} is also a prompt modality")
     encoders = load_encoders(cfg, home)
-    cv = conditioning_from_prompts(encoders, prompts)
-    omega = np.tile(cv.omega, (count, 1))
+    if not prompts:
+        raise ConfigError("at least one prompt payload is required")
+    subset = sorted(prompts)
+    omega, weights = combine([encoders.encode_batch(m, [prompts[m]])[0] for m in subset])
+    omega = np.tile(omega, (count, 1))
     schedule = _schedule(cfg)
     sigma_mode = cfg["diffusion"]["sigma_mode"]
     outputs: dict[str, list] = {}
@@ -416,7 +408,7 @@ def generate_samples(cfg: dict, home, prompts: dict, targets: list[str],
                              noise_stream(seed, m), sigma_mode=sigma_mode)
             outputs[m] = list(decoded)
     samples = [{m: outputs[m][i] for m in targets} for i in range(count)]
-    provenance = {"subset": list(cv.subset), "weights": cv.weights.tolist(),
+    provenance = {"subset": subset, "weights": weights.tolist(),
                   "seed": int(seed), "timesteps": schedule.T,
                   "joint": bool(joint), "targets": list(targets),
                   "config_hash": config_hash(cfg)}

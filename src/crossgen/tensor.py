@@ -494,7 +494,7 @@ def bce_with_logits(logits: Tensor, targets) -> Tensor:
     out = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))
     if not _GRAD_ENABLED[0]:
         return _bare(out)
-    s = 1.0 / (1.0 + np.exp(-x))
+    s = 1.0 / (1.0 + _exp_neg(x))
     return _record("bce_with_logits", (logits,), out, lambda g: (g * (s - t),))
 
 

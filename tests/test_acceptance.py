@@ -23,7 +23,7 @@ from crossgen.bridging import (PromptEncoders, infonce_loss, loss_trend_ok,
                                retrieval_eval, symmetric_loss)
 from crossgen.checkpoint import file_checksum
 from crossgen.cli import main, run_utility
-from crossgen.conditioning import SubsetSampler, combine, sample_subset
+from crossgen.conditioning import SubsetSampler, combine
 from crossgen.config import config_hash, load_config
 from crossgen.diffusion import (Denoiser, make_schedule, noise_prediction_loss,
                                 noise_stream, q_sample, sample)
@@ -34,7 +34,6 @@ from crossgen.evalkit import (bleu, classification_report, frechet_distance,
 from crossgen.jointgen import build_joint, coupled_pair_loss, joint_sample
 from crossgen.nn import ParameterSet
 from crossgen.rng import stream
-from crossgen.bridging import SharedEmbedding
 
 from test_tensor import PRIMITIVE_CASES  # noqa: E402  (shared grad-check battery)
 
@@ -260,7 +259,7 @@ def test_criterion_03_sampler_uniformity():
     n = 100_000
     counts = {}
     for _ in range(n):
-        s = sample_subset(sampler)
+        s = sampler.sample_subset()
         counts[s] = counts.get(s, 0) + 1
     freqs = np.array([counts.get(k, 0) / n for k in
                       [("view_b",), ("report",), ("view_b", "report")]])
@@ -282,11 +281,11 @@ def test_criterion_04_conditioning_simplex():
         vecs = rng.normal(size=(k, 16))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
         w = rng.dirichlet(np.ones(k)) if k > 1 else None
-        cv = combine([SharedEmbedding(v, f"m{i}") for i, v in enumerate(vecs)], w)
-        worst_sum = max(worst_sum, abs(cv.weights.sum() - 1.0))
-        expected = cv.weights @ vecs
-        worst_combo = max(worst_combo, float(np.max(np.abs(cv.omega - expected))))
-        assert np.all(cv.weights >= 0)
+        omega, weights = combine(vecs, w)
+        worst_sum = max(worst_sum, abs(weights.sum() - 1.0))
+        expected = weights @ vecs
+        worst_combo = max(worst_combo, float(np.max(np.abs(omega - expected))))
+        assert np.all(weights >= 0)
     ok = worst_sum <= 1e-12 and worst_combo <= 1e-12
     _criterion(4, "conditioning simplex", ok,
                f"worst weight-sum err {worst_sum:.1e}, worst combo err {worst_combo:.1e}")

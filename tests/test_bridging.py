@@ -99,11 +99,11 @@ def test_encode_unit_norm_and_deterministic():
     enc = PromptEncoders(dim=16, hidden=32, seed=4)
     ds = td.generate_dataset(seed=4, n=12, positive_rates=[0.5] * 5)
     for modality in ("view_a", "view_b", "report"):
-        e1 = enc.encode(modality, td.payload(ds.records[0], modality))
-        e2 = enc.encode(modality, td.payload(ds.records[0], modality))
-        assert abs(np.linalg.norm(e1.vector) - 1.0) < 1e-9
-        np.testing.assert_array_equal(e1.vector, e2.vector)
-        assert e1.modality == modality
+        e1 = enc.encode_batch(modality, [td.payload(ds.records[0], modality)])
+        e2 = enc.encode_batch(modality, [td.payload(ds.records[0], modality)])
+        assert e1.shape == (1, 16)
+        assert abs(np.linalg.norm(e1[0]) - 1.0) < 1e-9
+        np.testing.assert_array_equal(e1, e2)
 
 
 def test_encode_rejects_wrong_payload():
@@ -113,14 +113,14 @@ def test_encode_rejects_wrong_payload():
     with pytest.raises(ValueError):
         enc.forward_batch("report", ["not-a-token-sequence"])
     with pytest.raises(ValueError):
-        enc.encode("volume", np.zeros((16, 16)))
+        enc.encode_batch("volume", np.zeros((1, 16, 16)))
 
 
 def test_encoder_forward_matches_scalar_loop_oracle():
     # independent re-evaluation of the image path with python loops
     enc = PromptEncoders(dim=4, hidden=8, seed=6)
     view = np.random.default_rng(7).uniform(0, 1, size=(16, 16))
-    got = enc.encode("view_a", view).vector
+    got = enc.encode_batch("view_a", view[None])[0]
 
     p = enc.params
     x = view.reshape(-1)

@@ -5,16 +5,13 @@ import pytest
 from scipy import stats
 
 from crossgen import toydata as td
-from crossgen.bridging import PromptEncoders, SharedEmbedding
-from crossgen.conditioning import (SubsetSampler, combine, draw_conditioning,
-                                   draw_conditioning_batch, sample_subset)
+from crossgen.bridging import PromptEncoders
+from crossgen.conditioning import SubsetSampler, combine, draw_conditioning_batch
 from crossgen.rng import stream
 
 
-def embeddings_of(vectors, tags=None):
-    tags = tags or [f"m{i}" for i in range(len(vectors))]
-    return [SharedEmbedding(np.asarray(v, dtype=np.float64), t)
-            for v, t in zip(vectors, tags)]
+def _batch_embeddings(records, enc, modalities):
+    return {m: enc.encode_batch(m, td.payload_batch(records, m)) for m in modalities}
 
 
 def test_sampler_requires_nonempty():
@@ -25,7 +22,7 @@ def test_sampler_requires_nonempty():
 def test_singleton_always_returned():
     sampler = SubsetSampler(["report"], stream(1, "s"))
     for _ in range(50):
-        assert sample_subset(sampler) == ("report",)
+        assert sampler.sample_subset() == ("report",)
 
 
 def test_k2_uniform_over_three_subsets():
@@ -33,7 +30,7 @@ def test_k2_uniform_over_three_subsets():
     n = 100_000
     counts = {}
     for _ in range(n):
-        s = sample_subset(sampler)
+        s = sampler.sample_subset()
         counts[s] = counts.get(s, 0) + 1
     assert len(counts) == 3
     freqs = np.array([c / n for c in counts.values()])
@@ -48,7 +45,7 @@ def test_uniformity_chi_square_all_k(k):
     n = 30_000
     counts = {}
     for _ in range(n):
-        s = sample_subset(sampler)
+        s = sampler.sample_subset()
         counts[s] = counts.get(s, 0) + 1
     n_subsets = 2 ** k - 1
     assert len(counts) == n_subsets
@@ -60,27 +57,26 @@ def test_uniformity_chi_square_all_k(k):
 def test_sampler_deterministic_sequence():
     s1 = SubsetSampler(["a", "b"], stream(7, "cond"))
     s2 = SubsetSampler(["a", "b"], stream(7, "cond"))
-    seq1 = [sample_subset(s1) for _ in range(1000)]
-    seq2 = [sample_subset(s2) for _ in range(1000)]
+    seq1 = [s1.sample_subset() for _ in range(1000)]
+    seq2 = [s2.sample_subset() for _ in range(1000)]
     assert seq1 == seq2
 
 
 def test_combine_singleton_exact():
-    e = embeddings_of([[0.3, -0.4, 0.5]])
-    cv = combine(e)
-    np.testing.assert_array_equal(cv.omega, e[0].vector)
-    assert cv.subset == ("m0",)
-    np.testing.assert_array_equal(cv.weights, [1.0])
+    e = np.array([[0.3, -0.4, 0.5]])
+    omega, weights = combine(e)
+    np.testing.assert_array_equal(omega, e[0])
+    np.testing.assert_array_equal(weights, [1.0])
 
 
 def test_combine_mean_of_two():
-    e = embeddings_of([[1.0, 0.0], [0.0, 1.0]])
-    cv = combine(e, weights=[0.5, 0.5])
-    np.testing.assert_allclose(cv.omega, [0.5, 0.5], atol=0)
+    e = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+    omega, _ = combine(e, weights=[0.5, 0.5])
+    np.testing.assert_allclose(omega, [0.5, 0.5], atol=0)
 
 
 def test_combine_rejects_bad_weights():
-    e = embeddings_of([[1.0, 0.0], [0.0, 1.0]])
+    e = np.array([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         combine(e, weights=[0.8, 0.1])
     with pytest.raises(ValueError):
@@ -96,30 +92,31 @@ def test_combine_simplex_invariants_random():
         vecs = rng.normal(size=(k, 8))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
         w = rng.dirichlet(np.ones(k))
-        cv = combine(embeddings_of(vecs), weights=w)
-        assert abs(cv.weights.sum() - 1.0) <= 1e-12
-        assert np.all(cv.weights >= 0)
-        np.testing.assert_allclose(cv.omega, w @ vecs, atol=1e-12)
+        omega, weights = combine(vecs, weights=w)
+        assert abs(weights.sum() - 1.0) <= 1e-12
+        assert np.all(weights >= 0)
+        np.testing.assert_allclose(omega, w @ vecs, atol=1e-12)
         # convex hull of the unit ball
-        assert np.linalg.norm(cv.omega) <= 1.0 + 1e-12
+        assert np.linalg.norm(omega) <= 1.0 + 1e-12
 
 
 def test_draw_conditioning_singleton_equals_encode():
     ds = td.generate_dataset(seed=5, n=12, positive_rates=[0.5] * 5)
     enc = PromptEncoders(dim=8, hidden=16, seed=5)
     sampler = SubsetSampler(["report"], stream(5, "draw"))
-    rec = ds.records[0]
-    cv = draw_conditioning(sampler, enc, rec, target="view_a")
-    np.testing.assert_array_equal(cv.omega, enc.encode("report", rec.report).vector)
-    assert cv.subset == ("report",)
+    embs = _batch_embeddings(ds.records[:1], enc, sampler.available)
+    omega, weights = draw_conditioning_batch(sampler, embs, target="view_a")
+    np.testing.assert_array_equal(omega[0], enc.encode_batch("report", [ds.records[0].report])[0])
+    np.testing.assert_array_equal(weights, [[1.0]])
 
 
 def test_draw_conditioning_rejects_target_in_available():
     ds = td.generate_dataset(seed=5, n=12)
     enc = PromptEncoders(dim=8, hidden=16, seed=5)
     sampler = SubsetSampler(["view_a", "report"], stream(5, "draw"))
+    embs = _batch_embeddings(ds.records[:1], enc, sampler.available)
     with pytest.raises(ValueError):
-        draw_conditioning(sampler, enc, ds.records[0], target="view_a")
+        draw_conditioning_batch(sampler, embs, target="view_a")
 
 
 def test_generation_task_shares_at_k2():
@@ -128,13 +125,9 @@ def test_generation_task_shares_at_k2():
     counts = {("view_b",): 0, ("report",): 0, ("view_b", "report"): 0}
     n = 30_000
     for _ in range(n):
-        counts[sample_subset(sampler)] += 1
+        counts[sampler.sample_subset()] += 1
     for c in counts.values():
         assert abs(c / n - 1.0 / 3) < 0.02
-
-
-def _batch_embeddings(records, enc, modalities):
-    return {m: enc.encode_batch(m, td.payload_batch(records, m)) for m in modalities}
 
 
 def test_draw_conditioning_batch_matches_invariants():
@@ -162,10 +155,10 @@ def test_draw_conditioning_batch_equals_per_record_combine(weight_mode, availabl
     omega, weights = draw_conditioning_batch(sampler, embs, "view_a")
     for i in range(len(ds.records)):
         subset = reference.sample_subset()
-        cv = combine([SharedEmbedding(embs[m][i], m) for m in subset],
-                     reference.sample_weights(len(subset)))
-        assert omega[i].tobytes() == cv.omega.tobytes(), i
-        for m, w in zip(cv.subset, cv.weights):
+        ref_omega, ref_weights = combine([embs[m][i] for m in subset],
+                                         reference.sample_weights(len(subset)))
+        assert omega[i].tobytes() == ref_omega.tobytes(), i
+        for m, w in zip(subset, ref_weights):
             assert weights[i, available.index(m)] == w
         assert np.count_nonzero(weights[i]) == len(subset)
     assert sampler.rng.bit_generator.state == reference.rng.bit_generator.state

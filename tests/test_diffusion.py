@@ -426,7 +426,6 @@ def _count_calls(monkeypatch, owner, name, counts):
 def test_train_ldm_matches_per_batch_encode_reference(toy_train, weight_mode):
     """The stage-level encodes train the same denoiser, bit for bit, as
     encoding each batch's records inside the loop and combining per record."""
-    from crossgen.bridging import SharedEmbedding
     from crossgen.conditioning import combine
     from crossgen.nn import AdamWState, adamw_step
     enc = PromptEncoders(dim=8, hidden=16, seed=12)
@@ -459,8 +458,8 @@ def test_train_ldm_matches_per_batch_encode_reference(toy_train, weight_mode):
             omega = []
             for i in range(len(batch)):
                 subset = sampler.sample_subset()
-                omega.append(combine([SharedEmbedding(embs[m][i], m) for m in subset],
-                                     sampler.sample_weights(len(subset))).omega)
+                omega.append(combine([embs[m][i] for m in subset],
+                                     sampler.sample_weights(len(subset)))[0])
             loss = noise_prediction_loss(
                 ref.forward(q_sample(z0, t, eps, s), t, np.stack(omega)), eps)
             losses.append(loss.item())

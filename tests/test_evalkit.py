@@ -122,20 +122,7 @@ def test_bleu_bounded_and_monotone_on_toy_reports():
 
 
 # ---------------------------------------------------------------------------
-# cosine alignment / hamming
-
-def test_cosine_alignment_same_payload_same_encoder():
-    def enc(p):
-        v = np.asarray(p, dtype=np.float64)
-        return v / np.linalg.norm(v)
-    assert ek.cosine_alignment([1.0, 2.0], [1.0, 2.0], enc, enc) == pytest.approx(1.0)
-
-
-def test_cosine_alignment_orthogonal():
-    e1 = lambda p: np.array([1.0, 0.0])
-    e2 = lambda p: np.array([0.0, 1.0])
-    assert ek.cosine_alignment(None, None, e1, e2) == pytest.approx(0.0)
-
+# hamming
 
 def test_hamming_distance_basic():
     assert ek.hamming_distance([1, 0, 1, 0, 0], [1, 0, 1, 0, 0]) == 0
@@ -235,8 +222,8 @@ def test_anonymization_degenerate_same_pool_identical_metrics():
     rng = np.random.default_rng(11)
     pool = _label_coded_pool(rng, 100)
     test = _label_coded_pool(rng, 60)
-    out = ek.utility_experiments("anonymization", real_train=pool,
-                                 synth_train=pool, test=test, seed=1, epochs=5)
+    out = ek.anonymization_experiment(real_train=pool, synth_train=pool, test=test,
+                                      seed=1, epochs=5)
     assert out["real"] == out["synthetic"]
 
 
@@ -247,11 +234,6 @@ def test_scarcity_requires_sufficient_pool():
     test = _label_coded_pool(rng, 30)
     with pytest.raises(ValueError, match="pool"):
         ek.scarcity_experiment(base, pool, [0.0, 1.0], test, seed=0, epochs=2)
-
-
-def test_utility_unknown_mode():
-    with pytest.raises(ValueError, match="unknown utility mode"):
-        ek.utility_experiments("nonsense")
 
 
 # ---------------------------------------------------------------------------

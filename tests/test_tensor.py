@@ -1,13 +1,14 @@
 """Autodiff core: forward identities, backward contracts, gradient checks."""
 
 import warnings
+import zlib
 
 import numpy as np
 import pytest
 
 from crossgen import tensor as T
 from crossgen.errors import ShapeError
-from crossgen.nn import AdamWState, Linear, ParameterSet, adamw_step
+from crossgen.nn import AdamWState, Linear, ParameterSet, adamw_step, train_epoch
 
 
 @pytest.fixture(autouse=True)
@@ -228,14 +229,13 @@ def test_every_registered_primitive_has_a_case():
 def test_primitive_grad_check(name):
     build = PRIMITIVE_CASES[name]
     for trial in range(5):
-        rng = np.random.default_rng(hash((name, trial)) % (2**32))
+        # crc32, not hash(): str hashes are salted per process
+        rng = np.random.default_rng(zlib.crc32(f"{name}|{trial}".encode()))
         rows = int(rng.integers(2, 5))
         cols = int(rng.integers(2, 5))
         x = T.Tensor(rng.normal(size=(rows, cols)))
-        local = np.random.default_rng(trial)
         err = T.grad_check(lambda t: _loss_through(build(t, np.random.default_rng(trial))), x)
         assert err < 1e-5, f"{name}: grad-check error {err}"
-        del local
 
 
 def _bits(t):
@@ -312,6 +312,16 @@ def test_silu_and_sigmoid_match_the_logistic_formula_across_the_overflow_edge():
         for v in x:  # each element alone takes its own side of the guard
             assert T.sigmoid(T.Tensor(v)).data.tobytes() == _logistic(v).tobytes()
             assert T.silu(T.Tensor(v)).data.tobytes() == (v * _logistic(v)).tobytes()
+
+
+def test_bce_with_logits_gradient_is_finite_at_a_very_negative_logit():
+    x = T.Tensor([-1000.0, 0.5], requires_grad=True)
+    targets = np.array([0.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        T.backward(T.tsum(T.bce_with_logits(x, targets)))
+    assert np.all(np.isfinite(x.grad))
+    np.testing.assert_array_equal(x.grad, _logistic(x.data) - targets)
 
 
 def test_mlp_grad_matches_finite_differences():
@@ -422,6 +432,64 @@ def test_adamw_missing_grad_names_parameter():
     params["alpha"].grad = np.ones(2)
     with pytest.raises(ValueError, match="beta"):
         adamw_step(params, AdamWState(), lr=0.1)
+
+
+def _two_layer(seed):
+    params = ParameterSet()
+    rng = np.random.default_rng(seed)
+    return params, Linear(params, "l1", 3, 5, rng), Linear(params, "l2", 5, 1, rng)
+
+
+def test_train_epoch_equals_the_hand_written_step_loop():
+    data = np.random.default_rng(3)
+    x, y = data.normal(size=(9, 3)), data.normal(size=(9, 1))
+    params, l1, l2 = _two_layer(4)
+    seen = []
+
+    def mse(l1, l2, idx):
+        diff = T.sub(l2(T.silu(l1(T.Tensor(x[idx])))), T.Tensor(y[idx]))
+        return T.tmean(T.mul(diff, diff))
+
+    def batch_loss(idx):
+        seen.append(len(idx))
+        return mse(l1, l2, idx)
+
+    order, state = np.random.default_rng(5), AdamWState()
+    history = [train_epoch(params, state, order, 9, 4, batch_loss, "toy", 1e-2, 1e-4,
+                           min_rows=2) for _ in range(3)]
+    assert seen == [4, 4] * 3  # the trailing batch of one row is skipped
+
+    ref, r1, r2 = _two_layer(4)
+    order, state = np.random.default_rng(5), AdamWState()
+    ref_history = []
+    for _ in range(3):
+        perm = order.permutation(9)
+        losses = []
+        for lo in (0, 4):
+            loss = mse(r1, r2, perm[lo:lo + 4])
+            losses.append(loss.item())
+            ref.zero_grad()
+            T.backward(loss)
+            adamw_step(ref, state, lr=1e-2, weight_decay=1e-4)
+            T.reset_tape()
+        ref_history.append(float(np.mean(losses)))
+    assert history == ref_history
+    assert params.checksum() == ref.checksum()
+
+
+def test_train_epoch_rejects_an_untouched_parameter_unless_filled():
+    params, l1, _ = _two_layer(6)
+    x = np.ones((4, 3))
+    batch_loss = lambda idx: T.tmean(l1(T.Tensor(x[idx])))  # l2 takes no part
+    with pytest.raises(ValueError, match="l2.b"):
+        train_epoch(params, AdamWState(), np.random.default_rng(0), 4, 2,
+                    batch_loss, "toy", 1e-2, 0.0)
+    T.reset_tape()
+    before = params["l2.w"].data.copy()
+    train_epoch(params, AdamWState(), np.random.default_rng(0), 4, 2, batch_loss,
+                "toy", 1e-2, 0.0, fill_missing=True)
+    np.testing.assert_array_equal(params["l2.w"].data, before)
+    assert not np.array_equal(params["l1.w"].data, _two_layer(6)[0]["l1.w"].data)
 
 
 def test_parameter_set_lexicographic_order_and_checksum():
