@@ -118,11 +118,15 @@ _AT_LEAST_ONE = {"n", "imbalance_n", "batch_size", "retrieval_batch", "dim",
                  "hidden", "text_embed", "attn_dim", "latent_dim",
                  "coupling_dim", "proj_hidden", "classifier_hidden"}
 
+#: sections whose contrastive loss skips a batch of one row, so a batch size
+#: of 1 would train nothing
+_PAIR_BATCHES = ("encoder", "joint")
+
 
 def _check_ranges(section: dict, path: str) -> None:
     """ConfigError for a value outside its range: sizes and widths at least
-    1, epoch counts at least 0, at least 2 timesteps, 0 < beta_min <=
-    beta_max < 1 and positive temperatures."""
+    1 (the contrastive batch sizes 2), epoch counts at least 0, at least 2
+    timesteps, 0 < beta_min <= beta_max < 1 and positive temperatures."""
     for key, value in section.items():
         here = f"{path}.{key}" if path else key
         if isinstance(value, dict):
@@ -137,6 +141,9 @@ def _check_ranges(section: dict, path: str) -> None:
             raise ConfigError(f"config key {here} must be at least 2, got {value!r}")
         elif key == "temperature" and value <= 0:
             raise ConfigError(f"config key {here} must be positive, got {value!r}")
+    if path in _PAIR_BATCHES and section["batch_size"] < 2:
+        raise ConfigError(f"config key {path}.batch_size must be at least 2 (a contrastive "
+                          f"batch pairs each row with another), got {section['batch_size']!r}")
     if "beta_min" in section and not 0 < section["beta_min"] <= section["beta_max"] < 1:
         raise ConfigError(f"config keys {path}.beta_min/beta_max need 0 < beta_min "
                           f"<= beta_max < 1, got {section['beta_min']!r}, "

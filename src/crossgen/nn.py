@@ -190,9 +190,11 @@ def train_epoch(params: ParameterSet, state: AdamWState, order: np.random.Genera
     on the tape; the loss is checked finite (``finite_loss``), gradients are
     zeroed and recomputed, one AdamW step is taken and the tape is reset.
     Batches of fewer than ``min_rows`` rows are skipped before ``batch_loss``
-    runs. ``fill_missing`` zero-fills the gradients of parameters the loss
-    did not touch (an alignment pair of two views leaves the text encoder
-    out); without it ``adamw_step`` rejects such a parameter.
+    runs; if that leaves no batch, ValueError naming ``what``, so no stage
+    ends an epoch without a step. ``fill_missing`` zero-fills the gradients
+    of parameters the loss did not touch (an alignment pair of two views
+    leaves the text encoder out); without it ``adamw_step`` rejects such a
+    parameter.
     """
     perm = order.permutation(n)
     losses = []
@@ -210,4 +212,7 @@ def train_epoch(params: ParameterSet, state: AdamWState, order: np.random.Genera
                     t.grad = np.zeros_like(t.data)
         adamw_step(params, state, lr=lr, weight_decay=weight_decay)
         reset_tape()
+    if not losses:
+        raise ValueError(f"{what}: no batch of at least {min_rows} rows "
+                         f"among {n} rows at batch size {batch_size}")
     return float(np.mean(losses))

@@ -78,14 +78,18 @@ def read_manifest(home, stage: str, cfg_hash: str) -> dict:
 
 
 def _load_stage(cfg: dict, home, stage: str) -> dict:
-    """The verified checkpoint of ``stage`` (see ``load_checkpoint``);
-    ArtifactError unless the file is the one its manifest recorded."""
+    """The verified checkpoint of ``stage`` (see ``load_checkpoint``), with
+    its manifest under ``"manifest"``; ArtifactError unless the file is the
+    one its manifest recorded (or the file is gone)."""
     cfg_hash = config_hash(cfg)
     manifest = read_manifest(home, stage, cfg_hash)
     path = checkpoint_path(home, stage)
+    if not path.is_file():
+        raise ArtifactError(f"{path}: missing, though its manifest exists")
     ck = load_checkpoint(path, stage, cfg_hash)
     if ck["file_checksum"] != manifest["checksum"]:
         raise ArtifactError(f"{path}: content does not match its manifest")
+    ck["manifest"] = manifest
     return ck
 
 
@@ -166,22 +170,35 @@ def _schedule(cfg):
     return make_schedule(d["timesteps"], d["beta_min"], d["beta_max"])
 
 
-def _fit_codec(cfg: dict, ds: td.Dataset, modality: str):
-    """Codecs are retrained deterministically inside each LDM stage so every
-    checkpoint is self-contained."""
+def _fit_codec(cfg: dict, home, ds: td.Dataset, modality: str, alignment: str):
+    """The stage's codec, stored in its checkpoint so every checkpoint is
+    self-contained.
+
+    Both image stages fit one ``ImageCodec`` on the train views of both
+    modalities, with the same seed and config, so both fits give the same
+    bytes. An image stage therefore takes the codec of the other image
+    stage's checkpoint when that checkpoint verifies under the active config
+    and records the same ``alignment`` checksum (so it was trained on the
+    same dataset file); otherwise it fits the codec itself."""
     d = cfg["diffusion"]
-    train = ds.subset("train")
     if modality == "report":
         tc = d["text_codec"]
         codec = TextCodec(seed=cfg["seed"], latent_dim=tc["latent_dim"],
                           hidden=tc["hidden"])
-        codec.fit([r.report for r in train], epochs=tc["epochs"], lr=tc["lr"],
-                  seed=cfg["seed"])
-    else:
-        ic = d["image_codec"]
-        codec = ImageCodec(seed=cfg["seed"], hidden=ic["hidden"])
-        images = np.stack([r.view_a for r in train] + [r.view_b for r in train])
-        codec.fit(images, epochs=ic["epochs"], lr=ic["lr"], seed=cfg["seed"])
+        codec.fit([r.report for r in ds.subset("train")], epochs=tc["epochs"],
+                  lr=tc["lr"], seed=cfg["seed"])
+        return codec
+    try:
+        sibling = _load_stage(cfg, home, "ldm:view_b" if modality == "view_a" else "ldm:view_a")
+    except (MissingPrerequisiteError, ArtifactError):
+        sibling = None
+    if sibling is not None and sibling["manifest"]["prerequisites"].get("alignment") == alignment:
+        return _codec_from_arrays(cfg, modality, sibling["arrays"], "codec")
+    ic = d["image_codec"]
+    codec = ImageCodec(seed=cfg["seed"], hidden=ic["hidden"])
+    train = ds.subset("train")
+    images = np.stack([r.view_a for r in train] + [r.view_b for r in train])
+    codec.fit(images, epochs=ic["epochs"], lr=ic["lr"], seed=cfg["seed"])
     return codec
 
 
@@ -212,7 +229,8 @@ def run_train_ldm(cfg: dict, home, target: str) -> Path:
         raise ConfigError(f"unknown target modality {target!r}")
     ds = load_data(cfg, home)
     encoders = load_encoders(cfg, home)
-    codec = _fit_codec(cfg, ds, target)
+    alignment = read_manifest(home, "alignment", config_hash(cfg))["checksum"]
+    codec = _fit_codec(cfg, home, ds, target, alignment)
     d = cfg["diffusion"]
     denoiser, history = train_ldm(
         ds, target, encoders, codec, _schedule(cfg), epochs=d["epochs"],
@@ -231,8 +249,7 @@ def run_train_ldm(cfg: dict, home, target: str) -> Path:
     path = checkpoint_path(home, stage)
     path.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(path, stage, config_hash(cfg), arrays, meta)
-    write_manifest(home, stage, path, config_hash(cfg),
-                   {"alignment": read_manifest(home, "alignment", config_hash(cfg))["checksum"]})
+    write_manifest(home, stage, path, config_hash(cfg), {"alignment": alignment})
     return path
 
 

@@ -5,7 +5,9 @@ requires a gradient. Under ``no_grad`` a primitive records nothing: it
 validates its operands, computes, and wraps the result without building a
 backward rule. ``backward`` walks the tape in reverse creation order (a
 valid topological order) and accumulates gradients additively into every
-requires-grad tensor it reaches. Broadcasting is restricted to leading-1
+requires-grad tensor it reaches; the rules of the binary primitives skip
+(return None for) an operand that does not require a gradient, as
+``backward`` would discard it. Broadcasting is restricted to leading-1
 axes so the backward rules stay small and auditable.
 """
 
@@ -195,16 +197,28 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _check_leading_broadcast("add", a.data.shape, b.data.shape)
     out = a.data + b.data
-    return (_record("add", (a, b), out, lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
-            if _GRAD_ENABLED[0] else _bare(out))
+    if not _GRAD_ENABLED[0]:
+        return _bare(out)
+
+    def bw(g):
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
+
+    return _record("add", (a, b), out, bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _check_leading_broadcast("sub", a.data.shape, b.data.shape)
     out = a.data - b.data
-    return (_record("sub", (a, b), out, lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
-            if _GRAD_ENABLED[0] else _bare(out))
+    if not _GRAD_ENABLED[0]:
+        return _bare(out)
+
+    def bw(g):
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.shape) if b.requires_grad else None)
+
+    return _record("sub", (a, b), out, bw)
 
 
 def neg(a: Tensor) -> Tensor:
@@ -217,9 +231,14 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _check_leading_broadcast("mul", a.data.shape, b.data.shape)
     out = a.data * b.data
-    return (_record("mul", (a, b), out, lambda g: (_unbroadcast(g * b.data, a.shape),
-                                                   _unbroadcast(g * a.data, b.shape)))
-            if _GRAD_ENABLED[0] else _bare(out))
+    if not _GRAD_ENABLED[0]:
+        return _bare(out)
+
+    def bw(g):
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
+
+    return _record("mul", (a, b), out, bw)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -230,9 +249,9 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         return _bare(out)
 
     def bw(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
+        return (_unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+                if b.requires_grad else None)
 
     return _record("div", (a, b), out, bw)
 
@@ -269,10 +288,29 @@ def _exp_neg(x: np.ndarray) -> np.ndarray:
 
 def silu(a: Tensor) -> Tensor:
     a = _wrap(a)
-    s = 1.0 / (1.0 + _exp_neg(a.data))
-    out = a.data * s
-    return (_record("silu", (a,), out, lambda g: (g * (s + a.data * s * (1.0 - s)),))
-            if _GRAD_ENABLED[0] else _bare(out))
+    x = a.data
+    if x.size and x.item(x.argmin()) >= -700.0:  # _exp_neg's common path
+        s = 1.0 / (1.0 + np.exp(-x))
+    else:
+        # the logistic is exactly 0 below about -709.78, and -inf * 0 is NaN:
+        # the most negative float stands in for -inf, so its output is the
+        # limit -0.0 and its gradient 0.0 (NaN stays NaN, finite values keep
+        # their bits)
+        x = np.maximum(x, -np.finfo(np.float64).max)
+        s = 1.0 / (1.0 + _exp_neg(x))
+    out = x * s
+    if not _GRAD_ENABLED[0]:
+        return _bare(out)
+
+    def bw(g):
+        # g * (s + x * s * (1 - s)) with two temporaries: IEEE + and * commute
+        d = x * s
+        d *= 1.0 - s
+        d += s
+        d *= g
+        return (d,)
+
+    return _record("silu", (a,), out, bw)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -391,8 +429,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return _bare(out)
 
     def bw(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        if db == 2 and da == 3:
+        ga = g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None
+        if not b.requires_grad:
+            gb = None
+        elif db == 2 and da == 3:
             gb = np.tensordot(a.data, g, axes=([0, 1], [0, 1]))
         else:
             gb = np.swapaxes(a.data, -1, -2) @ g

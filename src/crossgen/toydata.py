@@ -268,6 +268,14 @@ XGTD_MAGIC = b"XGTD"
 XGTD_VERSION = 1
 
 
+#: one record of the dataset file body as save_dataset packs it, little-endian
+_RECORD_DTYPE = np.dtype([
+    ("id", "<u4"), ("view_a", "<f8", (VIEW_SIZE, VIEW_SIZE)),
+    ("view_b", "<f8", (VIEW_SIZE, VIEW_SIZE)), ("length", "<u2"),
+    ("ids", "<u2", (MAX_REPORT_LEN,)), ("labels", "u1", (NUM_CONDITIONS,)),
+    ("factors", "<f8", (3,))])
+
+
 def sidecar_path(path) -> Path:
     return Path(str(path) + ".splits.json")
 
@@ -328,22 +336,25 @@ def load_dataset(path) -> Dataset:
         raise ArtifactError(f"{path}: vocabulary does not match this build")
 
     (n,) = struct.unpack("<I", take(4))
-    view_bytes = VIEW_SIZE * VIEW_SIZE * 8
-    records = []
-    for _ in range(n):
-        (rec_id,) = struct.unpack("<I", take(4))
-        view_a = np.frombuffer(take(view_bytes), dtype="<f8").reshape(VIEW_SIZE, VIEW_SIZE).copy()
-        view_b = np.frombuffer(take(view_bytes), dtype="<f8").reshape(VIEW_SIZE, VIEW_SIZE).copy()
-        (rep_len,) = struct.unpack("<H", take(2))
-        ids = np.frombuffer(take(MAX_REPORT_LEN * 2), dtype="<u2")
-        if np.any(ids >= len(VOCAB)):
-            raise ArtifactError(f"{path}: token id out of range")
-        report = tuple(VOCAB[i] for i in ids[:rep_len])
-        labels = np.frombuffer(take(c), dtype=np.uint8).copy()
-        factors = np.frombuffer(take(3 * 8), dtype="<f8").copy()
-        records.append(Record(rec_id, view_a, view_b, report, labels, factors))
-    if off != len(raw):
-        raise ArtifactError(f"{path}: {len(raw) - off} trailing bytes")
+    extra = len(raw) - off - n * _RECORD_DTYPE.itemsize
+    if extra < 0:
+        raise ArtifactError(f"{path}: truncated dataset file")
+    if extra:
+        raise ArtifactError(f"{path}: {extra} trailing bytes")
+    # one read-only view of every record, without copying the body
+    block = np.frombuffer(raw, _RECORD_DTYPE, count=n, offset=off)
+    ids, lengths = block["ids"], block["length"]
+    if np.any(ids >= len(VOCAB)):
+        raise ArtifactError(f"{path}: token id out of range")
+    if n and not (1 <= lengths.min() and lengths.max() <= MAX_REPORT_LEN):
+        raise ArtifactError(f"{path}: report length outside 1..{MAX_REPORT_LEN}")
+    if np.any((ids == 0) & (np.arange(MAX_REPORT_LEN) < lengths[:, None])):
+        raise ArtifactError(f"{path}: pad token inside a report")
+    records = [Record(rec_id, view_a, view_b, tuple([VOCAB[i] for i in row[:length]]),
+                      labels, factors)
+               for rec_id, view_a, view_b, row, length, labels, factors in zip(
+                   block["id"].tolist(), block["view_a"], block["view_b"], ids.tolist(),
+                   lengths.tolist(), block["labels"], block["factors"])]
 
     splits_raw = json.loads(sidecar_path(path).read_text())
     split = {name: np.asarray(idx, dtype=np.int64) for name, idx in splits_raw.items()}

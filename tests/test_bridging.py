@@ -165,6 +165,15 @@ def test_train_alignment_empty_dataset_errors():
         train_alignment(ds, PromptEncoders(dim=8, hidden=16, seed=0), epochs=1)
 
 
+def test_train_alignment_with_one_row_batches_errors_instead_of_skipping_every_step():
+    ds = td.generate_dataset(seed=1, n=20)
+    encoders = PromptEncoders(dim=8, hidden=16, seed=1)
+    before = encoders.params.checksum()
+    with pytest.raises(ValueError, match="alignment"):
+        train_alignment(ds, encoders, epochs=1, batch_size=1)
+    assert encoders.params.checksum() == before
+
+
 def test_train_alignment_stops_on_non_finite_loss():
     ds = td.generate_dataset(seed=8, n=40)
     ds.records[ds.split["train"][0]].view_a[0, 0] = np.nan

@@ -14,6 +14,7 @@ from crossgen import toydata as td
 from crossgen.checkpoint import file_checksum, load_checkpoint, save_checkpoint
 from crossgen.cli import main
 from crossgen.config import load_config
+from crossgen.diffusion import ImageCodec
 from crossgen.errors import ArtifactError
 from crossgen.rng import stream
 
@@ -391,3 +392,102 @@ def test_dataset_roundtrip_through_cli_artifact(trained_home, cfg_file):
     assert len(ds.records) == TINY["dataset"]["n"]
     back = td.load_dataset(pl.dataset_path(trained_home))
     assert back.seed == TINY["seed"]
+
+
+@pytest.fixture
+def image_codec_fits(monkeypatch):
+    """The number of ImageCodec.fit calls made while the test runs."""
+    calls = []
+    fit = ImageCodec.fit
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return fit(self, *args, **kwargs)
+
+    monkeypatch.setattr(ImageCodec, "fit", counted)
+    return calls
+
+
+def _aligned_home(cfg_file, home) -> str:
+    home = str(home)
+    assert main(["--config", cfg_file, "--home", home, "gen-data"]) == 0
+    assert main(["--config", cfg_file, "--home", home, "train", "align"]) == 0
+    return home
+
+
+def _train_ldm(cfg_file, home, target) -> None:
+    assert main(["--config", cfg_file, "--home", str(home), "train", "ldm",
+                 "--target", target]) == 0
+
+
+def _stage_bytes(home, stage) -> list[bytes]:
+    return [path(home, stage).read_bytes()
+            for path in (pl.checkpoint_path, pl.manifest_path, pl.history_path)]
+
+
+@pytest.fixture(scope="module")
+def view_b_alone(tmp_path_factory, cfg_file):
+    """The ldm:view_b files of a home where view_b was the only LDM stage."""
+    home = _aligned_home(cfg_file, tmp_path_factory.mktemp("alone"))
+    _train_ldm(cfg_file, home, "view_b")
+    return _stage_bytes(home, "ldm:view_b")
+
+
+def test_image_stage_takes_the_other_image_stage_codec(tmp_path, cfg_file, view_b_alone,
+                                                       image_codec_fits):
+    home = _aligned_home(cfg_file, tmp_path / "h")
+    _train_ldm(cfg_file, home, "view_a")
+    assert len(image_codec_fits) == 1
+    _train_ldm(cfg_file, home, "view_b")
+    assert len(image_codec_fits) == 1  # view_b reused view_a's codec
+    assert _stage_bytes(home, "ldm:view_b") == view_b_alone
+
+
+def _flip_a_byte(home, cfg_file):
+    path = pl.checkpoint_path(home, "ldm:view_a")
+    raw = bytearray(path.read_bytes())
+    raw[len(raw) // 2] ^= 1
+    path.write_bytes(bytes(raw))
+
+
+def _other_alignment(home, cfg_file):
+    path = pl.manifest_path(home, "ldm:view_a")
+    manifest = json.loads(path.read_text())
+    manifest["prerequisites"]["alignment"] = "0" * 64
+    path.write_text(json.dumps(manifest))
+
+
+def _checkpoint_gone(home, cfg_file):
+    pl.checkpoint_path(home, "ldm:view_a").unlink()
+    with pytest.raises(ArtifactError, match="missing"):
+        pl.load_ldm(load_config(cfg_file), home, "view_a")
+
+
+def _from_another_config(home, cfg_file):
+    other = dict(TINY, diffusion=dict(TINY["diffusion"], epochs=1))
+    other_cfg = Path(home).parent / "other.json"
+    other_cfg.write_text(json.dumps(other))
+    other_home = _aligned_home(str(other_cfg), Path(home).parent / "other")
+    _train_ldm(str(other_cfg), other_home, "view_a")
+    for path in (pl.checkpoint_path, pl.manifest_path):
+        shutil.copyfile(path(other_home, "ldm:view_a"), path(home, "ldm:view_a"))
+
+
+SIBLING_DEFECTS = {
+    "tampered": _flip_a_byte,
+    "other_alignment": _other_alignment,
+    "checkpoint_gone": _checkpoint_gone,
+    "other_config": _from_another_config,
+}
+
+
+@pytest.mark.parametrize("defect", sorted(SIBLING_DEFECTS))
+def test_image_stage_fits_its_own_codec_beside_a_bad_sibling(
+        defect, tmp_path, cfg_file, view_b_alone, image_codec_fits):
+    home = _aligned_home(cfg_file, tmp_path / "h")
+    _train_ldm(cfg_file, home, "view_a")
+    SIBLING_DEFECTS[defect](home, cfg_file)
+    fits = len(image_codec_fits)
+    _train_ldm(cfg_file, home, "view_b")
+    assert len(image_codec_fits) == fits + 1
+    assert _stage_bytes(home, "ldm:view_b") == view_b_alone

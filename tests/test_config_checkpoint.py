@@ -59,6 +59,8 @@ def test_value_types_checked_at_load(case):
 OUT_OF_RANGE = {
     "zero_batch_size": ({"diffusion": {"batch_size": 0}}, "diffusion.batch_size"),
     "zero_joint_batch_size": ({"joint": {"batch_size": 0}}, "joint.batch_size"),
+    "one_row_encoder_batch": ({"encoder": {"batch_size": 1}}, "encoder.batch_size"),
+    "one_row_joint_batch": ({"joint": {"batch_size": 1}}, "joint.batch_size"),
     "zero_width": ({"encoder": {"hidden": 0}}, "encoder.hidden"),
     "zero_codec_width": ({"diffusion": {"text_codec": {"latent_dim": 0}}},
                          "diffusion.text_codec.latent_dim"),
@@ -85,8 +87,9 @@ def test_value_ranges_checked_at_load(case):
 
 
 def test_range_edges_accepted():
-    cfg = load_config({"encoder": {"epochs": 0, "batch_size": 1},
-                       "diffusion": {"timesteps": 2, "beta_min": 0.1, "beta_max": 0.1},
+    cfg = load_config({"encoder": {"epochs": 0, "batch_size": 2},
+                       "diffusion": {"timesteps": 2, "beta_min": 0.1, "beta_max": 0.1,
+                                     "batch_size": 1},
                        "joint": {"temperature": 1e-9}})
     assert cfg["diffusion"]["timesteps"] == 2
 

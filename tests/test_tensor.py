@@ -1,7 +1,9 @@
 """Autodiff core: forward identities, backward contracts, gradient checks."""
 
+import json
 import warnings
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,6 +316,25 @@ def test_silu_and_sigmoid_match_the_logistic_formula_across_the_overflow_edge():
             assert T.silu(T.Tensor(v)).data.tobytes() == (v * _logistic(v)).tobytes()
 
 
+def test_silu_at_minus_infinity_is_the_limit_and_finite_inputs_keep_their_bits():
+    x = np.array([-np.inf, -1000.0, -710.0, -700.5, -3.0, -0.0, 0.0, 0.5, 30.0, 1000.0])
+    g = np.linspace(-2.0, 2.0, x.size)
+    s = _logistic(x[1:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for grad_on in (False, True):
+            xt = T.Tensor(x, requires_grad=grad_on)
+            out = T.silu(xt)
+            assert out.data[0] == 0.0 and np.signbit(out.data[0])  # -0.0, the limit
+            assert out.data[1:].tobytes() == (x[1:] * s).tobytes()
+        T.backward(T.tsum(T.mul(out, T.Tensor(g))))
+        assert xt.grad[0] == 0.0
+        assert xt.grad[1:].tobytes() == (g[1:] * (s + x[1:] * s * (1.0 - s))).tobytes()
+        with T.no_grad():
+            assert T.silu(T.Tensor(-np.inf)).data.tobytes() == np.float64(-0.0).tobytes()
+        assert np.isnan(T.silu(T.Tensor([np.nan, -np.inf])).data[0])
+
+
 def test_bce_with_logits_gradient_is_finite_at_a_very_negative_logit():
     x = T.Tensor([-1000.0, 0.5], requires_grad=True)
     targets = np.array([0.0, 1.0])
@@ -322,6 +343,48 @@ def test_bce_with_logits_gradient_is_finite_at_a_very_negative_logit():
         T.backward(T.tsum(T.bce_with_logits(x, targets)))
     assert np.all(np.isfinite(x.grad))
     np.testing.assert_array_equal(x.grad, _logistic(x.data) - targets)
+
+
+#: binary primitives and operand shapes (``div``'s divisor stays positive)
+BINARY_CASES = {
+    "add": (T.add, (3, 4), (4,)),
+    "sub": (T.sub, (2, 3, 4), (3, 4)),
+    "mul": (T.mul, (3, 4), (3, 4)),
+    "div": (T.div, (3, 4), (4,)),
+    "matmul_2d_2d": (T.matmul, (3, 4), (4, 5)),
+    "matmul_3d_2d": (T.matmul, (2, 3, 4), (4, 5)),
+    "matmul_3d_3d": (T.matmul, (2, 3, 4), (2, 4, 5)),
+}
+
+
+@pytest.mark.parametrize("frozen", [0, 1])
+@pytest.mark.parametrize("case", sorted(BINARY_CASES))
+def test_binary_rule_skips_the_frozen_operand(case, frozen):
+    op, sa, sb = BINARY_CASES[case]
+    rng = np.random.default_rng(zlib.crc32(case.encode()))
+    a, b = rng.normal(size=sa), rng.uniform(0.5, 2.0, size=sb)
+
+    def rule_grads(requires):
+        out = op(T.Tensor(a, requires_grad=requires[0]), T.Tensor(b, requires_grad=requires[1]))
+        g = np.random.default_rng(1).normal(size=out.shape)
+        return T.tape().nodes.pop().backward_fn(g)
+
+    both = rule_grads((True, True))
+    one = rule_grads((frozen == 1, frozen == 0))
+    live = 1 - frozen
+    assert one[frozen] is None
+    assert one[live].shape == both[live].shape
+    assert one[live].tobytes() == both[live].tobytes()
+
+
+def test_primitive_ops_are_the_ops_the_benchmark_counts():
+    # the benchmark reports one tape-node count per primitive and its
+    # self-check fails when the two sets differ
+    spec = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    prefix = "tensor.tape_nodes."
+    counted = {m["name"][len(prefix):] for m in spec["per_layer"]
+               if m["name"].startswith(prefix)}
+    assert counted == set(T.PRIMITIVE_OPS)
 
 
 def test_mlp_grad_matches_finite_differences():
@@ -490,6 +553,17 @@ def test_train_epoch_rejects_an_untouched_parameter_unless_filled():
                 "toy", 1e-2, 0.0, fill_missing=True)
     np.testing.assert_array_equal(params["l2.w"].data, before)
     assert not np.array_equal(params["l1.w"].data, _two_layer(6)[0]["l1.w"].data)
+
+
+def test_train_epoch_without_a_full_enough_batch_names_the_stage():
+    params, l1, _ = _two_layer(6)
+    before = params.checksum()
+    batch_loss = lambda idx: T.tmean(l1(T.Tensor(np.ones((len(idx), 3)))))
+    for n, batch_size in [(5, 1), (1, 4), (0, 4)]:
+        with pytest.raises(ValueError, match="alignment: no batch of at least 2 rows"):
+            train_epoch(params, AdamWState(), np.random.default_rng(0), n, batch_size,
+                        batch_loss, "alignment", 1e-2, 0.0, min_rows=2)
+    assert params.checksum() == before
 
 
 def test_parameter_set_lexicographic_order_and_checksum():

@@ -1,6 +1,7 @@
 """Dataset generator, renderers, rule labeler and XGTD file round-trips."""
 
 import itertools
+import struct
 
 import numpy as np
 import pytest
@@ -202,3 +203,40 @@ def test_dataset_file_rejects_corruption(tmp_path):
     (tmp_path / "bad.xgtd.splits.json").write_text("{}")
     with pytest.raises(ArtifactError):
         td.load_dataset(bad)
+
+
+def _with_first_report_length(tmp_path, length):
+    ds = td.generate_dataset(seed=2, n=12)
+    path = tmp_path / "toy.xgtd"
+    td.save_dataset(ds, path)
+    raw = bytearray(path.read_bytes())
+    # a record: u4 id, two 16x16 f8 views, u2 length, 32 u2 ids, 5 u1 labels, 3 f8
+    views = 2 * 8 * td.VIEW_SIZE ** 2
+    record = 4 + views + 2 + 2 * td.MAX_REPORT_LEN + td.NUM_CONDITIONS + 3 * 8
+    at = len(raw) - 12 * record + 4 + views
+    raw[at:at + 2] = struct.pack("<H", length(len(ds.records[0].report)))
+    path.write_bytes(bytes(raw))
+    return path
+
+
+@pytest.mark.parametrize("length, message", [
+    (lambda n: 0, "report length"),
+    (lambda n: td.MAX_REPORT_LEN + 8, "report length"),
+    (lambda n: n + 1, "pad token inside a report"),
+], ids=["zero", "above_max", "pad_inside"])
+def test_dataset_file_rejects_a_bad_report_length(tmp_path, length, message):
+    with pytest.raises(ArtifactError, match=message):
+        td.load_dataset(_with_first_report_length(tmp_path, length))
+
+
+def test_loaded_records_keep_their_types(tmp_path):
+    ds = td.generate_dataset(seed=5, n=20)
+    path = tmp_path / "toy.xgtd"
+    td.save_dataset(ds, path)
+    for rec in td.load_dataset(path).records:
+        assert type(rec.id) is int and type(rec.report) is tuple
+        for view in (rec.view_a, rec.view_b):
+            assert view.dtype == np.float64 and view.shape == (td.VIEW_SIZE, td.VIEW_SIZE)
+            assert view.flags.c_contiguous
+        assert rec.labels.dtype == np.uint8 and rec.labels.shape == (td.NUM_CONDITIONS,)
+        assert rec.factors.dtype == np.float64 and rec.factors.shape == (3,)
