@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .nn import (AdamWState, Linear, ParameterSet, init_normal,
-                 mean_token_embedding, train_epoch)
+                 mean_token_embedding, token_ids, train_epoch)
 from .rng import stream
 from .toydata import VIEW_SIZE, VOCAB, Dataset, payload_batch
 
@@ -62,7 +62,7 @@ class TextPromptEncoder:
     def forward(self, reports) -> T.Tensor:
         if not reports or isinstance(reports[0], str):
             raise ValueError("text payload batch must be a sequence of token sequences")
-        h = T.silu(self.l1(mean_token_embedding(self.table, reports)))
+        h = T.silu(self.l1(mean_token_embedding(self.table, *token_ids(reports))))
         h = T.silu(self.l2(h))
         return T.l2_normalize(self.out(h))
 

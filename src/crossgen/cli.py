@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--synth-dir", help="directory of generated payloads")
     p.add_argument("--modality", default="view_a")
     p.add_argument("--pair", nargs=2, metavar=("M1", "M2"))
-    p.add_argument("--split", default="test")
+    p.add_argument("--split", default="test", choices=["train", "val", "test"])
     p.add_argument("--mode", choices=["anonymization", "imbalance", "scarcity"])
     p.add_argument("--count", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
@@ -325,13 +325,20 @@ def run_intra_study(cfg: dict, home, count: int, seed: int) -> dict:
 
     from .diffusion import noise_stream, sample
 
+    # a draw depends only on (record, view, idx): the cross-study baseline
+    # below reuses the intra-study draws instead of repeating them
+    drawn = {}
+
     def generate_report(record, view_name, idx):
-        omega = encoders.encode_batch(
-            view_name, np.stack([td.payload(record, view_name)]))
-        out = sample(denoiser, schedule, omega, codec,
-                     noise_stream(seed + record.id * 7 + idx, "intra"),
-                     sigma_mode=cfg["diffusion"]["sigma_mode"])[0]
-        return out if out else ("study",)  # BLEU needs non-empty candidates
+        key = (record.id, view_name, idx)
+        if key not in drawn:
+            omega = encoders.encode_batch(
+                view_name, np.stack([td.payload(record, view_name)]))
+            out = sample(denoiser, schedule, omega, codec,
+                         noise_stream(seed + record.id * 7 + idx, "intra"),
+                         sigma_mode=cfg["diffusion"]["sigma_mode"])[0]
+            drawn[key] = out if out else ("study",)  # BLEU needs non-empty candidates
+        return drawn[key]
 
     intra = intra_study_consistency(generate_report, records, repeats=2)
 

@@ -12,10 +12,9 @@ import numpy as np
 from . import tensor as T
 from .conditioning import SubsetSampler, draw_conditioning_batch
 from .nn import (AdamWState, Linear, ParameterSet, init_normal,
-                 mean_token_embedding, train_epoch)
+                 mean_token_embedding, token_ids, train_epoch)
 from .rng import stream
-from .toydata import (MAX_REPORT_LEN, MODALITIES, VIEW_SIZE, VOCAB,
-                      payload_batch, report_to_ids)
+from .toydata import MAX_REPORT_LEN, MODALITIES, VIEW_SIZE, VOCAB, payload_batch
 
 # ---------------------------------------------------------------------------
 # noise schedule
@@ -175,9 +174,6 @@ class TextCodec:
         self.sd = np.ones(latent_dim)
         self.meta: dict = {}
 
-    def _encode_t(self, reports) -> T.Tensor:
-        return mean_token_embedding(self.table, reports)
-
     def _logits_t(self, latent: T.Tensor) -> T.Tensor:
         return self.dec2(T.silu(self.dec1(latent)))
 
@@ -185,14 +181,15 @@ class TextCodec:
             lr: float = 3e-3, weight_decay: float = 0.0, seed: int = 0) -> list[float]:
         v = len(VOCAB)
         reports = list(reports)
+        all_ids, all_lengths = token_ids(reports)
 
         def batch_loss(idx):
-            batch = [reports[i] for i in idx]
-            ids = np.stack([report_to_ids(r) for r in batch])
-            onehot = np.zeros((len(batch) * MAX_REPORT_LEN, v))
-            onehot[np.arange(len(batch) * MAX_REPORT_LEN), ids.reshape(-1)] = 1.0
-            latent = self._encode_t(batch)
-            logits = T.reshape(self._logits_t(latent), (len(batch) * MAX_REPORT_LEN, v))
+            ids = all_ids[idx]
+            rows = len(idx) * MAX_REPORT_LEN
+            onehot = np.zeros((rows, v))
+            onehot[np.arange(rows), ids.reshape(-1)] = 1.0
+            latent = mean_token_embedding(self.table, ids, all_lengths[idx])
+            logits = T.reshape(self._logits_t(latent), (rows, v))
             logp = T.log_softmax(logits)
             return T.neg(T.tmean(T.tsum(T.mul(logp, T.Tensor(onehot)), axis=1)))
 
@@ -208,7 +205,7 @@ class TextCodec:
 
     def encode_raw(self, reports) -> np.ndarray:
         with T.no_grad():
-            return self._encode_t(list(reports)).data
+            return mean_token_embedding(self.table, *token_ids(list(reports))).data
 
     def encode(self, reports) -> np.ndarray:
         return (self.encode_raw(reports) - self.mu) / self.sd

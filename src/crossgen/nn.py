@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import NumericError
 from .tensor import Tensor, add, backward, embedding, matmul, mul, reset_tape, tsum
-from .toydata import MAX_REPORT_LEN, report_to_ids
+from .toydata import report_to_ids
 
 
 class ParameterSet:
@@ -104,13 +104,23 @@ class Linear:
         return add(matmul(x, self.w), self.b)
 
 
-def mean_token_embedding(table: Tensor, reports) -> Tensor:
-    """Each report's mean over its tokens' rows of ``table`` (pad excluded),
-    as a (B, width) tensor."""
+def token_ids(reports) -> tuple[np.ndarray, np.ndarray]:
+    """The reports' token ids padded with 0 to MAX_REPORT_LEN, (B, 32), and
+    their lengths, (B,); ValueError for a report without tokens."""
     ids = np.stack([report_to_ids(r) for r in reports])
-    weights = np.zeros((len(reports), MAX_REPORT_LEN, table.shape[1]))
-    for i, r in enumerate(reports):
-        weights[i, :len(r), :] = 1.0 / len(r)
+    lengths = np.array([len(r) for r in reports])
+    if not lengths.all():
+        raise ValueError("a report needs at least one token")
+    return ids, lengths
+
+
+def mean_token_embedding(table: Tensor, ids: np.ndarray, lengths: np.ndarray) -> Tensor:
+    """Each report's mean over the rows of ``table`` at its first
+    ``lengths[i]`` token positions, as a (B, width) tensor. The weights come
+    from positions, not ids: a report may hold the pad token."""
+    lengths = lengths[:, None]
+    w = np.where(np.arange(ids.shape[1]) < lengths, 1.0 / lengths, 0.0)
+    weights = np.broadcast_to(w[:, :, None], w.shape + (table.shape[1],))
     return tsum(mul(embedding(table, ids), Tensor(weights)), axis=1)
 
 

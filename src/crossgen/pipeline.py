@@ -120,6 +120,8 @@ def run_gen_data(cfg: dict, home, force: bool = False) -> Path:
 def load_data(cfg: dict, home) -> td.Dataset:
     manifest = read_manifest(home, "dataset", config_hash(cfg))
     path = dataset_path(home)
+    if not path.is_file():
+        raise ArtifactError(f"{path}: missing, though its manifest exists")
     if file_checksum(path) != manifest["checksum"]:
         raise ArtifactError(f"{path}: content does not match its manifest")
     sidecar = td.sidecar_path(path)

@@ -13,6 +13,8 @@ axes so the backward rules stay small and auditable.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ShapeError
@@ -304,8 +306,14 @@ def silu(a: Tensor) -> Tensor:
 
     def bw(g):
         # g * (s + x * s * (1 - s)) with two temporaries: IEEE + and * commute
-        d = x * s
-        d *= 1.0 - s
+        if x.size and x.item(x.argmax()) < np.inf:  # no +inf, no NaN
+            d = x * s
+            d *= 1.0 - s
+        else:
+            # at +inf, x * s * (1 - s) is inf * 0; its limit is 0, so the
+            # gradient there is g * s = g (NaN stays NaN)
+            with np.errstate(invalid="ignore"):
+                d = np.where(x == np.inf, 0.0, x * s * (1.0 - s))
         d += s
         d *= g
         return (d,)
@@ -507,18 +515,31 @@ def l2_normalize(a: Tensor, eps: float = 1e-12) -> Tensor:
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup: result shape = ids.shape + (table_width,)."""
+    """Row lookup: result shape = ids.shape + (table_width,). Every id must
+    lie in [0, rows) (ShapeError otherwise: a negative id does not wrap)."""
     table = _wrap(table)
     ids = np.asarray(ids)
-    if ids.dtype.kind not in "iu":
+    if ids.dtype.kind not in "iu" or ids.size and ids.item(ids.argmin()) < 0:
         raise ShapeError("embedding", table.shape, ids.shape)
-    out = table.data[ids]
+    try:
+        out = table.data[ids]
+    except IndexError:  # an id past the last row
+        raise ShapeError("embedding", table.shape, ids.shape) from None
     if not _GRAD_ENABLED[0]:
         return _bare(out)
 
     def bw(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.ravel(), g.reshape(-1, table.shape[-1]))
+        # bincount adds each cell's terms in input order onto +0.0, the sum
+        # np.add.at(zeros, ids, g) forms, bit for bit at any width. Where two
+        # NaNs meet they keep different ones (bincount the earlier, add.at the
+        # later), so a gradient holding a NaN is summed by add.at itself.
+        width = math.prod(table.shape[1:])
+        cells = ids.reshape(-1, 1).astype(np.intp, copy=False) * width + np.arange(width)
+        gt = np.bincount(cells.ravel(), weights=g.ravel(), minlength=table.data.size)
+        gt = gt.reshape(table.shape)
+        if np.isnan(gt).any():
+            gt = np.zeros_like(table.data)
+            np.add.at(gt, ids.ravel(), g.reshape((-1,) + table.shape[1:]))
         return (gt,)
 
     return _record("embedding", (table,), out, bw)

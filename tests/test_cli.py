@@ -9,13 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from crossgen import diffusion
 from crossgen import pipeline as pl
 from crossgen import toydata as td
 from crossgen.checkpoint import file_checksum, load_checkpoint, save_checkpoint
-from crossgen.cli import main
+from crossgen.cli import main, run_intra_study
 from crossgen.config import load_config
-from crossgen.diffusion import ImageCodec
+from crossgen.diffusion import ImageCodec, noise_stream, sample
 from crossgen.errors import ArtifactError
+from crossgen.evalkit import bleu, intra_study_consistency
 from crossgen.rng import stream
 
 TINY = {
@@ -95,6 +97,14 @@ def test_stage_ordering_enforced(tmp_path, cfg_file):
 def test_train_before_data_is_exit_3(tmp_path, cfg_file):
     home = str(tmp_path / "empty")
     assert main(["--config", cfg_file, "--home", home, "train", "align"]) == 3
+
+
+def test_missing_dataset_file_is_exit_2(tmp_path, cfg_file, capsys):
+    home = str(tmp_path / "h")
+    assert main(["--config", cfg_file, "--home", home, "gen-data"]) == 0
+    pl.dataset_path(home).unlink()
+    assert main(["--config", cfg_file, "--home", home, "train", "align"]) == 2
+    assert "missing" in capsys.readouterr().err
 
 
 def test_unknown_config_key_is_exit_2(tmp_path):
@@ -384,6 +394,53 @@ def test_eval_utility_and_intra_study_smoke(trained_home, cfg_file):
                  "intra-study", "--count", "3"]) == 0
     report = json.loads((pl.report_dir(trained_home) / "intra_study.json").read_text())
     assert len(report["intra"]["mean_bleu"]) == 4
+
+
+def test_eval_rejects_an_unknown_split(trained_home, cfg_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", cfg_file, "--home", trained_home, "eval", "bleu",
+              "--split", "bogus"])
+    assert exc.value.code == 2
+
+
+def _intra_study_without_reuse(cfg, home, count, seed):
+    # the intra-study report as computed before the cross-study baseline
+    # reused the intra-study draws: every draw is made anew
+    ds = pl.load_data(cfg, home)
+    encoders = pl.load_encoders(cfg, home)
+    denoiser, codec, _ = pl.load_ldm(cfg, home, "report")
+    schedule = pl._schedule(cfg)
+    records = ds.subset("test")[:count]
+
+    def generate_report(record, view_name, idx):
+        omega = encoders.encode_batch(view_name, np.stack([td.payload(record, view_name)]))
+        out = sample(denoiser, schedule, omega, codec,
+                     noise_stream(seed + record.id * 7 + idx, "intra"),
+                     sigma_mode=cfg["diffusion"]["sigma_mode"])[0]
+        return out if out else ("study",)
+
+    intra = intra_study_consistency(generate_report, records, repeats=2)
+    cross_scores = np.zeros(4)
+    n = 0
+    for i, rec in enumerate(records):
+        a = generate_report(rec, "view_a", 0)
+        b = generate_report(records[(i + 1) % len(records)], "view_b", 1)
+        if a and b:
+            cross_scores += np.asarray(bleu(list(a), [list(b)], max_n=4))
+            n += 1
+    return {"intra": intra, "cross_mean_bleu": (cross_scores / max(n, 1)).tolist(),
+            "count": len(records)}
+
+
+def test_intra_study_reuses_its_draws_and_equals_drawing_anew(trained_home, cfg_file,
+                                                            monkeypatch):
+    cfg = load_config(cfg_file)
+    draws = []
+    monkeypatch.setattr(diffusion, "sample",
+                        lambda *a, **k: draws.append(1) or sample(*a, **k))
+    got = run_intra_study(cfg, trained_home, count=4, seed=2)
+    assert len(draws) == 8  # two views per record; the cross baseline reuses them
+    assert json.dumps(got) == json.dumps(_intra_study_without_reuse(cfg, trained_home, 4, 2))
 
 
 def test_dataset_roundtrip_through_cli_artifact(trained_home, cfg_file):

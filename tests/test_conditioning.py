@@ -145,23 +145,30 @@ def test_draw_conditioning_batch_matches_invariants():
 
 
 @pytest.mark.parametrize("weight_mode", ["uniform", "dirichlet"])
-@pytest.mark.parametrize("available", [("view_b", "report"), ("report",)])
+@pytest.mark.parametrize("available", [("view_b", "report"), ("report",),
+                                       ("view_a", "view_b", "report")])
 def test_draw_conditioning_batch_equals_per_record_combine(weight_mode, available):
+    # two consecutive batches of odd size: the second starts from the stream
+    # state the first left, as in a training epoch
     ds = td.generate_dataset(seed=9, n=300, positive_rates=[0.5] * 5)
     enc = PromptEncoders(dim=32, hidden=128, text_embed=32, seed=9)
     embs = _batch_embeddings(ds.records, enc, available)
+    target = "view_a" if "view_a" not in available else "coupled"  # any non-prompt name
     sampler = SubsetSampler(available, stream(9, "draw"), weight_mode)
     reference = SubsetSampler(available, stream(9, "draw"), weight_mode)
-    omega, weights = draw_conditioning_batch(sampler, embs, "view_a")
-    for i in range(len(ds.records)):
-        subset = reference.sample_subset()
-        ref_omega, ref_weights = combine([embs[m][i] for m in subset],
-                                         reference.sample_weights(len(subset)))
-        assert omega[i].tobytes() == ref_omega.tobytes(), i
-        for m, w in zip(subset, ref_weights):
-            assert weights[i, available.index(m)] == w
-        assert np.count_nonzero(weights[i]) == len(subset)
-    assert sampler.rng.bit_generator.state == reference.rng.bit_generator.state
+    for lo, hi in ((0, 151), (151, 300)):
+        omega, weights = draw_conditioning_batch(
+            sampler, {m: e[lo:hi] for m, e in embs.items()}, target)
+        assert omega.shape == (hi - lo, 32) and weights.shape == (hi - lo, len(available))
+        for i in range(hi - lo):
+            subset = reference.sample_subset()
+            ref_omega, ref_weights = combine([embs[m][lo + i] for m in subset],
+                                             reference.sample_weights(len(subset)))
+            assert omega[i].tobytes() == ref_omega.tobytes(), (lo, i)
+            for m, w in zip(subset, ref_weights):
+                assert weights[i, available.index(m)] == w
+            assert np.count_nonzero(weights[i]) == len(subset)
+        assert sampler.rng.bit_generator.state == reference.rng.bit_generator.state
 
 
 def test_draw_conditioning_batch_rejects_target_and_empty_batch():

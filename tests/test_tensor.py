@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from crossgen import tensor as T
+from crossgen import toydata as td
 from crossgen.errors import ShapeError
-from crossgen.nn import AdamWState, Linear, ParameterSet, adamw_step, train_epoch
+from crossgen.nn import (AdamWState, Linear, ParameterSet, adamw_step,
+                         mean_token_embedding, token_ids, train_epoch)
 
 
 @pytest.fixture(autouse=True)
@@ -333,6 +335,102 @@ def test_silu_at_minus_infinity_is_the_limit_and_finite_inputs_keep_their_bits()
         with T.no_grad():
             assert T.silu(T.Tensor(-np.inf)).data.tobytes() == np.float64(-0.0).tobytes()
         assert np.isnan(T.silu(T.Tensor([np.nan, -np.inf])).data[0])
+
+
+@pytest.mark.parametrize("x", [
+    np.array([np.inf, 1.0, -3.0, 0.5, 1000.0]),  # forward's common path
+    np.array([np.inf, -np.inf, -1000.0, -3.0, -0.0, 0.0, 30.0, np.inf, np.nan]),
+    np.array(np.inf),
+], ids=["finite_and_inf", "every_edge", "scalar"])
+def test_silu_gradient_at_plus_infinity_is_the_limit_and_finite_inputs_keep_their_bits(x):
+    g = np.linspace(0.25, 2.0, x.size).reshape(x.shape)  # positive: inf * g sums to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xt = T.Tensor(x, requires_grad=True)
+        T.backward(T.tsum(T.mul(T.silu(xt), T.Tensor(g))))
+    grad, x, g = xt.grad.reshape(-1), x.reshape(-1), g.reshape(-1)
+    inf = x == np.inf
+    assert grad[inf].tobytes() == g[inf].tobytes()  # g * 1, the limit
+    finite = np.isfinite(x)
+    s = _logistic(x[finite])
+    assert grad[finite].tobytes() == (g[finite] * (s + x[finite] * s * (1.0 - s))).tobytes()
+    assert np.all(grad[x == -np.inf] == 0.0) and np.all(np.isnan(grad[np.isnan(x)]))
+
+
+def _add_at_reference(table_shape, ids, g):
+    ref = np.zeros(table_shape)
+    np.add.at(ref, ids.ravel(), g.reshape(-1, int(np.prod(table_shape[1:]))))
+    return ref
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_embedding_backward_equals_add_at_bit_for_bit():
+    rng = np.random.default_rng(11)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324])
+    for trial in range(400):
+        rows = int(rng.integers(1, 7))
+        width = int(rng.choice([1, 2, 3, 7, 32, 49]))
+        shape = (int(rng.integers(1, 40)),) if trial % 2 else tuple(rng.integers(1, 8, size=2))
+        ids = rng.integers(0, rows, size=shape)  # few rows: many repeated ids
+        g = rng.normal(size=shape + (width,)) * 10.0 ** rng.integers(-3, 4)
+        if trial % 3:
+            mask = rng.random(g.shape) < 0.2
+            g[mask] = rng.choice(special, size=int(mask.sum()))
+        table = T.Tensor(rng.normal(size=(rows, width)), requires_grad=True)
+        T.embedding(table, ids)
+        (got,) = T.tape().nodes[-1].backward_fn(g)
+        T.reset_tape()
+        ref = _add_at_reference(table.shape, ids, g)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), trial
+    # NaNs of either sign meeting in one cell: bincount alone would keep the
+    # first one's sign, np.add.at the last one's
+    table = T.Tensor(np.zeros((2, 1)), requires_grad=True)
+    T.embedding(table, np.array([1, 1, 0]))
+    g = np.array([[np.nan], [-np.nan], [-0.0]])
+    (got,) = T.tape().nodes[-1].backward_fn(g)
+    assert got.tobytes() == _add_at_reference((2, 1), np.array([1, 1, 0]), g).tobytes()
+
+
+@pytest.mark.parametrize("ids", [[0, -1], [5], [[1, 2], [7, 0]], [-6]])
+def test_embedding_rejects_an_id_outside_the_table(ids):
+    table = T.Tensor(np.arange(10.0).reshape(5, 2), requires_grad=True)
+    with pytest.raises(ShapeError, match="embedding"):
+        T.embedding(table, np.array(ids))
+    with T.no_grad(), pytest.raises(ShapeError, match="embedding"):
+        T.embedding(table, np.array(ids))
+    assert len(T.tape()) == 0
+
+
+def _mean_token_embedding_loop(table, reports):
+    # the per-record construction of the token weights, kept as the reference
+    ids = np.stack([td.report_to_ids(r) for r in reports])
+    weights = np.zeros((len(reports), td.MAX_REPORT_LEN, table.shape[1]))
+    for i, r in enumerate(reports):
+        weights[i, :len(r), :] = 1.0 / len(r)
+    return T.tsum(T.mul(T.embedding(table, ids), T.Tensor(weights)), axis=1)
+
+
+def test_mean_token_embedding_equals_the_per_record_loop():
+    reports = [r.report for r in td.generate_dataset(seed=3, n=40).records]
+    reports += [("study", td.PAD, "marker"), (td.PAD,), ("no",) * td.MAX_REPORT_LEN]
+    rng = np.random.default_rng(3)
+    g = rng.normal(size=(len(reports), 5))
+    results = []
+    for build in (lambda t: mean_token_embedding(t, *token_ids(reports)),
+                  lambda t: _mean_token_embedding_loop(t, reports)):
+        table = T.Tensor(np.random.default_rng(4).normal(size=(len(td.VOCAB), 5)),
+                         requires_grad=True)
+        out = build(table)
+        T.backward(T.tsum(T.mul(out, T.Tensor(g))))
+        T.reset_tape()
+        results.append((out.data.tobytes(), table.grad.tobytes()))
+    assert results[0] == results[1]
+
+
+def test_token_ids_rejects_an_empty_report():
+    with pytest.raises(ValueError, match="at least one token"):
+        token_ids([("study",), ()])
 
 
 def test_bce_with_logits_gradient_is_finite_at_a_very_negative_logit():
