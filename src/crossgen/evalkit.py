@@ -221,21 +221,22 @@ class FeatureExtractor:
 
     params: ParameterSet
     hidden: tuple[int, int]
+    layers: tuple[Linear, Linear, Linear]  # l1, l2, out over ``params``
     meta: dict = field(default_factory=dict)
 
     def _forward(self, views: np.ndarray):
+        l1, l2, out = self.layers
         x = T.Tensor(np.asarray(views, dtype=np.float64).reshape(len(views), -1))
-        h = T.silu(T.add(T.matmul(x, self.params["l1.w"]), self.params["l1.b"]))
-        feats = T.silu(T.add(T.matmul(h, self.params["l2.w"]), self.params["l2.b"]))
-        logits = T.add(T.matmul(feats, self.params["out.w"]), self.params["out.b"])
-        return feats, logits
+        feats = T.silu(l2(T.silu(l1(x))))
+        return feats, out(feats)
 
     def logits(self, views: np.ndarray) -> np.ndarray:
         with T.no_grad():
             return self._forward(views)[1].data
 
     def scores(self, views: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-self.logits(views)))
+        with T.no_grad():
+            return T.sigmoid(self._forward(views)[1]).data
 
     def predict(self, views: np.ndarray) -> np.ndarray:
         return (self.scores(views) >= 0.5).astype(np.uint8)
@@ -254,10 +255,10 @@ def build_classifier(n_in: int, hidden: tuple[int, int], n_out: int,
     """The classifier's ``l1``/``l2``/``out`` layers, drawn from ``rng`` (zeros
     without drawing when it is None, for a checkpoint load to fill)."""
     params = ParameterSet()
-    Linear(params, "l1", n_in, hidden[0], rng)
-    Linear(params, "l2", hidden[0], hidden[1], rng)
-    Linear(params, "out", hidden[1], n_out, rng)
-    return FeatureExtractor(params, tuple(hidden))
+    layers = (Linear(params, "l1", n_in, hidden[0], rng),
+              Linear(params, "l2", hidden[0], hidden[1], rng),
+              Linear(params, "out", hidden[1], n_out, rng))
+    return FeatureExtractor(params, tuple(hidden), layers)
 
 
 def train_classifier(train_views, train_labels, test_views, test_labels,

@@ -292,6 +292,15 @@ def silu(a: Tensor) -> Tensor:
     a = _wrap(a)
     x = a.data
     if x.size and x.item(x.argmin()) >= -700.0:  # _exp_neg's common path
+        if not _GRAD_ENABLED[0]:
+            # x * (1 / (1 + exp(-x))) in one buffer: the same IEEE operations
+            # on the same operands (+ and * commute), so the same bits
+            out = np.negative(x, out=np.empty_like(x))  # an array even at 0-d
+            np.exp(out, out=out)
+            out += 1.0
+            np.divide(1.0, out, out=out)
+            out *= x
+            return _bare(out)
         s = 1.0 / (1.0 + np.exp(-x))
     else:
         # the logistic is exactly 0 below about -709.78, and -inf * 0 is NaN:
@@ -484,10 +493,10 @@ def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
     n = a.shape[-1]
     # sum / n is what ndarray.mean computes, without its dispatch overhead
     mu = a.data.sum(axis=-1, keepdims=True) / n
-    xc = a.data - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) / n
+    xhat = a.data - mu  # centred here, scaled in place below
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
+    xhat *= inv
     if not _GRAD_ENABLED[0]:
         return _bare(xhat)
 

@@ -1,6 +1,7 @@
 """Metric oracles: Frechet vs scipy sqrtm, BLEU hand counts, rank AUROC."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import scipy.linalg
 from crossgen import evalkit as ek
 from crossgen import toydata as td
 from crossgen.errors import NumericError
+from crossgen.rng import stream
 
 
 def random_spd(rng, dim):
@@ -199,6 +201,20 @@ def test_classifier_same_seed_identical_metrics():
     r2 = ek.train_classifier(views[:80], labels[:80], views[80:], labels[80:],
                              seed=3, epochs=5)[1]
     assert r1 == r2
+
+
+def test_scores_saturate_at_a_very_negative_logit_without_an_overflow_warning():
+    model = ek.build_classifier(4, (3, 2), 2, stream(0, "classifier-init"))
+    model.params["out.b"].data[...] = [-1000.0, 0.0]
+    views = np.random.default_rng(0).random((6, 2, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scores = model.scores(views)
+    logits = model.logits(views)
+    assert np.all(logits[:, 0] < -900.0) and np.all(scores[:, 0] == 0.0)
+    with np.errstate(over="ignore"):  # the logistic formula, bit for bit
+        assert scores.tobytes() == (1.0 / (1.0 + np.exp(-logits))).tobytes()
+    np.testing.assert_array_equal(model.predict(views)[:, 0], 0)
 
 
 def test_metric_backbone_gate():

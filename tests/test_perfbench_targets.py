@@ -1,11 +1,17 @@
 """The benchmark's tracer wraps crossgen functions and methods by name, so a
-rename in crossgen would break every traced benchmark run."""
+rename in crossgen would break every traced benchmark run; its self-check
+fails on a program change that breaks the benchmark's own checks."""
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def test_every_tracer_target_resolves_in_crossgen():
@@ -23,3 +29,11 @@ def test_every_tracer_target_resolves_in_crossgen():
         if not found:
             missing.append(f"{module_name}.{attr}")
     assert len(tracer.TARGETS) > 0 and not missing, missing
+
+
+@pytest.mark.slow
+def test_benchmark_self_check_passes():
+    # op set, repeatable counts and metric units, on every workload at tiny size
+    done = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selfcheck.py")],
+                          cwd=ROOT, capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-2000:]

@@ -1,5 +1,6 @@
 """Autodiff core: forward identities, backward contracts, gradient checks."""
 
+import contextlib
 import json
 import warnings
 import zlib
@@ -251,6 +252,7 @@ def test_no_grad_output_equals_the_recorded_output_bit_for_bit(name):
     build = PRIMITIVE_CASES[name]
     for shape in [(3, 4), (2, 3, 5)]:
         x = T.Tensor(np.random.default_rng(len(shape)).normal(size=shape), requires_grad=True)
+        operand = x.data.tobytes()
         live = build(x, np.random.default_rng(0))
         assert live.requires_grad and len(T.tape()) > 0
         T.reset_tape()
@@ -258,6 +260,7 @@ def test_no_grad_output_equals_the_recorded_output_bit_for_bit(name):
             bare = build(x, np.random.default_rng(0))
         assert len(T.tape()) == 0 and not bare.requires_grad and bare.grad is None
         assert _bits(bare) == _bits(live)
+        assert x.data.tobytes() == operand  # no path writes into its operand
 
 
 def _z(*shape):
@@ -307,15 +310,16 @@ def test_silu_and_sigmoid_match_the_logistic_formula_across_the_overflow_edge():
     x = np.concatenate([x, np.linspace(-720.0, 720.0, 2001)])
     s = _logistic(x)
     assert s[0] == 0.0 and s[4] == 0.0 and s[6] > 0.0  # both sides of the edge
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for shape in [x.shape, (1, x.size)]:
-            xt = T.Tensor(x.reshape(shape))
-            assert T.sigmoid(xt).data.tobytes() == s.tobytes()
-            assert T.silu(xt).data.tobytes() == (x * s).tobytes()
-        for v in x:  # each element alone takes its own side of the guard
-            assert T.sigmoid(T.Tensor(v)).data.tobytes() == _logistic(v).tobytes()
-            assert T.silu(T.Tensor(v)).data.tobytes() == (v * _logistic(v)).tobytes()
+    for mode in (contextlib.nullcontext, T.no_grad):  # no_grad has its own silu path
+        with warnings.catch_warnings(), mode():
+            warnings.simplefilter("error")
+            for shape in [x.shape, (1, x.size)]:
+                xt = T.Tensor(x.reshape(shape))
+                assert T.sigmoid(xt).data.tobytes() == s.tobytes()
+                assert T.silu(xt).data.tobytes() == (x * s).tobytes()
+            for v in x:  # each element alone takes its own side of the guard
+                assert T.sigmoid(T.Tensor(v)).data.tobytes() == _logistic(v).tobytes()
+                assert T.silu(T.Tensor(v)).data.tobytes() == (v * _logistic(v)).tobytes()
 
 
 def test_silu_at_minus_infinity_is_the_limit_and_finite_inputs_keep_their_bits():
@@ -335,6 +339,21 @@ def test_silu_at_minus_infinity_is_the_limit_and_finite_inputs_keep_their_bits()
         with T.no_grad():
             assert T.silu(T.Tensor(-np.inf)).data.tobytes() == np.float64(-0.0).tobytes()
         assert np.isnan(T.silu(T.Tensor([np.nan, -np.inf])).data[0])
+
+
+@pytest.mark.parametrize("x", [
+    np.array([-800.0, np.inf, -np.inf, np.nan, -3.0, 0.5]),
+    np.array([np.inf, 1.0, -3.0, 0.5, 1000.0]),  # the common path
+    np.array([np.inf, np.inf]),
+    np.array(-800.0), np.array(np.inf), np.array(-np.inf), np.array(np.nan),
+])
+def test_no_grad_silu_has_the_bits_of_the_recorded_silu_at_every_edge(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        live = T.silu(T.Tensor(x, requires_grad=True))
+        with T.no_grad():
+            bare = T.silu(T.Tensor(x))
+    assert live.requires_grad and _bits(bare) == _bits(live)
 
 
 @pytest.mark.parametrize("x", [
@@ -499,6 +518,35 @@ def test_mlp_grad_matches_finite_differences():
             return T.tsum(T.mul(out, out))
         err = T.grad_check(f, p)
         assert err < 1e-6, f"{name}: {err}"
+
+
+@pytest.mark.parametrize("shape", [(8, 6), (500, 6), (2, 3, 6)])
+def test_no_grad_linear_equals_the_recorded_linear_and_writes_no_operand(shape):
+    rng = np.random.default_rng(shape[0])
+    params = ParameterSet()
+    lin = Linear(params, "l", 6, 5, rng)
+    lin.b.data[...] = rng.normal(size=5)
+    x = T.Tensor(rng.normal(size=shape))
+    before = x.data.tobytes(), params.checksum()
+    live = lin(x)
+    assert [n.op for n in T.tape().nodes] == ["matmul", "add"]
+    T.reset_tape()
+    with T.no_grad():
+        bare = lin(x)
+    assert len(T.tape()) == 0 and not bare.requires_grad
+    assert _bits(bare) == _bits(live)
+    assert (x.data.tobytes(), params.checksum()) == before
+
+
+def test_no_grad_linear_keeps_the_bias_shape_check():
+    lin = Linear(ParameterSet(), "l", 3, 4, np.random.default_rng(0))
+    lin.b.data = np.zeros(5)
+    x = T.Tensor(np.ones((2, 3)))
+    with pytest.raises(ShapeError) as live:
+        lin(x)
+    with T.no_grad(), pytest.raises(ShapeError) as bare:
+        lin(x)
+    assert str(bare.value) == str(live.value)
 
 
 def test_no_grad_suppresses_recording():
