@@ -7,8 +7,7 @@ import hashlib
 import numpy as np
 
 from .errors import NumericError
-from .tensor import (_GRAD_ENABLED, Tensor, _check_leading_broadcast, add, backward, embedding,
-                     matmul, mul, reset_tape, tsum)
+from .tensor import Tensor, _add_into, backward, embedding, matmul, mul, reset_tape, tsum
 from .toydata import report_to_ids
 
 
@@ -102,14 +101,7 @@ class Linear:
         self.b = params.add(f"{name}.b", Tensor(np.zeros(n_out)))
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = matmul(x, self.w)
-        if _GRAD_ENABLED[0]:
-            return add(out, self.b)
-        # no tape: after add's shape check, the bias goes into the product
-        # matmul just allocated (the same IEEE additions, one array fewer)
-        _check_leading_broadcast("add", out.data.shape, self.b.data.shape)
-        out.data += self.b.data
-        return out
+        return _add_into(matmul(x, self.w), self.b)
 
 
 def token_ids(reports) -> tuple[np.ndarray, np.ndarray]:

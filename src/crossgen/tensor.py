@@ -209,6 +209,16 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record("add", (a, b), out, bw)
 
 
+def _add_into(a: Tensor, b: Tensor) -> Tensor:
+    """``add(a, b)`` for an ``a`` whose array the caller owns (a fresh product):
+    without a tape, after add's shape check, ``b`` goes into that array."""
+    if _GRAD_ENABLED[0]:
+        return add(a, b)
+    _check_leading_broadcast("add", a.data.shape, b.data.shape)
+    a.data += b.data
+    return a
+
+
 def sub(a: Tensor, b: Tensor) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _check_leading_broadcast("sub", a.data.shape, b.data.shape)
@@ -291,27 +301,23 @@ def _exp_neg(x: np.ndarray) -> np.ndarray:
 def silu(a: Tensor) -> Tensor:
     a = _wrap(a)
     x = a.data
-    if x.size and x.item(x.argmin()) >= -700.0:  # _exp_neg's common path
-        if not _GRAD_ENABLED[0]:
-            # x * (1 / (1 + exp(-x))) in one buffer: the same IEEE operations
-            # on the same operands (+ and * commute), so the same bits
-            out = np.negative(x, out=np.empty_like(x))  # an array even at 0-d
-            np.exp(out, out=out)
-            out += 1.0
-            np.divide(1.0, out, out=out)
-            out *= x
-            return _bare(out)
-        s = 1.0 / (1.0 + np.exp(-x))
+    # 1 / (1 + exp(-x)) in one buffer: the same IEEE operations (+ commutes)
+    s = np.negative(x, out=np.empty_like(x))  # an array even at 0-d
+    if x.size and x.item(x.argmin()) >= -700.0:  # _exp_neg's guard
+        np.exp(s, out=s)
     else:
+        with np.errstate(over="ignore"):
+            np.exp(s, out=s)
         # the logistic is exactly 0 below about -709.78, and -inf * 0 is NaN:
         # the most negative float stands in for -inf, so its output is the
         # limit -0.0 and its gradient 0.0 (NaN stays NaN, finite values keep
-        # their bits)
+        # their bits); exp(-x) is inf either way
         x = np.maximum(x, -np.finfo(np.float64).max)
-        s = 1.0 / (1.0 + _exp_neg(x))
-    out = x * s
+    s += 1.0
+    np.divide(1.0, s, out=s)
     if not _GRAD_ENABLED[0]:
-        return _bare(out)
+        return _bare(np.multiply(x, s, out=s))  # x * s: a NaN keeps x's sign
+    out = x * s
 
     def bw(g):
         # g * (s + x * s * (1 - s)) with two temporaries: IEEE + and * commute

@@ -310,7 +310,7 @@ def test_silu_and_sigmoid_match_the_logistic_formula_across_the_overflow_edge():
     x = np.concatenate([x, np.linspace(-720.0, 720.0, 2001)])
     s = _logistic(x)
     assert s[0] == 0.0 and s[4] == 0.0 and s[6] > 0.0  # both sides of the edge
-    for mode in (contextlib.nullcontext, T.no_grad):  # no_grad has its own silu path
+    for mode in (contextlib.nullcontext, T.no_grad):  # no_grad multiplies in place
         with warnings.catch_warnings(), mode():
             warnings.simplefilter("error")
             for shape in [x.shape, (1, x.size)]:
