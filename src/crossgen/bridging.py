@@ -25,15 +25,12 @@ PAIR_SCHEDULE = (("view_a", "report"), ("view_b", "report"), ("view_a", "view_b"
 class ImagePromptEncoder:
     """Flatten -> two hidden SiLU layers -> d, unit-normalized."""
 
-    modality = "image"
-
     def __init__(self, params: ParameterSet, prefix: str, dim: int,
                  hidden: int, rng: np.random.Generator):
         n_in = VIEW_SIZE * VIEW_SIZE
         self.l1 = Linear(params, f"{prefix}.l1", n_in, hidden, rng)
         self.l2 = Linear(params, f"{prefix}.l2", hidden, hidden, rng)
         self.out = Linear(params, f"{prefix}.out", hidden, dim, rng)
-        self.output_dim = dim
 
     def forward(self, views: np.ndarray) -> T.Tensor:
         views = np.asarray(views, dtype=np.float64)
@@ -48,8 +45,6 @@ class ImagePromptEncoder:
 class TextPromptEncoder:
     """Masked token-embedding mean -> two hidden SiLU layers -> d, unit-normalized."""
 
-    modality = "text"
-
     def __init__(self, params: ParameterSet, prefix: str, dim: int,
                  hidden: int, embed_dim: int, rng: np.random.Generator):
         self.table = params.add(f"{prefix}.embed",
@@ -57,7 +52,6 @@ class TextPromptEncoder:
         self.l1 = Linear(params, f"{prefix}.l1", embed_dim, hidden, rng)
         self.l2 = Linear(params, f"{prefix}.l2", hidden, hidden, rng)
         self.out = Linear(params, f"{prefix}.out", hidden, dim, rng)
-        self.output_dim = dim
 
     def forward(self, reports) -> T.Tensor:
         if not reports or isinstance(reports[0], str):
@@ -80,8 +74,6 @@ class PromptEncoders:
         self.image = ImagePromptEncoder(self.params, "image", dim, hidden, rng)
         self.text = TextPromptEncoder(self.params, "text", dim, hidden, text_embed, rng)
         self.dim = dim
-        self.hidden = hidden
-        self.text_embed = text_embed
 
     def _encoder_for(self, modality: str):
         if modality in ("view_a", "view_b"):

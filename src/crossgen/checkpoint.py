@@ -17,8 +17,6 @@ from .errors import ArtifactError
 XGCK_MAGIC = b"XGCK"
 XGCK_VERSION = 1
 
-STAGES = ("alignment", "classifier")  # plus "ldm:<modality>" and "joint:<pair>"
-
 
 def write_atomic(path, data: bytes) -> None:
     """Write ``data`` to ``path`` through a temporary file in the same

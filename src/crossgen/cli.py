@@ -317,6 +317,8 @@ def run_utility(cfg: dict, home, mode: str) -> dict:
 
 
 def run_intra_study(cfg: dict, home, count: int, seed: int) -> dict:
+    if count < 1:
+        raise ConfigError(f"count must be at least 1, got {count}")
     ds = pl.load_data(cfg, home)
     encoders = pl.load_encoders(cfg, home)
     denoiser, codec, _ = pl.load_ldm(cfg, home, "report")

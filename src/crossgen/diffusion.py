@@ -93,7 +93,6 @@ class ImageCodec:
         self.dec2 = Linear(self.params, "dec2", hidden, px, rng)
         self.mu = np.zeros(self.latent_dim)
         self.sd = np.ones(self.latent_dim)
-        self.meta: dict = {}
 
     @staticmethod
     def _patchify(images: np.ndarray) -> np.ndarray:
@@ -132,7 +131,6 @@ class ImageCodec:
         lat = self.encode_raw(images)
         self.mu = lat.mean(axis=0)
         self.sd = np.maximum(lat.std(axis=0), 1e-6)
-        self.meta["reconstruction_mse"] = history[-1] if history else None
         return history
 
     def encode_raw(self, images: np.ndarray) -> np.ndarray:
@@ -172,7 +170,6 @@ class TextCodec:
         self.dec2 = Linear(self.params, "dec2", hidden, MAX_REPORT_LEN * len(VOCAB), rng)
         self.mu = np.zeros(latent_dim)
         self.sd = np.ones(latent_dim)
-        self.meta: dict = {}
 
     def _logits_t(self, latent: T.Tensor) -> T.Tensor:
         return self.dec2(T.silu(self.dec1(latent)))
@@ -200,7 +197,6 @@ class TextCodec:
         lat = self.encode_raw(reports)
         self.mu = lat.mean(axis=0)
         self.sd = np.maximum(lat.std(axis=0), 1e-6)
-        self.meta["reconstruction_nll"] = history[-1] if history else None
         return history
 
     def encode_raw(self, reports) -> np.ndarray:
@@ -418,14 +414,12 @@ def reverse_update(z: np.ndarray, eps_hat: np.ndarray, step: tuple,
     return z + sigma * rng.standard_normal(z.shape) if t > 1 else z
 
 
-def sample_latents(eps_model, schedule: DiffusionSchedule, omega: np.ndarray,
-                   rng: np.random.Generator, latent_dim: int,
-                   sigma_mode: str = "beta") -> np.ndarray:
+def sample_latents(denoiser: Denoiser, schedule: DiffusionSchedule, omega: np.ndarray,
+                   rng: np.random.Generator, sigma_mode: str = "beta") -> np.ndarray:
     """Reverse process from pure noise; joint sampling takes the same step
     (``reverse_update``).
 
-    ``eps_model(z, t, omega)`` returns the predicted noise tensor. A
-    ``Denoiser`` computes its conditioning terms once for the draw and
+    The denoiser computes its conditioning terms once for the draw and
     reuses them on every step. The step noise scale is sqrt(beta_t) by
     default, or the alpha-bar-ratio variant (``reverse_steps``).
     """
@@ -433,13 +427,11 @@ def sample_latents(eps_model, schedule: DiffusionSchedule, omega: np.ndarray,
     omega = np.atleast_2d(np.asarray(omega, dtype=np.float64))
     b = len(omega)
     with T.no_grad():
-        cond = eps_model.condition(omega) if isinstance(eps_model, Denoiser) else None
-        z = rng.standard_normal((b, latent_dim))
+        cond = denoiser.condition(omega)
+        z = rng.standard_normal((b, denoiser.latent_dim))
         for step in steps:
             t_arr = np.full(b, step[0], dtype=np.int64)
-            eps_hat = (eps_model(z, t_arr, omega) if cond is None
-                       else eps_model.forward(z, t_arr, omega, cond=cond))
-            eps_hat = eps_hat.data if isinstance(eps_hat, T.Tensor) else np.asarray(eps_hat)
+            eps_hat = denoiser.forward(z, t_arr, omega, cond=cond).data
             z = reverse_update(z, eps_hat, step, rng)
     return z
 
@@ -447,6 +439,5 @@ def sample_latents(eps_model, schedule: DiffusionSchedule, omega: np.ndarray,
 def sample(denoiser: Denoiser, schedule: DiffusionSchedule, omega, codec,
            rng: np.random.Generator, sigma_mode: str = "beta"):
     """Generate decoded payloads for a batch of conditioning vectors."""
-    z0 = sample_latents(denoiser, schedule, omega, rng, denoiser.latent_dim,
-                        sigma_mode=sigma_mode)
+    z0 = sample_latents(denoiser, schedule, omega, rng, sigma_mode=sigma_mode)
     return codec.decode(z0)

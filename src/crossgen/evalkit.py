@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -220,9 +220,7 @@ class FeatureExtractor:
     """Small MLP over views; its penultimate layer provides FID features."""
 
     params: ParameterSet
-    hidden: tuple[int, int]
     layers: tuple[Linear, Linear, Linear]  # l1, l2, out over ``params``
-    meta: dict = field(default_factory=dict)
 
     def _forward(self, views: np.ndarray):
         l1, l2, out = self.layers
@@ -245,10 +243,6 @@ class FeatureExtractor:
         with T.no_grad():
             return self._forward(views)[0].data
 
-    @property
-    def feature_dim(self) -> int:
-        return self.hidden[1]
-
 
 def build_classifier(n_in: int, hidden: tuple[int, int], n_out: int,
                      rng: np.random.Generator | None) -> FeatureExtractor:
@@ -258,7 +252,7 @@ def build_classifier(n_in: int, hidden: tuple[int, int], n_out: int,
     layers = (Linear(params, "l1", n_in, hidden[0], rng),
               Linear(params, "l2", hidden[0], hidden[1], rng),
               Linear(params, "out", hidden[1], n_out, rng))
-    return FeatureExtractor(params, tuple(hidden), layers)
+    return FeatureExtractor(params, layers)
 
 
 def train_classifier(train_views, train_labels, test_views, test_labels,
@@ -287,8 +281,6 @@ def train_classifier(train_views, train_labels, test_views, test_labels,
 
     report = classification_report(model.scores(np.asarray(test_views)),
                                    np.asarray(test_labels))
-    model.meta = {"seed": seed, "epochs": epochs,
-                  "test_macro_f1": report["f1"]["macro"]}
     return model, report
 
 

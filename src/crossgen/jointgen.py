@@ -31,7 +31,6 @@ class ProjectionEncoder:
         self.l1 = Linear(params, f"{prefix}.l1", latent_dim, hidden, rng)
         self.l2 = Linear(params, f"{prefix}.l2", hidden, coupling_dim, rng)
         self.latent_dim = latent_dim
-        self.coupling_dim = coupling_dim
 
     def forward(self, z) -> T.Tensor:
         z_t = z if isinstance(z, T.Tensor) else T.Tensor(z)
@@ -53,7 +52,6 @@ class CoupledDenoiser:
     def __init__(self, base: Denoiser, params: ParameterSet, prefix: str,
                  coupling_dim: int, rng: np.random.Generator | None):
         self.base = base
-        self.coupling_dim = coupling_dim
         self.adapters = []
         attn = base.attn_dim
         for i in range(base.n_blocks):

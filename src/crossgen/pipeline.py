@@ -195,7 +195,7 @@ def _fit_codec(cfg: dict, home, ds: td.Dataset, modality: str, alignment: str):
     except (MissingPrerequisiteError, ArtifactError):
         sibling = None
     if sibling is not None and sibling["manifest"]["prerequisites"].get("alignment") == alignment:
-        return _codec_from_arrays(cfg, modality, sibling["arrays"], "codec")
+        return _codec_from_arrays(cfg, modality, sibling["arrays"])
     ic = d["image_codec"]
     codec = ImageCodec(seed=cfg["seed"], hidden=ic["hidden"])
     train = ds.subset("train")
@@ -204,14 +204,14 @@ def _fit_codec(cfg: dict, home, ds: td.Dataset, modality: str, alignment: str):
     return codec
 
 
-def _codec_arrays(codec, prefix: str) -> dict:
-    arrays = {f"{prefix}.param.{k}": v for k, v in codec.params.state_arrays().items()}
-    arrays[f"{prefix}.stats.mu"] = codec.mu
-    arrays[f"{prefix}.stats.sd"] = codec.sd
+def _codec_arrays(codec) -> dict:
+    arrays = {f"codec.param.{k}": v for k, v in codec.params.state_arrays().items()}
+    arrays["codec.stats.mu"] = codec.mu
+    arrays["codec.stats.sd"] = codec.sd
     return arrays
 
 
-def _codec_from_arrays(cfg: dict, modality: str, arrays: dict, prefix: str):
+def _codec_from_arrays(cfg: dict, modality: str, arrays: dict):
     d = cfg["diffusion"]
     if modality == "report":
         tc = d["text_codec"]
@@ -219,10 +219,10 @@ def _codec_from_arrays(cfg: dict, modality: str, arrays: dict, prefix: str):
     else:
         codec = ImageCodec(seed=None, hidden=d["image_codec"]["hidden"])
     codec.params.load_state_arrays(
-        {k[len(prefix) + 7:]: v for k, v in arrays.items()
-         if k.startswith(f"{prefix}.param.")})
-    codec.mu = arrays[f"{prefix}.stats.mu"]
-    codec.sd = arrays[f"{prefix}.stats.sd"]
+        {k[len("codec.param."):]: v for k, v in arrays.items()
+         if k.startswith("codec.param.")})
+    codec.mu = arrays["codec.stats.mu"]
+    codec.sd = arrays["codec.stats.sd"]
     return codec
 
 
@@ -243,7 +243,7 @@ def run_train_ldm(cfg: dict, home, target: str) -> Path:
     _write_history_csv(history_path(home, stage),
                        list(enumerate(history)), ("epoch", "loss"))
     arrays = {f"denoiser.{k}": v for k, v in denoiser.params.state_arrays().items()}
-    arrays.update(_codec_arrays(codec, "codec"))
+    arrays.update(_codec_arrays(codec))
     meta = {"target": target, "latent_dim": codec.latent_dim,
             "cond_dim": encoders.dim, "timesteps": _schedule(cfg).T,
             "hidden": d["hidden"], "blocks": d["blocks"], "attn_dim": d["attn_dim"],
@@ -264,7 +264,7 @@ def load_ldm(cfg: dict, home, target: str):
     denoiser.params.load_state_arrays(
         {k[len("denoiser."):]: v for k, v in ck["arrays"].items()
          if k.startswith("denoiser.")})
-    codec = _codec_from_arrays(cfg, target, ck["arrays"], "codec")
+    codec = _codec_from_arrays(cfg, target, ck["arrays"])
     return denoiser, codec, meta
 
 
@@ -349,7 +349,6 @@ def load_classifier(cfg: dict, home) -> tuple[FeatureExtractor, dict]:
     model = build_classifier(td.VIEW_SIZE * td.VIEW_SIZE, ck["metadata"]["hidden"],
                              td.NUM_CONDITIONS, None)
     model.params.load_state_arrays(ck["arrays"])
-    model.meta = dict(ck["metadata"])
     return model, ck["metadata"]
 
 
@@ -399,9 +398,15 @@ def generate_samples(cfg: dict, home, prompts: dict, targets: list[str],
     Returns (samples, provenance): samples is a list of {target: payload},
     provenance records subset, weights, seed and step count.
     """
+    if count < 1:
+        raise ConfigError(f"count must be at least 1, got {count}")
     for t in targets:
+        if t not in td.MODALITIES:
+            raise ConfigError(f"unknown target modality {t!r}")
         if t in prompts:
             raise ConfigError(f"target {t!r} is also a prompt modality")
+    if len(set(targets)) < len(targets):
+        raise ConfigError(f"a target modality is repeated: {list(targets)}")
     encoders = load_encoders(cfg, home)
     if not prompts:
         raise ConfigError("at least one prompt payload is required")

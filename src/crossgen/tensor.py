@@ -1,14 +1,15 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Every primitive records a node on a global append-only tape when any input
-requires a gradient. Under ``no_grad`` a primitive records nothing: it
-validates its operands, computes, and wraps the result without building a
-backward rule. ``backward`` walks the tape in reverse creation order (a
-valid topological order) and accumulates gradients additively into every
-requires-grad tensor it reaches; the rules of the binary primitives skip
-(return None for) an operand that does not require a gradient, as
-``backward`` would discard it. Broadcasting is restricted to leading-1
-axes so the backward rules stay small and auditable.
+requires a gradient. Under ``no_grad`` a primitive validates its operands,
+computes and builds its backward rule, and records nothing: ``_record``
+alone decides whether a primitive records, and wraps the result.
+``backward`` walks the tape in reverse creation order (a valid topological
+order) and accumulates gradients additively into every requires-grad tensor
+it reaches; the rules of the binary primitives skip (return None for) an
+operand that does not require a gradient, as ``backward`` would discard it.
+Broadcasting is restricted to leading-1 axes so the backward rules stay
+small and auditable.
 """
 
 from __future__ import annotations
@@ -55,34 +56,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; all routed through the recorded primitives
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
-    def __neg__(self):
-        return neg(self)
 
 
 def _non_scalar(t: Tensor):
@@ -150,9 +123,10 @@ def _bare(data) -> Tensor:
 
 
 def _record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, backward_fn) -> Tensor:
-    # grad enabled only: under no_grad a primitive returns _bare(out) first
+    # the one place that decides whether a primitive records: under no_grad
+    # it wraps the result and drops the rule its primitive built
     out = _bare(out_data)
-    if any(t.requires_grad for t in inputs):
+    if _GRAD_ENABLED[0] and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         _TAPE.nodes.append(_Node(op, inputs, out, backward_fn))
     return out
@@ -199,8 +173,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _check_leading_broadcast("add", a.data.shape, b.data.shape)
     out = a.data + b.data
-    if not _GRAD_ENABLED[0]:
-        return _bare(out)
 
     def bw(g):
         return (_unbroadcast(g, a.shape) if a.requires_grad else None,
@@ -223,8 +195,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _check_leading_broadcast("sub", a.data.shape, b.data.shape)
     out = a.data - b.data
-    if not _GRAD_ENABLED[0]:
-        return _bare(out)
 
     def bw(g):
         return (_unbroadcast(g, a.shape) if a.requires_grad else None,
@@ -236,15 +206,13 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def neg(a: Tensor) -> Tensor:
     a = _wrap(a)
     out = -a.data
-    return _record("neg", (a,), out, lambda g: (-g,)) if _GRAD_ENABLED[0] else _bare(out)
+    return _record("neg", (a,), out, lambda g: (-g,))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _check_leading_broadcast("mul", a.data.shape, b.data.shape)
     out = a.data * b.data
-    if not _GRAD_ENABLED[0]:
-        return _bare(out)
 
     def bw(g):
         return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
@@ -257,8 +225,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _check_leading_broadcast("div", a.data.shape, b.data.shape)
     out = a.data / b.data
-    if not _GRAD_ENABLED[0]:
-        return _bare(out)
 
     def bw(g):
         return (_unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
@@ -271,20 +237,19 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 def exp(a: Tensor) -> Tensor:
     a = _wrap(a)
     out = np.exp(a.data)
-    return _record("exp", (a,), out, lambda g: (g * out,)) if _GRAD_ENABLED[0] else _bare(out)
+    return _record("exp", (a,), out, lambda g: (g * out,))
 
 
 def log(a: Tensor) -> Tensor:
     a = _wrap(a)
     out = np.log(a.data)
-    return _record("log", (a,), out, lambda g: (g / a.data,)) if _GRAD_ENABLED[0] else _bare(out)
+    return _record("log", (a,), out, lambda g: (g / a.data,))
 
 
 def sqrt(a: Tensor) -> Tensor:
     a = _wrap(a)
     out = np.sqrt(a.data)
-    return (_record("sqrt", (a,), out, lambda g: (g / (2.0 * out),))
-            if _GRAD_ENABLED[0] else _bare(out))
+    return _record("sqrt", (a,), out, lambda g: (g / (2.0 * out),))
 
 
 def _exp_neg(x: np.ndarray) -> np.ndarray:
@@ -339,8 +304,7 @@ def silu(a: Tensor) -> Tensor:
 def sigmoid(a: Tensor) -> Tensor:
     a = _wrap(a)
     out = 1.0 / (1.0 + _exp_neg(a.data))
-    return (_record("sigmoid", (a,), out, lambda g: (g * out * (1.0 - out),))
-            if _GRAD_ENABLED[0] else _bare(out))
+    return _record("sigmoid", (a,), out, lambda g: (g * out * (1.0 - out),))
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +314,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     a = _wrap(a)
     shape = tuple(shape)
     out = a.data.reshape(shape)
-    return (_record("reshape", (a,), out, lambda g: (g.reshape(a.shape),))
-            if _GRAD_ENABLED[0] else _bare(out))
+    return _record("reshape", (a,), out, lambda g: (g.reshape(a.shape),))
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -360,8 +323,7 @@ def transpose(a: Tensor) -> Tensor:
     if a.data.ndim < 2:
         raise ShapeError("transpose", a.shape)
     out = np.swapaxes(a.data, -1, -2)
-    return (_record("transpose", (a,), out, lambda g: (np.swapaxes(g, -1, -2),))
-            if _GRAD_ENABLED[0] else _bare(out))
+    return _record("transpose", (a,), out, lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -372,12 +334,9 @@ def concat(tensors, axis: int = 0) -> Tensor:
     if len(ranks) != 1:
         raise ShapeError("concat", *[t.shape for t in ts])
     out = np.concatenate([t.data for t in ts], axis=axis)
-    if not _GRAD_ENABLED[0]:
-        return _bare(out)
-    sizes = [t.shape[axis] for t in ts]
-    offsets = np.cumsum([0] + sizes)
 
     def bw(g):
+        offsets = np.cumsum([0] + [t.shape[axis] for t in ts])
         return tuple(
             np.take(g, range(offsets[i], offsets[i + 1]), axis=axis)
             for i in range(len(ts))
@@ -392,8 +351,6 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     idx[axis] = slice(start, stop)
     idx = tuple(idx)
     out = a.data[idx]
-    if not _GRAD_ENABLED[0]:
-        return _bare(out)
 
     def bw(g):
         full = np.zeros_like(a.data)
@@ -409,8 +366,6 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
 def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = _wrap(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
-    if not _GRAD_ENABLED[0]:
-        return _bare(out)
 
     def bw(g):
         if axis is None:
@@ -424,11 +379,9 @@ def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = _wrap(a)
     out = a.data.mean(axis=axis, keepdims=keepdims)
-    if not _GRAD_ENABLED[0]:
-        return _bare(out)
-    n = a.data.size if axis is None else a.shape[axis]
 
     def bw(g):
+        n = a.data.size if axis is None else a.shape[axis]
         if axis is None:
             return (np.full(a.shape, (g if np.isscalar(g) else g.reshape(())) / n),)
         ge = g if keepdims else np.expand_dims(g, axis)
@@ -448,8 +401,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if not (db == 2 and da in (2, 3) or da == db == 3 and sa[0] == sb[0]) or sa[-1] != sb[-2]:
         raise ShapeError("matmul", sa, sb)
     out = a.data @ b.data
-    if not _GRAD_ENABLED[0]:
-        return _bare(out)
 
     def bw(g):
         ga = g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None
@@ -472,8 +423,6 @@ def softmax(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=-1, keepdims=True)
-    if not _GRAD_ENABLED[0]:
-        return _bare(out)
 
     def bw(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
@@ -487,10 +436,8 @@ def log_softmax(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = shifted - lse
-    if not _GRAD_ENABLED[0]:
-        return _bare(out)
-    sm = np.exp(out)
-    return _record("log_softmax", (a,), out, lambda g: (g - sm * g.sum(axis=-1, keepdims=True),))
+    return _record("log_softmax", (a,), out,
+                   lambda g: (g - np.exp(out) * g.sum(axis=-1, keepdims=True),))
 
 
 def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
@@ -503,8 +450,6 @@ def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
     var = (xhat * xhat).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    if not _GRAD_ENABLED[0]:
-        return _bare(xhat)
 
     def bw(g):
         gs = g.sum(axis=-1, keepdims=True)
@@ -519,8 +464,6 @@ def l2_normalize(a: Tensor, eps: float = 1e-12) -> Tensor:
     a = _wrap(a)
     norm = np.sqrt((a.data * a.data).sum(axis=-1, keepdims=True) + eps)
     out = a.data / norm
-    if not _GRAD_ENABLED[0]:
-        return _bare(out)
 
     def bw(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
@@ -540,8 +483,6 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
         out = table.data[ids]
     except IndexError:  # an id past the last row
         raise ShapeError("embedding", table.shape, ids.shape) from None
-    if not _GRAD_ENABLED[0]:
-        return _bare(out)
 
     def bw(g):
         # bincount adds each cell's terms in input order onto +0.0, the sum
@@ -568,10 +509,8 @@ def bce_with_logits(logits: Tensor, targets) -> Tensor:
         raise ShapeError("bce_with_logits", logits.shape, t.shape)
     x = logits.data
     out = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))
-    if not _GRAD_ENABLED[0]:
-        return _bare(out)
-    s = 1.0 / (1.0 + _exp_neg(x))
-    return _record("bce_with_logits", (logits,), out, lambda g: (g * (s - t),))
+    return _record("bce_with_logits", (logits,), out,
+                   lambda g: (g * (1.0 / (1.0 + _exp_neg(x)) - t),))
 
 
 # ---------------------------------------------------------------------------

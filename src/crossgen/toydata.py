@@ -268,7 +268,7 @@ XGTD_MAGIC = b"XGTD"
 XGTD_VERSION = 1
 
 
-#: one record of the dataset file body as save_dataset packs it, little-endian
+#: one record of the dataset file body, little-endian and unpadded
 _RECORD_DTYPE = np.dtype([
     ("id", "<u4"), ("view_a", "<f8", (VIEW_SIZE, VIEW_SIZE)),
     ("view_b", "<f8", (VIEW_SIZE, VIEW_SIZE)), ("length", "<u2"),
@@ -289,16 +289,12 @@ def save_dataset(dataset: Dataset, path) -> None:
         raw = tok.encode("utf-8")
         chunks.append(struct.pack("<H", len(raw)) + raw)
     chunks.append(struct.pack("<I", len(dataset.records)))
-    for rec in dataset.records:
-        chunks.append(struct.pack("<I", rec.id))
-        chunks.append(np.ascontiguousarray(rec.view_a, dtype="<f8").tobytes())
-        chunks.append(np.ascontiguousarray(rec.view_b, dtype="<f8").tobytes())
+    body = np.zeros(len(dataset.records), _RECORD_DTYPE)
+    for i, rec in enumerate(dataset.records):
         ids = [TOKEN_TO_ID[t] for t in rec.report]
-        ids = ids + [0] * (MAX_REPORT_LEN - len(ids))
-        chunks.append(struct.pack("<H", len(rec.report)))
-        chunks.append(np.asarray(ids, dtype="<u2").tobytes())
-        chunks.append(np.asarray(rec.labels, dtype=np.uint8).tobytes())
-        chunks.append(np.ascontiguousarray(rec.factors, dtype="<f8").tobytes())
+        body[i] = (rec.id, rec.view_a, rec.view_b, len(ids),
+                   ids + [0] * (MAX_REPORT_LEN - len(ids)), rec.labels, rec.factors)
+    chunks.append(body.tobytes())
     write_atomic(path, b"".join(chunks))
 
     splits = {name: [int(i) for i in idx] for name, idx in dataset.split.items()}

@@ -16,7 +16,7 @@ from crossgen.checkpoint import file_checksum, load_checkpoint, save_checkpoint
 from crossgen.cli import main, run_intra_study
 from crossgen.config import load_config
 from crossgen.diffusion import ImageCodec, noise_stream, sample
-from crossgen.errors import ArtifactError
+from crossgen.errors import ArtifactError, ConfigError
 from crossgen.evalkit import bleu, intra_study_consistency
 from crossgen.rng import stream
 
@@ -181,6 +181,29 @@ def test_generate_rejects_prompt_equal_target(trained_home, cfg_file, tmp_path):
     assert main(["--config", cfg_file, "--home", trained_home, "generate",
                  "--prompt", f"view_a={prompt_file}", "--target", "view_a",
                  "--out", str(tmp_path / "x")]) == 2
+
+
+BAD_REQUESTS = {
+    "unknown_target": (["--target", "bogus"], "unknown target"),
+    "repeated_target": (["--target", "view_a", "--target", "view_a"], "repeated"),
+    "repeated_joint_target": (["--joint", "--target", "view_a", "--target", "view_a"],
+                              "repeated"),
+    "zero_count": (["--target", "view_a", "--count", "0"], "at least 1"),
+    "negative_count": (["--target", "view_a", "--count", "-2"], "at least 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_REQUESTS))
+def test_generate_rejects_a_bad_request_before_loading(tmp_path, cfg_file, capsys, case):
+    # the home is empty: a request that got as far as loading would exit 3
+    args, message = BAD_REQUESTS[case]
+    prompt_file = tmp_path / "p.report.json"
+    pl.save_payload(prompt_file, "report", ("routine", "study", "no", "findings", "stable"))
+    out = tmp_path / "out"
+    assert main(["--config", cfg_file, "--home", str(tmp_path / "empty"), "generate",
+                 "--prompt", f"report={prompt_file}", *args, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_generate_joint_pair(trained_home, cfg_file, tmp_path):
@@ -394,6 +417,19 @@ def test_eval_utility_and_intra_study_smoke(trained_home, cfg_file):
                  "intra-study", "--count", "3"]) == 0
     report = json.loads((pl.report_dir(trained_home) / "intra_study.json").read_text())
     assert len(report["intra"]["mean_bleu"]) == 4
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_eval_intra_study_rejects_a_count_below_one(trained_home, cfg_file, tmp_path,
+                                                    capsys, count):
+    report = pl.report_dir(trained_home) / "intra_study.json"
+    before = report.read_bytes() if report.exists() else None
+    assert main(["--config", cfg_file, "--home", trained_home, "eval",
+                 "intra-study", "--count", count]) == 2
+    assert "at least 1" in capsys.readouterr().err
+    assert (report.read_bytes() if report.exists() else None) == before
+    with pytest.raises(ConfigError, match="at least 1"):  # before any artifact loads
+        run_intra_study(load_config(cfg_file), tmp_path / "empty", int(count), seed=0)
 
 
 def test_eval_rejects_an_unknown_split(trained_home, cfg_file):

@@ -14,8 +14,9 @@ from crossgen.conditioning import SubsetSampler
 from crossgen.config import load_config
 from crossgen.diffusion import (Denoiser, DiffusionSchedule, ImageCodec,
                                 TextCodec, denoise_loss, encode_records,
-                                make_schedule, noise_prediction_loss, q_sample, sample,
-                                sample_latents, train_ldm)
+                                make_schedule, noise_prediction_loss, q_sample,
+                                reverse_steps, reverse_update, sample, sample_latents,
+                                train_ldm)
 from crossgen.errors import NumericError
 from crossgen.rng import stream
 
@@ -286,21 +287,6 @@ def test_denoise_loss_rejects_empty_batch():
 # ---------------------------------------------------------------------------
 # sampling
 
-class _FixedInitRng:
-    """standard_normal returns a preset array once, then zeros."""
-
-    def __init__(self, first):
-        self.first = np.asarray(first, dtype=np.float64)
-        self.used = False
-
-    def standard_normal(self, shape):
-        if not self.used:
-            self.used = True
-            assert self.first.shape == tuple(shape)
-            return self.first.copy()
-        return np.zeros(shape)
-
-
 def test_single_step_inversion_with_oracle_denoiser():
     # degenerate T=1 schedule built directly (the factory requires T >= 2)
     s = DiffusionSchedule(betas=np.array([0.1]), alphas=np.array([0.9]),
@@ -309,11 +295,8 @@ def test_single_step_inversion_with_oracle_denoiser():
     z0 = rng.standard_normal((2, 5))
     eps = rng.standard_normal((2, 5))
     z1 = q_sample(z0, np.array([1, 1]), eps, s)
-
-    def oracle(z, t, omega):
-        return T.Tensor(eps)
-
-    out = sample_latents(oracle, s, np.zeros((2, 3)), _FixedInitRng(z1), latent_dim=5)
+    # the last reverse step, given the true noise, adds none and inverts q_sample
+    out = reverse_update(z1, eps, reverse_steps(s)[0], stream(0, "unused"))
     np.testing.assert_allclose(out, z0, atol=1e-12)
 
 
@@ -322,8 +305,8 @@ def test_sampling_deterministic_given_seed():
                    attn_dim=4, seed=8)
     s = make_schedule(20, 1e-3, 0.2)
     omega = np.random.default_rng(9).standard_normal((3, 4))
-    a = sample_latents(den, s, omega, stream(1, "sample"), 6)
-    b = sample_latents(den, s, omega, stream(1, "sample"), 6)
+    a = sample_latents(den, s, omega, stream(1, "sample"))
+    b = sample_latents(den, s, omega, stream(1, "sample"))
     np.testing.assert_array_equal(a, b)
 
 
@@ -356,7 +339,7 @@ def test_sample_latents_matches_per_step_forward_reference(sigma_mode, monkeypat
     forward = Denoiser.forward
     monkeypatch.setattr(Denoiser, "forward",
                         lambda self, *a, **k: calls.append(1) or forward(self, *a, **k))
-    out = sample_latents(den, s, omega, stream(3, "ref"), 6, sigma_mode=sigma_mode)
+    out = sample_latents(den, s, omega, stream(3, "ref"), sigma_mode=sigma_mode)
     np.testing.assert_array_equal(out, ref)
     assert len(calls) == s.T  # one forward per reverse step
 
@@ -378,7 +361,7 @@ def test_sigma_mode_validated():
                    attn_dim=4, seed=10)
     s = make_schedule(5, 1e-3, 0.2)
     with pytest.raises(ValueError, match="sigma"):
-        sample_latents(den, s, np.zeros((1, 4)), stream(0, "s"), 4, sigma_mode="weird")
+        sample_latents(den, s, np.zeros((1, 4)), stream(0, "s"), sigma_mode="weird")
 
 
 # ---------------------------------------------------------------------------

@@ -462,6 +462,43 @@ def test_bce_with_logits_gradient_is_finite_at_a_very_negative_logit():
     np.testing.assert_array_equal(x.grad, _logistic(x.data) - targets)
 
 
+def _eager_log_softmax_rule(x, out, t, g):
+    sm = np.exp(out)  # taken from the forward's output before any backward
+    return g - sm * g.sum(axis=-1, keepdims=True)
+
+
+def _eager_bce_rule(x, out, t, g):
+    with np.errstate(over="ignore"):
+        s = 1.0 / (1.0 + np.exp(-x))
+    return g * (s - t)
+
+
+#: primitives whose rule computes its forward-derived factor only when run
+DEFERRED_RULES = {
+    "log_softmax": (lambda x, t: T.log_softmax(x), _eager_log_softmax_rule),
+    "bce_with_logits": (T.bce_with_logits, _eager_bce_rule),
+}
+
+
+@pytest.mark.parametrize("shape, low", [((3, 4), None), ((2, 3, 5), None),
+                                         ((2, 3), -1000.0)],
+                         ids=["rows", "batched", "below_exp_overflow"])
+@pytest.mark.parametrize("name", sorted(DEFERRED_RULES))
+def test_deferred_rule_equals_the_eager_formula_bit_for_bit(name, shape, low):
+    rng = np.random.default_rng(zlib.crc32(f"{name}{shape}".encode()))
+    x = rng.normal(scale=4.0, size=shape)
+    if low is not None:
+        x.flat[0] = low  # exp(-x) overflows: the logistic is exactly 0
+    t = (rng.random(shape) < 0.5).astype(np.float64)
+    g = rng.normal(size=shape)
+    op, eager = DEFERRED_RULES[name]
+    out = op(T.Tensor(x, requires_grad=True), t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (got,) = T.tape().nodes.pop().backward_fn(g)
+    assert got.tobytes() == eager(x, out.data, t, g).tobytes()
+
+
 #: binary primitives and operand shapes (``div``'s divisor stays positive)
 BINARY_CASES = {
     "add": (T.add, (3, 4), (4,)),

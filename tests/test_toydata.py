@@ -192,6 +192,29 @@ def test_dataset_file_roundtrip(tmp_path):
     assert (tmp_path / "again.xgtd").read_bytes() == path.read_bytes()
 
 
+def _packed_file(ds) -> bytes:
+    """The XGTD layout packed field by field with struct: the reference."""
+    cells, width = td.VIEW_SIZE ** 2, td.MAX_REPORT_LEN
+    out = [td.XGTD_MAGIC, struct.pack("<HqHH", td.XGTD_VERSION, ds.seed,
+                                      td.NUM_CONDITIONS, len(td.VOCAB))]
+    out += [struct.pack("<H", len(t.encode())) + t.encode() for t in td.VOCAB]
+    out.append(struct.pack("<I", len(ds.records)))
+    for rec in ds.records:
+        ids = [td.TOKEN_TO_ID[t] for t in rec.report]
+        out.append(struct.pack(f"<I{cells}d{cells}dH{width}H{td.NUM_CONDITIONS}B3d",
+                               rec.id, *rec.view_a.ravel(), *rec.view_b.ravel(),
+                               len(ids), *ids, *[0] * (width - len(ids)),
+                               *rec.labels, *rec.factors))
+    return b"".join(out)
+
+
+def test_dataset_file_matches_a_per_record_struct_packing(tmp_path):
+    ds = td.generate_dataset(seed=5, n=300)
+    path = tmp_path / "toy.xgtd"
+    td.save_dataset(ds, path)
+    assert path.read_bytes() == _packed_file(ds)
+
+
 def test_dataset_file_rejects_corruption(tmp_path):
     ds = td.generate_dataset(seed=2, n=12)
     path = tmp_path / "toy.xgtd"
