@@ -20,11 +20,9 @@ from . import toydata as td
 from .config import load_config
 from .errors import (ArtifactError, ConfigError, MissingPrerequisiteError,
                      NumericError)
-from .evalkit import (anonymization_experiment, bleu, frechet_distance,
-                      hamming_coherence, imbalance_experiment,
-                      intra_study_consistency, require_metric_backbone,
-                      scarcity_experiment)
-from .rng import stream
+from .evalkit import (bleu, frechet_distance, hamming_coherence,
+                      require_metric_backbone)
+from .pipeline import run_intra_study, run_utility
 
 
 def default_home() -> str:
@@ -156,8 +154,6 @@ def _load_dir_payloads(directory, modality) -> list:
 
 
 def _cmd_eval(args, cfg, home) -> None:
-    ds = pl.load_data(cfg, home)
-    split = ds.subset(args.split)
     if args.metric == "classify":
         path = pl.run_train_classifier(cfg, home)
         model, meta = pl.load_classifier(cfg, home)
@@ -172,6 +168,7 @@ def _cmd_eval(args, cfg, home) -> None:
         model, meta = pl.load_classifier(cfg, home)
         require_metric_backbone(model, {"f1": {"macro": meta["test_macro_f1"]}})
         synth = np.stack(_load_dir_payloads(args.synth_dir, args.modality))
+        split = pl.load_data(cfg, home).subset(args.split)
         real = np.stack([td.payload(r, args.modality) for r in split])
         value = frechet_distance(model.features(real), model.features(synth))
         path = pl.write_metric_report(
@@ -184,6 +181,7 @@ def _cmd_eval(args, cfg, home) -> None:
         if not args.synth_dir:
             raise ConfigError("eval bleu requires --synth-dir")
         candidates = _load_dir_payloads(args.synth_dir, "report")
+        split = pl.load_data(cfg, home).subset(args.split)
         refs = [list(r.report) for r in split[:len(candidates)]]
         if len(refs) < len(candidates):
             raise ConfigError(f"split {args.split} has fewer records than candidates")
@@ -244,119 +242,6 @@ def _cmd_eval(args, cfg, home) -> None:
         result = run_intra_study(cfg, home, count=args.count, seed=args.seed)
         path = pl.write_metric_report(home, "intra_study", result, cfg, args.seed)
         print(f"intra-study bleu={result['intra']['mean_bleu']}; report {path}")
-
-
-# ---------------------------------------------------------------------------
-# heavier eval protocols shared with the acceptance suite
-
-def run_utility(cfg: dict, home, mode: str) -> dict:
-    ds = pl.load_data(cfg, home)
-    encoders = pl.load_encoders(cfg, home)
-    denoiser, codec, _ = pl.load_ldm(cfg, home, "view_a")
-    schedule = pl._schedule(cfg)
-    u = cfg["eval"]["utility"]
-    seed = cfg["seed"]
-    train, test = ds.subset("train"), ds.subset("test")
-    test_xy = (np.stack([r.view_a for r in test]), np.stack([r.labels for r in test]))
-
-    def synth_from_labels(label_rows, tag):
-        return pl.generate_views_from_label_prompts(
-            encoders, denoiser, codec, schedule, label_rows, seed, tag,
-            sigma_mode=cfg["diffusion"]["sigma_mode"])
-
-    if mode == "anonymization":
-        real_xy = (np.stack([r.view_a for r in train]),
-                   np.stack([r.labels for r in train]))
-        synth_views = synth_from_labels(real_xy[1], "anonymization")
-        return anonymization_experiment(
-            real_xy, (synth_views, real_xy[1]), test_xy, seed=seed,
-            pixel_noise=u["pixel_noise"], epochs=u["anonymization_epochs"])
-
-    if mode == "imbalance":
-        ds_imb = td.generate_dataset(seed + 1, u["imbalance_n"])
-        tr = ds_imb.subset("train")
-        te = ds_imb.subset("test")
-        base = tr[:u["imbalance_base"]]
-        bx = np.stack([r.view_a for r in base])
-        by = np.stack([r.labels for r in base])
-        pos = by.sum(axis=0)
-        rates = np.array(td.DEFAULT_POSITIVE_RATES)
-        label_rng = stream(seed, "imbalance-labels")
-        aug_labels = []
-        for k in range(td.NUM_CONDITIONS):
-            for _ in range(max(0, u["imbalance_target"] - int(pos[k]))):
-                lab = (label_rng.random(td.NUM_CONDITIONS) < rates).astype(np.uint8)
-                lab[k] = 1
-                aug_labels.append(lab)
-        aug_labels = np.stack(aug_labels)
-        aug_views = synth_from_labels(aug_labels, "imbalance")
-        result = imbalance_experiment(
-            (bx, by),
-            (np.concatenate([bx, aug_views]), np.concatenate([by, aug_labels])),
-            (np.stack([r.view_a for r in te]), np.stack([r.labels for r in te])),
-            seed=seed, pixel_noise=u["pixel_noise"], epochs=u["imbalance_epochs"])
-        result["baseline_positives"] = pos.tolist()
-        result["minority_classes"] = [int(k) for k in range(td.NUM_CONDITIONS)
-                                      if pos[k] < pos.max()]
-        return result
-
-    if mode == "scarcity":
-        base = train[:u["scarcity_base"]]
-        bx = np.stack([r.view_a for r in base])
-        by = np.stack([r.labels for r in base])
-        label_rng = stream(seed, "scarcity-labels")
-        pool_labels = (label_rng.random((u["scarcity_pool"], td.NUM_CONDITIONS))
-                       < 0.5).astype(np.uint8)
-        pool_views = synth_from_labels(pool_labels, "scarcity")
-        return scarcity_experiment(
-            (bx, by), (pool_views, pool_labels), u["scarcity_multipliers"],
-            test_xy, seed=seed, pixel_noise=u["pixel_noise"],
-            epochs=u["scarcity_epochs"])
-
-    raise ConfigError(f"unknown utility mode {mode!r}")
-
-
-def run_intra_study(cfg: dict, home, count: int, seed: int) -> dict:
-    if count < 1:
-        raise ConfigError(f"count must be at least 1, got {count}")
-    ds = pl.load_data(cfg, home)
-    encoders = pl.load_encoders(cfg, home)
-    denoiser, codec, _ = pl.load_ldm(cfg, home, "report")
-    schedule = pl._schedule(cfg)
-    records = ds.subset("test")[:count]
-
-    from .diffusion import noise_stream, sample
-
-    # a draw depends only on (record, view, idx): the cross-study baseline
-    # below reuses the intra-study draws instead of repeating them
-    drawn = {}
-
-    def generate_report(record, view_name, idx):
-        key = (record.id, view_name, idx)
-        if key not in drawn:
-            omega = encoders.encode_batch(
-                view_name, np.stack([td.payload(record, view_name)]))
-            out = sample(denoiser, schedule, omega, codec,
-                         noise_stream(seed + record.id * 7 + idx, "intra"),
-                         sigma_mode=cfg["diffusion"]["sigma_mode"])[0]
-            drawn[key] = out if out else ("study",)  # BLEU needs non-empty candidates
-        return drawn[key]
-
-    intra = intra_study_consistency(generate_report, records, repeats=2)
-
-    # cross-study baseline: pair each record's view_a report with the next
-    # record's view_b report
-    cross_scores = np.zeros(4)
-    n = 0
-    for i, rec in enumerate(records):
-        other = records[(i + 1) % len(records)]
-        a = generate_report(rec, "view_a", 0)
-        b = generate_report(other, "view_b", 1)
-        if a and b:
-            cross_scores += np.asarray(bleu(list(a), [list(b)], max_n=4))
-            n += 1
-    cross = (cross_scores / max(n, 1)).tolist()
-    return {"intra": intra, "cross_mean_bleu": cross, "count": len(records)}
 
 
 if __name__ == "__main__":

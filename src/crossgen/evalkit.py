@@ -1,7 +1,7 @@
 """Evaluation battery: Frechet feature distance, BLEU, Hamming coherence,
 the multi-label MLP classifier used both as a task model and as the
-feature backbone, and the three synthetic-data utility experiments
-(anonymization, imbalance, scarcity)."""
+feature backbone, and the training and scoring of synthetic-data utility
+arms."""
 
 from __future__ import annotations
 
@@ -297,11 +297,6 @@ def require_metric_backbone(model: FeatureExtractor, report: dict,
 # ---------------------------------------------------------------------------
 # utility experiments
 
-def _as_xy(pool):
-    views, labels = pool
-    return np.asarray(views, dtype=np.float64), np.asarray(labels, dtype=np.uint8)
-
-
 def _noisy(views: np.ndarray, sigma: float, seed: int, tag: str) -> np.ndarray:
     """Seeded observation noise that makes the toy classification task hard
     enough to leave headroom for augmentation trends.
@@ -316,57 +311,13 @@ def _noisy(views: np.ndarray, sigma: float, seed: int, tag: str) -> np.ndarray:
     return np.clip(views + rng.normal(0.0, sigma, size=views.shape), 0.0, 1.0)
 
 
-def anonymization_experiment(real_train, synth_train, test, seed: int = 0,
-                             pixel_noise: float = 0.0, **train_kw) -> dict:
-    """Train one classifier on real data, one on synthetic, same settings."""
-    rx, ry = _as_xy(real_train)
-    sx, sy = _as_xy(synth_train)
-    tx, ty = _as_xy(test)
-    rx = _noisy(rx, pixel_noise, seed, "train")
-    sx = _noisy(sx, pixel_noise, seed, "train")
-    tx = _noisy(tx, pixel_noise, seed, "test")
-    _, real_report = train_classifier(rx, ry, tx, ty, seed=seed, **train_kw)
-    _, synth_report = train_classifier(sx, sy, tx, ty, seed=seed, **train_kw)
-    return {"mode": "anonymization", "real": real_report, "synthetic": synth_report}
-
-
-def imbalance_experiment(imbalanced_train, augmented_train, test, seed: int = 0,
-                         pixel_noise: float = 0.0, **train_kw) -> dict:
-    """Baseline on the imbalanced set vs the synthetically balanced set.
-
-    The augmented pool must extend the baseline pool (same leading rows) so
-    the paired noise stream corrupts the shared real samples identically.
-    """
-    bx, by = _as_xy(imbalanced_train)
-    ax, ay = _as_xy(augmented_train)
-    tx, ty = _as_xy(test)
-    bx = _noisy(bx, pixel_noise, seed, "train")
-    ax = _noisy(ax, pixel_noise, seed, "train")
-    tx = _noisy(tx, pixel_noise, seed, "test")
-    _, base_report = train_classifier(bx, by, tx, ty, seed=seed, **train_kw)
-    _, aug_report = train_classifier(ax, ay, tx, ty, seed=seed, **train_kw)
-    return {"mode": "imbalance", "baseline": base_report, "augmented": aug_report}
-
-
-def scarcity_experiment(base_train, synth_pool, multipliers, test, seed: int = 0,
-                        pixel_noise: float = 0.0, **train_kw) -> dict:
-    """Grow a small real base with increasing shares of a synthetic pool."""
-    bx, by = _as_xy(base_train)
-    sx, sy = _as_xy(synth_pool)
-    tx, ty = _as_xy(test)
-    needed = int(round(max(multipliers) * len(bx)))
-    if len(sx) < needed:
-        raise ValueError(f"synthetic pool has {len(sx)} samples, need {needed}")
-    tx = _noisy(tx, pixel_noise, seed, "test")
-    levels = []
-    for mult in multipliers:
-        k = int(round(mult * len(bx)))
-        vx = np.concatenate([bx, sx[:k]], axis=0)
-        vy = np.concatenate([by, sy[:k]], axis=0)
-        vx = _noisy(vx, pixel_noise, seed, "train")
-        _, report = train_classifier(vx, vy, tx, ty, seed=seed, **train_kw)
-        levels.append({"multiplier": float(mult), "n_synthetic": k, "report": report})
-    return {"mode": "scarcity", "levels": levels}
+def utility_reports(arms, test, seed: int, pixel_noise: float, epochs: int) -> list[dict]:
+    """Train one classifier per ``(views, labels)`` arm, all with the same
+    settings, and report each on the same noised ``test`` pool."""
+    test_views = _noisy(test[0], pixel_noise, seed, "test")
+    return [train_classifier(_noisy(views, pixel_noise, seed, "train"), labels,
+                             test_views, test[1], seed=seed, epochs=epochs)[1]
+            for views, labels in arms]
 
 
 # ---------------------------------------------------------------------------

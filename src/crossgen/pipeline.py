@@ -23,7 +23,8 @@ from .config import config_hash
 from .diffusion import (Denoiser, ImageCodec, TextCodec, make_schedule,
                         noise_stream, sample, train_ldm)
 from .errors import ArtifactError, ConfigError, MissingPrerequisiteError
-from .evalkit import FeatureExtractor, build_classifier, train_classifier
+from .evalkit import (FeatureExtractor, bleu, build_classifier,
+                      intra_study_consistency, train_classifier, utility_reports)
 from .jointgen import build_joint, joint_sample, train_joint
 from .rng import stream
 
@@ -93,7 +94,7 @@ def _load_stage(cfg: dict, home, stage: str) -> dict:
     return ck
 
 
-def _write_history_csv(path: Path, rows, header) -> None:
+def _write_csv(path: Path, rows, header) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -142,9 +143,9 @@ def run_train_align(cfg: dict, home) -> Path:
                               batch_size=ec["batch_size"], lr=ec["lr"],
                               weight_decay=ec["weight_decay"],
                               tau=ec["temperature"], seed=cfg["seed"])
-    _write_history_csv(history_path(home, "alignment"),
-                       [(h["epoch"], h["pair"], h["loss"]) for h in history],
-                       ("epoch", "pair", "loss"))
+    _write_csv(history_path(home, "alignment"),
+               [(h["epoch"], h["pair"], h["loss"]) for h in history],
+               ("epoch", "pair", "loss"))
     path = checkpoint_path(home, "alignment")
     path.parent.mkdir(parents=True, exist_ok=True)
     meta = {"dim": ec["dim"], "hidden": ec["hidden"], "text_embed": ec["text_embed"]}
@@ -240,8 +241,7 @@ def run_train_ldm(cfg: dict, home, target: str) -> Path:
         hidden=d["hidden"], n_blocks=d["blocks"], attn_dim=d["attn_dim"],
         seed=cfg["seed"], weight_mode=cfg["conditioning"]["weights"])
     stage = f"ldm:{target}"
-    _write_history_csv(history_path(home, stage),
-                       list(enumerate(history)), ("epoch", "loss"))
+    _write_csv(history_path(home, stage), list(enumerate(history)), ("epoch", "loss"))
     arrays = {f"denoiser.{k}": v for k, v in denoiser.params.state_arrays().items()}
     arrays.update(_codec_arrays(codec))
     meta = {"target": target, "latent_dim": codec.latent_dim,
@@ -288,8 +288,7 @@ def run_train_joint(cfg: dict, home, pair: tuple[str, str]) -> Path:
         coupling_dim=j["coupling_dim"], proj_hidden=j["proj_hidden"],
         lam=j["contrastive_weight"], tau=j["temperature"], seed=cfg["seed"])
     stage = f"joint:{pair[0]}+{pair[1]}"
-    _write_history_csv(history_path(home, stage),
-                       list(enumerate(history)), ("epoch", "loss"))
+    _write_csv(history_path(home, stage), list(enumerate(history)), ("epoch", "loss"))
     meta = {"pair": list(pair), "coupling_dim": j["coupling_dim"],
             "proj_hidden": j["proj_hidden"], "base_checksums": base_checksums}
     path = checkpoint_path(home, stage)
@@ -325,11 +324,9 @@ def load_joint(cfg: dict, home, pair: tuple[str, str]):
 
 def run_train_classifier(cfg: dict, home) -> Path:
     ds = load_data(cfg, home)
-    train, test = ds.subset("train"), ds.subset("test")
     e = cfg["eval"]
     model, report = train_classifier(
-        np.stack([r.view_a for r in train]), np.stack([r.labels for r in train]),
-        np.stack([r.view_a for r in test]), np.stack([r.labels for r in test]),
+        *_xy(ds.subset("train")), *_xy(ds.subset("test")),
         seed=cfg["seed"], epochs=e["classifier_epochs"],
         hidden=tuple(e["classifier_hidden"]))
     path = checkpoint_path(home, "classifier")
@@ -367,7 +364,10 @@ def save_payload(path, modality: str, payload) -> None:
 
 def load_payload(path):
     """Read one payload file; any defect in it is an ArtifactError."""
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ArtifactError(f"{path}: cannot read payload file ({exc.strerror})") from exc
     modality = doc.get("modality") if isinstance(doc, dict) else None
     if modality not in td.MODALITIES:
         raise ArtifactError(f"{path}: unknown payload modality {modality!r}")
@@ -407,9 +407,9 @@ def generate_samples(cfg: dict, home, prompts: dict, targets: list[str],
             raise ConfigError(f"target {t!r} is also a prompt modality")
     if len(set(targets)) < len(targets):
         raise ConfigError(f"a target modality is repeated: {list(targets)}")
-    encoders = load_encoders(cfg, home)
     if not prompts:
         raise ConfigError("at least one prompt payload is required")
+    encoders = load_encoders(cfg, home)
     subset = sorted(prompts)
     omega, weights = combine([encoders.encode_batch(m, [prompts[m]])[0] for m in subset])
     omega = np.tile(omega, (count, 1))
@@ -439,17 +439,125 @@ def generate_samples(cfg: dict, home, prompts: dict, targets: list[str],
     return samples, provenance
 
 
-def generate_views_from_label_prompts(encoders, denoiser, codec, schedule,
-                                      label_rows, seed: int, tag: str,
-                                      sigma_mode: str = "beta") -> np.ndarray:
-    """Synthesize view_a images for given label vectors by rendering prompt
-    reports (random style buckets) and conditioning on their embeddings."""
-    rng = stream(seed, f"styles:{tag}")
-    reports = [td.render_report(lab, int(rng.integers(0, td.NUM_FACTOR_BUCKETS)))
-               for lab in label_rows]
-    omega = encoders.encode_batch("report", reports)
-    return sample(denoiser, schedule, omega, codec,
-                  noise_stream(seed, f"util:{tag}"), sigma_mode=sigma_mode)
+# ---------------------------------------------------------------------------
+# evaluation protocols
+
+def _xy(records) -> tuple[np.ndarray, np.ndarray]:
+    return np.stack([r.view_a for r in records]), np.stack([r.labels for r in records])
+
+
+def run_utility(cfg: dict, home, mode: str) -> dict:
+    """Synthetic-data utility of ``mode``: classifiers trained on real and
+    on synthetic or augmented view_a pools, scored on noised held-out views.
+
+    Synthetic views are drawn from report prompts rendered for chosen label
+    vectors, so each synthetic row carries the labels it was prompted with.
+    """
+    if mode not in ("anonymization", "imbalance", "scarcity"):
+        raise ConfigError(f"unknown utility mode {mode!r}")
+    u, seed = cfg["eval"]["utility"], cfg["seed"]
+    noise = u["pixel_noise"]
+    ds = load_data(cfg, home)
+    train, test = ds.subset("train"), _xy(ds.subset("test"))
+    if mode == "scarcity":
+        bx, by = _xy(train[:u["scarcity_base"]])
+        ks = [int(round(m * len(bx))) for m in u["scarcity_multipliers"]]
+        if u["scarcity_pool"] < max(ks):
+            raise ConfigError(f"eval.utility.scarcity_pool is {u['scarcity_pool']}, "
+                              f"the largest multiplier needs {max(ks)} synthetic rows")
+    encoders = load_encoders(cfg, home)
+    denoiser, codec, _ = load_ldm(cfg, home, "view_a")
+
+    def synth(labels):
+        rng = stream(seed, f"styles:{mode}")
+        reports = [td.render_report(lab, int(rng.integers(0, td.NUM_FACTOR_BUCKETS)))
+                   for lab in labels]
+        return sample(denoiser, _schedule(cfg), encoders.encode_batch("report", reports),
+                      codec, noise_stream(seed, f"util:{mode}"),
+                      sigma_mode=cfg["diffusion"]["sigma_mode"])
+
+    if mode == "anonymization":
+        x, y = _xy(train)
+        real, synthetic = utility_reports([(x, y), (synth(y), y)], test, seed, noise,
+                                          u["anonymization_epochs"])
+        return {"mode": mode, "real": real, "synthetic": synthetic}
+
+    if mode == "imbalance":
+        ds_imb = td.generate_dataset(seed + 1, u["imbalance_n"])
+        bx, by = _xy(ds_imb.subset("train")[:u["imbalance_base"]])
+        pos = by.sum(axis=0)
+        rates = np.array(td.DEFAULT_POSITIVE_RATES)
+        label_rng = stream(seed, "imbalance-labels")
+        aug_labels = []
+        for k in range(td.NUM_CONDITIONS):
+            for _ in range(max(0, u["imbalance_target"] - int(pos[k]))):
+                lab = (label_rng.random(td.NUM_CONDITIONS) < rates).astype(np.uint8)
+                lab[k] = 1
+                aug_labels.append(lab)
+        aug_labels = np.stack(aug_labels)
+        augmented = (np.concatenate([bx, synth(aug_labels)]),
+                     np.concatenate([by, aug_labels]))
+        baseline, augmented = utility_reports([(bx, by), augmented],
+                                              _xy(ds_imb.subset("test")), seed, noise,
+                                              u["imbalance_epochs"])
+        return {"mode": mode, "baseline": baseline, "augmented": augmented,
+                "baseline_positives": pos.tolist(),
+                "minority_classes": [int(k) for k in range(td.NUM_CONDITIONS)
+                                     if pos[k] < pos.max()]}
+
+    label_rng = stream(seed, "scarcity-labels")
+    pool_labels = (label_rng.random((u["scarcity_pool"], td.NUM_CONDITIONS))
+                   < 0.5).astype(np.uint8)
+    pool_views = synth(pool_labels)
+    levels = utility_reports([(np.concatenate([bx, pool_views[:k]]),
+                               np.concatenate([by, pool_labels[:k]])) for k in ks],
+                             test, seed, noise, u["scarcity_epochs"])
+    return {"mode": mode, "levels": [
+        {"multiplier": float(m), "n_synthetic": k, "report": r}
+        for m, k, r in zip(u["scarcity_multipliers"], ks, levels)]}
+
+
+def run_intra_study(cfg: dict, home, count: int, seed: int) -> dict:
+    """Report BLEU between reports generated from the two views of one test
+    record (intra-study) and from views of different records (cross-study)."""
+    if count < 1:
+        raise ConfigError(f"count must be at least 1, got {count}")
+    ds = load_data(cfg, home)
+    encoders = load_encoders(cfg, home)
+    denoiser, codec, _ = load_ldm(cfg, home, "report")
+    schedule = _schedule(cfg)
+    records = ds.subset("test")[:count]
+
+    # a draw depends only on (record, view, idx): the cross-study baseline
+    # below reuses the intra-study draws instead of repeating them
+    drawn = {}
+
+    def generate_report(record, view_name, idx):
+        key = (record.id, view_name, idx)
+        if key not in drawn:
+            omega = encoders.encode_batch(
+                view_name, np.stack([td.payload(record, view_name)]))
+            out = sample(denoiser, schedule, omega, codec,
+                         noise_stream(seed + record.id * 7 + idx, "intra"),
+                         sigma_mode=cfg["diffusion"]["sigma_mode"])[0]
+            drawn[key] = out if out else ("study",)  # BLEU needs non-empty candidates
+        return drawn[key]
+
+    intra = intra_study_consistency(generate_report, records, repeats=2)
+
+    # cross-study baseline: pair each record's view_a report with the next
+    # record's view_b report
+    cross_scores = np.zeros(4)
+    n = 0
+    for i, rec in enumerate(records):
+        other = records[(i + 1) % len(records)]
+        a = generate_report(rec, "view_a", 0)
+        b = generate_report(other, "view_b", 1)
+        if a and b:
+            cross_scores += np.asarray(bleu(list(a), [list(b)], max_n=4))
+            n += 1
+    cross = (cross_scores / max(n, 1)).tolist()
+    return {"intra": intra, "cross_mean_bleu": cross, "count": len(records)}
 
 
 # ---------------------------------------------------------------------------
@@ -464,11 +572,7 @@ def write_metric_report(home, name: str, payload: dict, cfg: dict, seed: int,
     path = out / f"{name}.json"
     path.write_text(json.dumps(doc, sort_keys=True, indent=1, default=_jsonify))
     if csv_rows is not None:
-        with (out / f"{name}.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            if csv_header:
-                writer.writerow(csv_header)
-            writer.writerows(csv_rows)
+        _write_csv(out / f"{name}.csv", csv_rows, csv_header)
     return path
 
 

@@ -9,11 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crossgen import diffusion
+from crossgen import cli
 from crossgen import pipeline as pl
 from crossgen import toydata as td
 from crossgen.checkpoint import file_checksum, load_checkpoint, save_checkpoint
-from crossgen.cli import main, run_intra_study
+from crossgen.cli import main, run_intra_study, run_utility
 from crossgen.config import load_config
 from crossgen.diffusion import ImageCodec, noise_stream, sample
 from crossgen.errors import ArtifactError, ConfigError
@@ -190,6 +190,7 @@ BAD_REQUESTS = {
                               "repeated"),
     "zero_count": (["--target", "view_a", "--count", "0"], "at least 1"),
     "negative_count": (["--target", "view_a", "--count", "-2"], "at least 1"),
+    "no_prompt": (["--target", "view_a"], "at least one prompt"),
 }
 
 
@@ -199,9 +200,10 @@ def test_generate_rejects_a_bad_request_before_loading(tmp_path, cfg_file, capsy
     args, message = BAD_REQUESTS[case]
     prompt_file = tmp_path / "p.report.json"
     pl.save_payload(prompt_file, "report", ("routine", "study", "no", "findings", "stable"))
+    prompt = [] if case == "no_prompt" else ["--prompt", f"report={prompt_file}"]
     out = tmp_path / "out"
     assert main(["--config", cfg_file, "--home", str(tmp_path / "empty"), "generate",
-                 "--prompt", f"report={prompt_file}", *args, "--out", str(out)]) == 2
+                 *prompt, *args, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 
@@ -230,6 +232,7 @@ BAD_PROMPTS = {
     "empty_report": ("report", {"modality": "report", "tokens": []}),
     "non_finite_pixels": ("view_a", {"modality": "view_a",
                                      "pixels": [[float("nan")] * 16] * 16}),
+    "missing_file": ("report", None),
 }
 
 
@@ -237,7 +240,8 @@ BAD_PROMPTS = {
 def test_generate_rejects_bad_prompt_payload(trained_home, cfg_file, tmp_path, case):
     modality, doc = BAD_PROMPTS[case]
     prompt_file = tmp_path / f"p.{modality}.json"
-    prompt_file.write_text(json.dumps(doc))
+    if doc is not None:
+        prompt_file.write_text(json.dumps(doc))
     target = "view_b" if modality == "report" else "report"
     assert main(["--config", cfg_file, "--home", trained_home, "generate",
                  "--prompt", f"{modality}={prompt_file}", "--target", target,
@@ -378,7 +382,8 @@ def test_eval_bleu_ground_truth_is_one(trained_home, cfg_file, tmp_path):
     assert report["bleu"] == [1.0, 1.0, 1.0, 1.0]
 
 
-def test_eval_cosine_and_hamming_on_generated(trained_home, cfg_file, tmp_path):
+def test_eval_cosine_and_hamming_on_generated(trained_home, cfg_file, tmp_path,
+                                              monkeypatch):
     cfg = load_config(cfg_file)
     ds = pl.load_data(cfg, trained_home)
     prompt_file = tmp_path / "p.view_b.json"
@@ -388,10 +393,13 @@ def test_eval_cosine_and_hamming_on_generated(trained_home, cfg_file, tmp_path):
                  "--prompt", f"view_b={prompt_file}", "--target", "view_a",
                  "--target", "report", "--joint", "--count", "3",
                  "--out", str(out)]) == 0
+    data_loads = []
+    monkeypatch.setattr(pl, "load_data", lambda *a: data_loads.append(a))
     assert main(["--config", cfg_file, "--home", trained_home, "eval", "cosine",
                  "--dir", str(out), "--pair", "view_a", "report"]) == 0
     assert main(["--config", cfg_file, "--home", trained_home, "eval", "hamming",
                  "--dir", str(out)]) == 0
+    assert data_loads == []  # neither metric reads the dataset
     cos = json.loads((pl.report_dir(trained_home) / "cosine_view_a_report.json").read_text())
     assert -1.0 <= cos["mean"] <= 1.0
     ham = json.loads((pl.report_dir(trained_home) / "hamming.json").read_text())
@@ -404,6 +412,32 @@ def test_eval_requires_inputs(trained_home, cfg_file):
     assert main(["--config", cfg_file, "--home", trained_home, "eval", "fid"]) == 2
     assert main(["--config", cfg_file, "--home", trained_home, "eval",
                  "utility"]) == 2
+
+
+def test_cli_reexports_the_pipeline_protocols():
+    assert cli.run_utility is pl.run_utility
+    assert cli.run_intra_study is pl.run_intra_study
+
+
+def test_run_utility_rejects_an_unknown_mode_before_loading(cfg_file, tmp_path):
+    with pytest.raises(ConfigError, match="unknown utility mode"):
+        run_utility(load_config(cfg_file), tmp_path / "empty", "bogus")
+
+
+def test_eval_utility_rejects_a_short_scarcity_pool_before_loading_models(tmp_path, capsys):
+    # the home has only the dataset: a run that got as far as the encoders
+    # would exit 3
+    small = json.loads(json.dumps(TINY))
+    small["eval"]["utility"]["scarcity_pool"] = 9  # multiplier 0.5 of base 20 needs 10
+    cfg_file = tmp_path / "small.json"
+    cfg_file.write_text(json.dumps(small))
+    home = str(tmp_path / "h")
+    assert main(["--config", str(cfg_file), "--home", home, "gen-data"]) == 0
+    assert main(["--config", str(cfg_file), "--home", home, "eval", "utility",
+                 "--mode", "scarcity"]) == 2
+    assert "scarcity_pool is 9" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="scarcity_pool"):
+        run_utility(load_config(str(cfg_file)), home, "scarcity")
 
 
 def test_eval_utility_and_intra_study_smoke(trained_home, cfg_file):
@@ -472,7 +506,7 @@ def test_intra_study_reuses_its_draws_and_equals_drawing_anew(trained_home, cfg_
                                                             monkeypatch):
     cfg = load_config(cfg_file)
     draws = []
-    monkeypatch.setattr(diffusion, "sample",
+    monkeypatch.setattr(pl, "sample",
                         lambda *a, **k: draws.append(1) or sample(*a, **k))
     got = run_intra_study(cfg, trained_home, count=4, seed=2)
     assert len(draws) == 8  # two views per record; the cross baseline reuses them

@@ -238,18 +238,9 @@ def test_anonymization_degenerate_same_pool_identical_metrics():
     rng = np.random.default_rng(11)
     pool = _label_coded_pool(rng, 100)
     test = _label_coded_pool(rng, 60)
-    out = ek.anonymization_experiment(real_train=pool, synth_train=pool, test=test,
-                                      seed=1, epochs=5)
-    assert out["real"] == out["synthetic"]
-
-
-def test_scarcity_requires_sufficient_pool():
-    rng = np.random.default_rng(12)
-    base = _label_coded_pool(rng, 50)
-    pool = _label_coded_pool(rng, 10)
-    test = _label_coded_pool(rng, 30)
-    with pytest.raises(ValueError, match="pool"):
-        ek.scarcity_experiment(base, pool, [0.0, 1.0], test, seed=0, epochs=2)
+    real, synthetic = ek.utility_reports([pool, pool], test, seed=1, pixel_noise=0.2,
+                                         epochs=5)
+    assert real == synthetic
 
 
 # ---------------------------------------------------------------------------
