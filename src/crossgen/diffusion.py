@@ -295,16 +295,16 @@ class Denoiser:
             cond = self.condition(omega)
         temb = T.embedding(self.time_table, t - 1)
         h = self.in_proj(z_t)
+        # without a tape each add writes into the activation layer_norm or
+        # silu just allocated, never into r, temb, a site's output or a
+        # conditioning term (every step of a draw reuses those)
         for i, block in enumerate(self.blocks):
             r = h
-            h = T.layer_norm(h)
-            h = T.add(h, temb)
-            h = T.silu(block["fc1"](h))
-            h = T.add(h, cond[i])
+            h = T.add_into(T.layer_norm(h), temb)
+            h = T.add_into(T.silu(block["fc1"](h)), cond[i])
             if extra_site is not None:
-                h = T.add(h, extra_site(i))
-            h = T.silu(block["fc2"](h))
-            h = T.add(r, h)
+                h = T.add_into(h, extra_site(i))
+            h = T.add_into(r, T.silu(block["fc2"](h)), into_b=True)
         return self.out_proj(h)
 
 

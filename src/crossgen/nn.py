@@ -7,7 +7,7 @@ import hashlib
 import numpy as np
 
 from .errors import NumericError
-from .tensor import Tensor, _add_into, backward, embedding, matmul, mul, reset_tape, tsum
+from .tensor import Tensor, add_into, backward, embedding, matmul, mul, reset_tape, tsum
 from .toydata import report_to_ids
 
 
@@ -101,7 +101,7 @@ class Linear:
         self.b = params.add(f"{name}.b", Tensor(np.zeros(n_out)))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return _add_into(matmul(x, self.w), self.b)
+        return add_into(matmul(x, self.w), self.b)
 
 
 def token_ids(reports) -> tuple[np.ndarray, np.ndarray]:

@@ -368,6 +368,8 @@ def load_payload(path):
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ArtifactError(f"{path}: cannot read payload file ({exc.strerror})") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ArtifactError(f"{path}: payload file is not JSON text ({exc})") from exc
     modality = doc.get("modality") if isinstance(doc, dict) else None
     if modality not in td.MODALITIES:
         raise ArtifactError(f"{path}: unknown payload modality {modality!r}")

@@ -22,7 +22,7 @@ from .errors import ShapeError
 
 __all__ = [
     "Tensor", "Tape", "tape", "reset_tape", "no_grad", "backward",
-    "grad_check", "PRIMITIVE_OPS",
+    "grad_check", "PRIMITIVE_OPS", "add_into",
     "add", "sub", "neg", "mul", "div", "matmul", "transpose", "reshape",
     "concat", "slice_axis", "tsum", "tmean", "exp", "log", "sqrt", "silu",
     "sigmoid", "softmax", "log_softmax", "layer_norm", "embedding",
@@ -181,14 +181,21 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record("add", (a, b), out, bw)
 
 
-def _add_into(a: Tensor, b: Tensor) -> Tensor:
-    """``add(a, b)`` for an ``a`` whose array the caller owns (a fresh product):
-    without a tape, after add's shape check, ``b`` goes into that array."""
-    if _GRAD_ENABLED[0]:
+def add_into(a: Tensor, b: Tensor, into_b: bool = False) -> Tensor:
+    """``add(a, b)`` for an operand whose array the caller owns (a fresh
+    result nothing else holds): ``a``, or ``b`` with ``into_b``.
+
+    Not a primitive (it is not in ``PRIMITIVE_OPS``). With a tape it is
+    ``add(a, b)`` and records an ``add``. Without one, after add's shape
+    check, it writes ``a + b`` into the owned array (operand order kept, so
+    the bits are add's) and returns that tensor; an owned array smaller than
+    the broadcast result gets ``add``'s fresh one."""
+    owned = b if into_b else a
+    if (_GRAD_ENABLED[0]
+            or _check_leading_broadcast("add", a.data.shape, b.data.shape) != owned.data.shape):
         return add(a, b)
-    _check_leading_broadcast("add", a.data.shape, b.data.shape)
-    a.data += b.data
-    return a
+    np.add(a.data, b.data, out=owned.data)
+    return owned
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:

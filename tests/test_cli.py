@@ -250,6 +250,20 @@ def test_generate_rejects_bad_prompt_payload(trained_home, cfg_file, tmp_path, c
         pl.load_payload(prompt_file)
 
 
+@pytest.mark.parametrize("body", [b"not json", b"\x89PNG\r\n\x1a\n\xff\xfe"],
+                         ids=["not_json", "binary"])
+def test_generate_names_a_prompt_file_that_is_not_json(tmp_path, cfg_file, capsys, body):
+    # payloads are read before any model loads, so an empty home suffices
+    prompt_file = tmp_path / "p.report.json"
+    prompt_file.write_bytes(body)
+    assert main(["--config", cfg_file, "--home", str(tmp_path / "empty"), "generate",
+                 "--prompt", f"report={prompt_file}", "--target", "view_a",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {prompt_file}: payload file is not JSON text" in capsys.readouterr().err
+    with pytest.raises(ArtifactError):
+        pl.load_payload(prompt_file)
+
+
 def test_tampered_split_sidecar_is_exit_2(tmp_path, cfg_file):
     home = tmp_path / "h"
     assert main(["--config", cfg_file, "--home", str(home), "gen-data"]) == 0

@@ -1,9 +1,11 @@
 """Every module's inference output without a tape equals its output with the
 tape on, byte for byte, and no-grad calls leave their operands untouched.
 
-Under ``no_grad`` a ``Linear`` adds its bias into its own fresh product and
-``silu``/``layer_norm`` work in buffers they allocated, so these tests also
-pin that no such write reaches an input array or a parameter."""
+Under ``no_grad`` a ``Linear`` adds its bias into its own fresh product,
+``silu``/``layer_norm`` work in buffers they allocated and the denoiser
+writes its per-block adds into its own activations, so these tests also pin
+that no such write reaches an input array, a parameter or a conditioning
+term that later steps of the same draw reuse."""
 
 import contextlib
 
@@ -41,16 +43,23 @@ def _reports(rng, batch):
             for _ in range(batch)]
 
 
+def _draw_conditioning(denoiser, omega):
+    # as a sampler does: once per draw, without a tape
+    with T.no_grad():
+        return denoiser.condition(omega)
+
+
 def _denoiser_case(rng, batch):
     den = _denoiser(ImageCodec.latent_dim, seed=3)
     z = rng.standard_normal((batch, den.latent_dim))
     omega = rng.standard_normal((batch, den.cond_dim))
-    t = rng.integers(1, den.T_steps + 1, size=batch)
+    t = rng.integers(1, den.T_steps + 1, size=(2, batch))
+    cond = _draw_conditioning(den, omega)
 
-    def run():
-        return [den.forward(z, t, None, cond=den.condition(omega)).data]
+    def run():  # two steps of one draw share its conditioning terms
+        return [den.forward(z, t_k, None, cond=cond).data for t_k in t]
 
-    return run, [z, omega, t], [den.params]
+    return run, [z, omega, t, *(c.data for c in cond)], [den.params]
 
 
 def _coupled_case(rng, batch):
@@ -61,18 +70,18 @@ def _coupled_case(rng, batch):
     for _, p in comps.trainable.items():  # live couplings: the adapters' wo start at zero
         p.data[...] = rng.normal(0.0, 0.3, p.shape)
     omega = rng.standard_normal((batch, E["dim"]))
-    t = rng.integers(1, D["timesteps"] + 1, size=batch)
+    t = rng.integers(1, D["timesteps"] + 1, size=(2, batch))
     z = {m: rng.standard_normal((batch, latent[m])) for m in latent}
+    cond = {m: _draw_conditioning(bases[m], omega) for m in latent}
 
-    def run():
+    def run():  # two steps of one joint draw share its conditioning terms
         proj = {m: comps.projections[m].project(z[m]) for m in z}
         return [*proj.values(),
-                *(comps.coupled[m].forward(z[m], t, omega, proj[o],
-                                           cond=bases[m].condition(omega)).data
-                  for m, o in (("view_a", "report"), ("report", "view_a")))]
+                *(comps.coupled[m].forward(z[m], t_k, omega, proj[o], cond=cond[m]).data
+                  for t_k in t for m, o in (("view_a", "report"), ("report", "view_a")))]
 
     params = [comps.trainable, *(b.params for b in bases.values())]
-    return run, [omega, t, *z.values()], params
+    return run, [omega, t, *z.values(), *(c.data for m in latent for c in cond[m])], params
 
 
 def _codec_case(rng, batch):

@@ -1,8 +1,12 @@
 """Coupling freeze contract, degenerate-coupling equivalence and gradients."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from crossgen import jointgen
 from crossgen import tensor as T
 from crossgen import toydata as td
 from crossgen.bridging import PromptEncoders, train_alignment
@@ -280,17 +284,26 @@ def test_joint_sample_deterministic(small_world):
     assert out1["report"] == out2["report"]
 
 
-def test_joint_sample_matches_per_step_coupled_forward_reference(small_world, monkeypatch):
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """A machine with two CPUs, whatever this one has: the threaded path is
+    taken from THREAD_MIN_ROWS rows on."""
+    monkeypatch.setattr(jointgen, "_cpus", lambda: 2)
+
+
+@pytest.mark.parametrize("batch", [4, jointgen.THREAD_MIN_ROWS])
+def test_joint_sample_matches_per_step_coupled_forward_reference(small_world, monkeypatch,
+                                                                 two_cpus, batch):
     ds, enc, codecs, sched, bases = small_world
     pair = ("view_a", "report")
     comps, _ = train_joint(ds, pair, enc, codecs, bases, sched, epochs=1,
                            batch_size=32, coupling_dim=4, proj_hidden=8, seed=12)
-    omega = np.random.default_rng(13).standard_normal((4, enc.dim))
+    omega = np.random.default_rng(13).standard_normal((batch, enc.dim))
     # the lockstep reverse process written out, nothing hoisted
     rngs = {m: noise_stream(17, m) for m in pair}
-    z = {m: rngs[m].standard_normal((4, bases[m].latent_dim)) for m in pair}
+    z = {m: rngs[m].standard_normal((batch, bases[m].latent_dim)) for m in pair}
     for t in range(sched.T, 0, -1):
-        t_arr = np.full(4, t, dtype=np.int64)
+        t_arr = np.full(batch, t, dtype=np.int64)
         proj = {m: comps.projections[m].project(z[m]) for m in pair}
         with T.no_grad():
             eps = {m: comps.coupled[m].forward(z[m], t_arr, omega, proj[o]).data
@@ -299,11 +312,55 @@ def test_joint_sample_matches_per_step_coupled_forward_reference(small_world, mo
         for m in pair:
             mean = (z[m] - beta / np.sqrt(1.0 - ab) * eps[m]) / np.sqrt(alpha)
             z[m] = mean + np.sqrt(beta) * rngs[m].standard_normal(z[m].shape) if t > 1 else mean
-    calls = []
+    threads = []
     forward = Denoiser.forward
-    monkeypatch.setattr(Denoiser, "forward",
-                        lambda self, *a, **k: calls.append(1) or forward(self, *a, **k))
-    out = joint_sample(comps, sched, omega, codecs, seed=17)
+    monkeypatch.setattr(Denoiser, "forward", lambda self, *a, **k: threads.append(
+        threading.get_ident()) or forward(self, *a, **k))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        out = joint_sample(comps, sched, omega, codecs, seed=17)
+    finally:
+        sys.setswitchinterval(interval)
     np.testing.assert_array_equal(out["view_a"], codecs["view_a"].decode(z["view_a"]))
     assert out["report"] == codecs["report"].decode(z["report"])
-    assert len(calls) == 2 * sched.T  # one forward per stream and step
+    assert len(threads) == 2 * sched.T  # one forward per stream and step
+    # the second stream runs on a worker from THREAD_MIN_ROWS rows on
+    expected = 2 if batch >= jointgen.THREAD_MIN_ROWS else 1
+    assert len(set(threads)) == expected
+
+
+def _joint_world(small_world):
+    ds, enc, codecs, sched, bases = small_world
+    comps = build_joint(("view_a", "report"), bases, coupling_dim=4, proj_hidden=8, seed=6)
+    omega = np.random.default_rng(3).standard_normal((jointgen.THREAD_MIN_ROWS, enc.dim))
+    return comps, sched, omega, codecs
+
+
+def test_threaded_joint_sample_leaves_grad_mode_tape_and_threads_as_it_found_them(
+        small_world, two_cpus):
+    comps, sched, omega, codecs = _joint_world(small_world)
+    before = threading.active_count()
+    joint_sample(comps, sched, omega, codecs, seed=4)
+    assert T._GRAD_ENABLED[0] is True
+    assert len(T.tape()) == 0
+    assert threading.active_count() == before
+
+
+def test_an_error_in_the_worker_stream_propagates_with_grad_mode_restored(
+        small_world, monkeypatch, two_cpus):
+    comps, sched, omega, codecs = _joint_world(small_world)
+    worker_stream = comps.pair[1]  # the calling thread steps the first stream
+    raised_on = []
+
+    def fail(*args, **kwargs):
+        raised_on.append(threading.get_ident())
+        raise FloatingPointError("worker stream failed")
+
+    monkeypatch.setattr(comps.coupled[worker_stream], "forward", fail)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="worker stream failed"):
+        joint_sample(comps, sched, omega, codecs, seed=4)
+    assert raised_on and raised_on[0] != threading.get_ident()
+    assert T._GRAD_ENABLED[0] is True
+    assert threading.active_count() == before
