@@ -87,7 +87,8 @@ def main(argv=None) -> int:
         elif args.command == "eval":
             _cmd_eval(args, cfg, home)
         return 0
-    except (ConfigError, ArtifactError, ValueError) as exc:
+    except (ConfigError, ArtifactError, ValueError, OSError) as exc:
+        # OSError: the home (or a file under it) cannot be created or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MissingPrerequisiteError as exc:

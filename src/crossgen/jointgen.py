@@ -6,9 +6,6 @@ its exact form: the learned linear map wo(wv(partner))."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -18,8 +15,8 @@ from . import tensor as T
 from .bridging import symmetric_loss
 from .conditioning import SubsetSampler, draw_conditioning_batch
 from .diffusion import (Denoiser, DiffusionSchedule, encode_records,
-                        noise_prediction_loss, noise_stream, q_sample,
-                        reverse_steps, reverse_update)
+                        no_grad_pool, noise_prediction_loss, noise_stream,
+                        q_sample, reverse_steps, reverse_update, step_noise)
 from .errors import NumericError
 from .nn import AdamWState, Linear, ParameterSet, train_epoch
 from .rng import stream
@@ -185,21 +182,6 @@ def train_joint(dataset, pair: tuple[str, str], encoders, codecs: dict,
     return components, history
 
 
-#: batch rows from which ``joint_sample`` advances its second stream on a
-#: worker thread: the crossover, below which the per-step handoff costs more
-#: than the overlap gains. A default-config joint draw on 2 vCPUs with BLAS
-#: at 1 thread took, threaded against inline, 2.3x as long at 8 rows, 1.1x
-#: at 48, 0.9-1.0x at 64 and 0.6-0.7x at 500.
-THREAD_MIN_ROWS = 64
-
-
-def _cpus() -> int:
-    """CPUs this process may run on (all of them where affinity is unknown)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def joint_sample(components: JointComponents, schedule: DiffusionSchedule,
                  omega, codecs: dict, seed: int,
                  sigma_mode: str = "beta") -> dict:
@@ -213,27 +195,24 @@ def joint_sample(components: JointComponents, schedule: DiffusionSchedule,
     same seed would draw, so zeroed couplings reproduce independent generation.
 
     Within a step the two streams share nothing they write, so from
-    ``THREAD_MIN_ROWS`` rows on, with at least two CPUs, the second stream
-    steps on one worker thread while the calling thread steps the first
-    (numpy releases the GIL in their GEMMs and ufunc loops). Each stream
-    issues the same numpy calls either way, so the output is the same."""
+    ``diffusion.THREAD_MIN_ROWS`` rows on, with at least two CPUs, the second
+    stream steps on one worker thread while the calling thread steps the
+    first (numpy releases the GIL in their GEMMs and ufunc loops), under the
+    rules of ``diffusion.no_grad_pool``. Each stream issues the same numpy
+    calls either way, so the output is the same."""
     pair = m_i, m_j = components.pair
     steps = reverse_steps(schedule, sigma_mode)
     omega = np.atleast_2d(np.asarray(omega, dtype=np.float64))
     b = len(omega)
     rngs = {m: noise_stream(seed, m) for m in pair}
     z = {m: rngs[m].standard_normal((b, components.coupled[m].base.latent_dim)) for m in pair}
-    threaded = b >= THREAD_MIN_ROWS and _cpus() >= 2
-    # no_grad flips a process-global flag, so only this thread enters and
-    # leaves it, around the pool's whole life; the pool is the inner context,
-    # so its worker is joined before the flag is restored
-    with T.no_grad(), (ThreadPoolExecutor(1) if threaded else nullcontext()) as pool:
+    with no_grad_pool(b) as pool:  # each thread steps one stream's b rows
         cond = {m: components.coupled[m].base.condition(omega) for m in pair}
 
         def advance(m, z_m, step, t_arr, partner_proj):  # one stream's step
             eps_hat = components.coupled[m].forward(z_m, t_arr, omega, partner_proj,
                                                     cond=cond[m]).data
-            return reverse_update(z_m, eps_hat, step, rngs[m])
+            return reverse_update(z_m, eps_hat, step, step_noise(rngs[m], z_m.shape, step))
 
         for step in steps:
             t_arr = np.full(b, step[0], dtype=np.int64)

@@ -67,10 +67,21 @@ def write_manifest(home, stage: str, artifact: Path, cfg_hash: str,
 
 
 def read_manifest(home, stage: str, cfg_hash: str) -> dict:
+    """The manifest of ``stage``; ArtifactError naming its path if it is not
+    JSON, lacks a string ``config_hash`` or ``checksum`` or a
+    ``prerequisites`` object, or was written under another config."""
     path = manifest_path(home, stage)
     if not path.exists():
         raise MissingPrerequisiteError(stage)
-    manifest = json.loads(path.read_text())
+    try:
+        manifest = json.loads(path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ArtifactError(f"{path}: manifest is not JSON text ({exc})") from exc
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("config_hash"), str)
+            and isinstance(manifest.get("checksum"), str)
+            and isinstance(manifest.get("prerequisites"), dict)):
+        raise ArtifactError(f"{path}: manifest is not an object with string 'config_hash' "
+                            f"and 'checksum' fields and a 'prerequisites' object")
     if manifest["config_hash"] != cfg_hash:
         raise ArtifactError(
             f"{stage}: artifact was produced under config {manifest['config_hash'][:12]}..., "

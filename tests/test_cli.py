@@ -107,6 +107,30 @@ def test_missing_dataset_file_is_exit_2(tmp_path, cfg_file, capsys):
     assert "missing" in capsys.readouterr().err
 
 
+def test_a_home_that_cannot_be_created_is_exit_2(tmp_path, cfg_file, capsys):
+    home = tmp_path / "a_file"
+    home.write_text("")
+    assert main(["--config", cfg_file, "--home", str(home), "gen-data"]) == 2
+    assert str(home) in capsys.readouterr().err
+
+
+BAD_MANIFESTS = {"list": "[]", "empty_object": "{}", "int_hash": '{"config_hash": 5}',
+                 "not_json": "not json",
+                 "no_prerequisites": '{"config_hash": "0", "checksum": "0"}'}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MANIFESTS))
+def test_a_malformed_manifest_is_exit_2_naming_its_path(tmp_path, cfg_file, capsys, case):
+    home = tmp_path / "h"
+    assert main(["--config", cfg_file, "--home", str(home), "gen-data"]) == 0
+    path = pl.manifest_path(home, "dataset")
+    path.write_text(BAD_MANIFESTS[case])
+    assert main(["--config", cfg_file, "--home", str(home), "train", "align"]) == 2
+    assert f"error: {path}: manifest" in capsys.readouterr().err
+    with pytest.raises(ArtifactError, match="manifest"):
+        pl.read_manifest(home, "dataset", "0" * 64)
+
+
 def test_unknown_config_key_is_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"no_such": 1}))
@@ -598,6 +622,13 @@ def _other_alignment(home, cfg_file):
     path.write_text(json.dumps(manifest))
 
 
+def _no_prerequisites(home, cfg_file):
+    path = pl.manifest_path(home, "ldm:view_a")
+    manifest = json.loads(path.read_text())
+    del manifest["prerequisites"]
+    path.write_text(json.dumps(manifest))
+
+
 def _checkpoint_gone(home, cfg_file):
     pl.checkpoint_path(home, "ldm:view_a").unlink()
     with pytest.raises(ArtifactError, match="missing"):
@@ -617,6 +648,7 @@ def _from_another_config(home, cfg_file):
 SIBLING_DEFECTS = {
     "tampered": _flip_a_byte,
     "other_alignment": _other_alignment,
+    "no_prerequisites": _no_prerequisites,
     "checkpoint_gone": _checkpoint_gone,
     "other_config": _from_another_config,
 }

@@ -1,18 +1,21 @@
 """Schedule oracles, forward-corruption marginals, codec round trips,
 denoiser gradients and ancestral sampling."""
 
+import sys
+import threading
 from functools import partial
 
 import mpmath
 import numpy as np
 import pytest
 
+from crossgen import diffusion
 from crossgen import tensor as T
 from crossgen import toydata as td
 from crossgen.bridging import PromptEncoders
 from crossgen.conditioning import SubsetSampler
 from crossgen.config import load_config
-from crossgen.diffusion import (Denoiser, DiffusionSchedule, ImageCodec,
+from crossgen.diffusion import (THREAD_MIN_ROWS, Denoiser, DiffusionSchedule, ImageCodec,
                                 TextCodec, denoise_loss, encode_records,
                                 make_schedule, noise_prediction_loss, q_sample,
                                 reverse_steps, reverse_update, sample, sample_latents,
@@ -296,7 +299,7 @@ def test_single_step_inversion_with_oracle_denoiser():
     eps = rng.standard_normal((2, 5))
     z1 = q_sample(z0, np.array([1, 1]), eps, s)
     # the last reverse step, given the true noise, adds none and inverts q_sample
-    out = reverse_update(z1, eps, reverse_steps(s)[0], stream(0, "unused"))
+    out = reverse_update(z1, eps, reverse_steps(s)[0], None)
     np.testing.assert_allclose(out, z0, atol=1e-12)
 
 
@@ -326,22 +329,88 @@ def _reference_reverse(eps_fn, s, z, rng, sigma_mode):
         z = mean + sigma * rng.standard_normal(z.shape)
 
 
-@pytest.mark.parametrize("sigma_mode", ["beta", "alpha_bar_ratio"])
-def test_sample_latents_matches_per_step_forward_reference(sigma_mode, monkeypatch):
-    den = Denoiser(latent_dim=6, cond_dim=4, T_steps=12, hidden=16, n_blocks=2,
-                   attn_dim=5, seed=21)
-    s = make_schedule(12, 1e-3, 0.2)
-    omega = np.random.default_rng(22).standard_normal((5, 4))
-    rng = stream(3, "ref")
-    ref = _reference_reverse(lambda z, t: den.forward(z, t, omega), s,
-                             rng.standard_normal((5, 6)), rng, sigma_mode)
-    calls = []
+def _default_width_denoiser(T_steps):
+    """The default config's denoiser widths over a short schedule."""
+    return Denoiser(latent_dim=64, cond_dim=32, T_steps=T_steps, hidden=192, n_blocks=2,
+                    attn_dim=32, seed=21)
+
+
+def _sample_on_threads(monkeypatch, *args, **kwargs):
+    """sample_latents(*args, **kwargs) with threads switching as often as the
+    interpreter can, and the thread ident of every denoiser forward."""
+    threads = []
     forward = Denoiser.forward
-    monkeypatch.setattr(Denoiser, "forward",
-                        lambda self, *a, **k: calls.append(1) or forward(self, *a, **k))
-    out = sample_latents(den, s, omega, stream(3, "ref"), sigma_mode=sigma_mode)
+    monkeypatch.setattr(Denoiser, "forward", lambda self, *a, **k: threads.append(
+        threading.get_ident()) or forward(self, *a, **k))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        return sample_latents(*args, **kwargs), threads
+    finally:
+        sys.setswitchinterval(interval)
+
+
+SPLIT = 2 * THREAD_MIN_ROWS  # the fewest rows a draw splits at
+
+
+@pytest.mark.parametrize("sigma_mode, batch", [
+    pytest.param("beta", 5, id="beta"),
+    pytest.param("alpha_bar_ratio", 5, id="alpha_bar_ratio"),
+    pytest.param("beta", SPLIT, id="beta-split"),
+    pytest.param("alpha_bar_ratio", SPLIT, id="alpha_bar_ratio-split"),
+])
+def test_sample_latents_matches_per_step_forward_reference(sigma_mode, batch, monkeypatch,
+                                                           two_cpus):
+    den = _default_width_denoiser(12)
+    s = make_schedule(12, 1e-3, 0.2)
+    omega = np.random.default_rng(22).standard_normal((batch, den.cond_dim))
+    rng = stream(3, "ref")
+    # the whole batch in every forward: a split draw must give each row its bits
+    ref = _reference_reverse(lambda z, t: den.forward(z, t, omega), s,
+                             rng.standard_normal((batch, den.latent_dim)), rng, sigma_mode)
+    out, threads = _sample_on_threads(monkeypatch, den, s, omega, stream(3, "ref"),
+                                      sigma_mode=sigma_mode)
     np.testing.assert_array_equal(out, ref)
-    assert len(calls) == s.T  # one forward per reverse step
+    # one forward per reverse step, or one per half and step on two threads
+    parts = 2 if batch >= SPLIT else 1
+    assert len(threads) == parts * s.T
+    assert threading.get_ident() in threads and len(set(threads)) == parts
+
+
+def test_a_split_draw_gives_the_bytes_of_a_one_cpu_draw(monkeypatch):
+    den = _default_width_denoiser(8)
+    s = make_schedule(8, 1e-3, 0.2)
+    omega = np.random.default_rng(5).standard_normal((SPLIT + 1, den.cond_dim))  # odd
+    draws = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(diffusion, "_cpus", lambda: cpus)
+        draws[cpus], threads = _sample_on_threads(monkeypatch, den, s, omega, stream(6, "n"))
+        assert len(set(threads)) == cpus
+    assert draws[1].tobytes() == draws[2].tobytes()
+
+
+def test_an_error_in_the_worker_half_propagates_with_grad_mode_restored(monkeypatch,
+                                                                       two_cpus):
+    den = _default_width_denoiser(8)
+    s = make_schedule(8, 1e-3, 0.2)
+    omega = np.zeros((SPLIT, den.cond_dim))
+    caller, raised_on = threading.get_ident(), []
+    forward = Denoiser.forward
+
+    def fail_on_worker(self, *args, **kwargs):
+        if threading.get_ident() != caller:
+            raised_on.append(threading.get_ident())
+            raise FloatingPointError("worker half failed")
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(Denoiser, "forward", fail_on_worker)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="worker half failed"):
+        sample_latents(den, s, omega, stream(0, "s"))
+    assert raised_on
+    assert T._GRAD_ENABLED[0] is True
+    assert len(T.tape()) == 0
+    assert threading.active_count() == before
 
 
 def test_sample_decodes_via_codec(toy_train):

@@ -6,13 +6,12 @@ import threading
 import numpy as np
 import pytest
 
-from crossgen import jointgen
 from crossgen import tensor as T
 from crossgen import toydata as td
 from crossgen.bridging import PromptEncoders, train_alignment
 from crossgen.config import load_config
-from crossgen.diffusion import (Denoiser, ImageCodec, TextCodec, make_schedule,
-                                noise_stream, sample, train_ldm)
+from crossgen.diffusion import (THREAD_MIN_ROWS, Denoiser, ImageCodec, TextCodec,
+                                make_schedule, noise_stream, sample, train_ldm)
 from crossgen.jointgen import (ProjectionEncoder, build_joint,
                                coupled_pair_loss, joint_sample, train_joint,
                                zero_couplings)
@@ -284,14 +283,7 @@ def test_joint_sample_deterministic(small_world):
     assert out1["report"] == out2["report"]
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """A machine with two CPUs, whatever this one has: the threaded path is
-    taken from THREAD_MIN_ROWS rows on."""
-    monkeypatch.setattr(jointgen, "_cpus", lambda: 2)
-
-
-@pytest.mark.parametrize("batch", [4, jointgen.THREAD_MIN_ROWS])
+@pytest.mark.parametrize("batch", [4, THREAD_MIN_ROWS])
 def test_joint_sample_matches_per_step_coupled_forward_reference(small_world, monkeypatch,
                                                                  two_cpus, batch):
     ds, enc, codecs, sched, bases = small_world
@@ -326,14 +318,14 @@ def test_joint_sample_matches_per_step_coupled_forward_reference(small_world, mo
     assert out["report"] == codecs["report"].decode(z["report"])
     assert len(threads) == 2 * sched.T  # one forward per stream and step
     # the second stream runs on a worker from THREAD_MIN_ROWS rows on
-    expected = 2 if batch >= jointgen.THREAD_MIN_ROWS else 1
+    expected = 2 if batch >= THREAD_MIN_ROWS else 1
     assert len(set(threads)) == expected
 
 
 def _joint_world(small_world):
     ds, enc, codecs, sched, bases = small_world
     comps = build_joint(("view_a", "report"), bases, coupling_dim=4, proj_hidden=8, seed=6)
-    omega = np.random.default_rng(3).standard_normal((jointgen.THREAD_MIN_ROWS, enc.dim))
+    omega = np.random.default_rng(3).standard_normal((THREAD_MIN_ROWS, enc.dim))
     return comps, sched, omega, codecs
 
 
