@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -69,7 +70,7 @@ def load_checkpoint(path, expect_stage: str | None = None,
     raw = path.read_bytes()
     if len(raw) < 38 or raw[:4] != XGCK_MAGIC:
         raise ArtifactError(f"{path}: not a checkpoint file")
-    body = raw[:-32]
+    body = memoryview(raw)[:-32]  # the fields are parsed from views of raw
     body_hash = hashlib.sha256(body)
     checksum = body_hash.digest()
     if checksum != raw[-32:]:
@@ -89,20 +90,20 @@ def load_checkpoint(path, expect_stage: str | None = None,
         raise ArtifactError(
             f"{path}: checkpoint format version {version} not supported (expected {XGCK_VERSION})")
     (stage_len,) = struct.unpack("<H", take(2))
-    stage = take(stage_len).decode("utf-8")
+    stage = str(take(stage_len), "utf-8")
     (hash_len,) = struct.unpack("<H", take(2))
-    cfg_hash = take(hash_len).decode("utf-8")
+    cfg_hash = str(take(hash_len), "utf-8")
     (meta_len,) = struct.unpack("<I", take(4))
-    metadata = json.loads(take(meta_len).decode("utf-8"))
+    metadata = json.loads(str(take(meta_len), "utf-8"))
     (n_arrays,) = struct.unpack("<I", take(4))
     arrays = {}
     for _ in range(n_arrays):
         (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
+        name = str(take(name_len), "utf-8")
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim)) if ndim else ()
-        count = int(np.prod(shape)) if shape else 1
-        arrays[name] = np.frombuffer(take(8 * count), dtype="<f8").reshape(shape).copy()
+        # the one copy of the values: a writable array that owns its memory
+        arrays[name] = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
     if off != len(body):
         raise ArtifactError(f"{path}: {len(body) - off} trailing bytes")
 

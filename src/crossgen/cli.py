@@ -63,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
                                       "classify", "utility", "intra-study"])
     p.add_argument("--dir", help="directory of generated samples")
     p.add_argument("--synth-dir", help="directory of generated payloads")
-    p.add_argument("--modality", default="view_a")
+    p.add_argument("--modality", default="view_a", choices=["view_a", "view_b"],
+                   help="image modality of the fid payloads")
     p.add_argument("--pair", nargs=2, metavar=("M1", "M2"))
     p.add_argument("--split", default="test", choices=["train", "val", "test"])
     p.add_argument("--mode", choices=["anonymization", "imbalance", "scarcity"])

@@ -282,12 +282,13 @@ class Denoiser:
         return [block["wo"](block["wv"](om)) for block in self.blocks]
 
     def forward(self, z, t, omega, extra_site=None, cond=None) -> T.Tensor:
-        """Predict the noise for latents z at (1-based) timesteps t.
+        """Predict the noise for latents z at (1-based) timesteps t, on the
+        tape: the path training records, and the reference ``array_forward``
+        matches byte for byte.
 
         ``cond``, the list ``condition(omega)`` returned, stands in for omega
-        when given, so a reverse loop computes it once per draw.
-        ``extra_site(block_index)`` lets a coupling wrapper inject an
-        additional additive term after the conditioning site.
+        when given. ``extra_site(block_index)`` lets a coupling wrapper
+        inject an additional additive term after the conditioning site.
         """
         z_t = z if isinstance(z, T.Tensor) else T.Tensor(z)
         t = np.asarray(t, dtype=np.int64).reshape(-1)
@@ -298,17 +299,53 @@ class Denoiser:
             cond = self.condition(omega)
         temb = T.embedding(self.time_table, t - 1)
         h = self.in_proj(z_t)
-        # without a tape each add writes into the activation layer_norm or
-        # silu just allocated, never into r, temb, a site's output or a
-        # conditioning term (every step of a draw reuses those)
         for i, block in enumerate(self.blocks):
             r = h
-            h = T.add_into(T.layer_norm(h), temb)
-            h = T.add_into(T.silu(block["fc1"](h)), cond[i])
+            h = T.add(T.layer_norm(h), temb)
+            h = T.add(T.silu(block["fc1"](h)), cond[i])
             if extra_site is not None:
-                h = T.add_into(h, extra_site(i))
-            h = T.add_into(r, T.silu(block["fc2"](h)), into_b=True)
+                h = T.add(h, extra_site(i))
+            h = T.add(r, T.silu(block["fc2"](h)))
         return self.out_proj(h)
+
+    def array_forward(self, cond: list[np.ndarray], rows: int, t_max: int):
+        """``forward`` without a tape, on bare arrays, for ``rows`` rows of
+        one reverse draw: returns ``eps(z, t, site=None)``, the noise
+        prediction for latents z (``rows`` of them) all at timestep t.
+
+        ``cond`` holds those rows' terms of ``condition(omega)`` as arrays.
+        ``t_max`` is the largest timestep the draw will pass (its schedule's
+        T), checked here once instead of on every call (ValueError as in
+        ``forward``). ``site(i, buf)`` returns block i's extra term and may
+        use ``buf``, a free (rows, hidden) array, for it. The four (rows,
+        hidden) activation arrays and the (rows, 1) statistics array live as
+        long as the returned function, so they go when the draw ends; each
+        thread of a draw needs its own. Every operation is one of
+        ``forward``'s, in its order on the same operands, so the output has
+        ``forward``'s bytes (the timestep row broadcasts where ``forward``
+        adds a copy of it per row).
+        """
+        if t_max > self.T_steps:
+            raise ValueError(f"timestep out of range 1..{self.T_steps}")
+        h, x, a, s = (np.empty((rows, self.hidden)) for _ in range(4))
+        stat = np.empty((rows, 1))
+        table = self.time_table.data
+        blocks = [(block["fc1"], block["fc2"]) for block in self.blocks]
+
+        def eps(z: np.ndarray, t: int, site=None) -> np.ndarray:
+            self.in_proj.apply(z, out=h)
+            for i, (fc1, fc2) in enumerate(blocks):  # h holds the residual r
+                T.layer_norm_kernel(h, out=x, sq=a, stat=stat)
+                np.add(x, table[t - 1], out=x)
+                T.silu_kernel(fc1.apply(x, out=a), s, s)
+                np.add(s, cond[i], out=s)
+                if site is not None:
+                    np.add(s, site(i, a), out=s)
+                T.silu_kernel(fc2.apply(s, out=a), x, x)
+                np.add(h, x, out=h)  # r + silu(fc2(.)), in forward's order
+            return self.out_proj.apply(h)
+
+        return eps
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +460,20 @@ def step_noise(rng: np.random.Generator, shape: tuple, step: tuple) -> np.ndarra
     return rng.standard_normal(shape) if step[0] > 1 else None
 
 
+def step_noises(rng: np.random.Generator, shape: tuple, steps: list[tuple],
+                at_once: bool):
+    """An iterator over each step's ``step_noise``, in step order (t = T..1).
+
+    ``at_once`` draws them up front as one (T - 1, *shape) array: a
+    Generator fills an array in draw order, so each step gets the numbers
+    its own draw would, and the generator ends in the same state. That holds
+    (T - 1) * rows * width floats for the whole draw, so only draws below
+    ``THREAD_MIN_ROWS`` rows per thread take it; the others draw per step."""
+    if at_once:
+        return iter([*rng.standard_normal((len(steps) - 1, *shape)), None])
+    return (step_noise(rng, shape, step) for step in steps)
+
+
 #: rows each thread of a reverse loop must get before the loop spreads over
 #: two threads: the crossover, below which the per-step handoff costs more
 #: than the overlap gains. A joint draw puts its second stream (all rows) on
@@ -461,36 +512,39 @@ def sample_latents(denoiser: Denoiser, schedule: DiffusionSchedule, omega: np.nd
     """Reverse process from pure noise; joint sampling takes the same step
     (``reverse_update``).
 
-    The denoiser computes its conditioning terms once for the draw and
-    reuses them on every step. The step noise scale is sqrt(beta_t) by
-    default, or the alpha-bar-ratio variant (``reverse_steps``).
+    The conditioning terms are computed once for the draw, and each step's
+    noise prediction is ``Denoiser.array_forward``, which gives
+    ``Denoiser.forward``'s bytes without building a tensor per operation.
+    The step noise scale is sqrt(beta_t) by default, or the
+    alpha-bar-ratio variant (``reverse_steps``).
 
     From ``2 * THREAD_MIN_ROWS`` rows on, with at least two CPUs, one worker
     thread steps the second half of the rows while the calling thread steps
     the first (numpy releases the GIL in their GEMMs and ufunc loops). The
     calling thread computes the conditioning and draws each step's noise
-    for the whole batch, in the order an unsplit draw does. Every op of a
-    step is row-wise, and OpenBLAS gives each row of these products the same
-    bits at half the rows, so the output is the same either way.
+    for the whole batch, in the order an unsplit draw does (below
+    ``THREAD_MIN_ROWS`` rows per half, all of it up front: ``step_noises``).
+    Every op of a step is row-wise, and OpenBLAS gives each row of these
+    products the same bits at half the rows, so the output is the same
+    either way.
     """
     steps = reverse_steps(schedule, sigma_mode)
     omega = np.atleast_2d(np.asarray(omega, dtype=np.float64))
     b = len(omega)
     with no_grad_pool(b // 2) as pool:
-        cond = denoiser.condition(omega)
+        cond = [c.data for c in denoiser.condition(omega)]
         z = rng.standard_normal((b, denoiser.latent_dim))
         rows = [slice(0, b)] if pool is None else [slice(0, b // 2), slice(b // 2, b)]
-        fixed = [(omega[r], [T.Tensor(c.data[r]) for c in cond]) for r in rows]
+        eps = [denoiser.array_forward([c[r] for c in cond], r.stop - r.start, schedule.T)
+               for r in rows]
 
         def advance(k, z_k, step, noise):  # one step of the rows in rows[k]
-            omega_k, cond_k = fixed[k]
-            t_arr = np.full(len(z_k), step[0], dtype=np.int64)
-            eps_hat = denoiser.forward(z_k, t_arr, omega_k, cond=cond_k).data
-            return reverse_update(z_k, eps_hat, step, None if noise is None else noise[rows[k]])
+            return reverse_update(z_k, eps[k](z_k, step[0]), step,
+                                  None if noise is None else noise[rows[k]])
 
         zs = [z[r] for r in rows]
-        for step in steps:
-            noise = step_noise(rng, z.shape, step)
+        noises = step_noises(rng, z.shape, steps, at_once=b // 2 < THREAD_MIN_ROWS)
+        for step, noise in zip(steps, noises):
             if pool is None:
                 zs = [advance(0, zs[0], step, noise)]
             else:

@@ -14,9 +14,9 @@ import numpy as np
 from . import tensor as T
 from .bridging import symmetric_loss
 from .conditioning import SubsetSampler, draw_conditioning_batch
-from .diffusion import (Denoiser, DiffusionSchedule, encode_records,
+from .diffusion import (THREAD_MIN_ROWS, Denoiser, DiffusionSchedule, encode_records,
                         no_grad_pool, noise_prediction_loss, noise_stream,
-                        q_sample, reverse_steps, reverse_update, step_noise)
+                        q_sample, reverse_steps, reverse_update, step_noises)
 from .errors import NumericError
 from .nn import AdamWState, Linear, ParameterSet, train_epoch
 from .rng import stream
@@ -32,15 +32,24 @@ class ProjectionEncoder:
         self.l2 = Linear(params, f"{prefix}.l2", hidden, coupling_dim, rng)
         self.latent_dim = latent_dim
 
+    def _check_width(self, z: np.ndarray) -> None:
+        if z.shape[-1] != self.latent_dim:
+            raise ValueError(f"latent width {z.shape[-1]} != {self.latent_dim}")
+
     def forward(self, z) -> T.Tensor:
         z_t = z if isinstance(z, T.Tensor) else T.Tensor(z)
-        if z_t.data.shape[-1] != self.latent_dim:
-            raise ValueError(f"latent width {z_t.data.shape[-1]} != {self.latent_dim}")
+        self._check_width(z_t.data)
         return T.l2_normalize(self.l2(T.silu(self.l1(z_t))))
 
     def project(self, z: np.ndarray) -> np.ndarray:
-        with T.no_grad():
-            return self.forward(z).data
+        """``forward``'s arithmetic without a tape, on a bare array, with its
+        bytes."""
+        z = np.asarray(z, dtype=np.float64)
+        self._check_width(z)
+        h = self.l1.apply(z)
+        s = np.empty_like(h)
+        T.silu_kernel(h, s, s)
+        return T.l2_normalize_kernel(self.l2.apply(s))[0]
 
 
 class CoupledDenoiser:
@@ -66,12 +75,28 @@ class CoupledDenoiser:
             })
 
     def forward(self, z, t, omega, partner, cond=None) -> T.Tensor:
-        """The base forward plus the coupling sites; ``cond`` is the base's
-        ``condition(omega)``, computed once per draw by the sampler."""
+        """The base forward plus the coupling sites; ``cond`` may stand in
+        for the base's ``condition(omega)``."""
         p = partner if isinstance(partner, T.Tensor) else T.Tensor(partner)
         ad = self.adapters
         return self.base.forward(z, t, omega, extra_site=lambda i: ad[i]["wo"](ad[i]["wv"](p)),
                                  cond=cond)
+
+    def array_forward(self, cond: list[np.ndarray], rows: int, t_max: int):
+        """``forward`` without a tape, on bare arrays, with its bytes (see
+        ``Denoiser.array_forward``): returns ``eps(z, t, partner)`` for the
+        partner trajectory's projected latent."""
+        eps = self.base.array_forward(cond, rows, t_max)
+        sites = [(ad["wv"], ad["wo"]) for ad in self.adapters]
+
+        def coupled(z, t, partner):
+            def site(i, buf):  # wo(wv(partner)), wo's product written into buf
+                wv, wo = sites[i]
+                return wo.apply(wv.apply(partner), out=buf)
+
+            return eps(z, t, site)
+
+        return coupled
 
 
 @dataclass
@@ -190,9 +215,13 @@ def joint_sample(components: JointComponents, schedule: DiffusionSchedule,
     Each base denoiser's conditioning terms are computed once for the draw.
     At every step each denoiser's coupling sites map the partner's current
     latent, projected once and shared, through their linear wo(wv(.)), and
-    each stream takes the ``reverse_update`` step of single sampling. Noise
-    streams are per modality and match what independent sampling with the
-    same seed would draw, so zeroed couplings reproduce independent generation.
+    each stream takes the ``reverse_update`` step of single sampling. The
+    noise predictions are ``CoupledDenoiser.array_forward`` and the
+    projections ``ProjectionEncoder.project``, both with the bytes of their
+    tape forwards. Noise streams are per modality and match what independent
+    sampling with the same seed would draw (below ``THREAD_MIN_ROWS`` rows,
+    all of a stream's step noise up front: ``diffusion.step_noises``), so
+    zeroed couplings reproduce independent generation.
 
     Within a step the two streams share nothing they write, so from
     ``diffusion.THREAD_MIN_ROWS`` rows on, with at least two CPUs, the second
@@ -207,22 +236,24 @@ def joint_sample(components: JointComponents, schedule: DiffusionSchedule,
     rngs = {m: noise_stream(seed, m) for m in pair}
     z = {m: rngs[m].standard_normal((b, components.coupled[m].base.latent_dim)) for m in pair}
     with no_grad_pool(b) as pool:  # each thread steps one stream's b rows
-        cond = {m: components.coupled[m].base.condition(omega) for m in pair}
+        eps = {m: components.coupled[m].array_forward(
+                   [c.data for c in components.coupled[m].base.condition(omega)], b, schedule.T)
+               for m in pair}
+        noises = {m: step_noises(rngs[m], z[m].shape, steps, at_once=b < THREAD_MIN_ROWS)
+                  for m in pair}
 
-        def advance(m, z_m, step, t_arr, partner_proj):  # one stream's step
-            eps_hat = components.coupled[m].forward(z_m, t_arr, omega, partner_proj,
-                                                    cond=cond[m]).data
-            return reverse_update(z_m, eps_hat, step, step_noise(rngs[m], z_m.shape, step))
+        def advance(m, z_m, step, partner_proj):  # one stream's step
+            return reverse_update(z_m, eps[m](z_m, step[0], partner_proj), step,
+                                  next(noises[m]))
 
         for step in steps:
-            t_arr = np.full(b, step[0], dtype=np.int64)
             proj = {m: components.projections[m].project(z[m]) for m in pair}
             if pool is None:
-                z = {m_i: advance(m_i, z[m_i], step, t_arr, proj[m_j]),
-                     m_j: advance(m_j, z[m_j], step, t_arr, proj[m_i])}
+                z = {m_i: advance(m_i, z[m_i], step, proj[m_j]),
+                     m_j: advance(m_j, z[m_j], step, proj[m_i])}
             else:
-                future = pool.submit(advance, m_j, z[m_j], step, t_arr, proj[m_i])
-                z_i = advance(m_i, z[m_i], step, t_arr, proj[m_j])
+                future = pool.submit(advance, m_j, z[m_j], step, proj[m_i])
+                z_i = advance(m_i, z[m_i], step, proj[m_j])
                 # result() re-raises the worker's exception; z is rebound
                 # only once both streams have finished the step
                 z = {m_i: z_i, m_j: future.result()}

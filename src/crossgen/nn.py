@@ -103,6 +103,13 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return add_into(matmul(x, self.w), self.b)
 
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``self(x)``'s arithmetic on a bare array, without a tape: the
+        product written into ``out`` (fresh when None), then the bias."""
+        y = np.matmul(x, self.w.data, out=out)
+        y += self.b.data
+        return y
+
 
 def token_ids(reports) -> tuple[np.ndarray, np.ndarray]:
     """The reports' token ids padded with 0 to MAX_REPORT_LEN, (B, 32), and

@@ -267,7 +267,10 @@ def run_train_ldm(cfg: dict, home, target: str) -> Path:
 
 
 def load_ldm(cfg: dict, home, target: str):
-    ck = _load_stage(cfg, home, f"ldm:{target}")
+    return _ldm_from_checkpoint(cfg, target, _load_stage(cfg, home, f"ldm:{target}"))
+
+
+def _ldm_from_checkpoint(cfg: dict, target: str, ck: dict):
     meta = ck["metadata"]
     denoiser = Denoiser(meta["latent_dim"], meta["cond_dim"], meta["timesteps"],
                         hidden=meta["hidden"], n_blocks=meta["blocks"],
@@ -313,17 +316,22 @@ def run_train_joint(cfg: dict, home, pair: tuple[str, str]) -> Path:
 
 
 def load_joint(cfg: dict, home, pair: tuple[str, str]):
+    """The joint components of ``pair`` and its codecs. Each base is checked
+    through the manifest chain: the ldm checkpoint's bytes must be the ones
+    the joint manifest recorded as its prerequisite (``_load_stage`` has
+    just matched them to the ldm manifest), which covers every byte the
+    ``base_checksums`` metadata covers and more, without re-hashing them."""
     pair = tuple(pair)
     stage = f"joint:{pair[0]}+{pair[1]}"
     ck = _load_stage(cfg, home, stage)
     meta = ck["metadata"]
     bases, codecs = {}, {}
     for m in pair:
-        bases[m], codecs[m], _ = load_ldm(cfg, home, m)
-        if bases[m].params.checksum() != meta["base_checksums"][m]:
+        base = _load_stage(cfg, home, f"ldm:{m}")
+        if base["manifest"]["checksum"] != ck["manifest"]["prerequisites"].get(f"ldm:{m}"):
             raise ArtifactError(
-                f"{stage}: base denoiser for {m} does not match the checksum "
-                "recorded at joint training time")
+                f"{stage}: base ldm:{m} is not the checkpoint recorded at joint training time")
+        bases[m], codecs[m], _ = _ldm_from_checkpoint(cfg, m, base)
     components = build_joint(pair, bases, coupling_dim=meta["coupling_dim"],
                              proj_hidden=meta["proj_hidden"], seed=None)
     components.trainable.load_state_arrays(ck["arrays"])

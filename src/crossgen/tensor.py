@@ -22,7 +22,8 @@ from .errors import ShapeError
 
 __all__ = [
     "Tensor", "Tape", "tape", "reset_tape", "no_grad", "backward",
-    "grad_check", "PRIMITIVE_OPS", "add_into",
+    "grad_check", "PRIMITIVE_OPS", "add_into", "silu_kernel", "layer_norm_kernel",
+    "l2_normalize_kernel",
     "add", "sub", "neg", "mul", "div", "matmul", "transpose", "reshape",
     "concat", "slice_axis", "tsum", "tmean", "exp", "log", "sqrt", "silu",
     "sigmoid", "softmax", "log_softmax", "layer_norm", "embedding",
@@ -181,21 +182,20 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record("add", (a, b), out, bw)
 
 
-def add_into(a: Tensor, b: Tensor, into_b: bool = False) -> Tensor:
-    """``add(a, b)`` for an operand whose array the caller owns (a fresh
-    result nothing else holds): ``a``, or ``b`` with ``into_b``.
+def add_into(a: Tensor, b: Tensor) -> Tensor:
+    """``add(a, b)`` for an ``a`` whose array the caller owns (a fresh result
+    nothing else holds).
 
     Not a primitive (it is not in ``PRIMITIVE_OPS``). With a tape it is
     ``add(a, b)`` and records an ``add``. Without one, after add's shape
-    check, it writes ``a + b`` into the owned array (operand order kept, so
-    the bits are add's) and returns that tensor; an owned array smaller than
-    the broadcast result gets ``add``'s fresh one."""
-    owned = b if into_b else a
+    check, it writes ``a + b`` into ``a``'s array (the bits are add's) and
+    returns ``a``; an ``a`` smaller than the broadcast result gets ``add``'s
+    fresh array."""
     if (_GRAD_ENABLED[0]
-            or _check_leading_broadcast("add", a.data.shape, b.data.shape) != owned.data.shape):
+            or _check_leading_broadcast("add", a.data.shape, b.data.shape) != a.data.shape):
         return add(a, b)
-    np.add(a.data, b.data, out=owned.data)
-    return owned
+    np.add(a.data, b.data, out=a.data)
+    return a
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -270,11 +270,15 @@ def _exp_neg(x: np.ndarray) -> np.ndarray:
         return np.exp(-x)
 
 
-def silu(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    x = a.data
-    # 1 / (1 + exp(-x)) in one buffer: the same IEEE operations (+ commutes)
-    s = np.negative(x, out=np.empty_like(x))  # an array even at 0-d
+def silu_kernel(x: np.ndarray, s: np.ndarray,
+                out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """SiLU's forward arithmetic on arrays, written once for ``silu`` and the
+    samplers' array step: the logistic 1 / (1 + exp(-x)) into ``s`` (not
+    ``x``), then x * s into ``out`` (``s`` itself, another array, or a fresh
+    one when None; a NaN keeps x's sign). Returns the product and the x it
+    read, which the gradient reads too: ``x`` itself, or on the overflow
+    branch a copy in which the most negative float stands in for -inf."""
+    np.negative(x, out=s)  # the same IEEE operations as 1 / (1 + exp(-x))
     if x.size and x.item(x.argmin()) >= -700.0:  # _exp_neg's guard
         np.exp(s, out=s)
     else:
@@ -287,9 +291,15 @@ def silu(a: Tensor) -> Tensor:
         x = np.maximum(x, -np.finfo(np.float64).max)
     s += 1.0
     np.divide(1.0, s, out=s)
+    return np.multiply(x, s, out=out), x
+
+
+def silu(a: Tensor) -> Tensor:
+    a = _wrap(a)
+    s = np.empty_like(a.data)  # an array even at 0-d
     if not _GRAD_ENABLED[0]:
-        return _bare(np.multiply(x, s, out=s))  # x * s: a NaN keeps x's sign
-    out = x * s
+        return _bare(silu_kernel(a.data, s, s)[0])
+    out, x = silu_kernel(a.data, s)
 
     def bw(g):
         # g * (s + x * s * (1 - s)) with two temporaries: IEEE + and * commute
@@ -447,16 +457,32 @@ def log_softmax(a: Tensor) -> Tensor:
                    lambda g: (g - np.exp(out) * g.sum(axis=-1, keepdims=True),))
 
 
+def layer_norm_kernel(x: np.ndarray, eps: float = 1e-5, out=None, sq=None,
+                      stat=None) -> tuple[np.ndarray, np.ndarray]:
+    """Layer norm's forward arithmetic on arrays, written once for
+    ``layer_norm`` and the samplers' array step: returns (xhat, inv), xhat =
+    (x - mean) * inv written into ``out``, with ``sq`` a scratch array of x's
+    shape and ``stat`` one of shape (..., 1) that ends holding inv (each
+    allocated when None)."""
+    n = x.shape[-1]
+    # sum / n is what ndarray.mean computes, without its dispatch overhead
+    mu = x.sum(axis=-1, keepdims=True, out=stat)
+    mu /= n
+    xhat = np.subtract(x, mu, out=out)  # centred here, scaled in place below
+    inv = np.multiply(xhat, xhat, out=sq).sum(axis=-1, keepdims=True, out=mu)
+    inv /= n  # the variance, then 1 / sqrt(var + eps) in place
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    return xhat, inv
+
+
 def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean, unit variance (no affine part)."""
     a = _wrap(a)
     n = a.shape[-1]
-    # sum / n is what ndarray.mean computes, without its dispatch overhead
-    mu = a.data.sum(axis=-1, keepdims=True) / n
-    xhat = a.data - mu  # centred here, scaled in place below
-    var = (xhat * xhat).sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv
+    xhat, inv = layer_norm_kernel(a.data, eps)
 
     def bw(g):
         gs = g.sum(axis=-1, keepdims=True)
@@ -466,11 +492,17 @@ def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
     return _record("layer_norm", (a,), xhat, bw)
 
 
+def l2_normalize_kernel(x: np.ndarray, eps: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+    """L2 normalisation's forward arithmetic on arrays, written once for
+    ``l2_normalize`` and ``ProjectionEncoder.project``: (x / norm, norm)."""
+    norm = np.sqrt((x * x).sum(axis=-1, keepdims=True) + eps)
+    return x / norm, norm
+
+
 def l2_normalize(a: Tensor, eps: float = 1e-12) -> Tensor:
     """Scale rows (last axis) to unit Euclidean norm."""
     a = _wrap(a)
-    norm = np.sqrt((a.data * a.data).sum(axis=-1, keepdims=True) + eps)
-    out = a.data / norm
+    out, norm = l2_normalize_kernel(a.data, eps)
 
     def bw(g):
         dot = (g * out).sum(axis=-1, keepdims=True)

@@ -347,6 +347,25 @@ def test_loader_rejects_a_checkpoint_its_manifest_did_not_record(
         LOADERS[stage](cfg, home)
 
 
+def test_load_joint_rejects_a_base_resaved_after_joint_training(trained_home, cfg_file,
+                                                                tmp_path):
+    home = tmp_path / "home"
+    shutil.copytree(trained_home, home)
+    cfg = load_config(cfg_file)
+    path = pl.checkpoint_path(home, "ldm:view_a")
+    ck = load_checkpoint(path)
+    ck["arrays"]["denoiser.out.b"] = ck["arrays"]["denoiser.out.b"] + 1.0
+    save_checkpoint(path, ck["stage"], ck["config_hash"], ck["arrays"], ck["metadata"])
+    # a valid ldm stage of its own: its manifest records the re-saved file
+    manifest_file = pl.manifest_path(home, "ldm:view_a")
+    manifest = json.loads(manifest_file.read_text())
+    manifest["checksum"] = file_checksum(path)
+    manifest_file.write_text(json.dumps(manifest))
+    pl.load_ldm(cfg, home, "view_a")
+    with pytest.raises(ArtifactError, match=r"joint:view_a\+report.*ldm:view_a"):
+        pl.load_joint(cfg, home, ("view_a", "report"))
+
+
 def test_checkpoint_rewritten_after_its_manifest_is_exit_2(trained_home, cfg_file,
                                                            tmp_path):
     home = tmp_path / "home"
@@ -502,6 +521,14 @@ def test_eval_intra_study_rejects_a_count_below_one(trained_home, cfg_file, tmp_
     assert (report.read_bytes() if report.exists() else None) == before
     with pytest.raises(ConfigError, match="at least 1"):  # before any artifact loads
         run_intra_study(load_config(cfg_file), tmp_path / "empty", int(count), seed=0)
+
+
+def test_eval_rejects_a_modality_fid_cannot_read(trained_home, cfg_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", cfg_file, "--home", trained_home, "eval", "fid",
+              "--synth-dir", str(tmp_path), "--modality", "report"])
+    assert exc.value.code == 2
+    assert "--modality" in capsys.readouterr().err
 
 
 def test_eval_rejects_an_unknown_split(trained_home, cfg_file):

@@ -125,6 +125,22 @@ def test_checkpoint_roundtrip(tmp_path):
     np.testing.assert_array_equal(back["arrays"]["b"], arrays["b"])
 
 
+def test_loaded_arrays_are_writable_and_own_their_memory(tmp_path):
+    arrays = {"a": np.arange(4.0), "c": np.ones((2, 0)), "d": np.full((3, 2), -1.0)}
+    path = tmp_path / "ck.xgck"
+    save_checkpoint(path, "alignment", "00" * 32, arrays, {})
+    back = load_checkpoint(path)["arrays"]
+    for name, a in back.items():
+        assert a.flags.writeable and a.flags.owndata and a.base is None, name
+        assert a.dtype == np.float64 and a.shape == arrays[name].shape, name
+        a[...] = 7.0  # as a caller that fills a module in place does
+    assert [back[n].tobytes() for n in "ad"] == [np.full(4, 7.0).tobytes(),
+                                                 np.full((3, 2), 7.0).tobytes()]
+    again = load_checkpoint(path)["arrays"]  # the writes reached no shared buffer
+    for name, a in arrays.items():
+        assert again[name].tobytes() == a.tobytes(), name
+
+
 def test_checkpoint_save_is_deterministic(tmp_path):
     arrays = {"w": np.ones((3, 3))}
     save_checkpoint(tmp_path / "a.xgck", "alignment", "00" * 32, arrays, {"x": 1})

@@ -19,7 +19,7 @@ from crossgen.diffusion import (THREAD_MIN_ROWS, Denoiser, DiffusionSchedule, Im
                                 TextCodec, denoise_loss, encode_records,
                                 make_schedule, noise_prediction_loss, q_sample,
                                 reverse_steps, reverse_update, sample, sample_latents,
-                                train_ldm)
+                                step_noises, train_ldm)
 from crossgen.errors import NumericError
 from crossgen.rng import stream
 
@@ -269,6 +269,55 @@ def test_default_width_forward_without_a_tape_equals_the_recorded_forward(batch)
     assert bare.data.tobytes() == live.data.tobytes() == cached.data.tobytes()
 
 
+def _snapshot(*arrays, params):
+    return [a.tobytes() for a in arrays], params.checksum()
+
+
+@pytest.mark.parametrize("rows, edges", [
+    pytest.param(1, (), id="1"),
+    pytest.param(1, ("below -700",), id="1-overflow"),
+    pytest.param(1, ("nan",), id="1-nan"),
+    pytest.param(8, ("below -700", "nan"), id="8-overflow-nan"),
+    pytest.param(129, ("below -700", "nan"), id="129-overflow-nan"),
+])
+def test_array_step_gives_the_bytes_of_the_recorded_forward(rows, edges, silu_edges):
+    den = _default_denoiser(ImageCodec.latent_dim, seed=3)
+    rng = np.random.default_rng(rows)
+    z = rng.standard_normal((rows, den.latent_dim))
+    omega = rng.standard_normal((rows, den.cond_dim))
+    t = int(rng.integers(1, den.T_steps + 1))
+    for row, edge in enumerate(edges):
+        if edge == "nan":
+            z[row, 3] = np.nan
+        else:  # a conditioning term of about 1e5 drives fc2's pre-activations there
+            omega[row] *= 1e5
+    live = den.forward(z, np.full(rows, t), omega)  # grad mode on: the recording path
+    assert live.requires_grad and len(T.tape()) > 0
+    T.reset_tape()
+    with T.no_grad():
+        cond = [c.data for c in den.condition(omega)]
+    before = _snapshot(z, omega, *cond, params=den.params)
+    silu_edges.clear()
+    eps = den.array_forward(cond, rows, den.T_steps)
+    first, again = eps(z, t), eps(z, t)
+    assert first.tobytes() == again.tobytes() == live.data.tobytes()
+    assert {e for e in ("below -700", "nan") if silu_edges[e]} == set(edges)
+    assert _snapshot(z, omega, *cond, params=den.params) == before
+    assert len(T.tape()) == 0
+
+
+def test_the_array_step_checks_the_draws_timesteps_once():
+    den = Denoiser(latent_dim=3, cond_dim=2, T_steps=10, hidden=4, n_blocks=1,
+                   attn_dim=2, seed=1)
+    with T.no_grad():
+        cond = [c.data for c in den.condition(np.zeros((2, 2)))]
+    with pytest.raises(ValueError, match="timestep out of range 1..10"):
+        den.array_forward(cond, 2, 11)
+    with pytest.raises(ValueError, match="timestep out of range 1..10"):
+        sample_latents(den, make_schedule(11, 1e-3, 0.2), np.zeros((2, 2)), stream(0, "s"))
+    assert den.array_forward(cond, 2, 10)(np.zeros((2, 3)), 10).shape == (2, 3)
+
+
 @pytest.mark.parametrize("t", [0, 11, -3, [1, 0], [10, 11], [[4, 12]]])
 def test_denoiser_rejects_out_of_range_timesteps(t):
     den = Denoiser(latent_dim=3, cond_dim=2, T_steps=10, hidden=4, n_blocks=1,
@@ -303,6 +352,21 @@ def test_single_step_inversion_with_oracle_denoiser():
     np.testing.assert_allclose(out, z0, atol=1e-12)
 
 
+@pytest.mark.parametrize("T_steps", [1, 2, 7])
+def test_noise_drawn_up_front_is_the_noise_of_per_step_draws(T_steps):
+    s = DiffusionSchedule(betas=np.full(T_steps, 0.1), alphas=np.full(T_steps, 0.9),
+                          alpha_bars=0.9 ** np.arange(1, T_steps + 1))
+    steps = reverse_steps(s)
+    rngs = {at_once: stream(2, "noise") for at_once in (True, False)}
+    drawn = {at_once: list(step_noises(rng, (3, 5), steps, at_once))
+             for at_once, rng in rngs.items()}
+    assert len(drawn[True]) == len(drawn[False]) == T_steps
+    assert drawn[True][-1] is None and drawn[False][-1] is None  # t = 1 adds none
+    for up_front, per_step in zip(drawn[True][:-1], drawn[False][:-1]):
+        assert up_front.shape == (3, 5) and up_front.tobytes() == per_step.tobytes()
+    assert rngs[True].bit_generator.state == rngs[False].bit_generator.state
+
+
 def test_sampling_deterministic_given_seed():
     den = Denoiser(latent_dim=6, cond_dim=4, T_steps=20, hidden=8, n_blocks=1,
                    attn_dim=4, seed=8)
@@ -335,17 +399,13 @@ def _default_width_denoiser(T_steps):
                     attn_dim=32, seed=21)
 
 
-def _sample_on_threads(monkeypatch, *args, **kwargs):
+def _sample_on_threads(*args, **kwargs):
     """sample_latents(*args, **kwargs) with threads switching as often as the
-    interpreter can, and the thread ident of every denoiser forward."""
-    threads = []
-    forward = Denoiser.forward
-    monkeypatch.setattr(Denoiser, "forward", lambda self, *a, **k: threads.append(
-        threading.get_ident()) or forward(self, *a, **k))
+    interpreter can."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        return sample_latents(*args, **kwargs), threads
+        return sample_latents(*args, **kwargs)
     finally:
         sys.setswitchinterval(interval)
 
@@ -359,34 +419,45 @@ SPLIT = 2 * THREAD_MIN_ROWS  # the fewest rows a draw splits at
     pytest.param("beta", SPLIT, id="beta-split"),
     pytest.param("alpha_bar_ratio", SPLIT, id="alpha_bar_ratio-split"),
 ])
-def test_sample_latents_matches_per_step_forward_reference(sigma_mode, batch, monkeypatch,
-                                                           two_cpus):
+def test_sample_latents_matches_per_step_forward_reference(sigma_mode, batch, two_cpus,
+                                                           step_threads):
     den = _default_width_denoiser(12)
     s = make_schedule(12, 1e-3, 0.2)
     omega = np.random.default_rng(22).standard_normal((batch, den.cond_dim))
     rng = stream(3, "ref")
-    # the whole batch in every forward: a split draw must give each row its bits
+    # the whole batch in every Tensor forward: a split draw must give each row its bits
     ref = _reference_reverse(lambda z, t: den.forward(z, t, omega), s,
                              rng.standard_normal((batch, den.latent_dim)), rng, sigma_mode)
-    out, threads = _sample_on_threads(monkeypatch, den, s, omega, stream(3, "ref"),
-                                      sigma_mode=sigma_mode)
+    out = _sample_on_threads(den, s, omega, stream(3, "ref"), sigma_mode=sigma_mode)
     np.testing.assert_array_equal(out, ref)
-    # one forward per reverse step, or one per half and step on two threads
+    # one prediction per reverse step, or one per half and step on two threads
     parts = 2 if batch >= SPLIT else 1
-    assert len(threads) == parts * s.T
-    assert threading.get_ident() in threads and len(set(threads)) == parts
+    assert len(step_threads) == parts * s.T
+    assert threading.get_ident() in step_threads and len(set(step_threads)) == parts
 
 
-def test_a_split_draw_gives_the_bytes_of_a_one_cpu_draw(monkeypatch):
+def test_a_split_draw_gives_the_bytes_of_a_one_cpu_draw(monkeypatch, step_threads):
     den = _default_width_denoiser(8)
     s = make_schedule(8, 1e-3, 0.2)
     omega = np.random.default_rng(5).standard_normal((SPLIT + 1, den.cond_dim))  # odd
     draws = {}
     for cpus in (1, 2):
         monkeypatch.setattr(diffusion, "_cpus", lambda: cpus)
-        draws[cpus], threads = _sample_on_threads(monkeypatch, den, s, omega, stream(6, "n"))
-        assert len(set(threads)) == cpus
+        step_threads.clear()
+        draws[cpus] = _sample_on_threads(den, s, omega, stream(6, "n"))
+        assert len(set(step_threads)) == cpus
     assert draws[1].tobytes() == draws[2].tobytes()
+
+
+def test_consecutive_draws_of_other_row_counts_give_the_bytes_of_fresh_draws(two_cpus):
+    s = make_schedule(6, 1e-3, 0.2)
+    den = _default_width_denoiser(6)
+    omega = np.random.default_rng(4).standard_normal((SPLIT + 1, den.cond_dim))
+    sizes = (SPLIT + 1, 5, 1, SPLIT, 5)  # split and inline draws, in turn
+    draws = [sample_latents(den, s, omega[:n], stream(8, "n")) for n in sizes]
+    for n, got in zip(sizes, draws):
+        fresh = sample_latents(_default_width_denoiser(6), s, omega[:n], stream(8, "n"))
+        assert got.tobytes() == fresh.tobytes()
 
 
 def test_an_error_in_the_worker_half_propagates_with_grad_mode_restored(monkeypatch,
@@ -395,15 +466,20 @@ def test_an_error_in_the_worker_half_propagates_with_grad_mode_restored(monkeypa
     s = make_schedule(8, 1e-3, 0.2)
     omega = np.zeros((SPLIT, den.cond_dim))
     caller, raised_on = threading.get_ident(), []
-    forward = Denoiser.forward
+    array_forward = Denoiser.array_forward
 
     def fail_on_worker(self, *args, **kwargs):
-        if threading.get_ident() != caller:
-            raised_on.append(threading.get_ident())
-            raise FloatingPointError("worker half failed")
-        return forward(self, *args, **kwargs)
+        eps = array_forward(self, *args, **kwargs)
 
-    monkeypatch.setattr(Denoiser, "forward", fail_on_worker)
+        def call(*a, **k):
+            if threading.get_ident() != caller:
+                raised_on.append(threading.get_ident())
+                raise FloatingPointError("worker half failed")
+            return eps(*a, **k)
+
+        return call
+
+    monkeypatch.setattr(Denoiser, "array_forward", fail_on_worker)
     before = threading.active_count()
     with pytest.raises(FloatingPointError, match="worker half failed"):
         sample_latents(den, s, omega, stream(0, "s"))

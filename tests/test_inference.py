@@ -1,11 +1,12 @@
 """Every module's inference output without a tape equals its output with the
 tape on, byte for byte, and no-grad calls leave their operands untouched.
 
-Under ``no_grad`` a ``Linear`` adds its bias into its own fresh product,
-``silu``/``layer_norm`` work in buffers they allocated and the denoiser
-writes its per-block adds into its own activations, so these tests also pin
-that no such write reaches an input array, a parameter or a conditioning
-term that later steps of the same draw reuse."""
+Under ``no_grad`` a ``Linear`` adds its bias into its own fresh product and
+``silu``/``layer_norm`` work in buffers they allocated, so these tests also
+pin that no such write reaches an input array, a parameter or a
+conditioning term that later steps of the same draw reuse. The samplers'
+array step is pinned the same way in ``test_diffusion`` and
+``test_jointgen``."""
 
 import contextlib
 

@@ -76,8 +76,8 @@ def test_projection_rejects_wrong_width():
         proj.project(np.zeros((2, 5)))
 
 
-@pytest.mark.parametrize("batch", [8, 500])
-def test_default_width_coupled_forwards_without_a_tape_equal_the_recorded_ones(batch):
+def _default_width_joint(rng):
+    """Default-width bases and joint components with live couplings."""
     cfg = load_config()
     d, j = cfg["diffusion"], cfg["joint"]
     latent = {"view_a": ImageCodec.latent_dim, "report": d["text_codec"]["latent_dim"]}
@@ -86,11 +86,51 @@ def test_default_width_coupled_forwards_without_a_tape_equal_the_recorded_ones(b
              for i, m in enumerate(latent)}
     comps = build_joint(("view_a", "report"), bases, coupling_dim=j["coupling_dim"],
                         proj_hidden=j["proj_hidden"], seed=5)
-    rng = np.random.default_rng(batch)
-    for _, p in comps.trainable.items():  # live couplings: the adapters' wo start at zero
+    for _, p in comps.trainable.items():  # the adapters' wo start at zero
         p.data[...] = rng.normal(0.0, 0.3, p.shape)
-    omega = rng.standard_normal((batch, cfg["encoder"]["dim"]))
-    t = rng.integers(1, d["timesteps"] + 1, size=batch)
+    return comps, latent
+
+
+@pytest.mark.parametrize("rows", [1, 8, 129])
+def test_coupled_array_step_and_projection_give_the_recorded_forwards_bytes(rows,
+                                                                           silu_edges):
+    rng = np.random.default_rng(rows)
+    comps, latent = _default_width_joint(rng)
+    omega = rng.standard_normal((rows, comps.coupled["view_a"].base.cond_dim))
+    z = {m: rng.standard_normal((rows, latent[m])) for m in latent}
+    t = int(rng.integers(1, comps.coupled["view_a"].base.T_steps + 1))
+    # row 0 reaches silu's overflow branch in the projections and the
+    # denoisers; row 1, where there is one, holds a NaN
+    omega[0] *= 1e5
+    for m in z:
+        z[m][0] *= 1e4
+        z[m][1:2, 2] = np.nan
+    pairs = (("view_a", "report"), ("report", "view_a"))
+    proj = {m: comps.projections[m].forward(z[m]) for m in z}  # grad mode on
+    live = [comps.coupled[m].forward(z[m], np.full(rows, t), omega, proj[o]) for m, o in pairs]
+    assert all(x.requires_grad for x in [*proj.values(), *live]) and len(T.tape()) > 0
+    T.reset_tape()
+    silu_edges.clear()
+    proj_a = {m: comps.projections[m].project(z[m]) for m in z}
+    assert [proj_a[m].tobytes() for m in z] == [proj[m].data.tobytes() for m in z]
+    eps = []
+    for m, o in pairs:
+        with T.no_grad():
+            cond = [c.data for c in comps.coupled[m].base.condition(omega)]
+        step = comps.coupled[m].array_forward(cond, rows, comps.coupled[m].base.T_steps)
+        eps.append(step(z[m], t, proj_a[o]))
+    assert [e.tobytes() for e in eps] == [x.data.tobytes() for x in live]
+    assert silu_edges["below -700"] and bool(silu_edges["nan"]) == (rows > 1)
+    assert len(T.tape()) == 0
+
+
+@pytest.mark.parametrize("batch", [8, 500])
+def test_default_width_coupled_forwards_without_a_tape_equal_the_recorded_ones(batch):
+    rng = np.random.default_rng(batch)
+    comps, latent = _default_width_joint(rng)
+    base = comps.coupled["view_a"].base
+    omega = rng.standard_normal((batch, base.cond_dim))
+    t = rng.integers(1, base.T_steps + 1, size=batch)
     z = {m: rng.standard_normal((batch, latent[m])) for m in latent}
 
     def forwards():
@@ -284,30 +324,27 @@ def test_joint_sample_deterministic(small_world):
 
 
 @pytest.mark.parametrize("batch", [4, THREAD_MIN_ROWS])
-def test_joint_sample_matches_per_step_coupled_forward_reference(small_world, monkeypatch,
-                                                                 two_cpus, batch):
+def test_joint_sample_matches_per_step_coupled_forward_reference(small_world, two_cpus,
+                                                                 step_threads, batch):
     ds, enc, codecs, sched, bases = small_world
     pair = ("view_a", "report")
     comps, _ = train_joint(ds, pair, enc, codecs, bases, sched, epochs=1,
                            batch_size=32, coupling_dim=4, proj_hidden=8, seed=12)
     omega = np.random.default_rng(13).standard_normal((batch, enc.dim))
-    # the lockstep reverse process written out, nothing hoisted
+    # the lockstep reverse process written out through the Tensor forwards,
+    # nothing hoisted
     rngs = {m: noise_stream(17, m) for m in pair}
     z = {m: rngs[m].standard_normal((batch, bases[m].latent_dim)) for m in pair}
     for t in range(sched.T, 0, -1):
         t_arr = np.full(batch, t, dtype=np.int64)
-        proj = {m: comps.projections[m].project(z[m]) for m in pair}
         with T.no_grad():
+            proj = {m: comps.projections[m].forward(z[m]).data for m in pair}
             eps = {m: comps.coupled[m].forward(z[m], t_arr, omega, proj[o]).data
                    for m, o in zip(pair, pair[::-1])}
         ab, alpha, beta = sched.alpha_bars[t - 1], sched.alphas[t - 1], sched.betas[t - 1]
         for m in pair:
             mean = (z[m] - beta / np.sqrt(1.0 - ab) * eps[m]) / np.sqrt(alpha)
             z[m] = mean + np.sqrt(beta) * rngs[m].standard_normal(z[m].shape) if t > 1 else mean
-    threads = []
-    forward = Denoiser.forward
-    monkeypatch.setattr(Denoiser, "forward", lambda self, *a, **k: threads.append(
-        threading.get_ident()) or forward(self, *a, **k))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
     try:
@@ -316,10 +353,37 @@ def test_joint_sample_matches_per_step_coupled_forward_reference(small_world, mo
         sys.setswitchinterval(interval)
     np.testing.assert_array_equal(out["view_a"], codecs["view_a"].decode(z["view_a"]))
     assert out["report"] == codecs["report"].decode(z["report"])
-    assert len(threads) == 2 * sched.T  # one forward per stream and step
+    assert len(step_threads) == 2 * sched.T  # one prediction per stream and step
     # the second stream runs on a worker from THREAD_MIN_ROWS rows on
     expected = 2 if batch >= THREAD_MIN_ROWS else 1
-    assert len(set(threads)) == expected
+    assert len(set(step_threads)) == expected
+
+
+def test_consecutive_joint_draws_of_other_row_counts_give_the_bytes_of_fresh_draws(
+        small_world, two_cpus):
+    ds, enc, codecs, sched, bases = small_world
+    pair = ("view_a", "report")
+
+    def fresh_components():
+        fresh = {}
+        for m in pair:  # new denoiser objects holding the same weights
+            fresh[m] = Denoiser(bases[m].latent_dim, bases[m].cond_dim, bases[m].T_steps,
+                                hidden=bases[m].hidden, n_blocks=bases[m].n_blocks,
+                                attn_dim=bases[m].attn_dim, seed=None)
+            fresh[m].params.load_state_arrays(bases[m].params.state_arrays())
+        comps = build_joint(pair, fresh, coupling_dim=4, proj_hidden=8, seed=6)
+        for name, p in comps.trainable.items():  # live couplings
+            p.data[...] = stream(6, name).normal(0.0, 0.3, p.shape)
+        return comps
+
+    comps = fresh_components()
+    omega = np.random.default_rng(3).standard_normal((THREAD_MIN_ROWS, enc.dim))
+    sizes = (THREAD_MIN_ROWS, 3, 1, THREAD_MIN_ROWS)  # threaded and inline draws
+    draws = [joint_sample(comps, sched, omega[:n], codecs, seed=4) for n in sizes]
+    for n, got in zip(sizes, draws):
+        fresh = joint_sample(fresh_components(), sched, omega[:n], codecs, seed=4)
+        assert got["view_a"].tobytes() == fresh["view_a"].tobytes()
+        assert got["report"] == fresh["report"]
 
 
 def _joint_world(small_world):
@@ -349,7 +413,7 @@ def test_an_error_in_the_worker_stream_propagates_with_grad_mode_restored(
         raised_on.append(threading.get_ident())
         raise FloatingPointError("worker stream failed")
 
-    monkeypatch.setattr(comps.coupled[worker_stream], "forward", fail)
+    monkeypatch.setattr(comps.coupled[worker_stream], "array_forward", lambda *a: fail)
     before = threading.active_count()
     with pytest.raises(FloatingPointError, match="worker stream failed"):
         joint_sample(comps, sched, omega, codecs, seed=4)
