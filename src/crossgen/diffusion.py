@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -242,7 +242,8 @@ class Denoiser:
     single key/value token; cross-attention onto one key is exactly the
     learned linear map wo(wv(omega)) (width ``attn_dim``), computed as such.
     omega is fixed for a whole reverse draw, so the samplers compute each
-    block's term once per draw (``condition``) and reuse it on every step.
+    block's term once per draw (``array_condition``) and reuse it on every
+    step.
 
     ``seed=None`` allocates zero tensors without drawing, for a denoiser
     that a checkpoint load fills."""
@@ -281,22 +282,26 @@ class Denoiser:
         om = omega if isinstance(omega, T.Tensor) else T.Tensor(omega)
         return [block["wo"](block["wv"](om)) for block in self.blocks]
 
-    def forward(self, z, t, omega, extra_site=None, cond=None) -> T.Tensor:
+    def array_condition(self, omega: np.ndarray) -> list[np.ndarray]:
+        """``condition(omega)`` without a tape, as the arrays a reverse draw
+        passes to ``array_forward``."""
+        with T.no_grad():
+            return [c.data for c in self.condition(omega)]
+
+    def forward(self, z, t, omega, extra_site=None) -> T.Tensor:
         """Predict the noise for latents z at (1-based) timesteps t, on the
         tape: the path training records, and the reference ``array_forward``
         matches byte for byte.
 
-        ``cond``, the list ``condition(omega)`` returned, stands in for omega
-        when given. ``extra_site(block_index)`` lets a coupling wrapper
-        inject an additional additive term after the conditioning site.
+        ``extra_site(block_index)`` lets a coupling wrapper inject an
+        additional additive term after the conditioning site.
         """
         z_t = z if isinstance(z, T.Tensor) else T.Tensor(z)
         t = np.asarray(t, dtype=np.int64).reshape(-1)
         steps = t.tolist()  # min/max over a list beat numpy's at this size
         if steps and (min(steps) < 1 or max(steps) > self.T_steps):
             raise ValueError(f"timestep out of range 1..{self.T_steps}")
-        if cond is None:
-            cond = self.condition(omega)
+        cond = self.condition(omega)
         temb = T.embedding(self.time_table, t - 1)
         h = self.in_proj(z_t)
         for i, block in enumerate(self.blocks):
@@ -313,7 +318,7 @@ class Denoiser:
         one reverse draw: returns ``eps(z, t, site=None)``, the noise
         prediction for latents z (``rows`` of them) all at timestep t.
 
-        ``cond`` holds those rows' terms of ``condition(omega)`` as arrays.
+        ``cond`` holds those rows' terms of ``array_condition(omega)``.
         ``t_max`` is the largest timestep the draw will pass (its schedule's
         T), checked here once instead of on every call (ValueError as in
         ``forward``). ``site(i, buf)`` returns block i's extra term and may
@@ -460,20 +465,6 @@ def step_noise(rng: np.random.Generator, shape: tuple, step: tuple) -> np.ndarra
     return rng.standard_normal(shape) if step[0] > 1 else None
 
 
-def step_noises(rng: np.random.Generator, shape: tuple, steps: list[tuple],
-                at_once: bool):
-    """An iterator over each step's ``step_noise``, in step order (t = T..1).
-
-    ``at_once`` draws them up front as one (T - 1, *shape) array: a
-    Generator fills an array in draw order, so each step gets the numbers
-    its own draw would, and the generator ends in the same state. That holds
-    (T - 1) * rows * width floats for the whole draw, so only draws below
-    ``THREAD_MIN_ROWS`` rows per thread take it; the others draw per step."""
-    if at_once:
-        return iter([*rng.standard_normal((len(steps) - 1, *shape)), None])
-    return (step_noise(rng, shape, step) for step in steps)
-
-
 #: rows each thread of a reverse loop must get before the loop spreads over
 #: two threads: the crossover, below which the per-step handoff costs more
 #: than the overlap gains. A joint draw puts its second stream (all rows) on
@@ -492,19 +483,13 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-@contextmanager
-def no_grad_pool(rows_per_thread: int):
-    """``no_grad`` around a one-worker pool, yielded, when each of two threads
-    would get ``THREAD_MIN_ROWS`` rows and this process has two CPUs; around
-    None otherwise.
-
-    no_grad flips a process-global flag, so only the calling thread enters
-    and leaves it, around the pool's whole life; the worker never does. The
-    pool is the inner context, so its worker is joined before the flag is
-    restored, on an exception too."""
+def step_pool(rows_per_thread: int):
+    """A one-worker pool, to use as a context, when each of two threads
+    would get ``THREAD_MIN_ROWS`` rows and this process has two CPUs; a
+    context that yields None otherwise. Leaving it joins the worker, on an
+    exception too."""
     threaded = rows_per_thread >= THREAD_MIN_ROWS and _cpus() >= 2
-    with T.no_grad(), (ThreadPoolExecutor(1) if threaded else nullcontext()) as pool:
-        yield pool
+    return ThreadPoolExecutor(1) if threaded else nullcontext()
 
 
 def sample_latents(denoiser: Denoiser, schedule: DiffusionSchedule, omega: np.ndarray,
@@ -522,17 +507,15 @@ def sample_latents(denoiser: Denoiser, schedule: DiffusionSchedule, omega: np.nd
     thread steps the second half of the rows while the calling thread steps
     the first (numpy releases the GIL in their GEMMs and ufunc loops). The
     calling thread computes the conditioning and draws each step's noise
-    for the whole batch, in the order an unsplit draw does (below
-    ``THREAD_MIN_ROWS`` rows per half, all of it up front: ``step_noises``).
-    Every op of a step is row-wise, and OpenBLAS gives each row of these
-    products the same bits at half the rows, so the output is the same
-    either way.
+    for the whole batch, in the order an unsplit draw does. Every op of a
+    step is row-wise, and OpenBLAS gives each row of these products the same
+    bits at half the rows, so the output is the same either way.
     """
     steps = reverse_steps(schedule, sigma_mode)
     omega = np.atleast_2d(np.asarray(omega, dtype=np.float64))
     b = len(omega)
-    with no_grad_pool(b // 2) as pool:
-        cond = [c.data for c in denoiser.condition(omega)]
+    with step_pool(b // 2) as pool:
+        cond = denoiser.array_condition(omega)
         z = rng.standard_normal((b, denoiser.latent_dim))
         rows = [slice(0, b)] if pool is None else [slice(0, b // 2), slice(b // 2, b)]
         eps = [denoiser.array_forward([c[r] for c in cond], r.stop - r.start, schedule.T)
@@ -543,8 +526,8 @@ def sample_latents(denoiser: Denoiser, schedule: DiffusionSchedule, omega: np.nd
                                   None if noise is None else noise[rows[k]])
 
         zs = [z[r] for r in rows]
-        noises = step_noises(rng, z.shape, steps, at_once=b // 2 < THREAD_MIN_ROWS)
-        for step, noise in zip(steps, noises):
+        for step in steps:
+            noise = step_noise(rng, z.shape, step)
             if pool is None:
                 zs = [advance(0, zs[0], step, noise)]
             else:

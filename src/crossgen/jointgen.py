@@ -14,9 +14,9 @@ import numpy as np
 from . import tensor as T
 from .bridging import symmetric_loss
 from .conditioning import SubsetSampler, draw_conditioning_batch
-from .diffusion import (THREAD_MIN_ROWS, Denoiser, DiffusionSchedule, encode_records,
-                        no_grad_pool, noise_prediction_loss, noise_stream,
-                        q_sample, reverse_steps, reverse_update, step_noises)
+from .diffusion import (Denoiser, DiffusionSchedule, encode_records,
+                        noise_prediction_loss, noise_stream, q_sample,
+                        reverse_steps, reverse_update, step_noise, step_pool)
 from .errors import NumericError
 from .nn import AdamWState, Linear, ParameterSet, train_epoch
 from .rng import stream
@@ -74,13 +74,11 @@ class CoupledDenoiser:
                              zero_init=True),
             })
 
-    def forward(self, z, t, omega, partner, cond=None) -> T.Tensor:
-        """The base forward plus the coupling sites; ``cond`` may stand in
-        for the base's ``condition(omega)``."""
+    def forward(self, z, t, omega, partner) -> T.Tensor:
+        """The base forward plus the coupling sites."""
         p = partner if isinstance(partner, T.Tensor) else T.Tensor(partner)
         ad = self.adapters
-        return self.base.forward(z, t, omega, extra_site=lambda i: ad[i]["wo"](ad[i]["wv"](p)),
-                                 cond=cond)
+        return self.base.forward(z, t, omega, extra_site=lambda i: ad[i]["wo"](ad[i]["wv"](p)))
 
     def array_forward(self, cond: list[np.ndarray], rows: int, t_max: int):
         """``forward`` without a tape, on bare arrays, with its bytes (see
@@ -219,15 +217,14 @@ def joint_sample(components: JointComponents, schedule: DiffusionSchedule,
     noise predictions are ``CoupledDenoiser.array_forward`` and the
     projections ``ProjectionEncoder.project``, both with the bytes of their
     tape forwards. Noise streams are per modality and match what independent
-    sampling with the same seed would draw (below ``THREAD_MIN_ROWS`` rows,
-    all of a stream's step noise up front: ``diffusion.step_noises``), so
-    zeroed couplings reproduce independent generation.
+    sampling with the same seed would draw, so zeroed couplings reproduce
+    independent generation.
 
     Within a step the two streams share nothing they write, so from
     ``diffusion.THREAD_MIN_ROWS`` rows on, with at least two CPUs, the second
     stream steps on one worker thread while the calling thread steps the
-    first (numpy releases the GIL in their GEMMs and ufunc loops), under the
-    rules of ``diffusion.no_grad_pool``. Each stream issues the same numpy
+    first (numpy releases the GIL in their GEMMs and ufunc loops), when
+    ``diffusion.step_pool`` gives a worker. Each stream issues the same numpy
     calls either way, so the output is the same."""
     pair = m_i, m_j = components.pair
     steps = reverse_steps(schedule, sigma_mode)
@@ -235,16 +232,14 @@ def joint_sample(components: JointComponents, schedule: DiffusionSchedule,
     b = len(omega)
     rngs = {m: noise_stream(seed, m) for m in pair}
     z = {m: rngs[m].standard_normal((b, components.coupled[m].base.latent_dim)) for m in pair}
-    with no_grad_pool(b) as pool:  # each thread steps one stream's b rows
+    with step_pool(b) as pool:  # each thread steps one stream's b rows
         eps = {m: components.coupled[m].array_forward(
-                   [c.data for c in components.coupled[m].base.condition(omega)], b, schedule.T)
+                   components.coupled[m].base.array_condition(omega), b, schedule.T)
                for m in pair}
-        noises = {m: step_noises(rngs[m], z[m].shape, steps, at_once=b < THREAD_MIN_ROWS)
-                  for m in pair}
 
         def advance(m, z_m, step, partner_proj):  # one stream's step
             return reverse_update(z_m, eps[m](z_m, step[0], partner_proj), step,
-                                  next(noises[m]))
+                                  step_noise(rngs[m], z_m.shape, step))
 
         for step in steps:
             proj = {m: components.projections[m].project(z[m]) for m in pair}

@@ -3,10 +3,9 @@ tape on, byte for byte, and no-grad calls leave their operands untouched.
 
 Under ``no_grad`` a ``Linear`` adds its bias into its own fresh product and
 ``silu``/``layer_norm`` work in buffers they allocated, so these tests also
-pin that no such write reaches an input array, a parameter or a
-conditioning term that later steps of the same draw reuse. The samplers'
-array step is pinned the same way in ``test_diffusion`` and
-``test_jointgen``."""
+pin that no such write reaches an input array or a parameter. The samplers'
+array step, and the conditioning terms it reuses on every step of a draw,
+are pinned the same way in ``test_diffusion`` and ``test_jointgen``."""
 
 import contextlib
 
@@ -44,23 +43,16 @@ def _reports(rng, batch):
             for _ in range(batch)]
 
 
-def _draw_conditioning(denoiser, omega):
-    # as a sampler does: once per draw, without a tape
-    with T.no_grad():
-        return denoiser.condition(omega)
-
-
 def _denoiser_case(rng, batch):
     den = _denoiser(ImageCodec.latent_dim, seed=3)
     z = rng.standard_normal((batch, den.latent_dim))
     omega = rng.standard_normal((batch, den.cond_dim))
     t = rng.integers(1, den.T_steps + 1, size=(2, batch))
-    cond = _draw_conditioning(den, omega)
 
-    def run():  # two steps of one draw share its conditioning terms
-        return [den.forward(z, t_k, None, cond=cond).data for t_k in t]
+    def run():
+        return [den.forward(z, t_k, omega).data for t_k in t]
 
-    return run, [z, omega, t, *(c.data for c in cond)], [den.params]
+    return run, [z, omega, t], [den.params]
 
 
 def _coupled_case(rng, batch):
@@ -73,16 +65,15 @@ def _coupled_case(rng, batch):
     omega = rng.standard_normal((batch, E["dim"]))
     t = rng.integers(1, D["timesteps"] + 1, size=(2, batch))
     z = {m: rng.standard_normal((batch, latent[m])) for m in latent}
-    cond = {m: _draw_conditioning(bases[m], omega) for m in latent}
 
-    def run():  # two steps of one joint draw share its conditioning terms
+    def run():
         proj = {m: comps.projections[m].project(z[m]) for m in z}
         return [*proj.values(),
-                *(comps.coupled[m].forward(z[m], t_k, omega, proj[o], cond=cond[m]).data
+                *(comps.coupled[m].forward(z[m], t_k, omega, proj[o]).data
                   for t_k in t for m, o in (("view_a", "report"), ("report", "view_a")))]
 
     params = [comps.trainable, *(b.params for b in bases.values())]
-    return run, [omega, t, *z.values(), *(c.data for m in latent for c in cond[m])], params
+    return run, [omega, t, *z.values()], params
 
 
 def _codec_case(rng, batch):

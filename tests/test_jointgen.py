@@ -115,8 +115,7 @@ def test_coupled_array_step_and_projection_give_the_recorded_forwards_bytes(rows
     assert [proj_a[m].tobytes() for m in z] == [proj[m].data.tobytes() for m in z]
     eps = []
     for m, o in pairs:
-        with T.no_grad():
-            cond = [c.data for c in comps.coupled[m].base.condition(omega)]
+        cond = comps.coupled[m].base.array_condition(omega)
         step = comps.coupled[m].array_forward(cond, rows, comps.coupled[m].base.T_steps)
         eps.append(step(z[m], t, proj_a[o]))
     assert [e.tobytes() for e in eps] == [x.data.tobytes() for x in live]
