@@ -13,8 +13,8 @@ from functools import partial
 import numpy as np
 
 from . import tensor as T
-from .nn import (AdamWState, Linear, ParameterSet, init_normal,
-                 mean_token_embedding, token_ids, train_epoch)
+from .nn import (AdamWState, Linear, ParameterSet, init_normal, mean_token_embedding,
+                 mean_token_embedding_apply, mlp, mlp_apply, token_ids, train_epoch)
 from .rng import stream
 from .toydata import VIEW_SIZE, VOCAB, Dataset, payload_batch
 
@@ -28,18 +28,22 @@ class ImagePromptEncoder:
     def __init__(self, params: ParameterSet, prefix: str, dim: int,
                  hidden: int, rng: np.random.Generator):
         n_in = VIEW_SIZE * VIEW_SIZE
-        self.l1 = Linear(params, f"{prefix}.l1", n_in, hidden, rng)
-        self.l2 = Linear(params, f"{prefix}.l2", hidden, hidden, rng)
-        self.out = Linear(params, f"{prefix}.out", hidden, dim, rng)
+        self.layers = (Linear(params, f"{prefix}.l1", n_in, hidden, rng),
+                       Linear(params, f"{prefix}.l2", hidden, hidden, rng),
+                       Linear(params, f"{prefix}.out", hidden, dim, rng))
 
-    def forward(self, views: np.ndarray) -> T.Tensor:
+    @staticmethod
+    def _flat(views) -> np.ndarray:
         views = np.asarray(views, dtype=np.float64)
         if views.ndim != 3 or views.shape[1:] != (VIEW_SIZE, VIEW_SIZE):
             raise ValueError(f"image payload batch must be (B, {VIEW_SIZE}, {VIEW_SIZE}), got {views.shape}")
-        x = T.Tensor(views.reshape(len(views), -1))
-        h = T.silu(self.l1(x))
-        h = T.silu(self.l2(h))
-        return T.l2_normalize(self.out(h))
+        return views.reshape(len(views), -1)
+
+    def forward(self, views: np.ndarray) -> T.Tensor:
+        return mlp(self.layers, T.Tensor(self._flat(views)), unit=True)
+
+    def apply(self, views: np.ndarray) -> np.ndarray:
+        return mlp_apply(self.layers, self._flat(views), unit=True)
 
 
 class TextPromptEncoder:
@@ -49,16 +53,17 @@ class TextPromptEncoder:
                  hidden: int, embed_dim: int, rng: np.random.Generator):
         self.table = params.add(f"{prefix}.embed",
                                 T.Tensor(init_normal(rng, 0.5, (len(VOCAB), embed_dim))))
-        self.l1 = Linear(params, f"{prefix}.l1", embed_dim, hidden, rng)
-        self.l2 = Linear(params, f"{prefix}.l2", hidden, hidden, rng)
-        self.out = Linear(params, f"{prefix}.out", hidden, dim, rng)
+        self.layers = (Linear(params, f"{prefix}.l1", embed_dim, hidden, rng),
+                       Linear(params, f"{prefix}.l2", hidden, hidden, rng),
+                       Linear(params, f"{prefix}.out", hidden, dim, rng))
 
     def forward(self, reports) -> T.Tensor:
-        if not reports or isinstance(reports[0], str):
-            raise ValueError("text payload batch must be a sequence of token sequences")
-        h = T.silu(self.l1(mean_token_embedding(self.table, *token_ids(reports))))
-        h = T.silu(self.l2(h))
-        return T.l2_normalize(self.out(h))
+        x = mean_token_embedding(self.table, *token_ids(reports))
+        return mlp(self.layers, x, unit=True)
+
+    def apply(self, reports) -> np.ndarray:
+        x = mean_token_embedding_apply(self.table, *token_ids(reports))
+        return mlp_apply(self.layers, x, unit=True)
 
 
 class PromptEncoders:
@@ -87,8 +92,8 @@ class PromptEncoders:
         return self._encoder_for(modality).forward(payloads)
 
     def encode_batch(self, modality: str, payloads) -> np.ndarray:
-        with T.no_grad():
-            return self.forward_batch(modality, payloads).data
+        """``forward_batch``'s bytes as a bare array, without a tape."""
+        return self._encoder_for(modality).apply(payloads)
 
 
 # ---------------------------------------------------------------------------

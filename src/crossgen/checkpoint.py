@@ -44,7 +44,7 @@ def save_checkpoint(path, stage: str, config_hash: str,
     chunks.append(struct.pack("<I", len(meta_raw)) + meta_raw)
     chunks.append(struct.pack("<I", len(arrays)))
     for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name], dtype="<f8")
+        arr = np.asarray(arrays[name], dtype="<f8")  # tobytes() writes C order
         name_raw = name.encode("utf-8")
         chunks.append(struct.pack("<H", len(name_raw)) + name_raw)
         chunks.append(struct.pack("<B", arr.ndim))

@@ -113,9 +113,9 @@ def _merge(defaults: dict, overrides: dict, path: str) -> dict:
 
 
 #: leaf keys whose values (every element, for a list) must be at least 1:
-#: dataset sizes, batch sizes and layer widths
+#: dataset sizes, batch sizes, layer widths and the denoiser's block count
 _AT_LEAST_ONE = {"n", "imbalance_n", "batch_size", "retrieval_batch", "dim",
-                 "hidden", "text_embed", "attn_dim", "latent_dim",
+                 "hidden", "text_embed", "attn_dim", "latent_dim", "blocks",
                  "coupling_dim", "proj_hidden", "classifier_hidden"}
 
 #: sections whose contrastive loss skips a batch of one row, so a batch size

@@ -14,8 +14,8 @@ import numpy as np
 
 from . import tensor as T
 from .conditioning import SubsetSampler, draw_conditioning_batch
-from .nn import (AdamWState, Linear, ParameterSet, init_normal,
-                 mean_token_embedding, token_ids, train_epoch)
+from .nn import (AdamWState, Linear, ParameterSet, init_normal, mean_token_embedding,
+                 mean_token_embedding_apply, mlp, mlp_apply, token_ids, train_epoch)
 from .rng import stream
 from .toydata import MAX_REPORT_LEN, MODALITIES, VIEW_SIZE, VOCAB, payload_batch
 
@@ -90,10 +90,10 @@ class ImageCodec:
         rng = None if seed is None else stream(seed, "image-codec-init")
         px = self.PATCH * self.PATCH
         per_patch = self.PATCH
-        self.enc1 = Linear(self.params, "enc1", px, hidden, rng)
-        self.enc2 = Linear(self.params, "enc2", hidden, per_patch, rng)
-        self.dec1 = Linear(self.params, "dec1", per_patch, hidden, rng)
-        self.dec2 = Linear(self.params, "dec2", hidden, px, rng)
+        self.encoder = (Linear(self.params, "enc1", px, hidden, rng),
+                        Linear(self.params, "enc2", hidden, per_patch, rng))
+        self.decoder = (Linear(self.params, "dec1", per_patch, hidden, rng),
+                        Linear(self.params, "dec2", hidden, px, rng))
         self.mu = np.zeros(self.latent_dim)
         self.sd = np.ones(self.latent_dim)
 
@@ -112,19 +112,13 @@ class ImageCodec:
         x = patches.reshape(batch, g, g, p, p).transpose(0, 1, 3, 2, 4)
         return x.reshape(batch, VIEW_SIZE, VIEW_SIZE)
 
-    def _encode_t(self, patches: T.Tensor) -> T.Tensor:
-        return self.enc2(T.silu(self.enc1(patches)))
-
-    def _decode_t(self, codes: T.Tensor) -> T.Tensor:
-        return self.dec2(T.silu(self.dec1(codes)))
-
     def fit(self, images: np.ndarray, epochs: int = 60, batch_size: int = 64,
             lr: float = 3e-3, weight_decay: float = 0.0, seed: int = 0) -> list[float]:
         images = np.asarray(images, dtype=np.float64)
 
         def batch_loss(idx):
             patches = T.Tensor(self._patchify(images[idx]))
-            diff = T.sub(self._decode_t(self._encode_t(patches)), patches)
+            diff = T.sub(mlp(self.decoder, mlp(self.encoder, patches)), patches)
             return T.tmean(T.mul(diff, diff))
 
         order, state = stream(seed, "image-codec-batches"), AdamWState()
@@ -138,8 +132,7 @@ class ImageCodec:
 
     def encode_raw(self, images: np.ndarray) -> np.ndarray:
         images = np.asarray(images, dtype=np.float64)
-        with T.no_grad():
-            codes = self._encode_t(T.Tensor(self._patchify(images))).data
+        codes = mlp_apply(self.encoder, self._patchify(images))
         return codes.reshape(len(images), self.latent_dim)
 
     def encode(self, images: np.ndarray) -> np.ndarray:
@@ -149,8 +142,7 @@ class ImageCodec:
         z = np.asarray(z, dtype=np.float64) * self.sd + self.mu
         b = len(z)
         codes = z.reshape(b * (VIEW_SIZE // self.PATCH) ** 2, self.PATCH)
-        with T.no_grad():
-            patches = self._decode_t(T.Tensor(codes)).data
+        patches = mlp_apply(self.decoder, codes)
         return np.clip(self._unpatchify(patches, b), 0.0, 1.0)
 
     def reconstruction_mse(self, images: np.ndarray) -> float:
@@ -169,13 +161,10 @@ class TextCodec:
         self.latent_dim = latent_dim
         self.table = self.params.add(
             "embed", T.Tensor(init_normal(rng, 0.5, (len(VOCAB), latent_dim))))
-        self.dec1 = Linear(self.params, "dec1", latent_dim, hidden, rng)
-        self.dec2 = Linear(self.params, "dec2", hidden, MAX_REPORT_LEN * len(VOCAB), rng)
+        self.decoder = (Linear(self.params, "dec1", latent_dim, hidden, rng),
+                        Linear(self.params, "dec2", hidden, MAX_REPORT_LEN * len(VOCAB), rng))
         self.mu = np.zeros(latent_dim)
         self.sd = np.ones(latent_dim)
-
-    def _logits_t(self, latent: T.Tensor) -> T.Tensor:
-        return self.dec2(T.silu(self.dec1(latent)))
 
     def fit(self, reports, epochs: int = 60, batch_size: int = 64,
             lr: float = 3e-3, weight_decay: float = 0.0, seed: int = 0) -> list[float]:
@@ -189,7 +178,7 @@ class TextCodec:
             onehot = np.zeros((rows, v))
             onehot[np.arange(rows), ids.reshape(-1)] = 1.0
             latent = mean_token_embedding(self.table, ids, all_lengths[idx])
-            logits = T.reshape(self._logits_t(latent), (rows, v))
+            logits = T.reshape(mlp(self.decoder, latent), (rows, v))
             logp = T.log_softmax(logits)
             return T.neg(T.tmean(T.tsum(T.mul(logp, T.Tensor(onehot)), axis=1)))
 
@@ -203,17 +192,14 @@ class TextCodec:
         return history
 
     def encode_raw(self, reports) -> np.ndarray:
-        with T.no_grad():
-            return mean_token_embedding(self.table, *token_ids(list(reports))).data
+        return mean_token_embedding_apply(self.table, *token_ids(list(reports)))
 
     def encode(self, reports) -> np.ndarray:
         return (self.encode_raw(reports) - self.mu) / self.sd
 
     def decode(self, z: np.ndarray) -> list[tuple[str, ...]]:
         z = np.asarray(z, dtype=np.float64) * self.sd + self.mu
-        with T.no_grad():
-            logits = self._logits_t(T.Tensor(z)).data
-        logits = logits.reshape(len(z), MAX_REPORT_LEN, len(VOCAB))
+        logits = mlp_apply(self.decoder, z).reshape(len(z), MAX_REPORT_LEN, len(VOCAB))
         out = []
         for row in logits.argmax(axis=-1):
             tokens = []
@@ -251,6 +237,8 @@ class Denoiser:
     def __init__(self, latent_dim: int, cond_dim: int, T_steps: int,
                  hidden: int = 96, n_blocks: int = 2, attn_dim: int = 32,
                  seed: int | None = 0):
+        if n_blocks < 1:  # the blocks alone read the timestep and the prompt
+            raise ValueError(f"a denoiser needs at least one block, got {n_blocks}")
         self.latent_dim = latent_dim
         self.cond_dim = cond_dim
         self.T_steps = T_steps
@@ -283,10 +271,10 @@ class Denoiser:
         return [block["wo"](block["wv"](om)) for block in self.blocks]
 
     def array_condition(self, omega: np.ndarray) -> list[np.ndarray]:
-        """``condition(omega)`` without a tape, as the arrays a reverse draw
-        passes to ``array_forward``."""
-        with T.no_grad():
-            return [c.data for c in self.condition(omega)]
+        """``condition(omega)``'s bytes without a tape, as the arrays a
+        reverse draw passes to ``array_forward``."""
+        omega = np.asarray(omega, dtype=np.float64)
+        return [block["wo"].apply(block["wv"].apply(omega)) for block in self.blocks]
 
     def forward(self, z, t, omega, extra_site=None) -> T.Tensor:
         """Predict the noise for latents z at (1-based) timesteps t, on the
@@ -313,10 +301,10 @@ class Denoiser:
             h = T.add(r, T.silu(block["fc2"](h)))
         return self.out_proj(h)
 
-    def array_forward(self, cond: list[np.ndarray], rows: int, t_max: int):
-        """``forward`` without a tape, on bare arrays, for ``rows`` rows of
-        one reverse draw: returns ``eps(z, t, site=None)``, the noise
-        prediction for latents z (``rows`` of them) all at timestep t.
+    def array_forward(self, cond: list[np.ndarray], t_max: int):
+        """``forward`` without a tape, on bare arrays, for the rows of one
+        reverse draw that ``cond`` holds: returns ``eps(z, t, site=None)``,
+        the noise prediction for latents z (one per row) all at timestep t.
 
         ``cond`` holds those rows' terms of ``array_condition(omega)``.
         ``t_max`` is the largest timestep the draw will pass (its schedule's
@@ -332,6 +320,7 @@ class Denoiser:
         """
         if t_max > self.T_steps:
             raise ValueError(f"timestep out of range 1..{self.T_steps}")
+        rows = cond[0].shape[0]
         h, x, a, s = (np.empty((rows, self.hidden)) for _ in range(4))
         stat = np.empty((rows, 1))
         table = self.time_table.data
@@ -518,8 +507,7 @@ def sample_latents(denoiser: Denoiser, schedule: DiffusionSchedule, omega: np.nd
         cond = denoiser.array_condition(omega)
         z = rng.standard_normal((b, denoiser.latent_dim))
         rows = [slice(0, b)] if pool is None else [slice(0, b // 2), slice(b // 2, b)]
-        eps = [denoiser.array_forward([c[r] for c in cond], r.stop - r.start, schedule.T)
-               for r in rows]
+        eps = [denoiser.array_forward([c[r] for c in cond], schedule.T) for r in rows]
 
         def advance(k, z_k, step, noise):  # one step of the rows in rows[k]
             return reverse_update(z_k, eps[k](z_k, step[0]), step,

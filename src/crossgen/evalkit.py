@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .nn import AdamWState, Linear, ParameterSet, train_epoch
+from .nn import AdamWState, Linear, ParameterSet, mlp, mlp_apply, silu_apply, train_epoch
 from .rng import stream
 from .toydata import NUM_CONDITIONS, rule_label_text
 
@@ -222,26 +222,23 @@ class FeatureExtractor:
     params: ParameterSet
     layers: tuple[Linear, Linear, Linear]  # l1, l2, out over ``params``
 
-    def _forward(self, views: np.ndarray):
-        l1, l2, out = self.layers
-        x = T.Tensor(np.asarray(views, dtype=np.float64).reshape(len(views), -1))
-        feats = T.silu(l2(T.silu(l1(x))))
-        return feats, out(feats)
+    def forward(self, flat: np.ndarray) -> T.Tensor:
+        """The logits of flattened views on the tape (the training path)."""
+        return mlp(self.layers, T.Tensor(flat))
+
+    def features(self, views: np.ndarray) -> np.ndarray:
+        """The penultimate activations, silu(l2(silu(l1(x)))), without a tape."""
+        flat = np.asarray(views, dtype=np.float64).reshape(len(views), -1)
+        return silu_apply(mlp_apply(self.layers[:2], flat))
 
     def logits(self, views: np.ndarray) -> np.ndarray:
-        with T.no_grad():
-            return self._forward(views)[1].data
+        return self.layers[2].apply(self.features(views))
 
     def scores(self, views: np.ndarray) -> np.ndarray:
-        with T.no_grad():
-            return T.sigmoid(self._forward(views)[1]).data
+        return T.sigmoid(self.logits(views)).data  # a constant: nothing records
 
     def predict(self, views: np.ndarray) -> np.ndarray:
         return (self.scores(views) >= 0.5).astype(np.uint8)
-
-    def features(self, views: np.ndarray) -> np.ndarray:
-        with T.no_grad():
-            return self._forward(views)[0].data
 
 
 def build_classifier(n_in: int, hidden: tuple[int, int], n_out: int,
@@ -272,7 +269,7 @@ def train_classifier(train_views, train_labels, test_views, test_labels,
                              stream(seed, "classifier-init"))
 
     def batch_loss(idx):
-        return T.tmean(T.bce_with_logits(model._forward(flat[idx])[1], labels[idx]))
+        return T.tmean(T.bce_with_logits(model.forward(flat[idx]), labels[idx]))
 
     order_rng, state = stream(seed, "classifier-batches"), AdamWState()
     for _ in range(epochs):

@@ -18,7 +18,7 @@ from .diffusion import (Denoiser, DiffusionSchedule, encode_records,
                         noise_prediction_loss, noise_stream, q_sample,
                         reverse_steps, reverse_update, step_noise, step_pool)
 from .errors import NumericError
-from .nn import AdamWState, Linear, ParameterSet, train_epoch
+from .nn import AdamWState, Linear, ParameterSet, mlp, mlp_apply, train_epoch
 from .rng import stream
 from .toydata import MODALITIES
 
@@ -28,8 +28,8 @@ class ProjectionEncoder:
 
     def __init__(self, params: ParameterSet, prefix: str, latent_dim: int,
                  coupling_dim: int, hidden: int, rng: np.random.Generator):
-        self.l1 = Linear(params, f"{prefix}.l1", latent_dim, hidden, rng)
-        self.l2 = Linear(params, f"{prefix}.l2", hidden, coupling_dim, rng)
+        self.layers = (Linear(params, f"{prefix}.l1", latent_dim, hidden, rng),
+                       Linear(params, f"{prefix}.l2", hidden, coupling_dim, rng))
         self.latent_dim = latent_dim
 
     def _check_width(self, z: np.ndarray) -> None:
@@ -39,17 +39,13 @@ class ProjectionEncoder:
     def forward(self, z) -> T.Tensor:
         z_t = z if isinstance(z, T.Tensor) else T.Tensor(z)
         self._check_width(z_t.data)
-        return T.l2_normalize(self.l2(T.silu(self.l1(z_t))))
+        return mlp(self.layers, z_t, unit=True)
 
     def project(self, z: np.ndarray) -> np.ndarray:
-        """``forward``'s arithmetic without a tape, on a bare array, with its
-        bytes."""
+        """``forward``'s bytes without a tape, on a bare array."""
         z = np.asarray(z, dtype=np.float64)
         self._check_width(z)
-        h = self.l1.apply(z)
-        s = np.empty_like(h)
-        T.silu_kernel(h, s, s)
-        return T.l2_normalize_kernel(self.l2.apply(s))[0]
+        return mlp_apply(self.layers, z, unit=True)
 
 
 class CoupledDenoiser:
@@ -80,11 +76,11 @@ class CoupledDenoiser:
         ad = self.adapters
         return self.base.forward(z, t, omega, extra_site=lambda i: ad[i]["wo"](ad[i]["wv"](p)))
 
-    def array_forward(self, cond: list[np.ndarray], rows: int, t_max: int):
+    def array_forward(self, cond: list[np.ndarray], t_max: int):
         """``forward`` without a tape, on bare arrays, with its bytes (see
         ``Denoiser.array_forward``): returns ``eps(z, t, partner)`` for the
         partner trajectory's projected latent."""
-        eps = self.base.array_forward(cond, rows, t_max)
+        eps = self.base.array_forward(cond, t_max)
         sites = [(ad["wv"], ad["wo"]) for ad in self.adapters]
 
         def coupled(z, t, partner):
@@ -234,7 +230,7 @@ def joint_sample(components: JointComponents, schedule: DiffusionSchedule,
     z = {m: rngs[m].standard_normal((b, components.coupled[m].base.latent_dim)) for m in pair}
     with step_pool(b) as pool:  # each thread steps one stream's b rows
         eps = {m: components.coupled[m].array_forward(
-                   components.coupled[m].base.array_condition(omega), b, schedule.T)
+                   components.coupled[m].base.array_condition(omega), schedule.T)
                for m in pair}
 
         def advance(m, z_m, step, partner_proj):  # one stream's step

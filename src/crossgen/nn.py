@@ -7,7 +7,9 @@ import hashlib
 import numpy as np
 
 from .errors import NumericError
-from .tensor import Tensor, add_into, backward, embedding, matmul, mul, reset_tape, tsum
+from . import tensor as T
+from .tensor import (Tensor, add, backward, embedding, l2_normalize, matmul, mul,
+                     reset_tape, silu, tsum)
 from .toydata import report_to_ids
 
 
@@ -101,7 +103,7 @@ class Linear:
         self.b = params.add(f"{name}.b", Tensor(np.zeros(n_out)))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return add_into(matmul(x, self.w), self.b)
+        return add(matmul(x, self.w), self.b)
 
     def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``self(x)``'s arithmetic on a bare array, without a tape: the
@@ -111,9 +113,36 @@ class Linear:
         return y
 
 
+def mlp(layers, x: Tensor, unit: bool = False) -> Tensor:
+    """The SiLU stack ``layers`` (a sequence of ``Linear``) on the tape: SiLU
+    after every layer but the last, then unit rows when ``unit``."""
+    for layer in layers[:-1]:
+        x = silu(layer(x))
+    y = layers[-1](x)
+    return l2_normalize(y) if unit else y
+
+
+def silu_apply(h: np.ndarray) -> np.ndarray:
+    """``silu``'s bytes for a bare array, in a fresh array (not ``h``)."""
+    s = np.empty_like(h)
+    return T.silu_kernel(h, s, s)[0]
+
+
+def mlp_apply(layers, x: np.ndarray, unit: bool = False) -> np.ndarray:
+    """``mlp(layers, x, unit)`` on bare arrays, with its bytes and without a
+    tape. Each layer's output goes once it has been through the SiLU."""
+    for layer in layers[:-1]:
+        x = silu_apply(layer.apply(x))
+    y = layers[-1].apply(x)
+    return T.l2_normalize_kernel(y)[0] if unit else y
+
+
 def token_ids(reports) -> tuple[np.ndarray, np.ndarray]:
     """The reports' token ids padded with 0 to MAX_REPORT_LEN, (B, 32), and
-    their lengths, (B,); ValueError for a report without tokens."""
+    their lengths, (B,); ValueError for a batch that is not a non-empty
+    sequence of token sequences, or a report without tokens."""
+    if not reports or isinstance(reports[0], str):
+        raise ValueError("text payload batch must be a sequence of token sequences")
     ids = np.stack([report_to_ids(r) for r in reports])
     lengths = np.array([len(r) for r in reports])
     if not lengths.all():
@@ -121,14 +150,24 @@ def token_ids(reports) -> tuple[np.ndarray, np.ndarray]:
     return ids, lengths
 
 
+def _token_weights(ids: np.ndarray, lengths: np.ndarray, width: int) -> np.ndarray:
+    # 1 / length at a report's token positions, 0 past them, not copied per width
+    w = np.where(np.arange(ids.shape[1]) < lengths[:, None], 1.0 / lengths[:, None], 0.0)
+    return np.broadcast_to(w[:, :, None], w.shape + (width,))
+
+
 def mean_token_embedding(table: Tensor, ids: np.ndarray, lengths: np.ndarray) -> Tensor:
     """Each report's mean over the rows of ``table`` at its first
     ``lengths[i]`` token positions, as a (B, width) tensor. The weights come
     from positions, not ids: a report may hold the pad token."""
-    lengths = lengths[:, None]
-    w = np.where(np.arange(ids.shape[1]) < lengths, 1.0 / lengths, 0.0)
-    weights = np.broadcast_to(w[:, :, None], w.shape + (table.shape[1],))
+    weights = _token_weights(ids, lengths, table.shape[1])
     return tsum(mul(embedding(table, ids), Tensor(weights)), axis=1)
+
+
+def mean_token_embedding_apply(table: Tensor, ids: np.ndarray,
+                               lengths: np.ndarray) -> np.ndarray:
+    """``mean_token_embedding``'s bytes as a bare array, without a tape."""
+    return (table.data[ids] * _token_weights(ids, lengths, table.shape[1])).sum(axis=1)
 
 
 def finite_loss(loss: Tensor, what: str) -> float:

@@ -1,9 +1,10 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Every primitive records a node on a global append-only tape when any input
-requires a gradient. Under ``no_grad`` a primitive validates its operands,
-computes and builds its backward rule, and records nothing: ``_record``
-alone decides whether a primitive records, and wraps the result.
+requires a gradient, and otherwise only computes: ``_record`` alone decides
+whether a primitive records, and wraps the result. The tape is for
+training; inference runs on bare arrays (``nn.mlp_apply``, the array
+kernels below), so no mode switches recording off.
 ``backward`` walks the tape in reverse creation order (a valid topological
 order) and accumulates gradients additively into every requires-grad tensor
 it reaches; the rules of the binary primitives skip (return None for) an
@@ -21,8 +22,8 @@ import numpy as np
 from .errors import ShapeError
 
 __all__ = [
-    "Tensor", "Tape", "tape", "reset_tape", "no_grad", "backward",
-    "grad_check", "PRIMITIVE_OPS", "add_into", "silu_kernel", "layer_norm_kernel",
+    "Tensor", "Tape", "tape", "reset_tape", "backward",
+    "grad_check", "PRIMITIVE_OPS", "silu_kernel", "layer_norm_kernel",
     "l2_normalize_kernel",
     "add", "sub", "neg", "mul", "div", "matmul", "transpose", "reshape",
     "concat", "slice_axis", "tsum", "tmean", "exp", "log", "sqrt", "silu",
@@ -88,7 +89,6 @@ class Tape:
 
 
 _TAPE = Tape()
-_GRAD_ENABLED = [True]
 
 
 def tape() -> Tape:
@@ -97,19 +97,6 @@ def tape() -> Tape:
 
 def reset_tape() -> None:
     _TAPE.nodes.clear()
-
-
-class no_grad:
-    """Context manager that suppresses tape recording (inference mode)."""
-
-    def __enter__(self):
-        self._prev = _GRAD_ENABLED[0]
-        _GRAD_ENABLED[0] = False
-        return self
-
-    def __exit__(self, *exc):
-        _GRAD_ENABLED[0] = self._prev
-        return False
 
 
 def _bare(data) -> Tensor:
@@ -124,10 +111,10 @@ def _bare(data) -> Tensor:
 
 
 def _record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, backward_fn) -> Tensor:
-    # the one place that decides whether a primitive records: under no_grad
-    # it wraps the result and drops the rule its primitive built
+    # the one place that decides whether a primitive records: it does when
+    # an input requires a gradient, and otherwise drops the rule it was given
     out = _bare(out_data)
-    if _GRAD_ENABLED[0] and any(t.requires_grad for t in inputs):
+    if any(t.requires_grad for t in inputs):
         out.requires_grad = True
         _TAPE.nodes.append(_Node(op, inputs, out, backward_fn))
     return out
@@ -180,22 +167,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
                 _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _record("add", (a, b), out, bw)
-
-
-def add_into(a: Tensor, b: Tensor) -> Tensor:
-    """``add(a, b)`` for an ``a`` whose array the caller owns (a fresh result
-    nothing else holds).
-
-    Not a primitive (it is not in ``PRIMITIVE_OPS``). With a tape it is
-    ``add(a, b)`` and records an ``add``. Without one, after add's shape
-    check, it writes ``a + b`` into ``a``'s array (the bits are add's) and
-    returns ``a``; an ``a`` smaller than the broadcast result gets ``add``'s
-    fresh array."""
-    if (_GRAD_ENABLED[0]
-            or _check_leading_broadcast("add", a.data.shape, b.data.shape) != a.data.shape):
-        return add(a, b)
-    np.add(a.data, b.data, out=a.data)
-    return a
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -273,11 +244,12 @@ def _exp_neg(x: np.ndarray) -> np.ndarray:
 def silu_kernel(x: np.ndarray, s: np.ndarray,
                 out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """SiLU's forward arithmetic on arrays, written once for ``silu`` and the
-    samplers' array step: the logistic 1 / (1 + exp(-x)) into ``s`` (not
-    ``x``), then x * s into ``out`` (``s`` itself, another array, or a fresh
-    one when None; a NaN keeps x's sign). Returns the product and the x it
-    read, which the gradient reads too: ``x`` itself, or on the overflow
-    branch a copy in which the most negative float stands in for -inf."""
+    array paths (``nn.mlp_apply``, the samplers' step): the logistic
+    1 / (1 + exp(-x)) into ``s`` (not ``x``), then x * s into ``out`` (``s``
+    itself, another array, or a fresh one when None; a NaN keeps x's sign).
+    Returns the product and the x it read, which the gradient reads too:
+    ``x`` itself, or on the overflow branch a copy in which the most
+    negative float stands in for -inf."""
     np.negative(x, out=s)  # the same IEEE operations as 1 / (1 + exp(-x))
     if x.size and x.item(x.argmin()) >= -700.0:  # _exp_neg's guard
         np.exp(s, out=s)
@@ -297,8 +269,6 @@ def silu_kernel(x: np.ndarray, s: np.ndarray,
 def silu(a: Tensor) -> Tensor:
     a = _wrap(a)
     s = np.empty_like(a.data)  # an array even at 0-d
-    if not _GRAD_ENABLED[0]:
-        return _bare(silu_kernel(a.data, s, s)[0])
     out, x = silu_kernel(a.data, s)
 
     def bw(g):
@@ -494,7 +464,7 @@ def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
 
 def l2_normalize_kernel(x: np.ndarray, eps: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     """L2 normalisation's forward arithmetic on arrays, written once for
-    ``l2_normalize`` and ``ProjectionEncoder.project``: (x / norm, norm)."""
+    ``l2_normalize`` and ``nn.mlp_apply``: (x / norm, norm)."""
     norm = np.sqrt((x * x).sum(axis=-1, keepdims=True) + eps)
     return x / norm, norm
 
@@ -600,8 +570,11 @@ def grad_check(f, x: Tensor, eps: float = 1e-6) -> float:
         raise ValueError(f"eps {eps} outside [1e-7, 1e-3]")
 
     def value() -> float:
-        with no_grad():
+        mark = len(_TAPE.nodes)
+        try:  # f may record (its parameters require gradients): drop that
             out = f(x)
+        finally:
+            del _TAPE.nodes[mark:]
         if out.data.size != 1:
             raise ValueError("grad_check requires a scalar-valued function")
         return float(out.data.reshape(()))

@@ -155,6 +155,16 @@ def test_out_of_range_config_value_is_exit_2(tmp_path):
     assert not home.exists()
 
 
+def test_a_denoiser_without_blocks_is_exit_2(tmp_path, capsys):
+    # without a block the denoiser would read neither the timestep nor the prompt
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(TINY, diffusion=dict(TINY["diffusion"], blocks=0))))
+    home = tmp_path / "h"
+    assert main(["--config", str(bad), "--home", str(home), "gen-data"]) == 2
+    assert "diffusion.blocks" in capsys.readouterr().err
+    assert not home.exists()
+
+
 def test_config_mismatch_on_load_is_exit_2(tmp_path, cfg_file):
     home = str(tmp_path / "h")
     assert main(["--config", cfg_file, "--home", home, "gen-data"]) == 0

@@ -67,6 +67,7 @@ OUT_OF_RANGE = {
     "zero_width_in_list": ({"eval": {"classifier_hidden": [64, 0]}},
                            "eval.classifier_hidden"),
     "zero_dataset": ({"dataset": {"n": 0}}, "dataset.n"),
+    "zero_denoiser_blocks": ({"diffusion": {"blocks": 0}}, "diffusion.blocks"),
     "negative_epochs": ({"encoder": {"epochs": -1}}, "encoder.epochs"),
     "negative_nested_epochs": ({"eval": {"utility": {"scarcity_epochs": -3}}},
                                "eval.utility.scarcity_epochs"),
@@ -123,6 +124,17 @@ def test_checkpoint_roundtrip(tmp_path):
     assert back["metadata"] == meta
     np.testing.assert_array_equal(back["arrays"]["w"], arrays["w"])
     np.testing.assert_array_equal(back["arrays"]["b"], arrays["b"])
+
+
+def test_checkpoint_round_trips_a_0d_array_with_its_shape(tmp_path):
+    arrays = {"s": np.array(2.0), "t": np.array([3.0]), "f": np.asfortranarray(
+        np.arange(6.0).reshape(2, 3))}
+    path = tmp_path / "ck.xgck"
+    save_checkpoint(path, "alignment", "00" * 32, arrays, {})
+    back = load_checkpoint(path)["arrays"]
+    assert {k: v.shape for k, v in back.items()} == {"s": (), "t": (1,), "f": (2, 3)}
+    assert all(back[k].tobytes() == np.ascontiguousarray(v).tobytes()
+               for k, v in arrays.items())
 
 
 def test_loaded_arrays_are_writable_and_own_their_memory(tmp_path):

@@ -207,6 +207,13 @@ def test_denoiser_grad_check():
     assert checked == len(den.params.names())
 
 
+@pytest.mark.parametrize("n_blocks", [0, -1])
+def test_a_denoiser_needs_a_block(n_blocks):
+    # the blocks alone read the timestep and the prompt
+    with pytest.raises(ValueError, match="at least one block"):
+        Denoiser(latent_dim=3, cond_dim=2, T_steps=10, hidden=4, n_blocks=n_blocks)
+
+
 def test_denoiser_init_replays_the_attention_draw_order():
     # each block once also held query/key projections; their draws are
     # still consumed, so every surviving tensor keeps its initial values
@@ -254,6 +261,8 @@ def _default_denoiser(latent_dim, seed):
 
 @pytest.mark.parametrize("batch", [8, 500])
 def test_default_width_forward_without_a_tape_equals_the_recorded_forward(batch):
+    # a frozen denoiser (a joint stage's base) records nothing, with the bytes
+    # of the recording forward at per-row timesteps
     den = _default_denoiser(ImageCodec.latent_dim, seed=3)
     rng = np.random.default_rng(batch)
     z = rng.standard_normal((batch, den.latent_dim))
@@ -262,9 +271,9 @@ def test_default_width_forward_without_a_tape_equals_the_recorded_forward(batch)
     live = den.forward(z, t, omega)
     assert live.requires_grad and len(T.tape()) > 0
     T.reset_tape()
-    with T.no_grad():
-        bare = den.forward(z, t, omega)
-    assert len(T.tape()) == 0
+    den.params.freeze()
+    bare = den.forward(z, t, omega)
+    assert len(T.tape()) == 0 and not bare.requires_grad
     assert bare.data.tobytes() == live.data.tobytes()
 
 
@@ -296,7 +305,7 @@ def test_array_step_gives_the_bytes_of_the_recorded_forward(rows, edges, silu_ed
     cond = den.array_condition(omega)
     before = _snapshot(z, omega, *cond, params=den.params)
     silu_edges.clear()
-    eps = den.array_forward(cond, rows, den.T_steps)
+    eps = den.array_forward(cond, den.T_steps)
     first, again = eps(z, t), eps(z, t)
     assert first.tobytes() == again.tobytes() == live.data.tobytes()
     assert {e for e in ("below -700", "nan") if silu_edges[e]} == set(edges)
@@ -309,10 +318,10 @@ def test_the_array_step_checks_the_draws_timesteps_once():
                    attn_dim=2, seed=1)
     cond = den.array_condition(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="timestep out of range 1..10"):
-        den.array_forward(cond, 2, 11)
+        den.array_forward(cond, 11)
     with pytest.raises(ValueError, match="timestep out of range 1..10"):
         sample_latents(den, make_schedule(11, 1e-3, 0.2), np.zeros((2, 2)), stream(0, "s"))
-    assert den.array_forward(cond, 2, 10)(np.zeros((2, 3)), 10).shape == (2, 3)
+    assert den.array_forward(cond, 10)(np.zeros((2, 3)), 10).shape == (2, 3)
 
 
 @pytest.mark.parametrize("t", [0, 11, -3, [1, 0], [10, 11], [[4, 12]]])
@@ -321,8 +330,6 @@ def test_denoiser_rejects_out_of_range_timesteps(t):
                    attn_dim=2, seed=1)
     z, omega = np.zeros((2, 3)), np.zeros((2, 2))
     with pytest.raises(ValueError, match="timestep out of range 1..10"):
-        den.forward(z, t, omega)
-    with T.no_grad(), pytest.raises(ValueError, match="timestep out of range 1..10"):
         den.forward(z, t, omega)
     assert den.forward(z, [1, 10], omega).shape == (2, 3)  # both ends are in range
 
@@ -362,8 +369,8 @@ def test_sampling_deterministic_given_seed():
 def _reference_reverse(eps_fn, s, z, rng, sigma_mode):
     """The reverse process written out step by step, nothing hoisted."""
     for t in range(s.T, 0, -1):
-        with T.no_grad():
-            eps_hat = eps_fn(z, np.full(len(z), t, dtype=np.int64)).data
+        eps_hat = eps_fn(z, np.full(len(z), t, dtype=np.int64)).data
+        T.reset_tape()  # the recording forward is the reference; drop its nodes
         ab, alpha, beta = s.alpha_bars[t - 1], s.alphas[t - 1], s.betas[t - 1]
         mean = (z - beta / np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(alpha)
         if t == 1:
@@ -466,7 +473,7 @@ def test_an_error_in_the_worker_half_propagates_with_grad_mode_restored(monkeypa
     with pytest.raises(FloatingPointError, match="worker half failed"):
         sample_latents(den, s, omega, stream(0, "s"))
     assert raised_on
-    assert T._GRAD_ENABLED[0] is True
+    assert all(p.requires_grad for _, p in den.params.items())
     assert len(T.tape()) == 0
     assert threading.active_count() == before
 

@@ -116,7 +116,7 @@ def test_coupled_array_step_and_projection_give_the_recorded_forwards_bytes(rows
     eps = []
     for m, o in pairs:
         cond = comps.coupled[m].base.array_condition(omega)
-        step = comps.coupled[m].array_forward(cond, rows, comps.coupled[m].base.T_steps)
+        step = comps.coupled[m].array_forward(cond, comps.coupled[m].base.T_steps)
         eps.append(step(z[m], t, proj_a[o]))
     assert [e.tobytes() for e in eps] == [x.data.tobytes() for x in live]
     assert silu_edges["below -700"] and bool(silu_edges["nan"]) == (rows > 1)
@@ -141,8 +141,9 @@ def test_default_width_coupled_forwards_without_a_tape_equal_the_recorded_ones(b
     live = forwards()
     assert len(T.tape()) > 0
     T.reset_tape()
-    with T.no_grad():
-        bare = forwards()
+    for params in (comps.trainable, *(c.base.params for c in comps.coupled.values())):
+        params.freeze()  # frozen components record nothing
+    bare = forwards()
     assert len(T.tape()) == 0 and bare == live
     assert comps.projections["report"].project(z["report"]).tobytes() == bare[1]
 
@@ -336,10 +337,10 @@ def test_joint_sample_matches_per_step_coupled_forward_reference(small_world, tw
     z = {m: rngs[m].standard_normal((batch, bases[m].latent_dim)) for m in pair}
     for t in range(sched.T, 0, -1):
         t_arr = np.full(batch, t, dtype=np.int64)
-        with T.no_grad():
-            proj = {m: comps.projections[m].forward(z[m]).data for m in pair}
-            eps = {m: comps.coupled[m].forward(z[m], t_arr, omega, proj[o]).data
-                   for m, o in zip(pair, pair[::-1])}
+        proj = {m: comps.projections[m].forward(z[m]).data for m in pair}
+        eps = {m: comps.coupled[m].forward(z[m], t_arr, omega, proj[o]).data
+               for m, o in zip(pair, pair[::-1])}
+        T.reset_tape()  # the recording forwards are the reference; drop their nodes
         ab, alpha, beta = sched.alpha_bars[t - 1], sched.alphas[t - 1], sched.betas[t - 1]
         for m in pair:
             mean = (z[m] - beta / np.sqrt(1.0 - ab) * eps[m]) / np.sqrt(alpha)
@@ -397,7 +398,7 @@ def test_threaded_joint_sample_leaves_grad_mode_tape_and_threads_as_it_found_the
     comps, sched, omega, codecs = _joint_world(small_world)
     before = threading.active_count()
     joint_sample(comps, sched, omega, codecs, seed=4)
-    assert T._GRAD_ENABLED[0] is True
+    assert all(p.requires_grad for _, p in comps.trainable.items())
     assert len(T.tape()) == 0
     assert threading.active_count() == before
 
@@ -417,5 +418,5 @@ def test_an_error_in_the_worker_stream_propagates_with_grad_mode_restored(
     with pytest.raises(FloatingPointError, match="worker stream failed"):
         joint_sample(comps, sched, omega, codecs, seed=4)
     assert raised_on and raised_on[0] != threading.get_ident()
-    assert T._GRAD_ENABLED[0] is True
+    assert all(p.requires_grad for _, p in comps.trainable.items())
     assert threading.active_count() == before

@@ -1,6 +1,5 @@
 """Autodiff core: forward identities, backward contracts, gradient checks."""
 
-import contextlib
 import json
 import warnings
 import zlib
@@ -13,7 +12,8 @@ from crossgen import tensor as T
 from crossgen import toydata as td
 from crossgen.errors import ShapeError
 from crossgen.nn import (AdamWState, Linear, ParameterSet, adamw_step,
-                         mean_token_embedding, token_ids, train_epoch)
+                         mean_token_embedding, mean_token_embedding_apply, silu_apply,
+                         token_ids, train_epoch)
 
 
 @pytest.fixture(autouse=True)
@@ -189,6 +189,18 @@ def test_grad_check_eps_bounds():
         T.grad_check(lambda t: T.tsum(t), T.Tensor(np.ones(2)), eps=1e-2)
 
 
+def test_grad_check_leaves_the_tape_as_it_found_it():
+    # f records through parameters that require gradients on every one of
+    # grad_check's forwards; each is cut from the tape again
+    params = ParameterSet()
+    lin = Linear(params, "l", 3, 2, np.random.default_rng(0))
+    T.tsum(T.mul(lin.w, lin.w))  # a node recorded before the check
+    before = list(T.tape().nodes)
+    err = T.grad_check(lambda t: T.tsum(T.mul(lin(t), lin(t))), T.Tensor(np.ones((2, 3))))
+    assert err < 1e-6 and T.tape().nodes == before
+    assert all(p.requires_grad for _, p in params.items())
+
+
 # ---------------------------------------------------------------------------
 # grad-check battery over every registered primitive
 
@@ -249,49 +261,50 @@ def _bits(t):
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))
 def test_no_grad_output_equals_the_recorded_output_bit_for_bit(name):
+    # no input requires a gradient: the primitive computes, records nothing
     build = PRIMITIVE_CASES[name]
     for shape in [(3, 4), (2, 3, 5)]:
-        x = T.Tensor(np.random.default_rng(len(shape)).normal(size=shape), requires_grad=True)
-        operand = x.data.tobytes()
+        data = np.random.default_rng(len(shape)).normal(size=shape)
+        x, const = T.Tensor(data, requires_grad=True), T.Tensor(data)
         live = build(x, np.random.default_rng(0))
         assert live.requires_grad and len(T.tape()) > 0
         T.reset_tape()
-        with T.no_grad():
-            bare = build(x, np.random.default_rng(0))
+        bare = build(const, np.random.default_rng(0))
         assert len(T.tape()) == 0 and not bare.requires_grad and bare.grad is None
         assert _bits(bare) == _bits(live)
-        assert x.data.tobytes() == operand  # no path writes into its operand
+        # neither path writes into its operand
+        assert x.data.tobytes() == const.data.tobytes() == data.tobytes()
 
 
-def _z(*shape):
-    return T.Tensor(np.zeros(shape), requires_grad=True)
+def _zeros(requires_grad):
+    return lambda *shape: T.Tensor(np.zeros(shape), requires_grad=requires_grad)
 
 
 PRIMITIVE_REJECTIONS = {
-    "add_incompatible": lambda: T.add(_z(2, 3), _z(2, 4)),
-    "sub_trailing_stretch": lambda: T.sub(_z(4, 1), _z(4, 3)),
-    "mul_middle_stretch": lambda: T.mul(_z(1, 2, 3), _z(3)),
-    "div_incompatible": lambda: T.div(_z(3), _z(4)),
-    "matmul_rank_1": lambda: T.matmul(_z(3), _z(3, 2)),
-    "matmul_rank_2_by_3": lambda: T.matmul(_z(2, 3), _z(2, 3, 4)),
-    "matmul_inner": lambda: T.matmul(_z(2, 3), _z(4, 2)),
-    "matmul_batch": lambda: T.matmul(_z(2, 3, 4), _z(3, 4, 5)),
-    "transpose_rank_1": lambda: T.transpose(_z(3)),
-    "concat_empty": lambda: T.concat([]),
-    "concat_ranks": lambda: T.concat([_z(2, 3), _z(3)]),
-    "embedding_float_ids": lambda: T.embedding(_z(5, 2), np.array([0.0, 1.0])),
-    "embedding_bool_ids": lambda: T.embedding(_z(5, 2), np.array([True, False])),
-    "bce_shape": lambda: T.bce_with_logits(_z(2, 3), np.zeros((3, 2))),
-    "reshape_size": lambda: T.reshape(_z(2, 3), (4,)),
+    "add_incompatible": lambda z: T.add(z(2, 3), z(2, 4)),
+    "sub_trailing_stretch": lambda z: T.sub(z(4, 1), z(4, 3)),
+    "mul_middle_stretch": lambda z: T.mul(z(1, 2, 3), z(3)),
+    "div_incompatible": lambda z: T.div(z(3), z(4)),
+    "matmul_rank_1": lambda z: T.matmul(z(3), z(3, 2)),
+    "matmul_rank_2_by_3": lambda z: T.matmul(z(2, 3), z(2, 3, 4)),
+    "matmul_inner": lambda z: T.matmul(z(2, 3), z(4, 2)),
+    "matmul_batch": lambda z: T.matmul(z(2, 3, 4), z(3, 4, 5)),
+    "transpose_rank_1": lambda z: T.transpose(z(3)),
+    "concat_empty": lambda z: T.concat([]),
+    "concat_ranks": lambda z: T.concat([z(2, 3), z(3)]),
+    "embedding_float_ids": lambda z: T.embedding(z(5, 2), np.array([0.0, 1.0])),
+    "embedding_bool_ids": lambda z: T.embedding(z(5, 2), np.array([True, False])),
+    "bce_shape": lambda z: T.bce_with_logits(z(2, 3), np.zeros((3, 2))),
+    "reshape_size": lambda z: T.reshape(z(2, 3), (4,)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PRIMITIVE_REJECTIONS))
 def test_no_grad_raises_what_the_recorded_path_raises(case):
     with pytest.raises(ValueError) as live:
-        PRIMITIVE_REJECTIONS[case]()
-    with T.no_grad(), pytest.raises(ValueError) as bare:
-        PRIMITIVE_REJECTIONS[case]()
+        PRIMITIVE_REJECTIONS[case](_zeros(True))
+    with pytest.raises(ValueError) as bare:  # no operand requires a gradient
+        PRIMITIVE_REJECTIONS[case](_zeros(False))
     assert type(bare.value) is type(live.value) and str(bare.value) == str(live.value)
     assert len(T.tape()) == 0
 
@@ -310,16 +323,18 @@ def test_silu_and_sigmoid_match_the_logistic_formula_across_the_overflow_edge():
     x = np.concatenate([x, np.linspace(-720.0, 720.0, 2001)])
     s = _logistic(x)
     assert s[0] == 0.0 and s[4] == 0.0 and s[6] > 0.0  # both sides of the edge
-    for mode in (contextlib.nullcontext, T.no_grad):  # no_grad multiplies in place
-        with warnings.catch_warnings(), mode():
-            warnings.simplefilter("error")
-            for shape in [x.shape, (1, x.size)]:
-                xt = T.Tensor(x.reshape(shape))
-                assert T.sigmoid(xt).data.tobytes() == s.tobytes()
-                assert T.silu(xt).data.tobytes() == (x * s).tobytes()
-            for v in x:  # each element alone takes its own side of the guard
-                assert T.sigmoid(T.Tensor(v)).data.tobytes() == _logistic(v).tobytes()
-                assert T.silu(T.Tensor(v)).data.tobytes() == (v * _logistic(v)).tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for shape in [x.shape, (1, x.size)]:
+            xt = T.Tensor(x.reshape(shape))
+            assert T.sigmoid(xt).data.tobytes() == s.tobytes()
+            assert T.silu(xt).data.tobytes() == (x * s).tobytes()
+            # the array path multiplies into the logistic's buffer
+            assert silu_apply(x.reshape(shape)).tobytes() == (x * s).tobytes()
+        for v in x:  # each element alone takes its own side of the guard
+            assert T.sigmoid(T.Tensor(v)).data.tobytes() == _logistic(v).tobytes()
+            assert T.silu(T.Tensor(v)).data.tobytes() == (v * _logistic(v)).tobytes()
+            assert silu_apply(np.array(v)).tobytes() == (v * _logistic(v)).tobytes()
 
 
 def test_silu_at_minus_infinity_is_the_limit_and_finite_inputs_keep_their_bits():
@@ -336,8 +351,7 @@ def test_silu_at_minus_infinity_is_the_limit_and_finite_inputs_keep_their_bits()
         T.backward(T.tsum(T.mul(out, T.Tensor(g))))
         assert xt.grad[0] == 0.0
         assert xt.grad[1:].tobytes() == (g[1:] * (s + x[1:] * s * (1.0 - s))).tobytes()
-        with T.no_grad():
-            assert T.silu(T.Tensor(-np.inf)).data.tobytes() == np.float64(-0.0).tobytes()
+        assert silu_apply(np.array(-np.inf)).tobytes() == np.float64(-0.0).tobytes()
         assert np.isnan(T.silu(T.Tensor([np.nan, -np.inf])).data[0])
 
 
@@ -348,12 +362,14 @@ def test_silu_at_minus_infinity_is_the_limit_and_finite_inputs_keep_their_bits()
     np.array(-800.0), np.array(np.inf), np.array(-np.inf), np.array(np.nan),
 ])
 def test_no_grad_silu_has_the_bits_of_the_recorded_silu_at_every_edge(x):
+    # the array path: silu_kernel writing its product into the logistic's buffer
+    operand = x.tobytes()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         live = T.silu(T.Tensor(x, requires_grad=True))
-        with T.no_grad():
-            bare = T.silu(T.Tensor(x))
-    assert live.requires_grad and _bits(bare) == _bits(live)
+        bare = silu_apply(x)
+    assert live.requires_grad and (bare.dtype, bare.shape, bare.tobytes()) == _bits(live)
+    assert x.tobytes() == operand
 
 
 @pytest.mark.parametrize("x", [
@@ -416,8 +432,8 @@ def test_embedding_rejects_an_id_outside_the_table(ids):
     table = T.Tensor(np.arange(10.0).reshape(5, 2), requires_grad=True)
     with pytest.raises(ShapeError, match="embedding"):
         T.embedding(table, np.array(ids))
-    with T.no_grad(), pytest.raises(ShapeError, match="embedding"):
-        T.embedding(table, np.array(ids))
+    with pytest.raises(ShapeError, match="embedding"):
+        T.embedding(T.Tensor(table.data), np.array(ids))
     assert len(T.tape()) == 0
 
 
@@ -445,6 +461,7 @@ def test_mean_token_embedding_equals_the_per_record_loop():
         T.reset_tape()
         results.append((out.data.tobytes(), table.grad.tobytes()))
     assert results[0] == results[1]
+    assert mean_token_embedding_apply(table, *token_ids(reports)).tobytes() == results[0][0]
 
 
 def test_token_ids_rejects_an_empty_report():
@@ -538,7 +555,12 @@ def test_primitive_ops_are_the_ops_the_benchmark_counts():
     prefix = "tensor.tape_nodes."
     counted = {m["name"][len(prefix):] for m in spec["per_layer"]
                if m["name"].startswith(prefix)}
-    assert counted == set(T.PRIMITIVE_OPS)
+    ops = set(T.PRIMITIVE_OPS)
+    assert counted == ops, (
+        f"BENCHMARK.json counts tape nodes of {sorted(counted - ops)} that are not "
+        f"primitives, and primitives {sorted(ops - counted)} it does not count: a program "
+        f"change cannot edit the benchmark, so dropping or renaming a primitive waits for "
+        f"the benchmark change of ROADMAP item 3")
 
 
 def test_mlp_grad_matches_finite_differences():
@@ -559,38 +581,45 @@ def test_mlp_grad_matches_finite_differences():
 
 @pytest.mark.parametrize("shape", [(8, 6), (500, 6), (2, 3, 6)])
 def test_no_grad_linear_equals_the_recorded_linear_and_writes_no_operand(shape):
+    # Linear.apply, the array path, against the recorded call
     rng = np.random.default_rng(shape[0])
     params = ParameterSet()
     lin = Linear(params, "l", 6, 5, rng)
     lin.b.data[...] = rng.normal(size=5)
-    x = T.Tensor(rng.normal(size=shape))
-    before = x.data.tobytes(), params.checksum()
-    live = lin(x)
+    x = rng.normal(size=shape)
+    before = x.tobytes(), params.checksum()
+    live = lin(T.Tensor(x))
     assert [n.op for n in T.tape().nodes] == ["matmul", "add"]
     T.reset_tape()
-    with T.no_grad():
-        bare = lin(x)
-    assert len(T.tape()) == 0 and not bare.requires_grad
-    assert _bits(bare) == _bits(live)
-    assert (x.data.tobytes(), params.checksum()) == before
+    bare = lin.apply(x)
+    assert len(T.tape()) == 0
+    assert (bare.dtype, bare.shape, bare.tobytes()) == _bits(live)
+    assert (x.tobytes(), params.checksum()) == before
 
 
 def test_no_grad_linear_keeps_the_bias_shape_check():
-    lin = Linear(ParameterSet(), "l", 3, 4, np.random.default_rng(0))
+    params = ParameterSet()
+    lin = Linear(params, "l", 3, 4, np.random.default_rng(0))
     lin.b.data = np.zeros(5)
     x = T.Tensor(np.ones((2, 3)))
     with pytest.raises(ShapeError) as live:
         lin(x)
-    with T.no_grad(), pytest.raises(ShapeError) as bare:
+    T.reset_tape()  # the recorded matmul before add raised
+    params.freeze()  # no operand requires a gradient
+    with pytest.raises(ShapeError) as bare:
         lin(x)
-    assert str(bare.value) == str(live.value)
+    assert str(bare.value) == str(live.value) and len(T.tape()) == 0
 
 
 def test_no_grad_suppresses_recording():
+    # a frozen parameter set records nothing, and the tape keeps what it held
+    params = ParameterSet()
+    lin = Linear(params, "l", 3, 2, np.random.default_rng(0))
     x = T.Tensor(np.ones(3), requires_grad=True)
+    T.tsum(T.mul(x, x))
     before = len(T.tape())
-    with T.no_grad():
-        T.tsum(T.mul(x, x))
+    params.freeze()
+    T.tsum(lin(T.Tensor(np.ones((2, 3)))))
     assert len(T.tape()) == before
 
 
