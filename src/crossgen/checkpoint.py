@@ -1,6 +1,10 @@
-"""Binary checkpoint container (magic "XGCK"): stage tag, config hash,
-JSON metadata, named float64 tensor blobs and a trailing content checksum.
-All fixed-width fields are little-endian."""
+"""The field format of the binary artifact files, and the checkpoint
+container (magic "XGCK"). Fixed-width fields are little-endian; a text
+field is its UTF-8 bytes behind their length (``pack_text`` writes one,
+``FieldReader`` reads every field). A checkpoint holds a version, the stage
+tag, config hash and JSON metadata, then named float64 arrays (rank, shape,
+values in C order), and ends in the SHA-256 of all that; ``toydata`` writes
+dataset files in the same format."""
 
 from __future__ import annotations
 
@@ -32,24 +36,48 @@ def write_atomic(path, data: bytes) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def pack_text(text: str, length: str = "<H") -> bytes:
+    """The UTF-8 bytes of ``text`` behind their length packed as ``length``."""
+    raw = text.encode("utf-8")
+    return struct.pack(length, len(raw)) + raw
+
+
+class FieldReader:
+    """Reads an artifact file's fields in order, as views of its bytes; an
+    ArtifactError names the file if a read runs past the end ("truncated
+    <what>") or, at ``finish``, bytes are left."""
+
+    def __init__(self, data, path, what: str):
+        self.data, self.path, self.what, self.off = memoryview(data), path, what, 0
+
+    def take(self, n: int) -> memoryview:
+        self.off += n
+        if self.off > len(self.data):
+            raise ArtifactError(f"{self.path}: truncated {self.what}")
+        return self.data[self.off - n:self.off]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def text(self, length: str = "<H") -> str:
+        return str(self.take(self.unpack(length)[0]), "utf-8")
+
+    def finish(self) -> None:
+        if self.off != len(self.data):
+            raise ArtifactError(f"{self.path}: {len(self.data) - self.off} trailing bytes")
+
+
 def save_checkpoint(path, stage: str, config_hash: str,
                     arrays: dict[str, np.ndarray], metadata: dict) -> str:
     """Write a checkpoint and return its content checksum (hex)."""
-    chunks = [XGCK_MAGIC, struct.pack("<H", XGCK_VERSION)]
-    stage_raw = stage.encode("utf-8")
-    chunks.append(struct.pack("<H", len(stage_raw)) + stage_raw)
-    hash_raw = config_hash.encode("utf-8")
-    chunks.append(struct.pack("<H", len(hash_raw)) + hash_raw)
-    meta_raw = json.dumps(metadata, sort_keys=True).encode("utf-8")
-    chunks.append(struct.pack("<I", len(meta_raw)) + meta_raw)
-    chunks.append(struct.pack("<I", len(arrays)))
+    chunks = [XGCK_MAGIC, struct.pack("<H", XGCK_VERSION),
+              pack_text(stage), pack_text(config_hash),
+              pack_text(json.dumps(metadata, sort_keys=True), "<I"),
+              struct.pack("<I", len(arrays))]
     for name in sorted(arrays):
         arr = np.asarray(arrays[name], dtype="<f8")  # tobytes() writes C order
-        name_raw = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(name_raw)) + name_raw)
-        chunks.append(struct.pack("<B", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
-        chunks.append(arr.tobytes())
+        chunks += [pack_text(name), struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape),
+                   arr.tobytes()]
     body = b"".join(chunks)
     digest = hashlib.sha256(body).digest()
     write_atomic(path, body + digest)
@@ -75,37 +103,22 @@ def load_checkpoint(path, expect_stage: str | None = None,
     checksum = body_hash.digest()
     if checksum != raw[-32:]:
         raise ArtifactError(f"{path}: checksum mismatch, file is corrupt")
-    off = 4
-
-    def take(n):
-        nonlocal off
-        out = body[off:off + n]
-        if len(out) != n:
-            raise ArtifactError(f"{path}: truncated checkpoint")
-        off += n
-        return out
-
-    (version,) = struct.unpack("<H", take(2))
+    fields = FieldReader(body[4:], path, "checkpoint")  # after the magic
+    (version,) = fields.unpack("<H")
     if version != XGCK_VERSION:
         raise ArtifactError(
             f"{path}: checkpoint format version {version} not supported (expected {XGCK_VERSION})")
-    (stage_len,) = struct.unpack("<H", take(2))
-    stage = str(take(stage_len), "utf-8")
-    (hash_len,) = struct.unpack("<H", take(2))
-    cfg_hash = str(take(hash_len), "utf-8")
-    (meta_len,) = struct.unpack("<I", take(4))
-    metadata = json.loads(str(take(meta_len), "utf-8"))
-    (n_arrays,) = struct.unpack("<I", take(4))
+    stage, cfg_hash = fields.text(), fields.text()
+    metadata = json.loads(fields.text("<I"))
     arrays = {}
-    for _ in range(n_arrays):
-        (name_len,) = struct.unpack("<H", take(2))
-        name = str(take(name_len), "utf-8")
-        (ndim,) = struct.unpack("<B", take(1))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim)) if ndim else ()
+    for _ in range(fields.unpack("<I")[0]):
+        name = fields.text()
+        (ndim,) = fields.unpack("<B")
+        shape = fields.unpack(f"<{ndim}I")
         # the one copy of the values: a writable array that owns its memory
-        arrays[name] = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
-    if off != len(body):
-        raise ArtifactError(f"{path}: {len(body) - off} trailing bytes")
+        values = np.frombuffer(fields.take(8 * math.prod(shape)), dtype="<f8")
+        arrays[name] = values.reshape(shape).copy()
+    fields.finish()
 
     if expect_stage is not None and stage != expect_stage:
         raise ArtifactError(f"{path}: stage {stage!r}, expected {expect_stage!r}")

@@ -120,11 +120,7 @@ def _cmd_generate(args, cfg, home) -> None:
         if "=" not in spec:
             raise ConfigError(f"--prompt expects MODALITY=FILE, got {spec!r}")
         modality, file_ = spec.split("=", 1)
-        loaded_modality, payload = pl.load_payload(file_)
-        if modality != loaded_modality:
-            raise ConfigError(
-                f"prompt file {file_} holds {loaded_modality!r}, not {modality!r}")
-        prompts[modality] = payload
+        prompts[modality] = pl.load_payload(file_, modality)[1]
     if not args.target:
         raise ConfigError("generate requires at least one --target")
     samples, provenance = pl.generate_samples(cfg, home, prompts, args.target,
@@ -146,13 +142,7 @@ def _load_dir_payloads(directory, modality) -> list:
     files = sorted(directory.glob(f"*.{modality}.json"))
     if not files:
         raise ConfigError(f"no *.{modality}.json payloads under {directory}")
-    out = []
-    for f in files:
-        found, payload = pl.load_payload(f)
-        if found != modality:
-            raise ArtifactError(f"{f}: expected {modality!r} payload")
-        out.append(payload)
-    return out
+    return [pl.load_payload(f, modality)[1] for f in files]
 
 
 def _cmd_eval(args, cfg, home) -> None:

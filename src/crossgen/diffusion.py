@@ -77,7 +77,41 @@ def q_sample(z0: np.ndarray, t, eps: np.ndarray, schedule: DiffusionSchedule) ->
 # ---------------------------------------------------------------------------
 # modality codecs
 
-class ImageCodec:
+class _Codec:
+    """What both codecs share: latents standardised by the train-set mean
+    ``mu`` and scale ``sd`` that ``fit`` records, and saved state holding
+    each parameter as ``param.<name>`` and those as ``stats.mu``/``stats.sd``.
+    ``fit``, ``encode`` and ``decode`` stay on each codec for the tracer."""
+
+    def __init__(self):
+        self.params = ParameterSet()
+        self.mu, self.sd = np.zeros(self.latent_dim), np.ones(self.latent_dim)
+
+    def _fit_stats(self, data) -> None:
+        lat = self.encode_raw(data)
+        self.mu, self.sd = lat.mean(axis=0), np.maximum(lat.std(axis=0), 1e-6)
+
+    def _standardise(self, lat: np.ndarray) -> np.ndarray:
+        return (lat - self.mu) / self.sd
+
+    def state_arrays(self, prefix: str = "") -> dict[str, np.ndarray]:
+        return {**self.params.state_arrays(prefix + "param."),
+                prefix + "stats.mu": self.mu.copy(), prefix + "stats.sd": self.sd.copy()}
+
+    def load_state_arrays(self, arrays: dict[str, np.ndarray], prefix: str = "") -> None:
+        """Restore ``state_arrays(prefix)``; ValueError unless the arrays
+        under ``prefix`` have exactly its names and statistics shapes."""
+        names = sorted(k for k in arrays if k.startswith(prefix))
+        stats = [arrays.get(prefix + "stats.mu"), arrays.get(prefix + "stats.sd")]
+        if sum(k.startswith(prefix + "param.") for k in names) + 2 != len(names) or any(
+                a is None or a.shape != (self.latent_dim,) for a in stats):
+            raise ValueError(f"codec state arrays {names}: need {prefix}param.* and "
+                             f"{prefix}stats.mu, {prefix}stats.sd of shape ({self.latent_dim},)")
+        self.params.load_state_arrays(arrays, prefix + "param.")
+        self.mu, self.sd = stats
+
+
+class ImageCodec(_Codec):
     """Patch autoencoder: 16 patches of 4x4 pixels, each mapped to 4 latent
     dims by a shared MLP (4x downsampling, 64-dim latent overall).
     ``seed=None`` builds zero tensors without drawing, for a checkpoint load."""
@@ -86,7 +120,7 @@ class ImageCodec:
     latent_dim = (VIEW_SIZE // PATCH) ** 2 * PATCH  # 16 patches x 4 dims
 
     def __init__(self, seed: int | None = 0, hidden: int = 32):
-        self.params = ParameterSet()
+        super().__init__()
         rng = None if seed is None else stream(seed, "image-codec-init")
         px = self.PATCH * self.PATCH
         per_patch = self.PATCH
@@ -94,8 +128,6 @@ class ImageCodec:
                         Linear(self.params, "enc2", hidden, per_patch, rng))
         self.decoder = (Linear(self.params, "dec1", per_patch, hidden, rng),
                         Linear(self.params, "dec2", hidden, px, rng))
-        self.mu = np.zeros(self.latent_dim)
-        self.sd = np.ones(self.latent_dim)
 
     @staticmethod
     def _patchify(images: np.ndarray) -> np.ndarray:
@@ -125,9 +157,7 @@ class ImageCodec:
         history = [train_epoch(self.params, state, order, len(images), batch_size,
                                batch_loss, "image codec", lr, weight_decay)
                    for _ in range(epochs)]
-        lat = self.encode_raw(images)
-        self.mu = lat.mean(axis=0)
-        self.sd = np.maximum(lat.std(axis=0), 1e-6)
+        self._fit_stats(images)
         return history
 
     def encode_raw(self, images: np.ndarray) -> np.ndarray:
@@ -136,7 +166,7 @@ class ImageCodec:
         return codes.reshape(len(images), self.latent_dim)
 
     def encode(self, images: np.ndarray) -> np.ndarray:
-        return (self.encode_raw(images) - self.mu) / self.sd
+        return self._standardise(self.encode_raw(images))
 
     def decode(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=np.float64) * self.sd + self.mu
@@ -150,21 +180,19 @@ class ImageCodec:
         return float(np.mean((recon - np.asarray(images)) ** 2))
 
 
-class TextCodec:
+class TextCodec(_Codec):
     """Token-embedding average encoder plus a decoder head that predicts
     token logits for every report position. ``seed=None`` builds zero
     tensors without drawing, for a checkpoint load."""
 
     def __init__(self, seed: int | None = 0, latent_dim: int = 32, hidden: int = 64):
-        self.params = ParameterSet()
-        rng = None if seed is None else stream(seed, "text-codec-init")
         self.latent_dim = latent_dim
+        super().__init__()
+        rng = None if seed is None else stream(seed, "text-codec-init")
         self.table = self.params.add(
             "embed", T.Tensor(init_normal(rng, 0.5, (len(VOCAB), latent_dim))))
         self.decoder = (Linear(self.params, "dec1", latent_dim, hidden, rng),
                         Linear(self.params, "dec2", hidden, MAX_REPORT_LEN * len(VOCAB), rng))
-        self.mu = np.zeros(latent_dim)
-        self.sd = np.ones(latent_dim)
 
     def fit(self, reports, epochs: int = 60, batch_size: int = 64,
             lr: float = 3e-3, weight_decay: float = 0.0, seed: int = 0) -> list[float]:
@@ -186,16 +214,14 @@ class TextCodec:
         history = [train_epoch(self.params, state, order, len(reports), batch_size,
                                batch_loss, "text codec", lr, weight_decay)
                    for _ in range(epochs)]
-        lat = self.encode_raw(reports)
-        self.mu = lat.mean(axis=0)
-        self.sd = np.maximum(lat.std(axis=0), 1e-6)
+        self._fit_stats(reports)
         return history
 
     def encode_raw(self, reports) -> np.ndarray:
         return mean_token_embedding_apply(self.table, *token_ids(list(reports)))
 
     def encode(self, reports) -> np.ndarray:
-        return (self.encode_raw(reports) - self.mu) / self.sd
+        return self._standardise(self.encode_raw(reports))
 
     def decode(self, z: np.ndarray) -> list[tuple[str, ...]]:
         z = np.asarray(z, dtype=np.float64) * self.sd + self.mu

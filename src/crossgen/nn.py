@@ -66,12 +66,13 @@ class ParameterSet:
             h.update(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
         return h.hexdigest()
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.items()}
+    def state_arrays(self, prefix: str = "") -> dict[str, np.ndarray]:
+        return {prefix + name: t.data.copy() for name, t in self.items()}
 
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Fill every tensor from ``arrays``, which must name exactly the
-        parameters of this set (ValueError otherwise)."""
+    def load_state_arrays(self, arrays: dict[str, np.ndarray], prefix: str = "") -> None:
+        """Fill every tensor from the arrays named ``prefix<name>``, which
+        must name exactly the parameters of this set (ValueError otherwise)."""
+        arrays = {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)}
         missing = sorted(set(self._entries) - set(arrays))
         unexpected = sorted(set(arrays) - set(self._entries))
         if missing or unexpected:

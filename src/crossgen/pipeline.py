@@ -89,10 +89,10 @@ def read_manifest(home, stage: str, cfg_hash: str) -> dict:
     return manifest
 
 
-def _load_stage(cfg: dict, home, stage: str) -> dict:
+def _load_stage(cfg: dict, home, stage: str, meta_keys=()) -> dict:
     """The verified checkpoint of ``stage`` (see ``load_checkpoint``), with
-    its manifest under ``"manifest"``; ArtifactError unless the file is the
-    one its manifest recorded (or the file is gone)."""
+    its manifest under ``"manifest"``; ArtifactError naming the file unless
+    it is the one its manifest recorded and its metadata has ``meta_keys``."""
     cfg_hash = config_hash(cfg)
     manifest = read_manifest(home, stage, cfg_hash)
     path = checkpoint_path(home, stage)
@@ -101,8 +101,27 @@ def _load_stage(cfg: dict, home, stage: str) -> dict:
     ck = load_checkpoint(path, stage, cfg_hash)
     if ck["file_checksum"] != manifest["checksum"]:
         raise ArtifactError(f"{path}: content does not match its manifest")
+    meta = ck["metadata"]
+    missing = [k for k in meta_keys if not isinstance(meta, dict) or k not in meta]
+    if missing:
+        raise ArtifactError(f"{path}: checkpoint metadata lacks {missing}")
     ck["manifest"] = manifest
     return ck
+
+
+def _write_stage(cfg: dict, home, stage: str, arrays: dict, metadata: dict,
+                 prerequisites, history=None) -> Path:
+    """Write a trained stage's history CSV (``history``: header, rows), its
+    checkpoint, and its manifest recording each prerequisite stage's checksum."""
+    cfg_hash = config_hash(cfg)
+    if history is not None:
+        _write_csv(history_path(home, stage), history[1], history[0])
+    path = checkpoint_path(home, stage)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    save_checkpoint(path, stage, cfg_hash, arrays, metadata)
+    write_manifest(home, stage, path, cfg_hash,
+                   {p: read_manifest(home, p, cfg_hash)["checksum"] for p in prerequisites})
+    return path
 
 
 def _write_csv(path: Path, rows, header) -> None:
@@ -154,21 +173,14 @@ def run_train_align(cfg: dict, home) -> Path:
                               batch_size=ec["batch_size"], lr=ec["lr"],
                               weight_decay=ec["weight_decay"],
                               tau=ec["temperature"], seed=cfg["seed"])
-    _write_csv(history_path(home, "alignment"),
-               [(h["epoch"], h["pair"], h["loss"]) for h in history],
-               ("epoch", "pair", "loss"))
-    path = checkpoint_path(home, "alignment")
-    path.parent.mkdir(parents=True, exist_ok=True)
     meta = {"dim": ec["dim"], "hidden": ec["hidden"], "text_embed": ec["text_embed"]}
-    save_checkpoint(path, "alignment", config_hash(cfg),
-                    encoders.params.state_arrays(), meta)
-    write_manifest(home, "alignment", path, config_hash(cfg),
-                   {"dataset": read_manifest(home, "dataset", config_hash(cfg))["checksum"]})
-    return path
+    return _write_stage(cfg, home, "alignment", encoders.params.state_arrays(), meta,
+                        ["dataset"], (("epoch", "pair", "loss"),
+                                      [(h["epoch"], h["pair"], h["loss"]) for h in history]))
 
 
 def load_encoders(cfg: dict, home) -> PromptEncoders:
-    ck = _load_stage(cfg, home, "alignment")
+    ck = _load_stage(cfg, home, "alignment", ("dim", "hidden", "text_embed"))
     meta = ck["metadata"]
     encoders = PromptEncoders(dim=meta["dim"], hidden=meta["hidden"],
                               text_embed=meta["text_embed"], seed=None)
@@ -184,57 +196,41 @@ def _schedule(cfg):
     return make_schedule(d["timesteps"], d["beta_min"], d["beta_max"])
 
 
-def _fit_codec(cfg: dict, home, ds: td.Dataset, modality: str, alignment: str):
-    """The stage's codec, stored in its checkpoint so every checkpoint is
-    self-contained.
-
-    Both image stages fit one ``ImageCodec`` on the train views of both
-    modalities, with the same seed and config, so both fits give the same
-    bytes. An image stage therefore takes the codec of the other image
-    stage's checkpoint when that checkpoint verifies under the active config
-    and records the same ``alignment`` checksum (so it was trained on the
-    same dataset file); otherwise it fits the codec itself."""
-    d = cfg["diffusion"]
+def _codec(cfg: dict, modality: str, seed: int | None):
+    """The config's codec for ``modality``, drawn from ``seed`` (zeros if None)."""
     if modality == "report":
-        tc = d["text_codec"]
-        codec = TextCodec(seed=cfg["seed"], latent_dim=tc["latent_dim"],
-                          hidden=tc["hidden"])
-        codec.fit([r.report for r in ds.subset("train")], epochs=tc["epochs"],
-                  lr=tc["lr"], seed=cfg["seed"])
-        return codec
-    try:
-        sibling = _load_stage(cfg, home, "ldm:view_b" if modality == "view_a" else "ldm:view_a")
-    except (MissingPrerequisiteError, ArtifactError):
-        sibling = None
-    if sibling is not None and sibling["manifest"]["prerequisites"].get("alignment") == alignment:
-        return _codec_from_arrays(cfg, modality, sibling["arrays"])
-    ic = d["image_codec"]
-    codec = ImageCodec(seed=cfg["seed"], hidden=ic["hidden"])
-    train = ds.subset("train")
-    images = np.stack([r.view_a for r in train] + [r.view_b for r in train])
-    codec.fit(images, epochs=ic["epochs"], lr=ic["lr"], seed=cfg["seed"])
+        tc = cfg["diffusion"]["text_codec"]
+        return TextCodec(seed=seed, latent_dim=tc["latent_dim"], hidden=tc["hidden"])
+    return ImageCodec(seed=seed, hidden=cfg["diffusion"]["image_codec"]["hidden"])
+
+
+def _load_codec(cfg: dict, modality: str, arrays: dict):
+    codec = _codec(cfg, modality, None)
+    codec.load_state_arrays(arrays, "codec.")
     return codec
 
 
-def _codec_arrays(codec) -> dict:
-    arrays = {f"codec.param.{k}": v for k, v in codec.params.state_arrays().items()}
-    arrays["codec.stats.mu"] = codec.mu
-    arrays["codec.stats.sd"] = codec.sd
-    return arrays
-
-
-def _codec_from_arrays(cfg: dict, modality: str, arrays: dict):
-    d = cfg["diffusion"]
+def _fit_codec(cfg: dict, home, ds: td.Dataset, modality: str, alignment: str):
+    """The stage's codec, stored in its checkpoint so every checkpoint is
+    self-contained. Both image stages fit the same ``ImageCodec`` bytes (the
+    train views of both modalities, one seed and config), so an image stage
+    takes the other image stage's codec when that checkpoint verifies under
+    the active config and records the same ``alignment`` checksum (so it saw
+    the same dataset file); otherwise it fits the codec itself."""
+    train = ds.subset("train")
     if modality == "report":
-        tc = d["text_codec"]
-        codec = TextCodec(seed=None, latent_dim=tc["latent_dim"], hidden=tc["hidden"])
+        fit, data = cfg["diffusion"]["text_codec"], [r.report for r in train]
     else:
-        codec = ImageCodec(seed=None, hidden=d["image_codec"]["hidden"])
-    codec.params.load_state_arrays(
-        {k[len("codec.param."):]: v for k, v in arrays.items()
-         if k.startswith("codec.param.")})
-    codec.mu = arrays["codec.stats.mu"]
-    codec.sd = arrays["codec.stats.sd"]
+        try:
+            sibling = _load_stage(cfg, home, "ldm:view_b" if modality == "view_a" else "ldm:view_a")
+        except (MissingPrerequisiteError, ArtifactError):
+            sibling = None
+        if sibling is not None and sibling["manifest"]["prerequisites"].get("alignment") == alignment:
+            return _load_codec(cfg, modality, sibling["arrays"])
+        fit = cfg["diffusion"]["image_codec"]
+        data = np.stack([r.view_a for r in train] + [r.view_b for r in train])
+    codec = _codec(cfg, modality, cfg["seed"])
+    codec.fit(data, epochs=fit["epochs"], lr=fit["lr"], seed=cfg["seed"])
     return codec
 
 
@@ -251,23 +247,20 @@ def run_train_ldm(cfg: dict, home, target: str) -> Path:
         batch_size=d["batch_size"], lr=d["lr"], weight_decay=d["weight_decay"],
         hidden=d["hidden"], n_blocks=d["blocks"], attn_dim=d["attn_dim"],
         seed=cfg["seed"], weight_mode=cfg["conditioning"]["weights"])
-    stage = f"ldm:{target}"
-    _write_csv(history_path(home, stage), list(enumerate(history)), ("epoch", "loss"))
-    arrays = {f"denoiser.{k}": v for k, v in denoiser.params.state_arrays().items()}
-    arrays.update(_codec_arrays(codec))
+    arrays = {**denoiser.params.state_arrays("denoiser."), **codec.state_arrays("codec.")}
     meta = {"target": target, "latent_dim": codec.latent_dim,
             "cond_dim": encoders.dim, "timesteps": _schedule(cfg).T,
             "hidden": d["hidden"], "blocks": d["blocks"], "attn_dim": d["attn_dim"],
             "denoiser_checksum": denoiser.params.checksum()}
-    path = checkpoint_path(home, stage)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(path, stage, config_hash(cfg), arrays, meta)
-    write_manifest(home, stage, path, config_hash(cfg), {"alignment": alignment})
-    return path
+    return _write_stage(cfg, home, f"ldm:{target}", arrays, meta, ["alignment"],
+                        (("epoch", "loss"), list(enumerate(history))))
+
+
+_LDM_META = ("latent_dim", "cond_dim", "timesteps", "hidden", "blocks", "attn_dim")
 
 
 def load_ldm(cfg: dict, home, target: str):
-    return _ldm_from_checkpoint(cfg, target, _load_stage(cfg, home, f"ldm:{target}"))
+    return _ldm_from_checkpoint(cfg, target, _load_stage(cfg, home, f"ldm:{target}", _LDM_META))
 
 
 def _ldm_from_checkpoint(cfg: dict, target: str, ck: dict):
@@ -275,11 +268,8 @@ def _ldm_from_checkpoint(cfg: dict, target: str, ck: dict):
     denoiser = Denoiser(meta["latent_dim"], meta["cond_dim"], meta["timesteps"],
                         hidden=meta["hidden"], n_blocks=meta["blocks"],
                         attn_dim=meta["attn_dim"], seed=None)
-    denoiser.params.load_state_arrays(
-        {k[len("denoiser."):]: v for k, v in ck["arrays"].items()
-         if k.startswith("denoiser.")})
-    codec = _codec_from_arrays(cfg, target, ck["arrays"])
-    return denoiser, codec, meta
+    denoiser.params.load_state_arrays(ck["arrays"], "denoiser.")
+    return denoiser, _load_codec(cfg, target, ck["arrays"]), meta
 
 
 # ---------------------------------------------------------------------------
@@ -301,18 +291,11 @@ def run_train_joint(cfg: dict, home, pair: tuple[str, str]) -> Path:
         batch_size=j["batch_size"], lr=j["lr"], weight_decay=j["weight_decay"],
         coupling_dim=j["coupling_dim"], proj_hidden=j["proj_hidden"],
         lam=j["contrastive_weight"], tau=j["temperature"], seed=cfg["seed"])
-    stage = f"joint:{pair[0]}+{pair[1]}"
-    _write_csv(history_path(home, stage), list(enumerate(history)), ("epoch", "loss"))
     meta = {"pair": list(pair), "coupling_dim": j["coupling_dim"],
             "proj_hidden": j["proj_hidden"], "base_checksums": base_checksums}
-    path = checkpoint_path(home, stage)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(path, stage, config_hash(cfg),
-                    components.trainable.state_arrays(), meta)
-    prereqs = {f"ldm:{m}": read_manifest(home, f"ldm:{m}", config_hash(cfg))["checksum"]
-               for m in pair}
-    write_manifest(home, stage, path, config_hash(cfg), prereqs)
-    return path
+    return _write_stage(cfg, home, f"joint:{pair[0]}+{pair[1]}",
+                        components.trainable.state_arrays(), meta,
+                        [f"ldm:{m}" for m in pair], (("epoch", "loss"), list(enumerate(history))))
 
 
 def load_joint(cfg: dict, home, pair: tuple[str, str]):
@@ -323,11 +306,11 @@ def load_joint(cfg: dict, home, pair: tuple[str, str]):
     ``base_checksums`` metadata covers and more, without re-hashing them."""
     pair = tuple(pair)
     stage = f"joint:{pair[0]}+{pair[1]}"
-    ck = _load_stage(cfg, home, stage)
+    ck = _load_stage(cfg, home, stage, ("coupling_dim", "proj_hidden"))
     meta = ck["metadata"]
     bases, codecs = {}, {}
     for m in pair:
-        base = _load_stage(cfg, home, f"ldm:{m}")
+        base = _load_stage(cfg, home, f"ldm:{m}", _LDM_META)
         if base["manifest"]["checksum"] != ck["manifest"]["prerequisites"].get(f"ldm:{m}"):
             raise ArtifactError(
                 f"{stage}: base ldm:{m} is not the checkpoint recorded at joint training time")
@@ -348,20 +331,14 @@ def run_train_classifier(cfg: dict, home) -> Path:
         *_xy(ds.subset("train")), *_xy(ds.subset("test")),
         seed=cfg["seed"], epochs=e["classifier_epochs"],
         hidden=tuple(e["classifier_hidden"]))
-    path = checkpoint_path(home, "classifier")
-    path.parent.mkdir(parents=True, exist_ok=True)
     meta = {"hidden": list(e["classifier_hidden"]),
             "test_macro_f1": report["f1"]["macro"],
             "test_micro_auroc": report["auroc"]["micro"]}
-    save_checkpoint(path, "classifier", config_hash(cfg),
-                    model.params.state_arrays(), meta)
-    write_manifest(home, "classifier", path, config_hash(cfg),
-                   {"dataset": read_manifest(home, "dataset", config_hash(cfg))["checksum"]})
-    return path
+    return _write_stage(cfg, home, "classifier", model.params.state_arrays(), meta, ["dataset"])
 
 
 def load_classifier(cfg: dict, home) -> tuple[FeatureExtractor, dict]:
-    ck = _load_stage(cfg, home, "classifier")
+    ck = _load_stage(cfg, home, "classifier", ("hidden",))
     model = build_classifier(td.VIEW_SIZE * td.VIEW_SIZE, ck["metadata"]["hidden"],
                              td.NUM_CONDITIONS, None)
     model.params.load_state_arrays(ck["arrays"])
@@ -381,8 +358,9 @@ def save_payload(path, modality: str, payload) -> None:
     path.write_text(json.dumps(doc))
 
 
-def load_payload(path):
-    """Read one payload file; any defect in it is an ArtifactError."""
+def load_payload(path, expect: str | None = None):
+    """Read one payload file as (modality, payload); any defect in it, or a
+    modality other than ``expect`` (when given), is an ArtifactError."""
     try:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -392,6 +370,8 @@ def load_payload(path):
     modality = doc.get("modality") if isinstance(doc, dict) else None
     if modality not in td.MODALITIES:
         raise ArtifactError(f"{path}: unknown payload modality {modality!r}")
+    if expect is not None and modality != expect:
+        raise ArtifactError(f"{path}: holds a {modality!r} payload, not {expect!r}")
     key = "tokens" if modality == "report" else "pixels"
     if key not in doc:
         raise ArtifactError(f"{path}: {modality} payload has no {key!r} key")
@@ -569,15 +549,11 @@ def run_intra_study(cfg: dict, home, count: int, seed: int) -> dict:
     # cross-study baseline: pair each record's view_a report with the next
     # record's view_b report
     cross_scores = np.zeros(4)
-    n = 0
     for i, rec in enumerate(records):
         other = records[(i + 1) % len(records)]
-        a = generate_report(rec, "view_a", 0)
-        b = generate_report(other, "view_b", 1)
-        if a and b:
-            cross_scores += np.asarray(bleu(list(a), [list(b)], max_n=4))
-            n += 1
-    cross = (cross_scores / max(n, 1)).tolist()
+        cross_scores += np.asarray(bleu(list(generate_report(rec, "view_a", 0)),
+                                        [list(generate_report(other, "view_b", 1))], max_n=4))
+    cross = (cross_scores / len(records)).tolist()
     return {"intra": intra, "cross_mean_bleu": cross, "count": len(records)}
 
 

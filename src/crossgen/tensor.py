@@ -230,39 +230,33 @@ def sqrt(a: Tensor) -> Tensor:
     return _record("sqrt", (a,), out, lambda g: (g / (2.0 * out),))
 
 
-def _exp_neg(x: np.ndarray) -> np.ndarray:
-    """exp(-x). It overflows to inf, the right limit (the logistic 1 / (1 + inf)
-    is exactly 0), only for x below about -709.78, so only an input reaching
-    below -700 (or holding NaN) silences the warning: the common path enters no
-    errstate. argmin finds the minimum for less than an errstate or ndarray.min."""
-    if x.size and x.item(x.argmin()) >= -700.0:
-        return np.exp(-x)
-    with np.errstate(over="ignore"):
-        return np.exp(-x)
+def _logistic(x: np.ndarray, s: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
+    """The logistic 1 / (1 + exp(-x)), by exactly those IEEE operations, into
+    ``s`` (fresh when None), and whether it took the overflow branch: exp(-x)
+    is inf, the right limit, only below about -709.78, so only an input below
+    -700 (or a NaN) pays for an errstate; argmin costs less than one."""
+    s = np.negative(x, out=np.empty_like(x) if s is None else s)
+    overflow = not (x.size and x.item(x.argmin()) >= -700.0)
+    if overflow:
+        with np.errstate(over="ignore"):
+            np.exp(s, out=s)
+    else:
+        np.exp(s, out=s)
+    s += 1.0
+    np.divide(1.0, s, out=s)
+    return s, overflow
 
 
 def silu_kernel(x: np.ndarray, s: np.ndarray,
                 out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """SiLU's forward arithmetic on arrays, written once for ``silu`` and the
-    array paths (``nn.mlp_apply``, the samplers' step): the logistic
-    1 / (1 + exp(-x)) into ``s`` (not ``x``), then x * s into ``out`` (``s``
-    itself, another array, or a fresh one when None; a NaN keeps x's sign).
-    Returns the product and the x it read, which the gradient reads too:
-    ``x`` itself, or on the overflow branch a copy in which the most
-    negative float stands in for -inf."""
-    np.negative(x, out=s)  # the same IEEE operations as 1 / (1 + exp(-x))
-    if x.size and x.item(x.argmin()) >= -700.0:  # _exp_neg's guard
-        np.exp(s, out=s)
-    else:
-        with np.errstate(over="ignore"):
-            np.exp(s, out=s)
-        # the logistic is exactly 0 below about -709.78, and -inf * 0 is NaN:
-        # the most negative float stands in for -inf, so its output is the
-        # limit -0.0 and its gradient 0.0 (NaN stays NaN, finite values keep
-        # their bits); exp(-x) is inf either way
+    """SiLU on arrays, for ``silu`` and the array paths: the logistic into
+    ``s``, then x * s into ``out`` (``s``, another array, or fresh when None).
+    Returns the product and the x it read, which the gradient reads too: on
+    the overflow branch a copy in which the most negative float stands in
+    for -inf, so the output there is the limit -0.0 (not -inf * 0 = NaN) and
+    the gradient 0.0; NaN stays NaN and finite values keep their bits."""
+    if _logistic(x, s)[1]:
         x = np.maximum(x, -np.finfo(np.float64).max)
-    s += 1.0
-    np.divide(1.0, s, out=s)
     return np.multiply(x, s, out=out), x
 
 
@@ -290,7 +284,7 @@ def silu(a: Tensor) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     a = _wrap(a)
-    out = 1.0 / (1.0 + _exp_neg(a.data))
+    out = _logistic(a.data)[0]
     return _record("sigmoid", (a,), out, lambda g: (g * out * (1.0 - out),))
 
 
@@ -519,7 +513,7 @@ def bce_with_logits(logits: Tensor, targets) -> Tensor:
     x = logits.data
     out = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))
     return _record("bce_with_logits", (logits,), out,
-                   lambda g: (g * (1.0 / (1.0 + _exp_neg(x)) - t),))
+                   lambda g: (g * (_logistic(x)[0] - t),))
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +558,8 @@ def grad_check(f, x: Tensor, eps: float = 1e-6) -> float:
 
     Returns max over coordinates of |analytic - numeric| /
     max(1, |analytic|, |numeric|). ``f`` must be deterministic; two forward
-    evaluations that differ raise ValueError.
+    evaluations that differ raise ValueError. Every gradient the analytic
+    pass writes (``x``'s, and those of parameters ``f`` reads) is restored.
     """
     if not (1e-7 <= eps <= 1e-3):
         raise ValueError(f"eps {eps} outside [1e-7, 1e-3]")
@@ -587,12 +582,17 @@ def grad_check(f, x: Tensor, eps: float = 1e-6) -> float:
     saved_grad, saved_req = x.grad, x.requires_grad
     x.requires_grad = True
     x.grad = None
+    reached = []  # every tensor backward can write to, with its gradient
     try:
         out = f(x)
+        reached = [(t, t.grad) for node in _TAPE.nodes[mark:] for t in node.inputs]
+        reached.append((out, out.grad))
         backward(out)
         analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
     finally:
         del _TAPE.nodes[mark:]
+        for t, grad in reached:
+            t.grad = grad
         x.grad, x.requires_grad = saved_grad, saved_req
 
     flat = x.data.reshape(-1)

@@ -7,6 +7,10 @@ different cell and with a different shape in each view. Nuisance factors
 describes the active conditions plus coarse position/intensity descriptors,
 so every pair of modalities shares recoverable information beyond the label
 bits. A rule-based labeler inverts reports exactly on in-distribution text.
+
+A dataset file (magic "XGTD", in ``checkpoint``'s field format) holds the
+seed, the vocabulary and one fixed-width row per record. Its JSON split
+sidecar maps "train", "val" and "test" to lists of record indices.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import write_atomic
+from .checkpoint import FieldReader, pack_text, write_atomic
 from .errors import ArtifactError, ConfigError
 from .rng import stream
 
@@ -282,12 +286,9 @@ def sidecar_path(path) -> Path:
 
 def save_dataset(dataset: Dataset, path) -> None:
     path = Path(path)
-    chunks = [XGTD_MAGIC, struct.pack("<H", XGTD_VERSION),
-              struct.pack("<q", dataset.seed), struct.pack("<H", NUM_CONDITIONS)]
-    chunks.append(struct.pack("<H", len(VOCAB)))
-    for tok in VOCAB:
-        raw = tok.encode("utf-8")
-        chunks.append(struct.pack("<H", len(raw)) + raw)
+    chunks = [XGTD_MAGIC, struct.pack("<HqHH", XGTD_VERSION, dataset.seed, NUM_CONDITIONS,
+                                      len(VOCAB))]
+    chunks += [pack_text(tok) for tok in VOCAB]
     chunks.append(struct.pack("<I", len(dataset.records)))
     body = np.zeros(len(dataset.records), _RECORD_DTYPE)
     for i, rec in enumerate(dataset.records):
@@ -302,43 +303,26 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
+    """Read a dataset file and its split sidecar; ArtifactError naming the
+    file for a malformed file or sidecar."""
     path = Path(path)
-    raw = path.read_bytes()
-    off = 0
-
-    def take(n):
-        nonlocal off
-        out = raw[off:off + n]
-        if len(out) != n:
-            raise ArtifactError(f"{path}: truncated dataset file")
-        off += n
-        return out
-
-    if take(4) != XGTD_MAGIC:
+    fields = FieldReader(path.read_bytes(), path, "dataset file")
+    if fields.take(4) != XGTD_MAGIC:
         raise ArtifactError(f"{path}: bad magic, not a dataset file")
-    (version,) = struct.unpack("<H", take(2))
+    (version,) = fields.unpack("<H")
     if version != XGTD_VERSION:
         raise ArtifactError(f"{path}: unsupported dataset format version {version}")
-    (seed,) = struct.unpack("<q", take(8))
-    (c,) = struct.unpack("<H", take(2))
+    seed, c = fields.unpack("<qH")
     if c != NUM_CONDITIONS:
         raise ArtifactError(f"{path}: condition count {c} != {NUM_CONDITIONS}")
-    (vocab_len,) = struct.unpack("<H", take(2))
-    vocab = []
-    for _ in range(vocab_len):
-        (tok_len,) = struct.unpack("<H", take(2))
-        vocab.append(take(tok_len).decode("utf-8"))
-    if tuple(vocab) != VOCAB:
+    vocab = tuple(fields.text() for _ in range(fields.unpack("<H")[0]))
+    if vocab != VOCAB:
         raise ArtifactError(f"{path}: vocabulary does not match this build")
 
-    (n,) = struct.unpack("<I", take(4))
-    extra = len(raw) - off - n * _RECORD_DTYPE.itemsize
-    if extra < 0:
-        raise ArtifactError(f"{path}: truncated dataset file")
-    if extra:
-        raise ArtifactError(f"{path}: {extra} trailing bytes")
+    (n,) = fields.unpack("<I")
     # one read-only view of every record, without copying the body
-    block = np.frombuffer(raw, _RECORD_DTYPE, count=n, offset=off)
+    block = np.frombuffer(fields.take(n * _RECORD_DTYPE.itemsize), _RECORD_DTYPE)
+    fields.finish()
     ids, lengths = block["ids"], block["length"]
     if np.any(ids >= len(VOCAB)):
         raise ArtifactError(f"{path}: token id out of range")
@@ -351,7 +335,15 @@ def load_dataset(path) -> Dataset:
                for rec_id, view_a, view_b, row, length, labels, factors in zip(
                    block["id"].tolist(), block["view_a"], block["view_b"], ids.tolist(),
                    lengths.tolist(), block["labels"], block["factors"])]
-
-    splits_raw = json.loads(sidecar_path(path).read_text())
-    split = {name: np.asarray(idx, dtype=np.int64) for name, idx in splits_raw.items()}
-    return Dataset(records, split, seed)
+    sidecar = sidecar_path(path)
+    try:
+        splits = json.loads(sidecar.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ArtifactError(f"{sidecar}: split sidecar is not JSON text ({exc})") from exc
+    names = ("train", "val", "test")
+    if not (isinstance(splits, dict) and all(
+            isinstance(splits.get(k), list)
+            and all(type(i) is int and 0 <= i < n for i in splits[k]) for k in names)):
+        raise ArtifactError(f"{sidecar}: split sidecar is not an object whose 'train', 'val' "
+                            f"and 'test' lists hold record indices in 0..{n - 1}")
+    return Dataset(records, {k: np.asarray(splits[k], dtype=np.int64) for k in names}, seed)

@@ -332,6 +332,88 @@ def test_checkpoint_missing_an_array_is_exit_2(trained_home, cfg_file, tmp_path)
         pl.load_ldm(load_config(cfg_file), home, "view_a")
 
 
+def _rewrite_recorded(home, stage, edit) -> Path:
+    """Rewrite the checkpoint of ``stage`` through ``edit(ck)`` and record the
+    new file in its manifest, so a load gets past every checksum."""
+    path = pl.checkpoint_path(home, stage)
+    ck = load_checkpoint(path)
+    edit(ck)
+    save_checkpoint(path, ck["stage"], ck["config_hash"], ck["arrays"], ck["metadata"])
+    manifest_file = pl.manifest_path(home, stage)
+    manifest = json.loads(manifest_file.read_text())
+    manifest["checksum"] = file_checksum(path)
+    manifest_file.write_text(json.dumps(manifest))
+    return path
+
+
+#: case -> (stage, edit of its checkpoint, text the error holds; a metadata
+#: error also starts with the checkpoint's path)
+RECORDED_DEFECTS = {
+    "alignment_without_hidden": (
+        "alignment", lambda ck: ck["metadata"].pop("hidden"), "metadata lacks ['hidden']"),
+    "ldm_without_blocks": (
+        "ldm:view_a", lambda ck: ck["metadata"].pop("blocks"), "metadata lacks ['blocks']"),
+    "ldm_without_codec_mu": (
+        "ldm:view_a", lambda ck: ck["arrays"].pop("codec.stats.mu"), "codec state arrays"),
+    "ldm_with_a_stray_codec_stat": (
+        "ldm:view_a", lambda ck: ck["arrays"].update({"codec.stats.extra": np.ones(2)}),
+        "codec state arrays"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORDED_DEFECTS))
+def test_a_recorded_malformed_checkpoint_is_exit_2(trained_home, cfg_file, tmp_path, capsys,
+                                                   case):
+    stage, edit, message = RECORDED_DEFECTS[case]
+    home = tmp_path / "home"
+    shutil.copytree(trained_home, home)
+    path = _rewrite_recorded(home, stage, edit)
+    prompt_file = tmp_path / "p.report.json"
+    pl.save_payload(prompt_file, "report", ("routine", "study"))
+    assert main(["--config", cfg_file, "--home", str(home), "generate",
+                 "--prompt", f"report={prompt_file}", "--target", "view_a",
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    if "metadata" in message:
+        assert f"error: {path}: checkpoint {message}" in err
+
+
+#: case -> the split sidecar's new text, from its parsed content
+SIDECAR_DEFECTS = {
+    "no_train": lambda splits: json.dumps({k: v for k, v in splits.items() if k != "train"}),
+    "index_past_the_end": lambda splits: json.dumps(
+        {**splits, "train": splits["train"] + [TINY["dataset"]["n"]]}),
+    "not_json": lambda splits: "not json",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIDECAR_DEFECTS))
+def test_a_recorded_malformed_sidecar_is_exit_2_naming_it(tmp_path, cfg_file, capsys, case):
+    home = tmp_path / "h"
+    assert main(["--config", cfg_file, "--home", str(home), "gen-data"]) == 0
+    sidecar = td.sidecar_path(pl.dataset_path(home))
+    sidecar.write_text(SIDECAR_DEFECTS[case](json.loads(sidecar.read_text())))
+    manifest_file = pl.manifest_path(home, "dataset")
+    manifest = json.loads(manifest_file.read_text())
+    manifest["sidecar_checksum"] = file_checksum(sidecar)
+    manifest_file.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["--config", cfg_file, "--home", str(home), "train", "align"]) == 2
+    assert f"error: {sidecar}: split sidecar" in capsys.readouterr().err
+
+
+def test_a_prompt_file_of_another_modality_is_exit_2_naming_it(tmp_path, cfg_file, capsys):
+    prompt_file = tmp_path / "p.report.json"
+    pl.save_payload(prompt_file, "report", ("routine", "study"))
+    assert main(["--config", cfg_file, "--home", str(tmp_path / "empty"), "generate",
+                 "--prompt", f"view_a={prompt_file}", "--target", "view_b",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert (f"error: {prompt_file}: holds a 'report' payload, not 'view_a'"
+            in capsys.readouterr().err)
+    assert pl.load_payload(prompt_file, "report")[1] == ("routine", "study")
+
+
 LOADERS = {
     "alignment": pl.load_encoders,
     "ldm:view_a": lambda cfg, home: pl.load_ldm(cfg, home, "view_a"),

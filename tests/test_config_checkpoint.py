@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crossgen.checkpoint import (XGCK_VERSION, load_checkpoint,
+from crossgen.checkpoint import (XGCK_VERSION, FieldReader, load_checkpoint, pack_text,
                                  save_checkpoint)
 from crossgen.config import DEFAULTS, config_hash, load_config
 from crossgen.errors import ArtifactError, ConfigError
@@ -190,6 +190,45 @@ def test_checkpoint_stage_and_hash_mismatch(tmp_path):
         load_checkpoint(path, expect_stage="classifier")
     with pytest.raises(ArtifactError, match="config hash"):
         load_checkpoint(path, expect_config_hash="bb" * 32)
+
+
+def test_field_reader_reads_back_what_pack_text_and_struct_wrote(tmp_path):
+    import struct
+    data = pack_text("stage:\u00e9") + struct.pack("<qB", -7, 3) + pack_text("{}", "<I")
+    fields = FieldReader(data, tmp_path / "f.bin", "test file")
+    assert fields.text() == "stage:\u00e9"
+    assert fields.unpack("<qB") == (-7, 3)
+    assert fields.text("<I") == "{}"
+    fields.finish()
+    with pytest.raises(ArtifactError, match=f"^{tmp_path / 'f.bin'}: truncated test file"):
+        fields.take(1)
+
+
+def test_field_reader_finish_counts_the_trailing_bytes(tmp_path):
+    fields = FieldReader(pack_text("ab") + b"xyz", tmp_path / "f.bin", "test file")
+    assert fields.text() == "ab"
+    with pytest.raises(ArtifactError, match=f"^{tmp_path / 'f.bin'}: 3 trailing bytes"):
+        fields.finish()
+
+
+def test_a_truncated_checkpoint_body_names_its_file(tmp_path):
+    import hashlib
+    path = tmp_path / "ck.xgck"
+    save_checkpoint(path, "alignment", "00" * 32, {"w": np.ones(4)}, {"k": 1})
+    body = path.read_bytes()[:-32 - 9]  # cut into the values, then re-seal
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    with pytest.raises(ArtifactError, match=f"^{path}: truncated checkpoint"):
+        load_checkpoint(path)
+
+
+def test_a_checkpoint_with_bytes_after_its_arrays_names_its_file(tmp_path):
+    import hashlib
+    path = tmp_path / "ck.xgck"
+    save_checkpoint(path, "alignment", "00" * 32, {"w": np.ones(4)}, {})
+    body = path.read_bytes()[:-32] + b"\0\0"
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    with pytest.raises(ArtifactError, match=f"^{path}: 2 trailing bytes"):
+        load_checkpoint(path)
 
 
 def _write_checkpoint(path, version):

@@ -143,6 +143,49 @@ def test_text_codec_round_trip(toy_train):
     assert codec.token_accuracy(held) > 0.95
 
 
+def _fitted_codecs(toy_train):
+    train = toy_train.subset("train")[:40]
+    image = ImageCodec(seed=1, hidden=8)
+    image.fit(np.stack([r.view_a for r in train]), epochs=1, seed=1)
+    text = TextCodec(seed=2, latent_dim=8, hidden=8)
+    text.fit([r.report for r in train], epochs=1, seed=2)
+    return ((image, ImageCodec(seed=None, hidden=8), np.stack([r.view_b for r in train])),
+            (text, TextCodec(seed=None, latent_dim=8, hidden=8), [r.report for r in train]))
+
+
+def test_codec_state_round_trips_under_a_prefix(toy_train):
+    for codec, fresh, data in _fitted_codecs(toy_train):
+        saved = codec.state_arrays("codec.")
+        assert sorted(saved) == sorted(
+            [f"codec.param.{k}" for k in codec.params.names()] + ["codec.stats.mu",
+                                                                  "codec.stats.sd"])
+        assert saved["codec.stats.sd"].tobytes() == codec.sd.tobytes()
+        fresh.load_state_arrays({**saved, "denoiser.out.b": np.zeros(3)}, "codec.")
+        assert fresh.encode(data).tobytes() == codec.encode(data).tobytes()
+        got, want = fresh.decode(codec.encode(data)), codec.decode(codec.encode(data))
+        assert got == want if isinstance(want, list) else got.tobytes() == want.tobytes()
+
+
+CODEC_STATE_DEFECTS = {
+    "no_mu": lambda a: a.pop("stats.mu"),
+    "no_sd": lambda a: a.pop("stats.sd"),
+    "stray_stat": lambda a: a.update({"stats.var": np.ones(3)}),
+    "stray_name": lambda a: a.update({"extra": np.ones(3)}),
+    "short_mu": lambda a: a.update({"stats.mu": np.ones(3)}),
+    "no_param": lambda a: a.pop("param.dec1.b"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CODEC_STATE_DEFECTS))
+def test_codec_state_load_takes_exactly_its_names(toy_train, case):
+    for codec, fresh, _ in _fitted_codecs(toy_train):
+        arrays = codec.state_arrays()
+        CODEC_STATE_DEFECTS[case](arrays)
+        with pytest.raises(ValueError):
+            fresh.load_state_arrays(arrays)
+        assert not fresh.mu.any() and not fresh.params["dec1.b"].data.any()
+
+
 def test_image_codec_fit_stops_on_non_finite_loss(toy_train):
     codec = ImageCodec(seed=1, hidden=8)
     before = codec.params.checksum()

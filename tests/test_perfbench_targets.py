@@ -1,7 +1,9 @@
-"""The benchmark's tracer wraps crossgen functions and methods by name, so a
-rename in crossgen would break every traced benchmark run; its self-check
-fails on a program change that breaks the benchmark's own checks."""
+"""The benchmark's tracer wraps crossgen functions and methods by name, and
+its workloads call crossgen functions directly, so a rename in crossgen
+would break the benchmark; its self-check fails on a program change that
+breaks the benchmark's own checks."""
 
+import ast
 import importlib
 import importlib.util
 import subprocess
@@ -29,6 +31,34 @@ def test_every_tracer_target_resolves_in_crossgen():
         if not found:
             missing.append(f"{module_name}.{attr}")
     assert len(tracer.TARGETS) > 0 and not missing, missing
+
+
+def _crossgen_attribute_reads(path: Path) -> set[tuple[str, str]]:
+    """(module, attribute) for every ``alias.attribute`` in ``path`` whose
+    alias is bound by an import of crossgen or one of its modules."""
+    tree = ast.parse(path.read_text())
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "crossgen" and not node.level:
+            aliases.update((a.asname or a.name, f"crossgen.{a.name}") for a in node.names)
+        elif isinstance(node, ast.Import):
+            aliases.update((a.asname or "crossgen", a.name if a.asname else "crossgen")
+                           for a in node.names if a.name.split(".")[0] == "crossgen")
+    return {(aliases[node.value.id], node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in aliases}
+
+
+def test_every_crossgen_name_the_benchmark_reads_resolves():
+    reads = set().union(*(_crossgen_attribute_reads(path)
+                          for path in sorted((ROOT / "perfbench").glob("*.py"))))
+    missing = sorted(f"{module}.{attr}" for module, attr in reads
+                     if not hasattr(importlib.import_module(module), attr))
+    # the workloads read pipeline paths and loaders, dataset constants and
+    # the metric functions this way
+    assert {("crossgen.pipeline", "checkpoint_path"), ("crossgen.toydata", "payload"),
+            ("crossgen.checkpoint", "load_checkpoint")} <= reads
+    assert len(reads) >= 38 and not missing, missing
 
 
 @pytest.mark.slow

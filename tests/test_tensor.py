@@ -201,6 +201,17 @@ def test_grad_check_leaves_the_tape_as_it_found_it():
     assert all(p.requires_grad for _, p in params.items())
 
 
+def test_grad_check_leaves_every_gradient_as_it_found_it():
+    params = ParameterSet()
+    lin = Linear(params, "l", 3, 2, np.random.default_rng(0))
+    lin.b.grad = np.full(2, 7.0)  # a gradient held before the check; w holds none
+    x = T.Tensor(np.ones((2, 3)))
+    x.grad = np.full((2, 3), 5.0)
+    assert T.grad_check(lambda t: T.tsum(T.mul(lin(t), lin(t))), x) < 1e-6
+    assert lin.w.grad is None and lin.b.grad.tolist() == [7.0, 7.0]
+    assert x.grad.tolist() == np.full((2, 3), 5.0).tolist() and not x.requires_grad
+
+
 # ---------------------------------------------------------------------------
 # grad-check battery over every registered primitive
 
@@ -800,6 +811,19 @@ def test_load_state_arrays_names_missing_and_unexpected():
     params.load_state_arrays({"l.w": w, "l.b": b})
     np.testing.assert_array_equal(params["l.w"].data, w)
     np.testing.assert_array_equal(params["l.b"].data, b)
+
+
+def test_state_arrays_under_a_prefix_round_trip_beside_other_names():
+    params = ParameterSet()
+    Linear(params, "l", 2, 3, np.random.default_rng(1))
+    saved = params.state_arrays("enc.")
+    assert sorted(saved) == ["enc.l.b", "enc.l.w"]
+    fresh = ParameterSet()
+    Linear(fresh, "l", 2, 3, None)
+    fresh.load_state_arrays({**saved, "dec.l.w": np.zeros(1)}, "enc.")
+    assert fresh.checksum() == params.checksum()
+    with pytest.raises(ValueError, match=r"unexpected \['x'\]"):
+        fresh.load_state_arrays({**saved, "enc.x": np.zeros(1)}, "enc.")
 
 
 def test_layer_norm_equals_the_mean_formula_bit_for_bit():

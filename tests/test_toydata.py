@@ -263,3 +263,73 @@ def test_loaded_records_keep_their_types(tmp_path):
             assert view.flags.c_contiguous
         assert rec.labels.dtype == np.uint8 and rec.labels.shape == (td.NUM_CONDITIONS,)
         assert rec.factors.dtype == np.float64 and rec.factors.shape == (3,)
+
+
+BAD_SIDECARS = {
+    "not_json": "not json",
+    "not_an_object": "[]",
+    "no_train": '{"val": [], "test": []}',
+    "index_past_the_end": '{"train": [12], "val": [], "test": []}',
+    "negative_index": '{"train": [-1], "val": [], "test": []}',
+    "not_an_index": '{"train": [1.0], "val": [], "test": []}',
+    "not_a_list": '{"train": 3, "val": [], "test": []}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SIDECARS))
+def test_dataset_load_rejects_a_malformed_sidecar_naming_it(tmp_path, case):
+    path = tmp_path / "toy.xgtd"
+    td.save_dataset(td.generate_dataset(seed=2, n=12), path)
+    td.sidecar_path(path).write_text(BAD_SIDECARS[case])
+    with pytest.raises(ArtifactError, match=f"^{td.sidecar_path(path)}: split sidecar"):
+        td.load_dataset(path)
+
+
+def test_dataset_load_keeps_the_three_splits_of_a_valid_sidecar(tmp_path):
+    path = tmp_path / "toy.xgtd"
+    td.save_dataset(td.generate_dataset(seed=2, n=12), path)
+    td.sidecar_path(path).write_text('{"train": [0, 11], "val": [], "test": [5]}')
+    split = td.load_dataset(path).split
+    assert sorted(split) == ["test", "train", "val"]
+    assert split["train"].tolist() == [0, 11] and split["val"].dtype == np.int64
+
+
+@pytest.mark.parametrize("cut", [2, 10, 300, 5000])
+def test_a_truncated_dataset_file_names_itself(tmp_path, cut):
+    path = tmp_path / "toy.xgtd"
+    td.save_dataset(td.generate_dataset(seed=2, n=12), path)
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(ArtifactError, match=f"^{path}: truncated dataset file"):
+        td.load_dataset(path)
+
+
+def _first_record_ids_at():
+    # after the header, the first record's u4 id, two 16x16 f8 views and u2 length
+    header = 4 + 2 + 8 + 2 + 2 + sum(2 + len(t.encode()) for t in td.VOCAB) + 4
+    return header + 4 + 2 * 8 * td.VIEW_SIZE ** 2 + 2
+
+
+#: case -> (byte offset to overwrite, or None to append; the bytes; the message)
+DATASET_DEFECTS = {
+    "bad_magic": (0, b"NOPE", "bad magic"),
+    "version": (4, struct.pack("<H", 2), "unsupported dataset format version 2"),
+    "conditions": (14, struct.pack("<H", 4), "condition count 4"),
+    "vocabulary": (20, b"[", "vocabulary does not match"),
+    "token_id": (_first_record_ids_at(), struct.pack("<H", 999), "token id out of range"),
+    "trailing": (None, b"\0", "1 trailing bytes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DATASET_DEFECTS))
+def test_a_malformed_dataset_file_names_itself_and_its_defect(tmp_path, case):
+    path = tmp_path / "toy.xgtd"
+    td.save_dataset(td.generate_dataset(seed=2, n=12), path)
+    at, patch, message = DATASET_DEFECTS[case]
+    raw = bytearray(path.read_bytes())
+    if at is None:
+        raw += patch
+    else:
+        raw[at:at + len(patch)] = patch
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ArtifactError, match=f"^{path}: {message}"):
+        td.load_dataset(path)
