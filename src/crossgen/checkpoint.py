@@ -23,14 +23,17 @@ XGCK_MAGIC = b"XGCK"
 XGCK_VERSION = 1
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Write ``data`` to ``path`` through a temporary file in the same
-    directory and ``os.replace``, so a write that fails partway leaves the
-    previous file (or none) and no temporary file behind."""
+def write_atomic(path, chunks) -> None:
+    """Write the buffers ``chunks``, in order and without joining them, to
+    ``path`` through a temporary file in the same directory and
+    ``os.replace``, so a write that fails partway leaves the previous file
+    (or none) and no temporary file behind."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with tmp.open("wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -60,7 +63,11 @@ class FieldReader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def text(self, length: str = "<H") -> str:
-        return str(self.take(self.unpack(length)[0]), "utf-8")
+        try:
+            return str(self.take(self.unpack(length)[0]), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise ArtifactError(f"{self.path}: a text field of the {self.what} "
+                                f"is not UTF-8 ({exc.reason})") from exc
 
     def finish(self) -> None:
         if self.off != len(self.data):
@@ -69,19 +76,24 @@ class FieldReader:
 
 def save_checkpoint(path, stage: str, config_hash: str,
                     arrays: dict[str, np.ndarray], metadata: dict) -> str:
-    """Write a checkpoint and return its content checksum (hex)."""
+    """Write a checkpoint and return its file checksum (hex): what
+    ``file_checksum`` and ``load_checkpoint`` compute, here from the hash of
+    the body that the trailer needs anyway, without reading the file back."""
     chunks = [XGCK_MAGIC, struct.pack("<H", XGCK_VERSION),
               pack_text(stage), pack_text(config_hash),
               pack_text(json.dumps(metadata, sort_keys=True), "<I"),
               struct.pack("<I", len(arrays))]
     for name in sorted(arrays):
-        arr = np.asarray(arrays[name], dtype="<f8")  # tobytes() writes C order
-        chunks += [pack_text(name), struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape),
-                   arr.tobytes()]
-    body = b"".join(chunks)
-    digest = hashlib.sha256(body).digest()
-    write_atomic(path, body + digest)
-    return digest.hex()
+        # written from its buffer, in C order
+        arr = np.require(arrays[name], dtype="<f8", requirements="C")
+        chunks += [pack_text(name), struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape), arr]
+    body_hash = hashlib.sha256()
+    for chunk in chunks:
+        body_hash.update(chunk)
+    digest = body_hash.digest()
+    write_atomic(path, chunks + [digest])
+    body_hash.update(digest)
+    return body_hash.hexdigest()
 
 
 def load_checkpoint(path, expect_stage: str | None = None,
@@ -131,6 +143,14 @@ def load_checkpoint(path, expect_stage: str | None = None,
     return {"stage": stage, "config_hash": cfg_hash, "metadata": metadata,
             "arrays": arrays, "checksum": checksum.hex(),
             "file_checksum": file_hash.hexdigest()}
+
+
+def chunks_checksum(chunks) -> str:
+    """The SHA-256 (hex) of the buffers ``chunks`` joined, without joining them."""
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()
 
 
 def file_checksum(path) -> str:

@@ -229,7 +229,8 @@ class FeatureExtractor:
     def features(self, views: np.ndarray) -> np.ndarray:
         """The penultimate activations, silu(l2(silu(l1(x)))), without a tape."""
         flat = np.asarray(views, dtype=np.float64).reshape(len(views), -1)
-        return silu_apply(mlp_apply(self.layers[:2], flat))
+        h = mlp_apply(self.layers[:2], flat)
+        return silu_apply(h, out=h)
 
     def logits(self, views: np.ndarray) -> np.ndarray:
         return self.layers[2].apply(self.features(views))

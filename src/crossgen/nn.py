@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -123,17 +124,43 @@ def mlp(layers, x: Tensor, unit: bool = False) -> Tensor:
     return l2_normalize(y) if unit else y
 
 
-def silu_apply(h: np.ndarray) -> np.ndarray:
-    """``silu``'s bytes for a bare array, in a fresh array (not ``h``)."""
-    s = np.empty_like(h)
-    return T.silu_kernel(h, s, s)[0]
+#: values per row block of the blocked array passes: a float64 block is
+#: 512 KiB, sized to stay in L2. Only elementwise work and row-independent
+#: sums are blocked; a matmul is not, since BLAS may give a row other bits
+#: at another row count.
+BLOCK_VALUES = 2 ** 16
+
+
+def _block_rows(shape) -> int:
+    """Rows of an array of ``shape`` that fit in one block (at least one)."""
+    return max(1, BLOCK_VALUES // max(1, math.prod(shape[1:])))
+
+
+def silu_apply(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``silu``'s bytes for a bare array, written into ``out``: ``h`` itself
+    for a pass in place, or a fresh array when None (``h`` untouched). The
+    kernel runs one row block at a time through one block-sized scratch
+    array, so a pass in place allocates no full-size array."""
+    if out is None:
+        out = np.empty_like(h)
+    if h.ndim == 0:
+        T.silu_kernel(h, np.empty_like(h), out)
+        return out
+    rows = _block_rows(h.shape)
+    s = np.empty((min(rows, len(h)),) + h.shape[1:], dtype=h.dtype)
+    for lo in range(0, len(h), rows):
+        block = slice(lo, lo + rows)
+        T.silu_kernel(h[block], s[:len(h[block])], out[block])
+    return out
 
 
 def mlp_apply(layers, x: np.ndarray, unit: bool = False) -> np.ndarray:
     """``mlp(layers, x, unit)`` on bare arrays, with its bytes and without a
-    tape. Each layer's output goes once it has been through the SiLU."""
+    tape. Each layer's product goes through the SiLU in place, so a layer
+    holds its input and its product and no third full-size array."""
     for layer in layers[:-1]:
-        x = silu_apply(layer.apply(x))
+        h = layer.apply(x)
+        x = silu_apply(h, out=h)
     y = layers[-1].apply(x)
     return T.l2_normalize_kernel(y)[0] if unit else y
 
@@ -167,8 +194,18 @@ def mean_token_embedding(table: Tensor, ids: np.ndarray, lengths: np.ndarray) ->
 
 def mean_token_embedding_apply(table: Tensor, ids: np.ndarray,
                                lengths: np.ndarray) -> np.ndarray:
-    """``mean_token_embedding``'s bytes as a bare array, without a tape."""
-    return (table.data[ids] * _token_weights(ids, lengths, table.shape[1])).sum(axis=1)
+    """``mean_token_embedding``'s bytes as a bare array, without a tape. The
+    gather, the weighting and the sum over positions run one row block at a
+    time, so no (B, 32, width) array is built."""
+    weights = _token_weights(ids, lengths, table.shape[1])
+    out = np.empty((len(ids), table.shape[1]))
+    rows = _block_rows(weights.shape)
+    for lo in range(0, len(ids), rows):
+        block = slice(lo, lo + rows)
+        gathered = table.data[ids[block]]
+        gathered *= weights[block]
+        gathered.sum(axis=1, out=out[block])
+    return out
 
 
 def finite_loss(loss: Tensor, what: str) -> float:

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import toydata as td
 from .bridging import PromptEncoders, train_alignment
-from .checkpoint import (file_checksum, load_checkpoint, save_checkpoint,
-                         write_atomic)
+from .checkpoint import chunks_checksum, load_checkpoint, save_checkpoint, write_atomic
 from .conditioning import combine
 from .config import config_hash
 from .diffusion import (Denoiser, ImageCodec, TextCodec, make_schedule,
@@ -55,15 +54,18 @@ def manifest_path(home, stage: str) -> Path:
 
 
 def write_manifest(home, stage: str, artifact: Path, cfg_hash: str,
-                   prerequisites: dict[str, str], sidecar: Path | None = None) -> None:
+                   prerequisites: dict[str, str], checksum: str,
+                   sidecar_checksum: str | None = None) -> None:
+    """Record ``artifact`` (and its sidecar) by the checksums its writer
+    returned, which hashed the bytes it wrote: nothing is read back."""
     path = manifest_path(home, stage)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {"stage": stage, "artifact": artifact.name,
-               "checksum": file_checksum(artifact), "config_hash": cfg_hash,
+               "checksum": checksum, "config_hash": cfg_hash,
                "prerequisites": prerequisites}
-    if sidecar is not None:
-        payload["sidecar_checksum"] = file_checksum(sidecar)
-    write_atomic(path, json.dumps(payload, sort_keys=True, indent=1).encode())
+    if sidecar_checksum is not None:
+        payload["sidecar_checksum"] = sidecar_checksum
+    write_atomic(path, [json.dumps(payload, sort_keys=True, indent=1).encode()])
 
 
 def read_manifest(home, stage: str, cfg_hash: str) -> dict:
@@ -91,8 +93,9 @@ def read_manifest(home, stage: str, cfg_hash: str) -> dict:
 
 def _load_stage(cfg: dict, home, stage: str, meta_keys=()) -> dict:
     """The verified checkpoint of ``stage`` (see ``load_checkpoint``), with
-    its manifest under ``"manifest"``; ArtifactError naming the file unless
-    it is the one its manifest recorded and its metadata has ``meta_keys``."""
+    its manifest under ``"manifest"`` and its file under ``"path"``;
+    ArtifactError naming the file unless it is the one its manifest recorded
+    and its metadata has ``meta_keys``."""
     cfg_hash = config_hash(cfg)
     manifest = read_manifest(home, stage, cfg_hash)
     path = checkpoint_path(home, stage)
@@ -105,8 +108,19 @@ def _load_stage(cfg: dict, home, stage: str, meta_keys=()) -> dict:
     missing = [k for k in meta_keys if not isinstance(meta, dict) or k not in meta]
     if missing:
         raise ArtifactError(f"{path}: checkpoint metadata lacks {missing}")
-    ck["manifest"] = manifest
+    ck["manifest"], ck["path"] = manifest, path
     return ck
+
+
+def _restore(target, ck: dict, prefix: str = ""):
+    """``target`` (a parameter set or a codec) filled from the arrays of the
+    loaded stage ``ck`` under ``prefix``; ArtifactError naming the checkpoint
+    and the arrays when they do not match ``target``."""
+    try:
+        target.load_state_arrays(ck["arrays"], prefix)
+    except ValueError as exc:
+        raise ArtifactError(f"{ck['path']}: {exc}") from exc
+    return target
 
 
 def _write_stage(cfg: dict, home, stage: str, arrays: dict, metadata: dict,
@@ -118,9 +132,10 @@ def _write_stage(cfg: dict, home, stage: str, arrays: dict, metadata: dict,
         _write_csv(history_path(home, stage), history[1], history[0])
     path = checkpoint_path(home, stage)
     path.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(path, stage, cfg_hash, arrays, metadata)
+    checksum = save_checkpoint(path, stage, cfg_hash, arrays, metadata)
     write_manifest(home, stage, path, cfg_hash,
-                   {p: read_manifest(home, p, cfg_hash)["checksum"] for p in prerequisites})
+                   {p: read_manifest(home, p, cfg_hash)["checksum"] for p in prerequisites},
+                   checksum)
     return path
 
 
@@ -142,9 +157,8 @@ def run_gen_data(cfg: dict, home, force: bool = False) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     ds = td.generate_dataset(cfg["seed"], cfg["dataset"]["n"],
                              cfg["dataset"]["positive_rates"])
-    td.save_dataset(ds, path)
-    write_manifest(home, "dataset", path, config_hash(cfg), {},
-                   sidecar=td.sidecar_path(path))
+    checksum, sidecar_checksum = td.save_dataset(ds, path)
+    write_manifest(home, "dataset", path, config_hash(cfg), {}, checksum, sidecar_checksum)
     return path
 
 
@@ -153,12 +167,14 @@ def load_data(cfg: dict, home) -> td.Dataset:
     path = dataset_path(home)
     if not path.is_file():
         raise ArtifactError(f"{path}: missing, though its manifest exists")
-    if file_checksum(path) != manifest["checksum"]:
+    raw = path.read_bytes()  # read once: the bytes hashed are the bytes parsed
+    if chunks_checksum([raw]) != manifest["checksum"]:
         raise ArtifactError(f"{path}: content does not match its manifest")
     sidecar = td.sidecar_path(path)
-    if not sidecar.exists() or file_checksum(sidecar) != manifest.get("sidecar_checksum"):
+    sidecar_raw = sidecar.read_bytes() if sidecar.is_file() else None
+    if sidecar_raw is None or chunks_checksum([sidecar_raw]) != manifest.get("sidecar_checksum"):
         raise ArtifactError(f"{sidecar}: split sidecar does not match its manifest")
-    return td.load_dataset(path)
+    return td.load_dataset(path, raw, sidecar_raw)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +200,7 @@ def load_encoders(cfg: dict, home) -> PromptEncoders:
     meta = ck["metadata"]
     encoders = PromptEncoders(dim=meta["dim"], hidden=meta["hidden"],
                               text_embed=meta["text_embed"], seed=None)
-    encoders.params.load_state_arrays(ck["arrays"])
+    _restore(encoders.params, ck)
     return encoders
 
 
@@ -204,10 +220,8 @@ def _codec(cfg: dict, modality: str, seed: int | None):
     return ImageCodec(seed=seed, hidden=cfg["diffusion"]["image_codec"]["hidden"])
 
 
-def _load_codec(cfg: dict, modality: str, arrays: dict):
-    codec = _codec(cfg, modality, None)
-    codec.load_state_arrays(arrays, "codec.")
-    return codec
+def _load_codec(cfg: dict, modality: str, ck: dict):
+    return _restore(_codec(cfg, modality, None), ck, "codec.")
 
 
 def _fit_codec(cfg: dict, home, ds: td.Dataset, modality: str, alignment: str):
@@ -226,7 +240,7 @@ def _fit_codec(cfg: dict, home, ds: td.Dataset, modality: str, alignment: str):
         except (MissingPrerequisiteError, ArtifactError):
             sibling = None
         if sibling is not None and sibling["manifest"]["prerequisites"].get("alignment") == alignment:
-            return _load_codec(cfg, modality, sibling["arrays"])
+            return _load_codec(cfg, modality, sibling)
         fit = cfg["diffusion"]["image_codec"]
         data = np.stack([r.view_a for r in train] + [r.view_b for r in train])
     codec = _codec(cfg, modality, cfg["seed"])
@@ -268,8 +282,8 @@ def _ldm_from_checkpoint(cfg: dict, target: str, ck: dict):
     denoiser = Denoiser(meta["latent_dim"], meta["cond_dim"], meta["timesteps"],
                         hidden=meta["hidden"], n_blocks=meta["blocks"],
                         attn_dim=meta["attn_dim"], seed=None)
-    denoiser.params.load_state_arrays(ck["arrays"], "denoiser.")
-    return denoiser, _load_codec(cfg, target, ck["arrays"]), meta
+    _restore(denoiser.params, ck, "denoiser.")
+    return denoiser, _load_codec(cfg, target, ck), meta
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +331,7 @@ def load_joint(cfg: dict, home, pair: tuple[str, str]):
         bases[m], codecs[m], _ = _ldm_from_checkpoint(cfg, m, base)
     components = build_joint(pair, bases, coupling_dim=meta["coupling_dim"],
                              proj_hidden=meta["proj_hidden"], seed=None)
-    components.trainable.load_state_arrays(ck["arrays"])
+    _restore(components.trainable, ck)
     return components, codecs
 
 
@@ -341,7 +355,7 @@ def load_classifier(cfg: dict, home) -> tuple[FeatureExtractor, dict]:
     ck = _load_stage(cfg, home, "classifier", ("hidden",))
     model = build_classifier(td.VIEW_SIZE * td.VIEW_SIZE, ck["metadata"]["hidden"],
                              td.NUM_CONDITIONS, None)
-    model.params.load_state_arrays(ck["arrays"])
+    _restore(model.params, ck)
     return model, ck["metadata"]
 
 
@@ -484,8 +498,8 @@ def run_utility(cfg: dict, home, mode: str) -> dict:
         return {"mode": mode, "real": real, "synthetic": synthetic}
 
     if mode == "imbalance":
-        ds_imb = td.generate_dataset(seed + 1, u["imbalance_n"])
-        bx, by = _xy(ds_imb.subset("train")[:u["imbalance_base"]])
+        bx, by = _xy(td.generate_subset(seed + 1, u["imbalance_n"], "train",
+                                        u["imbalance_base"]))
         pos = by.sum(axis=0)
         rates = np.array(td.DEFAULT_POSITIVE_RATES)
         label_rng = stream(seed, "imbalance-labels")
@@ -499,7 +513,9 @@ def run_utility(cfg: dict, home, mode: str) -> dict:
         augmented = (np.concatenate([bx, synth(aug_labels)]),
                      np.concatenate([by, aug_labels]))
         baseline, augmented = utility_reports([(bx, by), augmented],
-                                              _xy(ds_imb.subset("test")), seed, noise,
+                                              _xy(td.generate_subset(
+                                                  seed + 1, u["imbalance_n"], "test")),
+                                              seed, noise,
                                               u["imbalance_epochs"])
         return {"mode": mode, "baseline": baseline, "augmented": augmented,
                 "baseline_positives": pos.tolist(),

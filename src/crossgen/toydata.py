@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import FieldReader, pack_text, write_atomic
+from .checkpoint import FieldReader, chunks_checksum, pack_text, write_atomic
 from .errors import ArtifactError, ConfigError
 from .rng import stream
 
@@ -231,9 +231,9 @@ def rule_label_text(report) -> np.ndarray:
     return labels
 
 
-def generate_dataset(seed: int, n: int,
-                     positive_rates=DEFAULT_POSITIVE_RATES) -> Dataset:
-    """Sample n records deterministically and split them 70/10/20."""
+def _draw_dataset(seed: int, n: int, positive_rates):
+    """The labels, per-record factors and 70/10/20 split of
+    ``generate_dataset``, drawn from its stream in its order."""
     if n < 10:
         raise ConfigError(f"dataset size {n} < 10")
     rates = np.asarray(positive_rates, dtype=np.float64)
@@ -246,13 +246,7 @@ def generate_dataset(seed: int, n: int,
     labels = (rng.random((n, NUM_CONDITIONS)) < rates).astype(np.uint8)
     jitter = rng.uniform(-1.5, 1.5, size=(n, 2))
     intensity = rng.uniform(_INTENSITY_LO, _INTENSITY_HI, size=n)
-
-    records = []
-    for i in range(n):
-        factors = np.array([jitter[i, 0], jitter[i, 1], intensity[i]])
-        view_a, view_b = render_views(labels[i], factors)
-        report = render_report(labels[i], factor_bucket(factors))
-        records.append(Record(i, view_a, view_b, report, labels[i].copy(), factors))
+    factors = np.column_stack([jitter, intensity])  # (jitter x, jitter y, intensity)
 
     perm = rng.permutation(n)
     n_train = int(round(0.7 * n))
@@ -262,7 +256,29 @@ def generate_dataset(seed: int, n: int,
         "val": np.sort(perm[n_train:n_train + n_val]),
         "test": np.sort(perm[n_train + n_val:]),
     }
-    return Dataset(records, split, int(seed))
+    return labels, factors, split
+
+
+def _render_record(i: int, labels: np.ndarray, factors: np.ndarray) -> Record:
+    view_a, view_b = render_views(labels, factors)
+    report = render_report(labels, factor_bucket(factors))
+    return Record(i, view_a, view_b, report, labels.copy(), factors.copy())
+
+
+def generate_dataset(seed: int, n: int,
+                     positive_rates=DEFAULT_POSITIVE_RATES) -> Dataset:
+    """Sample n records deterministically and split them 70/10/20."""
+    labels, factors, split = _draw_dataset(seed, n, positive_rates)
+    return Dataset([_render_record(i, labels[i], factors[i]) for i in range(n)],
+                   split, int(seed))
+
+
+def generate_subset(seed: int, n: int, name: str, count: int | None = None,
+                    positive_rates=DEFAULT_POSITIVE_RATES) -> list[Record]:
+    """``generate_dataset(seed, n, positive_rates).subset(name)[:count]``,
+    rendering only those records."""
+    labels, factors, split = _draw_dataset(seed, n, positive_rates)
+    return [_render_record(i, labels[i], factors[i]) for i in split[name][:count]]
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +300,9 @@ def sidecar_path(path) -> Path:
     return Path(str(path) + ".splits.json")
 
 
-def save_dataset(dataset: Dataset, path) -> None:
+def save_dataset(dataset: Dataset, path) -> tuple[str, str]:
+    """Write the dataset file and its split sidecar; returns their SHA-256
+    checksums (hex), hashed from the chunks written, not read back."""
     path = Path(path)
     chunks = [XGTD_MAGIC, struct.pack("<HqHH", XGTD_VERSION, dataset.seed, NUM_CONDITIONS,
                                       len(VOCAB))]
@@ -295,18 +313,21 @@ def save_dataset(dataset: Dataset, path) -> None:
         ids = [TOKEN_TO_ID[t] for t in rec.report]
         body[i] = (rec.id, rec.view_a, rec.view_b, len(ids),
                    ids + [0] * (MAX_REPORT_LEN - len(ids)), rec.labels, rec.factors)
-    chunks.append(body.tobytes())
-    write_atomic(path, b"".join(chunks))
+    chunks.append(body)
+    write_atomic(path, chunks)
 
     splits = {name: [int(i) for i in idx] for name, idx in dataset.split.items()}
-    write_atomic(sidecar_path(path), json.dumps(splits, sort_keys=True).encode())
+    sidecar = json.dumps(splits, sort_keys=True).encode()
+    write_atomic(sidecar_path(path), [sidecar])
+    return chunks_checksum(chunks), chunks_checksum([sidecar])
 
 
-def load_dataset(path) -> Dataset:
-    """Read a dataset file and its split sidecar; ArtifactError naming the
-    file for a malformed file or sidecar."""
+def load_dataset(path, raw: bytes | None = None, sidecar_raw: bytes | None = None) -> Dataset:
+    """Parse a dataset file and its split sidecar, from ``raw`` and
+    ``sidecar_raw`` when the caller has read them (read here when None);
+    ArtifactError naming the file for a malformed file or sidecar."""
     path = Path(path)
-    fields = FieldReader(path.read_bytes(), path, "dataset file")
+    fields = FieldReader(path.read_bytes() if raw is None else raw, path, "dataset file")
     if fields.take(4) != XGTD_MAGIC:
         raise ArtifactError(f"{path}: bad magic, not a dataset file")
     (version,) = fields.unpack("<H")
@@ -337,7 +358,8 @@ def load_dataset(path) -> Dataset:
                    lengths.tolist(), block["labels"], block["factors"])]
     sidecar = sidecar_path(path)
     try:
-        splits = json.loads(sidecar.read_text())
+        splits = json.loads(str(sidecar.read_bytes() if sidecar_raw is None else sidecar_raw,
+                                "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ArtifactError(f"{sidecar}: split sidecar is not JSON text ({exc})") from exc
     names = ("train", "val", "test")

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crossgen import cli
+from crossgen import checkpoint, cli
 from crossgen import pipeline as pl
 from crossgen import toydata as td
 from crossgen.checkpoint import file_checksum, load_checkpoint, save_checkpoint
@@ -328,8 +328,77 @@ def test_checkpoint_missing_an_array_is_exit_2(trained_home, cfg_file, tmp_path)
     assert main(["--config", cfg_file, "--home", str(home), "generate",
                  "--prompt", f"report={prompt_file}", "--target", "view_a",
                  "--out", str(tmp_path / "out")]) == 2
-    with pytest.raises(ValueError, match=r"missing \['out.b'\]"):
+    with pytest.raises(ArtifactError, match=rf"^{path}: .*missing \['out.b'\]"):
         pl.load_ldm(load_config(cfg_file), home, "view_a")
+
+
+def test_training_stages_hash_no_checkpoint_they_wrote(tmp_path, cfg_file, monkeypatch):
+    # the manifest records the checksum the writer computed as it wrote
+    hashed = []
+
+    def counting(path):
+        hashed.append(Path(path).name)
+        return file_checksum(path)
+
+    monkeypatch.setattr(pl, "file_checksum", counting, raising=False)
+    monkeypatch.setattr(checkpoint, "file_checksum", counting)
+    home = tmp_path / "h"
+    assert main(["--config", cfg_file, "--home", str(home), "gen-data"]) == 0
+    hashed.clear()
+    assert main(["--config", cfg_file, "--home", str(home), "train", "align"]) == 0
+    assert main(["--config", cfg_file, "--home", str(home),
+                 "train", "ldm", "--target", "view_a"]) == 0
+    assert [name for name in hashed if name.endswith(".xgck")] == []
+    monkeypatch.undo()
+    for stage in ("dataset", "alignment", "ldm:view_a"):
+        manifest = json.loads(pl.manifest_path(home, stage).read_text())
+        artifact = (pl.dataset_path(home) if stage == "dataset"
+                    else pl.checkpoint_path(home, stage))
+        assert manifest["checksum"] == file_checksum(artifact)
+        if stage == "dataset":
+            sidecar = td.sidecar_path(artifact)
+            assert manifest["sidecar_checksum"] == file_checksum(sidecar)
+
+
+def test_load_data_reads_the_dataset_file_and_its_sidecar_once_each(tmp_path, cfg_file,
+                                                                      monkeypatch):
+    home = tmp_path / "h"
+    assert main(["--config", cfg_file, "--home", str(home), "gen-data"]) == 0
+    reads = []
+    read_bytes, read_text = Path.read_bytes, Path.read_text
+    monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self.name)
+                        or read_bytes(self))
+    monkeypatch.setattr(Path, "read_text", lambda self, *a, **k: reads.append(self.name)
+                        or read_text(self, *a, **k))
+    ds = pl.load_data(load_config(cfg_file), home)
+    monkeypatch.undo()
+    data = pl.dataset_path(home)
+    assert sorted(r for r in reads if r.startswith(data.name)) == sorted(
+        [data.name, td.sidecar_path(data).name])
+    assert len(ds.records) == TINY["dataset"]["n"]
+
+
+def test_a_dataset_file_that_does_not_match_its_manifest_fails_before_it_is_parsed(
+        tmp_path, cfg_file):
+    home = tmp_path / "h"
+    assert main(["--config", cfg_file, "--home", str(home), "gen-data"]) == 0
+    data = pl.dataset_path(home)
+    data.write_bytes(b"NOPE" + data.read_bytes()[4:])  # a parse would say "bad magic"
+    with pytest.raises(ArtifactError, match=f"^{data}: content does not match its manifest"):
+        pl.load_data(load_config(cfg_file), home)
+
+
+def test_the_imbalance_arm_renders_only_the_records_it_reads(trained_home, cfg_file,
+                                                              monkeypatch):
+    u = TINY["eval"]["utility"]
+    split = td.generate_dataset(TINY["seed"] + 1, u["imbalance_n"]).split
+    reads = min(u["imbalance_base"], len(split["train"])) + len(split["test"])
+    rendered = []
+    render = td.render_views
+    monkeypatch.setattr(td, "render_views", lambda *a: rendered.append(1) or render(*a))
+    report = run_utility(load_config(cfg_file), trained_home, "imbalance")
+    assert len(rendered) == reads < u["imbalance_n"]
+    assert sum(report["baseline_positives"]) > 0
 
 
 def _rewrite_recorded(home, stage, edit) -> Path:

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crossgen.checkpoint import (XGCK_VERSION, FieldReader, load_checkpoint, pack_text,
-                                 save_checkpoint)
+from crossgen.checkpoint import (XGCK_VERSION, FieldReader, file_checksum, load_checkpoint,
+                                 pack_text, save_checkpoint)
 from crossgen.config import DEFAULTS, config_hash, load_config
 from crossgen.errors import ArtifactError, ConfigError
 from crossgen.pipeline import write_manifest
@@ -120,7 +120,8 @@ def test_checkpoint_roundtrip(tmp_path):
     digest = save_checkpoint(path, "ldm:view_a", "cafe" * 16, arrays, meta)
     back = load_checkpoint(path, expect_stage="ldm:view_a",
                            expect_config_hash="cafe" * 16)
-    assert back["checksum"] == digest
+    # the writer returns the whole file's checksum, hashed as it wrote
+    assert back["file_checksum"] == digest == file_checksum(path)
     assert back["metadata"] == meta
     np.testing.assert_array_equal(back["arrays"]["w"], arrays["w"])
     np.testing.assert_array_equal(back["arrays"]["b"], arrays["b"])
@@ -245,7 +246,27 @@ def _write_manifest(path, version):
     artifact = home / "artifact.bin"
     with open(artifact, "wb") as f:  # not through the failing Path writers
         f.write(bytes([version]) * 8)
-    write_manifest(home, "align", artifact, "ab" * 32, {"v": str(version)})
+    write_manifest(home, "align", artifact, "ab" * 32, {"v": str(version)},
+                   file_checksum(artifact))
+
+
+class _FullDisk:
+    """A file opened for writing that takes half the bytes of its first
+    write, then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        data = memoryview(data).cast("B")
+        self.fh.write(data[:len(data) // 2])
+        raise OSError("no space left on device")
 
 
 @pytest.mark.parametrize("write", [_write_checkpoint, _write_dataset, _write_manifest],
@@ -258,14 +279,13 @@ def test_failed_artifact_write_keeps_the_previous_file(write, tmp_path, monkeypa
     path.parent.mkdir()
     write(path, 1)
     before = {p.name: p.read_bytes() for p in path.parent.iterdir()}
+    real_open = Path.open
 
-    def half_then_fail(self, data, *args, **kwargs):
-        with open(self, "wb" if isinstance(data, bytes) else "w") as f:
-            f.write(data[:len(data) // 2])
-        raise OSError("no space left on device")
+    def half_then_fail(self, mode="r", *args, **kwargs):
+        fh = real_open(self, mode, *args, **kwargs)
+        return _FullDisk(fh) if "w" in mode else fh
 
-    monkeypatch.setattr(Path, "write_bytes", half_then_fail)
-    monkeypatch.setattr(Path, "write_text", half_then_fail)
+    monkeypatch.setattr(Path, "open", half_then_fail)
     with pytest.raises(OSError, match="no space"):
         write(path, 2)
     monkeypatch.undo()

@@ -11,12 +11,14 @@ reference is the same call with ``diffusion``'s array interpreters swapped
 for the tape ones. The samplers' array step is pinned against the recorded
 forwards in ``test_diffusion`` and ``test_jointgen``."""
 
+import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 
-from crossgen import diffusion
+from crossgen import diffusion, nn
 from crossgen import tensor as T
 from crossgen import toydata as td
 from crossgen.bridging import PromptEncoders
@@ -24,7 +26,8 @@ from crossgen.config import load_config
 from crossgen.diffusion import Denoiser, ImageCodec, TextCodec
 from crossgen.evalkit import build_classifier
 from crossgen.jointgen import build_joint
-from crossgen.nn import Linear, ParameterSet, mean_token_embedding, mlp, mlp_apply
+from crossgen.nn import (Linear, ParameterSet, mean_token_embedding, mean_token_embedding_apply,
+                         mlp, mlp_apply, silu_apply)
 from crossgen.rng import stream
 
 CFG = load_config()
@@ -163,8 +166,10 @@ def test_mlp_apply_frees_each_layer_output_once_it_has_been_through_the_silu(mon
     apply = Linear.apply
 
     def spy(self, x, out=None):
-        # every earlier layer's product is gone before this one is made
-        assert all(ref() is None for ref in products)
+        # the SiLU ran in place: the last product is this layer's input, and
+        # every product older than it is gone before this one is made
+        assert all(ref() is None for ref in products[:-1])
+        assert not products or products[-1]() is x
         y = apply(self, x, out)
         products.append(weakref.ref(y))
         return y
@@ -172,3 +177,94 @@ def test_mlp_apply_frees_each_layer_output_once_it_has_been_through_the_silu(mon
     monkeypatch.setattr(Linear, "apply", spy)
     y = mlp_apply(layers, rng.standard_normal((5, 6)))
     assert len(products) == 4 and products[-1]() is y
+
+
+# ---------------------------------------------------------------------------
+# the blocked array passes: one-shot bytes, block-sized temporaries
+
+def _one_shot_silu(h):
+    # the one-shot reference: the whole logistic in one full-size scratch
+    s = np.empty_like(h)
+    return T.silu_kernel(h, s, s)[0]
+
+
+def _rows_per_block(width):
+    return nn.BLOCK_VALUES // width
+
+
+#: 1 row, exactly one block, and several blocks plus a remainder
+BLOCKINGS = {"one_row": lambda b: 1, "one_block": lambda b: b,
+             "blocks_and_a_remainder": lambda b: 3 * b + 17}
+
+
+@pytest.mark.parametrize("blocking", sorted(BLOCKINGS))
+def test_blocked_silu_gives_the_one_shot_bytes_fresh_and_in_place(blocking):
+    rows = BLOCKINGS[blocking](_rows_per_block(48))
+    h = np.random.default_rng(rows).normal(0.0, 4.0, (rows, 48))
+    h[0, 3] = -1000.0   # exp(-x) overflows: the kernel's guarded branch
+    h[-1, 5] = -np.inf  # in the last block: the limit -0.0, not NaN
+    ref, operand = _one_shot_silu(h), h.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fresh = silu_apply(h)
+        assert h.tobytes() == operand  # out=None leaves the operand alone
+        in_place = silu_apply(h, out=h)
+    assert in_place is h
+    assert fresh.tobytes() == ref.tobytes() == h.tobytes()
+    assert h[-1, 5] == 0.0 and np.signbit(h[-1, 5])
+
+
+def _one_shot_mean(table, ids, lengths):
+    # the one-shot reference: one (B, 32, width) gather and one product
+    return (table.data[ids] * nn._token_weights(ids, lengths, table.shape[1])).sum(axis=1)
+
+
+def _id_batch(rows, seed):
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, td.MAX_REPORT_LEN + 1, rows)
+    ids = rng.integers(0, len(td.VOCAB), (rows, td.MAX_REPORT_LEN))  # pad ids inside too
+    ids[np.arange(td.MAX_REPORT_LEN) >= lengths[:, None]] = 0
+    return ids, lengths
+
+
+@pytest.mark.parametrize("blocking", sorted(BLOCKINGS))
+def test_blocked_mean_token_embedding_gives_the_one_shot_bytes(blocking):
+    width = 32
+    rows = BLOCKINGS[blocking](_rows_per_block(td.MAX_REPORT_LEN * width))
+    table = T.Tensor(np.random.default_rng(1).normal(size=(len(td.VOCAB), width)))
+    ids, lengths = _id_batch(rows, rows)
+    out = mean_token_embedding_apply(table, ids, lengths)
+    assert out.tobytes() == _one_shot_mean(table, ids, lengths).tobytes()
+
+
+def _traced_peak(call):
+    """The peak bytes that ``call()`` allocates above what it started with."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_mlp_apply_holds_one_full_size_activation_beside_its_input_and_a_scratch():
+    width = 64
+    rows = BLOCKINGS["blocks_and_a_remainder"](_rows_per_block(width))
+    params, rng = ParameterSet(), np.random.default_rng(0)
+    layers = (Linear(params, "l0", 8, width, rng), Linear(params, "l1", width, width, rng),
+              Linear(params, "l2", width, width, rng), Linear(params, "out", width, 4, rng))
+    x = rng.normal(size=(rows, 8))
+    activation, scratch = rows * width * 8, nn.BLOCK_VALUES * 8
+    # each layer holds its input and its product; the SiLU adds one block
+    peak = _traced_peak(lambda: mlp_apply(layers, x))
+    assert 2 * activation <= peak < 2 * activation + scratch + activation // 4
+
+
+def test_mean_token_embedding_apply_peaks_below_one_gathered_batch():
+    width = 32
+    rows = BLOCKINGS["blocks_and_a_remainder"](_rows_per_block(td.MAX_REPORT_LEN * width))
+    table = T.Tensor(np.random.default_rng(1).normal(size=(len(td.VOCAB), width)))
+    ids, lengths = _id_batch(rows, 2)
+    gathered = rows * td.MAX_REPORT_LEN * width * 8  # one (B, 32, width) float64 array
+    assert _traced_peak(lambda: mean_token_embedding_apply(table, ids, lengths)) < gathered

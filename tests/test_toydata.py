@@ -171,6 +171,41 @@ def test_factor_bucket_consistency_with_report_descriptors():
         assert any(t in td._I_WORDS for t in rep)
 
 
+@pytest.mark.parametrize("name, count", [("train", 25), ("train", None), ("val", 1),
+                                         ("test", None), ("test", 0)])
+def test_generate_subset_renders_the_records_of_generate_dataset(name, count, monkeypatch):
+    ref = td.generate_dataset(seed=9, n=120).subset(name)[:count]
+    rendered = []
+    render = td.render_views
+    monkeypatch.setattr(td, "render_views",
+                        lambda *a: rendered.append(1) or render(*a))
+    got = td.generate_subset(9, 120, name, count)
+    assert len(rendered) == len(got) == len(ref)  # the records it returns, no others
+    for a, b in zip(got, ref):
+        assert (a.id, a.report) == (b.id, b.report)
+        for field in ("view_a", "view_b", "labels", "factors"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+
+def test_save_dataset_returns_the_checksums_of_the_files_it_wrote(tmp_path):
+    import hashlib
+    path = tmp_path / "toy.xgtd"
+    checksums = td.save_dataset(td.generate_dataset(seed=2, n=12), path)
+    assert checksums == tuple(hashlib.sha256(p.read_bytes()).hexdigest()
+                              for p in (path, td.sidecar_path(path)))
+
+
+def test_load_dataset_parses_the_bytes_it_is_given(tmp_path):
+    path = tmp_path / "toy.xgtd"
+    td.save_dataset(td.generate_dataset(seed=2, n=12), path)
+    raw, sidecar_raw = path.read_bytes(), td.sidecar_path(path).read_bytes()
+    path.unlink()
+    td.sidecar_path(path).unlink()
+    back = td.load_dataset(path, raw, sidecar_raw)
+    assert len(back.records) == 12 and back.split["train"].size == 8
+
+
 def test_dataset_file_roundtrip(tmp_path):
     ds = td.generate_dataset(seed=21, n=40, positive_rates=[0.5] * 5)
     path = tmp_path / "toy.xgtd"
@@ -317,6 +352,7 @@ DATASET_DEFECTS = {
     "vocabulary": (20, b"[", "vocabulary does not match"),
     "token_id": (_first_record_ids_at(), struct.pack("<H", 999), "token id out of range"),
     "trailing": (None, b"\0", "1 trailing bytes"),
+    "not_utf8": (20, b"\xff", "a text field of the dataset file is not UTF-8"),
 }
 
 
