@@ -87,9 +87,7 @@ def save_checkpoint(path, stage: str, config_hash: str,
         # written from its buffer, in C order
         arr = np.require(arrays[name], dtype="<f8", requirements="C")
         chunks += [pack_text(name), struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape), arr]
-    body_hash = hashlib.sha256()
-    for chunk in chunks:
-        body_hash.update(chunk)
+    body_hash = chunks_hash(chunks)
     digest = body_hash.digest()
     write_atomic(path, chunks + [digest])
     body_hash.update(digest)
@@ -145,12 +143,13 @@ def load_checkpoint(path, expect_stage: str | None = None,
             "file_checksum": file_hash.hexdigest()}
 
 
-def chunks_checksum(chunks) -> str:
-    """The SHA-256 (hex) of the buffers ``chunks`` joined, without joining them."""
+def chunks_hash(chunks):
+    """The SHA-256 state of the buffers ``chunks`` joined, without joining
+    them: what a writer of those chunks returns as the file's checksum."""
     h = hashlib.sha256()
     for chunk in chunks:
         h.update(chunk)
-    return h.hexdigest()
+    return h
 
 
 def file_checksum(path) -> str:

@@ -124,10 +124,9 @@ def mlp(layers, x: Tensor, unit: bool = False) -> Tensor:
     return l2_normalize(y) if unit else y
 
 
-#: values per row block of the blocked array passes: a float64 block is
-#: 512 KiB, sized to stay in L2. Only elementwise work and row-independent
-#: sums are blocked; a matmul is not, since BLAS may give a row other bits
-#: at another row count.
+#: values per row block of ``silu_apply``: a float64 block is 512 KiB,
+#: sized to stay in L2. Only the elementwise SiLU is blocked; a matmul is
+#: not, since BLAS may give a row other bits at another row count.
 BLOCK_VALUES = 2 ** 16
 
 
@@ -194,18 +193,8 @@ def mean_token_embedding(table: Tensor, ids: np.ndarray, lengths: np.ndarray) ->
 
 def mean_token_embedding_apply(table: Tensor, ids: np.ndarray,
                                lengths: np.ndarray) -> np.ndarray:
-    """``mean_token_embedding``'s bytes as a bare array, without a tape. The
-    gather, the weighting and the sum over positions run one row block at a
-    time, so no (B, 32, width) array is built."""
-    weights = _token_weights(ids, lengths, table.shape[1])
-    out = np.empty((len(ids), table.shape[1]))
-    rows = _block_rows(weights.shape)
-    for lo in range(0, len(ids), rows):
-        block = slice(lo, lo + rows)
-        gathered = table.data[ids[block]]
-        gathered *= weights[block]
-        gathered.sum(axis=1, out=out[block])
-    return out
+    """``mean_token_embedding``'s bytes as a bare array, without a tape."""
+    return (table.data[ids] * _token_weights(ids, lengths, table.shape[1])).sum(axis=1)
 
 
 def finite_loss(loss: Tensor, what: str) -> float:

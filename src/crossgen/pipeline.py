@@ -9,6 +9,7 @@ stage ordering is enforced through these manifests, never timestamps.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import toydata as td
 from .bridging import PromptEncoders, train_alignment
-from .checkpoint import chunks_checksum, load_checkpoint, save_checkpoint, write_atomic
+from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .conditioning import combine
 from .config import config_hash
 from .diffusion import (Denoiser, ImageCodec, TextCodec, make_schedule,
@@ -168,11 +169,12 @@ def load_data(cfg: dict, home) -> td.Dataset:
     if not path.is_file():
         raise ArtifactError(f"{path}: missing, though its manifest exists")
     raw = path.read_bytes()  # read once: the bytes hashed are the bytes parsed
-    if chunks_checksum([raw]) != manifest["checksum"]:
+    if hashlib.sha256(raw).hexdigest() != manifest["checksum"]:
         raise ArtifactError(f"{path}: content does not match its manifest")
     sidecar = td.sidecar_path(path)
     sidecar_raw = sidecar.read_bytes() if sidecar.is_file() else None
-    if sidecar_raw is None or chunks_checksum([sidecar_raw]) != manifest.get("sidecar_checksum"):
+    if (sidecar_raw is None
+            or hashlib.sha256(sidecar_raw).hexdigest() != manifest.get("sidecar_checksum")):
         raise ArtifactError(f"{sidecar}: split sidecar does not match its manifest")
     return td.load_dataset(path, raw, sidecar_raw)
 

@@ -15,6 +15,7 @@ sidecar maps "train", "val" and "test" to lists of record indices.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import FieldReader, chunks_checksum, pack_text, write_atomic
+from .checkpoint import FieldReader, chunks_hash, pack_text, write_atomic
 from .errors import ArtifactError, ConfigError
 from .rng import stream
 
@@ -273,11 +274,10 @@ def generate_dataset(seed: int, n: int,
                    split, int(seed))
 
 
-def generate_subset(seed: int, n: int, name: str, count: int | None = None,
-                    positive_rates=DEFAULT_POSITIVE_RATES) -> list[Record]:
-    """``generate_dataset(seed, n, positive_rates).subset(name)[:count]``,
-    rendering only those records."""
-    labels, factors, split = _draw_dataset(seed, n, positive_rates)
+def generate_subset(seed: int, n: int, name: str, count: int | None = None) -> list[Record]:
+    """``generate_dataset(seed, n).subset(name)[:count]``, rendering only
+    those records."""
+    labels, factors, split = _draw_dataset(seed, n, DEFAULT_POSITIVE_RATES)
     return [_render_record(i, labels[i], factors[i]) for i in split[name][:count]]
 
 
@@ -319,15 +319,16 @@ def save_dataset(dataset: Dataset, path) -> tuple[str, str]:
     splits = {name: [int(i) for i in idx] for name, idx in dataset.split.items()}
     sidecar = json.dumps(splits, sort_keys=True).encode()
     write_atomic(sidecar_path(path), [sidecar])
-    return chunks_checksum(chunks), chunks_checksum([sidecar])
+    return chunks_hash(chunks).hexdigest(), hashlib.sha256(sidecar).hexdigest()
 
 
-def load_dataset(path, raw: bytes | None = None, sidecar_raw: bytes | None = None) -> Dataset:
-    """Parse a dataset file and its split sidecar, from ``raw`` and
-    ``sidecar_raw`` when the caller has read them (read here when None);
-    ArtifactError naming the file for a malformed file or sidecar."""
+def load_dataset(path, raw: bytes, sidecar_raw: bytes) -> Dataset:
+    """Parse ``raw``, the bytes of the dataset file ``path``, and
+    ``sidecar_raw``, those of its split sidecar, as the caller read them
+    (nothing is read here); ArtifactError naming the file for a malformed
+    file or sidecar."""
     path = Path(path)
-    fields = FieldReader(path.read_bytes() if raw is None else raw, path, "dataset file")
+    fields = FieldReader(raw, path, "dataset file")
     if fields.take(4) != XGTD_MAGIC:
         raise ArtifactError(f"{path}: bad magic, not a dataset file")
     (version,) = fields.unpack("<H")
@@ -358,8 +359,7 @@ def load_dataset(path, raw: bytes | None = None, sidecar_raw: bytes | None = Non
                    lengths.tolist(), block["labels"], block["factors"])]
     sidecar = sidecar_path(path)
     try:
-        splits = json.loads(str(sidecar.read_bytes() if sidecar_raw is None else sidecar_raw,
-                                "utf-8"))
+        splits = json.loads(str(sidecar_raw, "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ArtifactError(f"{sidecar}: split sidecar is not JSON text ({exc})") from exc
     names = ("train", "val", "test")

@@ -743,8 +743,7 @@ def test_dataset_roundtrip_through_cli_artifact(trained_home, cfg_file):
     cfg = load_config(cfg_file)
     ds = pl.load_data(cfg, trained_home)
     assert len(ds.records) == TINY["dataset"]["n"]
-    back = td.load_dataset(pl.dataset_path(trained_home))
-    assert back.seed == TINY["seed"]
+    assert ds.seed == TINY["seed"]
 
 
 @pytest.fixture

@@ -214,29 +214,6 @@ def test_blocked_silu_gives_the_one_shot_bytes_fresh_and_in_place(blocking):
     assert h[-1, 5] == 0.0 and np.signbit(h[-1, 5])
 
 
-def _one_shot_mean(table, ids, lengths):
-    # the one-shot reference: one (B, 32, width) gather and one product
-    return (table.data[ids] * nn._token_weights(ids, lengths, table.shape[1])).sum(axis=1)
-
-
-def _id_batch(rows, seed):
-    rng = np.random.default_rng(seed)
-    lengths = rng.integers(1, td.MAX_REPORT_LEN + 1, rows)
-    ids = rng.integers(0, len(td.VOCAB), (rows, td.MAX_REPORT_LEN))  # pad ids inside too
-    ids[np.arange(td.MAX_REPORT_LEN) >= lengths[:, None]] = 0
-    return ids, lengths
-
-
-@pytest.mark.parametrize("blocking", sorted(BLOCKINGS))
-def test_blocked_mean_token_embedding_gives_the_one_shot_bytes(blocking):
-    width = 32
-    rows = BLOCKINGS[blocking](_rows_per_block(td.MAX_REPORT_LEN * width))
-    table = T.Tensor(np.random.default_rng(1).normal(size=(len(td.VOCAB), width)))
-    ids, lengths = _id_batch(rows, rows)
-    out = mean_token_embedding_apply(table, ids, lengths)
-    assert out.tobytes() == _one_shot_mean(table, ids, lengths).tobytes()
-
-
 def _traced_peak(call):
     """The peak bytes that ``call()`` allocates above what it started with."""
     tracemalloc.start()
@@ -259,12 +236,3 @@ def test_mlp_apply_holds_one_full_size_activation_beside_its_input_and_a_scratch
     # each layer holds its input and its product; the SiLU adds one block
     peak = _traced_peak(lambda: mlp_apply(layers, x))
     assert 2 * activation <= peak < 2 * activation + scratch + activation // 4
-
-
-def test_mean_token_embedding_apply_peaks_below_one_gathered_batch():
-    width = 32
-    rows = BLOCKINGS["blocks_and_a_remainder"](_rows_per_block(td.MAX_REPORT_LEN * width))
-    table = T.Tensor(np.random.default_rng(1).normal(size=(len(td.VOCAB), width)))
-    ids, lengths = _id_batch(rows, 2)
-    gathered = rows * td.MAX_REPORT_LEN * width * 8  # one (B, 32, width) float64 array
-    assert _traced_peak(lambda: mean_token_embedding_apply(table, ids, lengths)) < gathered

@@ -206,11 +206,16 @@ def test_load_dataset_parses_the_bytes_it_is_given(tmp_path):
     assert len(back.records) == 12 and back.split["train"].size == 8
 
 
+def _load(path):
+    """``load_dataset`` on the bytes of the dataset file ``path`` and its sidecar."""
+    return td.load_dataset(path, path.read_bytes(), td.sidecar_path(path).read_bytes())
+
+
 def test_dataset_file_roundtrip(tmp_path):
     ds = td.generate_dataset(seed=21, n=40, positive_rates=[0.5] * 5)
     path = tmp_path / "toy.xgtd"
     td.save_dataset(ds, path)
-    back = td.load_dataset(path)
+    back = _load(path)
     assert back.seed == ds.seed
     assert len(back.records) == len(ds.records)
     for a, b in zip(ds.records, back.records):
@@ -260,7 +265,7 @@ def test_dataset_file_rejects_corruption(tmp_path):
     bad.write_bytes(bytes(raw))
     (tmp_path / "bad.xgtd.splits.json").write_text("{}")
     with pytest.raises(ArtifactError):
-        td.load_dataset(bad)
+        _load(bad)
 
 
 def _with_first_report_length(tmp_path, length):
@@ -284,14 +289,14 @@ def _with_first_report_length(tmp_path, length):
 ], ids=["zero", "above_max", "pad_inside"])
 def test_dataset_file_rejects_a_bad_report_length(tmp_path, length, message):
     with pytest.raises(ArtifactError, match=message):
-        td.load_dataset(_with_first_report_length(tmp_path, length))
+        _load(_with_first_report_length(tmp_path, length))
 
 
 def test_loaded_records_keep_their_types(tmp_path):
     ds = td.generate_dataset(seed=5, n=20)
     path = tmp_path / "toy.xgtd"
     td.save_dataset(ds, path)
-    for rec in td.load_dataset(path).records:
+    for rec in _load(path).records:
         assert type(rec.id) is int and type(rec.report) is tuple
         for view in (rec.view_a, rec.view_b):
             assert view.dtype == np.float64 and view.shape == (td.VIEW_SIZE, td.VIEW_SIZE)
@@ -317,14 +322,14 @@ def test_dataset_load_rejects_a_malformed_sidecar_naming_it(tmp_path, case):
     td.save_dataset(td.generate_dataset(seed=2, n=12), path)
     td.sidecar_path(path).write_text(BAD_SIDECARS[case])
     with pytest.raises(ArtifactError, match=f"^{td.sidecar_path(path)}: split sidecar"):
-        td.load_dataset(path)
+        _load(path)
 
 
 def test_dataset_load_keeps_the_three_splits_of_a_valid_sidecar(tmp_path):
     path = tmp_path / "toy.xgtd"
     td.save_dataset(td.generate_dataset(seed=2, n=12), path)
     td.sidecar_path(path).write_text('{"train": [0, 11], "val": [], "test": [5]}')
-    split = td.load_dataset(path).split
+    split = _load(path).split
     assert sorted(split) == ["test", "train", "val"]
     assert split["train"].tolist() == [0, 11] and split["val"].dtype == np.int64
 
@@ -335,7 +340,7 @@ def test_a_truncated_dataset_file_names_itself(tmp_path, cut):
     td.save_dataset(td.generate_dataset(seed=2, n=12), path)
     path.write_bytes(path.read_bytes()[:cut])
     with pytest.raises(ArtifactError, match=f"^{path}: truncated dataset file"):
-        td.load_dataset(path)
+        _load(path)
 
 
 def _first_record_ids_at():
@@ -368,4 +373,4 @@ def test_a_malformed_dataset_file_names_itself_and_its_defect(tmp_path, case):
         raw[at:at + len(patch)] = patch
     path.write_bytes(bytes(raw))
     with pytest.raises(ArtifactError, match=f"^{path}: {message}"):
-        td.load_dataset(path)
+        _load(path)
