@@ -118,6 +118,10 @@ _AT_LEAST_ONE = {"n", "imbalance_n", "batch_size", "retrieval_batch", "dim",
                  "hidden", "text_embed", "attn_dim", "latent_dim", "blocks",
                  "coupling_dim", "proj_hidden", "classifier_hidden"}
 
+#: keys that name a mode, with the values each accepts
+_MODES = {"conditioning.weights": ("uniform", "dirichlet"),
+          "diffusion.sigma_mode": ("beta", "alpha_bar_ratio")}
+
 #: sections whose contrastive loss skips a batch of one row, so a batch size
 #: of 1 would train nothing
 _PAIR_BATCHES = ("encoder", "joint")
@@ -126,11 +130,17 @@ _PAIR_BATCHES = ("encoder", "joint")
 def _check_ranges(section: dict, path: str) -> None:
     """ConfigError for a value outside its range: sizes and widths at least
     1 (the contrastive batch sizes 2), epoch counts at least 0, at least 2
-    timesteps, 0 < beta_min <= beta_max < 1 and positive temperatures."""
+    timesteps, 0 < beta_min <= beta_max < 1, positive temperatures and a
+    known value for each mode key."""
     for key, value in section.items():
         here = f"{path}.{key}" if path else key
         if isinstance(value, dict):
             _check_ranges(value, here)
+            continue
+        if here in _MODES:
+            if value not in _MODES[here]:
+                raise ConfigError(f"config key {here} must be one of "
+                                  f"{', '.join(_MODES[here])}, got {value!r}")
             continue
         least = min(value, default=1) if isinstance(value, list) else value
         if key in _AT_LEAST_ONE and least < 1:

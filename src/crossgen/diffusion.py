@@ -14,8 +14,9 @@ import numpy as np
 
 from . import tensor as T
 from .conditioning import SubsetSampler, draw_conditioning_batch
-from .nn import (AdamWState, Linear, ParameterSet, init_normal, mean_token_embedding,
-                 mean_token_embedding_apply, mlp, mlp_apply, token_ids, train_epoch)
+from .nn import (BLOCK_VALUES, AdamWState, Linear, ParameterSet, gemm_block_rows,
+                 init_normal, mean_token_embedding, mean_token_embedding_apply, mlp,
+                 mlp_apply, row_blocks, token_ids, train_epoch)
 from .rng import stream
 from .toydata import MAX_REPORT_LEN, MODALITIES, VIEW_SIZE, VOCAB, payload_batch
 
@@ -81,14 +82,19 @@ class _Codec:
     """What both codecs share: latents standardised by the train-set mean
     ``mu`` and scale ``sd`` that ``fit`` records, and saved state holding
     each parameter as ``param.<name>`` and those as ``stats.mu``/``stats.sd``.
-    ``fit``, ``encode`` and ``decode`` stay on each codec for the tracer."""
+    ``fit``, ``encode`` and ``decode`` stay on each codec for the tracer.
+    Each codec names in ``_stats_rows`` the fewest items a row block of its
+    statistics pass may hold and still give every row its one-shot bits."""
 
     def __init__(self):
         self.params = ParameterSet()
         self.mu, self.sd = np.zeros(self.latent_dim), np.ones(self.latent_dim)
 
     def _fit_stats(self, data) -> None:
-        lat = self.encode_raw(data)
+        # row blocks hold no whole-split activation, and the latents match
+        # one ``encode_raw`` over the whole split byte for byte
+        lat = np.concatenate([self.encode_raw(data[block])
+                              for block in row_blocks(len(data), self._stats_rows())])
         self.mu, self.sd = lat.mean(axis=0), np.maximum(lat.std(axis=0), 1e-6)
 
     def _standardise(self, lat: np.ndarray) -> np.ndarray:
@@ -160,6 +166,10 @@ class ImageCodec(_Codec):
         self._fit_stats(images)
         return history
 
+    def _stats_rows(self) -> int:
+        # images whose patch rows take every encoder product past the bound
+        return -(-gemm_block_rows(self.encoder) // (VIEW_SIZE // self.PATCH) ** 2)
+
     def encode_raw(self, images: np.ndarray) -> np.ndarray:
         images = np.asarray(images, dtype=np.float64)
         codes = mlp_apply(self.encoder, self._patchify(images))
@@ -217,6 +227,11 @@ class TextCodec(_Codec):
         self._fit_stats(reports)
         return history
 
+    def _stats_rows(self) -> int:
+        # the pass calls no BLAS, so any block keeps the bits; one holds a
+        # (rows, MAX_REPORT_LEN, latent_dim) gather of BLOCK_VALUES values
+        return max(1, BLOCK_VALUES // (MAX_REPORT_LEN * self.latent_dim))
+
     def encode_raw(self, reports) -> np.ndarray:
         return mean_token_embedding_apply(self.table, *token_ids(list(reports)))
 
@@ -235,14 +250,6 @@ class TextCodec(_Codec):
                 tokens.append(VOCAB[tok_id])
             out.append(tuple(tokens))
         return out
-
-    def token_accuracy(self, reports) -> float:
-        decoded = self.decode(self.encode(reports))
-        total = match = 0
-        for ref, got in zip(reports, decoded):
-            total += max(len(ref), len(got))
-            match += sum(a == b for a, b in zip(ref, got))
-        return match / total if total else 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -249,10 +249,3 @@ def joint_sample(components: JointComponents, schedule: DiffusionSchedule,
                 # only once both streams have finished the step
                 z = {m_i: z_i, m_j: future.result()}
     return {m: codecs[m].decode(z[m]) for m in pair}
-
-
-def zero_couplings(components: JointComponents) -> None:
-    """Zero every adapter so joint sampling degenerates to independence."""
-    for name in components.trainable.names():
-        if name.startswith("couple."):
-            components.trainable[name].data[...] = 0.0

@@ -55,9 +55,6 @@ class ParameterSet:
         for _, t in self.items():
             t.requires_grad = True
 
-    def num_values(self) -> int:
-        return sum(t.size for _, t in self.items())
-
     def checksum(self) -> str:
         """SHA-256 over names, shapes and raw little-endian values."""
         h = hashlib.sha256()
@@ -125,14 +122,36 @@ def mlp(layers, x: Tensor, unit: bool = False) -> Tensor:
 
 
 #: values per row block of ``silu_apply``: a float64 block is 512 KiB,
-#: sized to stay in L2. Only the elementwise SiLU is blocked; a matmul is
-#: not, since BLAS may give a row other bits at another row count.
+#: sized to stay in L2. Elementwise work keeps its bits in any block; a
+#: matmul over such small blocks does not (see ``SMALL_GEMM_MNK``).
 BLOCK_VALUES = 2 ** 16
+
+#: OpenBLAS runs a product with M*N*K at most this on its small-matrix
+#: kernels, where a row's bits can depend on the row count M; above it a
+#: row keeps its bits in any block. Measured: row blocks of a
+#: (44800, 48) @ (48, 4) product give the one-shot bits at 5,300 rows and
+#: more, and other bits at 5,000 rows and fewer.
+SMALL_GEMM_MNK = 10 ** 6
 
 
 def _block_rows(shape) -> int:
     """Rows of an array of ``shape`` that fit in one block (at least one)."""
     return max(1, BLOCK_VALUES // max(1, math.prod(shape[1:])))
+
+
+def gemm_block_rows(layers) -> int:
+    """The fewest rows at which every product of ``layers`` (a sequence of
+    ``Linear``) has M*N*K of at least twice ``SMALL_GEMM_MNK``, so a row
+    block of that many rows keeps each row's one-shot bits."""
+    return -(-2 * SMALL_GEMM_MNK // min(layer.w.data.size for layer in layers))
+
+
+def row_blocks(n: int, min_rows: int) -> list[slice]:
+    """``range(n)`` as consecutive near-equal slices, as many as there can be
+    with none below ``min_rows`` rows: one slice when ``n < 2 * min_rows``."""
+    k = max(1, n // min_rows)
+    edges = [n * i // k for i in range(k + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
 def silu_apply(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

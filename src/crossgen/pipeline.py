@@ -474,10 +474,9 @@ def run_utility(cfg: dict, home, mode: str) -> dict:
         raise ConfigError(f"unknown utility mode {mode!r}")
     u, seed = cfg["eval"]["utility"], cfg["seed"]
     noise = u["pixel_noise"]
-    ds = load_data(cfg, home)
-    train, test = ds.subset("train"), _xy(ds.subset("test"))
+    ds = load_data(cfg, home)  # verified for every arm; the imbalance arm draws its own
     if mode == "scarcity":
-        bx, by = _xy(train[:u["scarcity_base"]])
+        bx, by = _xy(ds.subset("train")[:u["scarcity_base"]])
         ks = [int(round(m * len(bx))) for m in u["scarcity_multipliers"]]
         if u["scarcity_pool"] < max(ks):
             raise ConfigError(f"eval.utility.scarcity_pool is {u['scarcity_pool']}, "
@@ -494,9 +493,9 @@ def run_utility(cfg: dict, home, mode: str) -> dict:
                       sigma_mode=cfg["diffusion"]["sigma_mode"])
 
     if mode == "anonymization":
-        x, y = _xy(train)
-        real, synthetic = utility_reports([(x, y), (synth(y), y)], test, seed, noise,
-                                          u["anonymization_epochs"])
+        x, y = _xy(ds.subset("train"))
+        real, synthetic = utility_reports([(x, y), (synth(y), y)], _xy(ds.subset("test")),
+                                          seed, noise, u["anonymization_epochs"])
         return {"mode": mode, "real": real, "synthetic": synthetic}
 
     if mode == "imbalance":
@@ -530,7 +529,7 @@ def run_utility(cfg: dict, home, mode: str) -> dict:
     pool_views = synth(pool_labels)
     levels = utility_reports([(np.concatenate([bx, pool_views[:k]]),
                                np.concatenate([by, pool_labels[:k]])) for k in ks],
-                             test, seed, noise, u["scarcity_epochs"])
+                             _xy(ds.subset("test")), seed, noise, u["scarcity_epochs"])
     return {"mode": mode, "levels": [
         {"multiplier": float(m), "n_synthetic": k, "report": r}
         for m, k, r in zip(u["scarcity_multipliers"], ks, levels)]}

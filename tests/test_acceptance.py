@@ -186,7 +186,7 @@ def test_criterion_01_autodiff_soundness():
     rng = np.random.default_rng(52)
     z_t, t_arr = rng.standard_normal((3, 6)), np.array([1, 5, 10])
     om, eps = rng.standard_normal((3, 4)), rng.standard_normal((3, 6))
-    n_params = den.params.num_values()
+    n_params = sum(p.size for _, p in den.params.items())
     for pname, p in den.params.items():
         check(lambda _p: noise_prediction_loss(den.forward(z_t, t_arr, om), eps),
               p, f"denoiser.{pname}")

@@ -165,6 +165,19 @@ def test_a_denoiser_without_blocks_is_exit_2(tmp_path, capsys):
     assert not home.exists()
 
 
+@pytest.mark.parametrize("section, key, value", [("conditioning", "weights", "bogus"),
+                                                 ("diffusion", "sigma_mode", "weird")])
+def test_an_unknown_mode_is_exit_2_before_train_align_writes_anything(tmp_path, capsys,
+                                                                     section, key, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(TINY, **{section: dict(TINY.get(section, {}),
+                                                          **{key: value})})))
+    home = tmp_path / "h"
+    assert main(["--config", str(bad), "--home", str(home), "train", "align"]) == 2
+    assert f"{section}.{key} must be one of" in capsys.readouterr().err
+    assert not home.exists()
+
+
 def test_config_mismatch_on_load_is_exit_2(tmp_path, cfg_file):
     home = str(tmp_path / "h")
     assert main(["--config", cfg_file, "--home", home, "gen-data"]) == 0
@@ -399,6 +412,17 @@ def test_the_imbalance_arm_renders_only_the_records_it_reads(trained_home, cfg_f
     report = run_utility(load_config(cfg_file), trained_home, "imbalance")
     assert len(rendered) == reads < u["imbalance_n"]
     assert sum(report["baseline_positives"]) > 0
+
+
+def test_the_imbalance_arm_stacks_only_the_records_it_draws(trained_home, cfg_file,
+                                                           monkeypatch):
+    u = TINY["eval"]["utility"]
+    split = td.generate_dataset(TINY["seed"] + 1, u["imbalance_n"]).split
+    drawn = min(u["imbalance_base"], len(split["train"])) + len(split["test"])
+    stacked, xy = [], pl._xy
+    monkeypatch.setattr(pl, "_xy", lambda records: stacked.append(len(records)) or xy(records))
+    run_utility(load_config(cfg_file), trained_home, "imbalance")
+    assert sum(stacked) == drawn
 
 
 def _rewrite_recorded(home, stage, edit) -> Path:

@@ -87,6 +87,27 @@ def test_value_ranges_checked_at_load(case):
         load_config(overrides)
 
 
+#: each mode key with the values it accepts
+MODES = {("conditioning", "weights"): ("uniform", "dirichlet"),
+         ("diffusion", "sigma_mode"): ("beta", "alpha_bar_ratio")}
+
+
+@pytest.mark.parametrize("section, key, value", [("conditioning", "weights", "bogus"),
+                                                 ("diffusion", "sigma_mode", "weird")])
+def test_an_unknown_mode_value_is_rejected_at_load_naming_the_allowed_values(section, key,
+                                                                             value):
+    allowed = ", ".join(MODES[section, key])
+    with pytest.raises(ConfigError, match=f"{section}.{key} must be one of {allowed}, "
+                                          f"got '{value}'"):
+        load_config({section: {key: value}})
+
+
+def test_every_known_mode_value_is_accepted():
+    for (section, key), values in MODES.items():
+        for value in values:
+            assert load_config({section: {key: value}})[section][key] == value
+
+
 def test_range_edges_accepted():
     cfg = load_config({"encoder": {"epochs": 0, "batch_size": 2},
                        "diffusion": {"timesteps": 2, "beta_min": 0.1, "beta_max": 0.1,

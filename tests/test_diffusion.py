@@ -140,7 +140,18 @@ def test_text_codec_round_trip(toy_train):
     reports = [r.report for r in toy_train.subset("train")]
     held = [r.report for r in toy_train.subset("test")]
     codec.fit(reports, epochs=120, seed=2)
-    assert codec.token_accuracy(held) > 0.95
+    assert token_accuracy(codec, held) > 0.95
+
+
+def token_accuracy(codec, reports) -> float:
+    """Share of positions, over the longer of each reference and its decoded
+    round trip, that hold the same token."""
+    decoded = codec.decode(codec.encode(reports))
+    total = match = 0
+    for ref, got in zip(reports, decoded):
+        total += max(len(ref), len(got))
+        match += sum(a == b for a, b in zip(ref, got))
+    return match / total if total else 1.0
 
 
 def _fitted_codecs(toy_train):
@@ -291,7 +302,7 @@ def test_default_report_denoiser_size():
     den = Denoiser(d["text_codec"]["latent_dim"], cfg["encoder"]["dim"],
                    d["timesteps"], hidden=d["hidden"], n_blocks=d["blocks"],
                    attn_dim=d["attn_dim"])
-    assert den.params.num_values() == 194_720
+    assert sum(p.size for _, p in den.params.items()) == 194_720
     assert not [n for n in den.params.names() if ".wq." in n or ".wk." in n]
 
 

@@ -236,3 +236,60 @@ def test_mlp_apply_holds_one_full_size_activation_beside_its_input_and_a_scratch
     # each layer holds its input and its product; the SiLU adds one block
     peak = _traced_peak(lambda: mlp_apply(layers, x))
     assert 2 * activation <= peak < 2 * activation + scratch + activation // 4
+
+
+# ---------------------------------------------------------------------------
+# the codec statistics pass: row blocks above OpenBLAS's small-matrix bound
+
+def _one_shot_stats(codec, data):
+    lat = codec.encode_raw(data)
+    return lat.mean(axis=0), np.maximum(lat.std(axis=0), 1e-6)
+
+
+@pytest.mark.parametrize("n", [1401, 2100, 2800, 4000])
+def test_blocked_image_statistics_give_the_one_shot_bytes(n):
+    codec = ImageCodec(seed=4, hidden=D["image_codec"]["hidden"])
+    images = np.random.default_rng(n).random((n, td.VIEW_SIZE, td.VIEW_SIZE))
+    assert len(nn.row_blocks(n, codec._stats_rows())) > 1
+    mu, sd = _one_shot_stats(codec, images)
+    codec._fit_stats(images)
+    assert codec.mu.tobytes() == mu.tobytes() and codec.sd.tobytes() == sd.tobytes()
+
+
+def test_blocked_text_statistics_give_the_one_shot_bytes():
+    t = D["text_codec"]
+    codec = TextCodec(seed=5, latent_dim=t["latent_dim"], hidden=t["hidden"])
+    reports = [r.report for r in td.generate_dataset(6, 2000).subset("train")]
+    assert len(reports) == 1400 and len(nn.row_blocks(1400, codec._stats_rows())) > 1
+    mu, sd = _one_shot_stats(codec, reports)
+    codec._fit_stats(reports)
+    assert codec.mu.tobytes() == mu.tobytes() and codec.sd.tobytes() == sd.tobytes()
+
+
+def test_gemm_block_rows_put_every_product_past_twice_the_bound():
+    codec = ImageCodec(seed=None, hidden=D["image_codec"]["hidden"])
+    rows = nn.gemm_block_rows(codec.encoder)
+    sizes = [layer.w.data.size for layer in codec.encoder]
+    assert min(rows * s for s in sizes) >= 2 * nn.SMALL_GEMM_MNK
+    assert min((rows - 1) * s for s in sizes) < 2 * nn.SMALL_GEMM_MNK
+    # 10,417 patch rows of the 48 -> 4 product: 652 images of 16 patches
+    assert (rows, codec._stats_rows()) == (10_417, 652)
+
+
+@pytest.mark.parametrize("n, least", [(0, 5), (1, 5), (9, 5), (10, 5), (11, 5),
+                                      (1303, 652), (1304, 652), (2800, 652), (4000, 652)])
+def test_row_blocks_cover_each_row_once_in_near_equal_blocks_of_at_least_the_minimum(n, least):
+    blocks = nn.row_blocks(n, least)
+    assert np.array_equal(np.concatenate([np.arange(n)[b] for b in blocks]), np.arange(n))
+    sizes = [b.stop - b.start for b in blocks]
+    assert max(sizes) - min(sizes) <= 1
+    assert len(blocks) == 1 if n < 2 * least else min(sizes) >= least
+
+
+def test_image_statistics_pass_holds_no_whole_split_activation():
+    hidden = D["image_codec"]["hidden"]
+    codec = ImageCodec(seed=4, hidden=hidden)
+    images = np.random.default_rng(0).random((2800, td.VIEW_SIZE, td.VIEW_SIZE))
+    activation = len(images) * (td.VIEW_SIZE // ImageCodec.PATCH) ** 2 * hidden * 8
+    assert activation == 44_800 * 48 * 8
+    assert _traced_peak(lambda: codec._fit_stats(images)) < activation
