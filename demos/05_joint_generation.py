@@ -36,10 +36,10 @@ for m in ("view_a", "report"):
 
 # stage c: freeze the bases, train projections + coupling adapters with the
 # summed coupled losses plus a contrastive term between the projections
-components, jhist = train_joint(ds, ("view_a", "report"), encoders, codecs,
-                                bases, schedule, epochs=30, batch_size=64,
-                                lr=1e-3, coupling_dim=16, proj_hidden=32,
-                                lam=0.1, tau=0.07, seed=13)
+components, jhist, _ = train_joint(ds, ("view_a", "report"), encoders, codecs,
+                                   bases, schedule, epochs=30, batch_size=64,
+                                   lr=1e-3, coupling_dim=16, proj_hidden=32,
+                                   lam=0.1, tau=0.07, seed=13)
 print(f"joint loss {jhist[0]:.2f} -> {jhist[-1]:.2f}")
 
 # prompt with a lateral view; generate the frontal view and report together

@@ -145,6 +145,18 @@ def _load_dir_payloads(directory, modality) -> list:
     return [pl.load_payload(f, modality)[1] for f in files]
 
 
+def _skip_empty_reports(pairs, modalities) -> tuple[list, int]:
+    """The pairs in which no report (a member whose modality in
+    ``modalities`` is ``report``) is empty, and how many were skipped: the
+    text encoder averages over a report's tokens and BLEU over its n-grams,
+    so neither reads an empty one."""
+    kept = [p for p in pairs
+            if all(m != "report" or len(x) for m, x in zip(modalities, p))]
+    if not kept:
+        raise ConfigError(f"all {len(pairs)} pairs hold an empty report")
+    return kept, len(pairs) - len(kept)
+
+
 def _cmd_eval(args, cfg, home) -> None:
     if args.metric == "classify":
         path = pl.run_train_classifier(cfg, home)
@@ -177,10 +189,11 @@ def _cmd_eval(args, cfg, home) -> None:
         refs = [list(r.report) for r in split[:len(candidates)]]
         if len(refs) < len(candidates):
             raise ConfigError(f"split {args.split} has fewer records than candidates")
-        per_n = np.mean([bleu(list(c), [ref], max_n=4)
-                         for c, ref in zip(candidates, refs)], axis=0)
+        pairs, skipped = _skip_empty_reports(list(zip(candidates, refs)), ("report",))
+        per_n = np.mean([bleu(list(c), [ref], max_n=4) for c, ref in pairs], axis=0)
         path = pl.write_metric_report(
-            home, "bleu", {"bleu": per_n.tolist(), "n": len(candidates)},
+            home, "bleu", {"bleu": per_n.tolist(), "n": len(pairs),
+                           "n_skipped_empty": skipped},
             cfg, args.seed,
             csv_rows=[(i + 1, v) for i, v in enumerate(per_n)],
             csv_header=("n", "bleu"))
@@ -195,12 +208,15 @@ def _cmd_eval(args, cfg, home) -> None:
         b = _load_dir_payloads(args.dir, m2)
         if len(a) != len(b):
             raise ConfigError("unpaired payload counts for cosine")
+        pairs, skipped = _skip_empty_reports(list(zip(a, b)), (m1, m2))
+        a, b = (list(column) for column in zip(*pairs))
         h1 = encoders.encode_batch(m1, np.stack(a) if m1 != "report" else a)
         h2 = encoders.encode_batch(m2, np.stack(b) if m2 != "report" else b)
         cosines = np.sum(h1 * h2, axis=1)
         path = pl.write_metric_report(
             home, f"cosine_{m1}_{m2}",
-            {"mean": float(cosines.mean()), "n": len(cosines)},
+            {"mean": float(cosines.mean()), "n": len(cosines),
+             "n_skipped_empty": skipped},
             cfg, args.seed)
         print(f"cosine mean={cosines.mean():.4f}; report {path}")
 

@@ -30,9 +30,6 @@ DEFAULTS = {
         "weight_decay": 1e-4,
         "temperature": 0.07,
     },
-    "conditioning": {
-        "weights": "uniform",
-    },
     "diffusion": {
         "timesteps": 100,
         "beta_min": 1e-3,
@@ -119,8 +116,7 @@ _AT_LEAST_ONE = {"n", "imbalance_n", "batch_size", "retrieval_batch", "dim",
                  "coupling_dim", "proj_hidden", "classifier_hidden"}
 
 #: keys that name a mode, with the values each accepts
-_MODES = {"conditioning.weights": ("uniform", "dirichlet"),
-          "diffusion.sigma_mode": ("beta", "alpha_bar_ratio")}
+_MODES = {"diffusion.sigma_mode": ("beta", "alpha_bar_ratio")}
 
 #: sections whose contrastive loss skips a batch of one row, so a batch size
 #: of 1 would train nothing

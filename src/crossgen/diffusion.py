@@ -416,8 +416,7 @@ def denoise_loss(z0: np.ndarray, prompts: dict, target: str, sampler,
 def train_ldm(dataset, target: str, encoders, codec, schedule: DiffusionSchedule,
               epochs: int, batch_size: int = 64, lr: float = 2e-3,
               weight_decay: float = 1e-4, hidden: int = 96, n_blocks: int = 2,
-              attn_dim: int = 32, seed: int = 0,
-              weight_mode: str = "uniform") -> tuple[Denoiser, list[float]]:
+              attn_dim: int = 32, seed: int = 0) -> tuple[Denoiser, list[float]]:
     """Train one conditional generator for ``target`` under multi-prompt
     conditioning drawn from the other two modalities.
 
@@ -432,7 +431,7 @@ def train_ldm(dataset, target: str, encoders, codec, schedule: DiffusionSchedule
     denoiser = Denoiser(codec.latent_dim, encoders.dim, schedule.T,
                         hidden=hidden, n_blocks=n_blocks, attn_dim=attn_dim,
                         seed=seed)
-    sampler = SubsetSampler(available, stream(seed, f"subset:{target}"), weight_mode)
+    sampler = SubsetSampler(available, stream(seed, f"subset:{target}"))
     noise_rng = stream(seed, f"train-noise:{target}")
     order = stream(seed, f"train-batches:{target}")
     z0 = encode_records(codec.encode, train, target, batch_size)

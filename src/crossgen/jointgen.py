@@ -146,9 +146,11 @@ def train_joint(dataset, pair: tuple[str, str], encoders, codecs: dict,
                 epochs: int, batch_size: int = 64, lr: float = 1e-3,
                 weight_decay: float = 1e-4, coupling_dim: int = 16,
                 proj_hidden: int = 32, lam: float = 0.1, tau: float = 0.07,
-                seed: int = 0) -> tuple[JointComponents, list[float]]:
+                seed: int = 0) -> tuple[JointComponents, list[float], dict[str, str]]:
     """Train projections and couplings for one target pair; the base
-    denoisers are frozen and verified unchanged.
+    denoisers are frozen and verified unchanged. Returns the components, the
+    loss history and each base's ``params.checksum()``, the same before and
+    after training.
 
     The codecs and the prompt encoders are frozen too: each pair member's
     codec latents and the shared embeddings of the remaining modality are
@@ -198,7 +200,7 @@ def train_joint(dataset, pair: tuple[str, str], encoders, codecs: dict,
     after = {m: bases[m].params.checksum() for m in pair}
     if after != before:
         raise NumericError("joint training modified a frozen base denoiser")
-    return components, history
+    return components, history, before
 
 
 def joint_sample(components: JointComponents, schedule: DiffusionSchedule,

@@ -262,12 +262,11 @@ def run_train_ldm(cfg: dict, home, target: str) -> Path:
         ds, target, encoders, codec, _schedule(cfg), epochs=d["epochs"],
         batch_size=d["batch_size"], lr=d["lr"], weight_decay=d["weight_decay"],
         hidden=d["hidden"], n_blocks=d["blocks"], attn_dim=d["attn_dim"],
-        seed=cfg["seed"], weight_mode=cfg["conditioning"]["weights"])
+        seed=cfg["seed"])
     arrays = {**denoiser.params.state_arrays("denoiser."), **codec.state_arrays("codec.")}
     meta = {"target": target, "latent_dim": codec.latent_dim,
             "cond_dim": encoders.dim, "timesteps": _schedule(cfg).T,
-            "hidden": d["hidden"], "blocks": d["blocks"], "attn_dim": d["attn_dim"],
-            "denoiser_checksum": denoiser.params.checksum()}
+            "hidden": d["hidden"], "blocks": d["blocks"], "attn_dim": d["attn_dim"]}
     return _write_stage(cfg, home, f"ldm:{target}", arrays, meta, ["alignment"],
                         (("epoch", "loss"), list(enumerate(history))))
 
@@ -297,12 +296,11 @@ def run_train_joint(cfg: dict, home, pair: tuple[str, str]) -> Path:
         raise ConfigError(f"unknown joint pair {pair!r}; valid: {JOINT_PAIRS}")
     ds = load_data(cfg, home)
     encoders = load_encoders(cfg, home)
-    bases, codecs, base_checksums = {}, {}, {}
+    bases, codecs = {}, {}
     for m in pair:
-        bases[m], codecs[m], meta = load_ldm(cfg, home, m)
-        base_checksums[m] = bases[m].params.checksum()
+        bases[m], codecs[m], _ = load_ldm(cfg, home, m)
     j = cfg["joint"]
-    components, history = train_joint(
+    components, history, base_checksums = train_joint(
         ds, pair, encoders, codecs, bases, _schedule(cfg), epochs=j["epochs"],
         batch_size=j["batch_size"], lr=j["lr"], weight_decay=j["weight_decay"],
         coupling_dim=j["coupling_dim"], proj_hidden=j["proj_hidden"],
@@ -393,9 +391,9 @@ def load_payload(path, expect: str | None = None):
         raise ArtifactError(f"{path}: {modality} payload has no {key!r} key")
     if modality == "report":
         tokens = doc["tokens"]
-        if (not isinstance(tokens, list) or not 0 < len(tokens) <= td.MAX_REPORT_LEN
+        if (not isinstance(tokens, list) or len(tokens) > td.MAX_REPORT_LEN
                 or not all(isinstance(t, str) and t in td.TOKEN_TO_ID for t in tokens)):
-            raise ArtifactError(f"{path}: a report must be a list of 1 to "
+            raise ArtifactError(f"{path}: a report must be a list of 0 to "
                                 f"{td.MAX_REPORT_LEN} tokens from the vocabulary")
         return modality, tuple(tokens)
     try:
@@ -426,6 +424,9 @@ def generate_samples(cfg: dict, home, prompts: dict, targets: list[str],
         raise ConfigError(f"a target modality is repeated: {list(targets)}")
     if not prompts:
         raise ConfigError("at least one prompt payload is required")
+    if "report" in prompts and not len(prompts["report"]):
+        raise ConfigError("an empty report cannot be a prompt: the text encoder "
+                          "averages over its tokens")
     encoders = load_encoders(cfg, home)
     subset = sorted(prompts)
     omega, weights = combine([encoders.encode_batch(m, [prompts[m]])[0] for m in subset])

@@ -18,6 +18,7 @@ from crossgen.config import load_config
 from crossgen.diffusion import ImageCodec, noise_stream, sample
 from crossgen.errors import ArtifactError, ConfigError
 from crossgen.evalkit import bleu, intra_study_consistency
+from crossgen.nn import ParameterSet
 from crossgen.rng import stream
 
 TINY = {
@@ -165,8 +166,7 @@ def test_a_denoiser_without_blocks_is_exit_2(tmp_path, capsys):
     assert not home.exists()
 
 
-@pytest.mark.parametrize("section, key, value", [("conditioning", "weights", "bogus"),
-                                                 ("diffusion", "sigma_mode", "weird")])
+@pytest.mark.parametrize("section, key, value", [("diffusion", "sigma_mode", "weird")])
 def test_an_unknown_mode_is_exit_2_before_train_align_writes_anything(tmp_path, capsys,
                                                                      section, key, value):
     bad = tmp_path / "bad.json"
@@ -175,6 +175,18 @@ def test_an_unknown_mode_is_exit_2_before_train_align_writes_anything(tmp_path, 
     home = tmp_path / "h"
     assert main(["--config", str(bad), "--home", str(home), "train", "align"]) == 2
     assert f"{section}.{key} must be one of" in capsys.readouterr().err
+    assert not home.exists()
+
+
+@pytest.mark.parametrize("value", ["uniform", "dirichlet", "bogus"])
+def test_a_config_setting_conditioning_weights_is_exit_2_before_any_stage(tmp_path, capsys,
+                                                                         value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(TINY, conditioning={"weights": value})))
+    home = tmp_path / "h"
+    for stage in (["gen-data"], ["train", "align"]):
+        assert main(["--config", str(bad), "--home", str(home), *stage]) == 2
+        assert "unknown config key: conditioning" in capsys.readouterr().err
     assert not home.exists()
 
 
@@ -293,6 +305,9 @@ def test_generate_rejects_bad_prompt_payload(trained_home, cfg_file, tmp_path, c
     assert main(["--config", cfg_file, "--home", trained_home, "generate",
                  "--prompt", f"{modality}={prompt_file}", "--target", target,
                  "--out", str(tmp_path / "out")]) == 2
+    if case == "empty_report":  # a valid payload file (generate can write one), not a prompt
+        assert pl.load_payload(prompt_file) == ("report", ())
+        return
     with pytest.raises(ArtifactError):
         pl.load_payload(prompt_file)
 
@@ -648,6 +663,90 @@ def test_eval_cosine_and_hamming_on_generated(trained_home, cfg_file, tmp_path,
     assert sum(ham["histogram"]) == 3
     hamming_csv = (pl.report_dir(trained_home) / "hamming.csv").read_text()
     assert hamming_csv.startswith("distance,count")
+
+
+def test_eval_over_generated_pairs_with_an_empty_report(trained_home, cfg_file, tmp_path):
+    # the text codec can decode an empty report and generate writes it: cosine
+    # and BLEU skip its pair and count it, Hamming scores it (no labels)
+    cfg = load_config(cfg_file)
+    ds = pl.load_data(cfg, trained_home)
+    prompt_file = tmp_path / "p.view_b.json"
+    pl.save_payload(prompt_file, "view_b", ds.records[1].view_b)
+    out = tmp_path / "pairs"
+    assert main(["--config", cfg_file, "--home", trained_home, "generate",
+                 "--prompt", f"view_b={prompt_file}", "--target", "view_a",
+                 "--target", "report", "--joint", "--count", "2",
+                 "--out", str(out)]) == 0
+    report = ("routine", "study")
+    pl.save_payload(out / "sample_000.report.json", "report", ())
+    pl.save_payload(out / "sample_001.report.json", "report", report)
+    assert pl.load_payload(out / "sample_000.report.json") == ("report", ())
+    reports = pl.report_dir(trained_home)
+
+    assert main(["--config", cfg_file, "--home", trained_home, "eval", "cosine",
+                 "--dir", str(out), "--pair", "view_a", "report"]) == 0
+    cos = json.loads((reports / "cosine_view_a_report.json").read_text())
+    assert (cos["n"], cos["n_skipped_empty"]) == (1, 1)
+    encoders = pl.load_encoders(cfg, trained_home)
+    view = pl.load_payload(out / "sample_001.view_a.json")[1]
+    expected = np.sum(encoders.encode_batch("view_a", np.stack([view]))
+                      * encoders.encode_batch("report", [report]), axis=1)
+    assert cos["mean"] == float(expected.mean())
+
+    assert main(["--config", cfg_file, "--home", trained_home, "eval", "bleu",
+                 "--synth-dir", str(out)]) == 0
+    bl = json.loads((reports / "bleu.json").read_text())
+    assert (bl["n"], bl["n_skipped_empty"]) == (1, 1)
+    # each candidate keeps its own reference: the second record's
+    assert bl["bleu"] == bleu(list(report), [list(ds.subset("test")[1].report)], max_n=4)
+
+    assert main(["--config", cfg_file, "--home", trained_home, "eval", "hamming",
+                 "--dir", str(out)]) == 0
+    ham = json.loads((reports / "hamming.json").read_text())
+    assert ham["n"] == 2 and sum(ham["histogram"]) == 2
+
+
+def test_eval_cosine_and_bleu_over_empty_reports_alone_are_exit_2(trained_home, cfg_file,
+                                                                   tmp_path, capsys):
+    out = tmp_path / "empty"
+    pl.save_payload(out / "sample_000.report.json", "report", ())
+    pl.save_payload(out / "sample_000.view_a.json", "view_a", np.zeros((16, 16)))
+    assert main(["--config", cfg_file, "--home", trained_home, "eval", "cosine",
+                 "--dir", str(out), "--pair", "view_a", "report"]) == 2
+    assert main(["--config", cfg_file, "--home", trained_home, "eval", "bleu",
+                 "--synth-dir", str(out)]) == 2
+    assert capsys.readouterr().err.count("all 1 pairs hold an empty report") == 2
+
+
+def test_ldm_checkpoint_metadata_holds_the_target_and_what_load_ldm_reads(trained_home,
+                                                                         cfg_file):
+    cfg = load_config(cfg_file)
+    for target in td.MODALITIES:
+        ck = load_checkpoint(pl.checkpoint_path(trained_home, f"ldm:{target}"),
+                             f"ldm:{target}", pl.config_hash(cfg))
+        assert set(ck["metadata"]) == {"target", *pl._LDM_META}
+        assert ck["metadata"]["target"] == target
+
+
+def test_a_joint_stage_hashes_each_frozen_base_once_before_and_once_after(
+        trained_home, cfg_file, tmp_path, monkeypatch):
+    cfg = load_config(cfg_file)
+    home = tmp_path / "home"
+    shutil.copytree(trained_home, home)
+    stage, pair = "joint:view_a+report", ("view_a", "report")
+    written = load_checkpoint(pl.checkpoint_path(home, stage), stage, pl.config_hash(cfg))
+    calls = []
+    original = ParameterSet.checksum
+    monkeypatch.setattr(ParameterSet, "checksum",
+                        lambda self: calls.append(1) or original(self))
+    pl.run_train_joint(cfg, home, pair)
+    assert len(calls) == 4  # train_joint's check before and after, per base
+    monkeypatch.undo()
+    meta = load_checkpoint(pl.checkpoint_path(home, stage), stage,
+                           pl.config_hash(cfg))["metadata"]
+    assert meta == written["metadata"]
+    assert meta["base_checksums"] == {m: pl.load_ldm(cfg, home, m)[0].params.checksum()
+                                      for m in pair}
 
 
 def test_eval_requires_inputs(trained_home, cfg_file):

@@ -144,26 +144,24 @@ def test_draw_conditioning_batch_matches_invariants():
                                + embs["report"] * weights[:, 1:], atol=1e-15)
 
 
-@pytest.mark.parametrize("weight_mode", ["uniform", "dirichlet"])
 @pytest.mark.parametrize("available", [("view_b", "report"), ("report",),
                                        ("view_a", "view_b", "report")])
-def test_draw_conditioning_batch_equals_per_record_combine(weight_mode, available):
+def test_draw_conditioning_batch_equals_per_record_combine(available):
     # two consecutive batches of odd size: the second starts from the stream
     # state the first left, as in a training epoch
     ds = td.generate_dataset(seed=9, n=300, positive_rates=[0.5] * 5)
     enc = PromptEncoders(dim=32, hidden=128, text_embed=32, seed=9)
     embs = _batch_embeddings(ds.records, enc, available)
     target = "view_a" if "view_a" not in available else "coupled"  # any non-prompt name
-    sampler = SubsetSampler(available, stream(9, "draw"), weight_mode)
-    reference = SubsetSampler(available, stream(9, "draw"), weight_mode)
+    sampler = SubsetSampler(available, stream(9, "draw"))
+    reference = SubsetSampler(available, stream(9, "draw"))
     for lo, hi in ((0, 151), (151, 300)):
         omega, weights = draw_conditioning_batch(
             sampler, {m: e[lo:hi] for m, e in embs.items()}, target)
         assert omega.shape == (hi - lo, 32) and weights.shape == (hi - lo, len(available))
         for i in range(hi - lo):
             subset = reference.sample_subset()
-            ref_omega, ref_weights = combine([embs[m][lo + i] for m in subset],
-                                             reference.sample_weights(len(subset)))
+            ref_omega, ref_weights = combine([embs[m][lo + i] for m in subset])
             assert omega[i].tobytes() == ref_omega.tobytes(), (lo, i)
             for m, w in zip(subset, ref_weights):
                 assert weights[i, available.index(m)] == w
@@ -178,13 +176,3 @@ def test_draw_conditioning_batch_rejects_target_and_empty_batch():
         draw_conditioning_batch(sampler, embs, "report")
     with pytest.raises(ValueError, match="empty"):
         draw_conditioning_batch(sampler, {m: np.zeros((0, 4)) for m in embs}, "view_a")
-
-
-def test_dirichlet_mode_weights_on_simplex():
-    rng = stream(8, "dirichlet")
-    sampler = SubsetSampler(["a", "b", "c"], rng, weight_mode="dirichlet")
-    for _ in range(200):
-        n = len(sampler.sample_subset())
-        w = sampler.sample_weights(n)
-        assert abs(w.sum() - 1.0) < 1e-9
-        assert np.all(w >= 0)

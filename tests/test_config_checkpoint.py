@@ -36,6 +36,9 @@ def test_unknown_keys_rejected():
         load_config({"diffusion": {"warp": 9}})
     with pytest.raises(ConfigError, match="eval.utility.bad"):
         load_config({"eval": {"utility": {"bad": 1}}})
+    for value in ("uniform", "dirichlet", "bogus"):  # the uniform draw is the only one
+        with pytest.raises(ConfigError, match="unknown config key: conditioning"):
+            load_config({"conditioning": {"weights": value}})
 
 
 MISTYPED = {
@@ -88,12 +91,10 @@ def test_value_ranges_checked_at_load(case):
 
 
 #: each mode key with the values it accepts
-MODES = {("conditioning", "weights"): ("uniform", "dirichlet"),
-         ("diffusion", "sigma_mode"): ("beta", "alpha_bar_ratio")}
+MODES = {("diffusion", "sigma_mode"): ("beta", "alpha_bar_ratio")}
 
 
-@pytest.mark.parametrize("section, key, value", [("conditioning", "weights", "bogus"),
-                                                 ("diffusion", "sigma_mode", "weird")])
+@pytest.mark.parametrize("section, key, value", [("diffusion", "sigma_mode", "weird")])
 def test_an_unknown_mode_value_is_rejected_at_load_naming_the_allowed_values(section, key,
                                                                              value):
     allowed = ", ".join(MODES[section, key])

@@ -593,8 +593,7 @@ def _count_calls(monkeypatch, owner, name, counts):
     monkeypatch.setattr(owner, name, counted)
 
 
-@pytest.mark.parametrize("weight_mode", ["uniform", "dirichlet"])
-def test_train_ldm_matches_per_batch_encode_reference(toy_train, weight_mode):
+def test_train_ldm_matches_per_batch_encode_reference(toy_train):
     """The stage-level encodes train the same denoiser, bit for bit, as
     encoding each batch's records inside the loop and combining per record."""
     from crossgen.conditioning import combine
@@ -605,13 +604,12 @@ def test_train_ldm_matches_per_batch_encode_reference(toy_train, weight_mode):
               seed=12)
     s = make_schedule(10, 1e-3, 0.2)
     kw = dict(batch_size=32, hidden=16, n_blocks=1, attn_dim=8, seed=5)
-    den, hist = train_ldm(toy_train, "view_b", enc, codec, s, epochs=2,
-                          weight_mode=weight_mode, **kw)
+    den, hist = train_ldm(toy_train, "view_b", enc, codec, s, epochs=2, **kw)
 
     train = toy_train.subset("train")
     ref = Denoiser(codec.latent_dim, enc.dim, s.T, hidden=16, n_blocks=1, attn_dim=8,
                    seed=5)
-    sampler = SubsetSampler(["view_a", "report"], stream(5, "subset:view_b"), weight_mode)
+    sampler = SubsetSampler(["view_a", "report"], stream(5, "subset:view_b"))
     noise_rng = stream(5, "train-noise:view_b")
     order = stream(5, "train-batches:view_b")
     state = AdamWState()
@@ -629,8 +627,7 @@ def test_train_ldm_matches_per_batch_encode_reference(toy_train, weight_mode):
             omega = []
             for i in range(len(batch)):
                 subset = sampler.sample_subset()
-                omega.append(combine([embs[m][i] for m in subset],
-                                     sampler.sample_weights(len(subset)))[0])
+                omega.append(combine([embs[m][i] for m in subset])[0])
             loss = noise_prediction_loss(
                 ref.forward(q_sample(z0, t, eps, s), t, np.stack(omega)), eps)
             losses.append(loss.item())

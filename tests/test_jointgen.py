@@ -292,13 +292,14 @@ def test_train_joint_freeze_and_determinism(small_world):
     ds, enc, codecs, sched, bases = small_world
     pair = ("view_a", "report")
     before = {m: bases[m].params.checksum() for m in pair}
-    comps1, h1 = train_joint(ds, pair, enc, codecs, bases, sched, epochs=2,
-                             batch_size=32, coupling_dim=4, proj_hidden=8, seed=5)
+    comps1, h1, checksums = train_joint(ds, pair, enc, codecs, bases, sched, epochs=2,
+                                        batch_size=32, coupling_dim=4, proj_hidden=8,
+                                        seed=5)
     after = {m: bases[m].params.checksum() for m in pair}
-    assert before == after
+    assert before == after == checksums
     assert h1[-1] < h1[0] * 1.5  # finite and not exploding
-    _, h2 = train_joint(ds, pair, enc, codecs, bases, sched, epochs=2,
-                        batch_size=32, coupling_dim=4, proj_hidden=8, seed=5)
+    _, h2, _ = train_joint(ds, pair, enc, codecs, bases, sched, epochs=2,
+                           batch_size=32, coupling_dim=4, proj_hidden=8, seed=5)
     assert h1 == h2
 
 
@@ -320,8 +321,8 @@ def test_zeroed_coupling_matches_independent_sampling(small_world):
 def test_joint_sample_deterministic(small_world):
     ds, enc, codecs, sched, bases = small_world
     pair = ("view_a", "report")
-    comps, _ = train_joint(ds, pair, enc, codecs, bases, sched, epochs=1,
-                           batch_size=32, coupling_dim=4, proj_hidden=8, seed=8)
+    comps, _, _ = train_joint(ds, pair, enc, codecs, bases, sched, epochs=1,
+                              batch_size=32, coupling_dim=4, proj_hidden=8, seed=8)
     omega = np.random.default_rng(9).standard_normal((2, enc.dim))
     out1 = joint_sample(comps, sched, omega, codecs, seed=5)
     out2 = joint_sample(comps, sched, omega, codecs, seed=5)
@@ -334,8 +335,8 @@ def test_joint_sample_matches_per_step_coupled_forward_reference(small_world, tw
                                                                  step_threads, batch):
     ds, enc, codecs, sched, bases = small_world
     pair = ("view_a", "report")
-    comps, _ = train_joint(ds, pair, enc, codecs, bases, sched, epochs=1,
-                           batch_size=32, coupling_dim=4, proj_hidden=8, seed=12)
+    comps, _, _ = train_joint(ds, pair, enc, codecs, bases, sched, epochs=1,
+                              batch_size=32, coupling_dim=4, proj_hidden=8, seed=12)
     omega = np.random.default_rng(13).standard_normal((batch, enc.dim))
     # the lockstep reverse process written out through the Tensor forwards,
     # nothing hoisted
