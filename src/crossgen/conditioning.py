@@ -22,35 +22,24 @@ class SubsetSampler:
         return tuple(m for i, m in enumerate(self.available) if (mask >> i) & 1)
 
 
-def combine(vectors, weights=None) -> tuple[np.ndarray, np.ndarray]:
-    """omega = sum_j alpha_j h_j with alpha on the probability simplex.
+def combine(vectors) -> tuple[np.ndarray, np.ndarray]:
+    """omega = sum_j alpha_j h_j with the uniform weights alpha_j = 1 / k.
 
     ``vectors`` holds the k shared embeddings h_j, as a non-empty sequence
-    or a (k, d) array; weights default to uniform. Returns (omega, weights).
+    or a (k, d) array. Returns (omega, weights).
     """
     if not len(vectors):
         raise ValueError("combine requires a non-empty subset")
     vectors = np.stack(list(vectors))
-    k = len(vectors)
-    if weights is None:
-        w = np.full(k, 1.0 / k)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (k,):
-            raise ValueError(f"got {w.shape[0] if w.ndim else 0} weights for {k} embeddings")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError(f"weights sum to {w.sum()!r}, not 1")
+    w = np.full(len(vectors), 1.0 / len(vectors))
     return w @ vectors, w
 
 
-def draw_conditioning_batch(sampler: SubsetSampler, embeddings: dict,
-                            target: str):
+def draw_conditioning_batch(sampler: SubsetSampler, embeddings: dict):
     """Combine a batch's precomputed prompt embeddings into omega.
 
     ``embeddings`` maps each modality of ``sampler.available`` to its (B, d)
-    shared embeddings, row i for record i of the batch; the training loops
+    shared embeddings, row i for record i of the batch; the training stages
     encode them once per stage and index them per batch. The random stream
     is the one a per-record loop of ``sample_subset`` and ``combine`` draws:
     one ``integers(1, 2**k, size=B)`` call draws every row's subset mask
@@ -64,8 +53,6 @@ def draw_conditioning_batch(sampler: SubsetSampler, embeddings: dict,
     Returns (omega of shape (B, d), weights of shape (B, k)): column j of
     ``weights`` is the weight of ``sampler.available[j]`` in each row.
     """
-    if target in sampler.available:
-        raise ValueError(f"target {target!r} cannot also be a conditioning modality")
     stacked = np.stack([embeddings[m] for m in sampler.available], axis=1)
     if not len(stacked):
         raise ValueError("empty batch")
@@ -76,6 +63,6 @@ def draw_conditioning_batch(sampler: SubsetSampler, embeddings: dict,
 
 def _uniform_weight_table(k: int) -> np.ndarray:
     """Row ``mask`` holds 1 / popcount(mask) on the mask's bits (the weights
-    ``combine`` defaults to for that subset) and 0 elsewhere; row 0 is zero."""
+    ``combine`` gives that subset) and 0 elsewhere; row 0 is zero."""
     bits = (np.arange(2 ** k)[:, None] >> np.arange(k)) & 1
     return np.where(bits, 1.0 / np.maximum(bits.sum(axis=1, keepdims=True), 1), 0.0)

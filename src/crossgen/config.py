@@ -126,8 +126,10 @@ _PAIR_BATCHES = ("encoder", "joint")
 def _check_ranges(section: dict, path: str) -> None:
     """ConfigError for a value outside its range: sizes and widths at least
     1 (the contrastive batch sizes 2), epoch counts at least 0, at least 2
-    timesteps, 0 < beta_min <= beta_max < 1, positive temperatures and a
-    known value for each mode key."""
+    timesteps, 0 < beta_min <= beta_max < 1, positive temperatures, a seed
+    that fits a signed 64-bit integer, exactly 2 classifier widths, at least
+    one scarcity multiplier and none negative, and a known value for each
+    mode key."""
     for key, value in section.items():
         here = f"{path}.{key}" if path else key
         if isinstance(value, dict):
@@ -147,6 +149,14 @@ def _check_ranges(section: dict, path: str) -> None:
             raise ConfigError(f"config key {here} must be at least 2, got {value!r}")
         elif key == "temperature" and value <= 0:
             raise ConfigError(f"config key {here} must be positive, got {value!r}")
+        elif key == "seed" and not -2 ** 63 <= value < 2 ** 63:
+            raise ConfigError(f"config key {here} must fit a signed 64-bit integer, "
+                              f"got {value!r}")
+        elif key == "classifier_hidden" and len(value) != 2:
+            raise ConfigError(f"config key {here} must hold exactly 2 widths, got {value!r}")
+        elif key == "scarcity_multipliers" and (not value or least < 0):
+            raise ConfigError(f"config key {here} must be a non-empty list of "
+                              f"non-negative values, got {value!r}")
     if path in _PAIR_BATCHES and section["batch_size"] < 2:
         raise ConfigError(f"config key {path}.batch_size must be at least 2 (a contrastive "
                           f"batch pairs each row with another), got {section['batch_size']!r}")

@@ -398,19 +398,43 @@ def encode_records(encode, records, modality: str, batch_size: int) -> np.ndarra
                            for lo in range(0, len(records), batch_size)])
 
 
-def denoise_loss(z0: np.ndarray, prompts: dict, target: str, sampler,
-                 denoiser: Denoiser, schedule: DiffusionSchedule,
-                 noise_rng: np.random.Generator) -> T.Tensor:
-    """Loss of one multi-prompt training batch, from its codec latents
-    ``z0`` and its shared embeddings ``prompts`` per available modality."""
-    if not len(z0):
-        raise ValueError("empty batch")
-    t = noise_rng.integers(1, schedule.T + 1, size=len(z0))
-    eps = noise_rng.standard_normal(z0.shape)
-    z_t = q_sample(z0, t, eps, schedule)
-    omega, _ = draw_conditioning_batch(sampler, prompts, target)
-    eps_hat = denoiser.forward(z_t, t, omega)
-    return noise_prediction_loss(eps_hat, eps)
+def stage_batches(dataset, targets, encoders, codecs: dict, schedule: DiffusionSchedule,
+                  batch_size: int, seed: int):
+    """The frozen inputs and the random draws of a multi-prompt training
+    stage for ``targets``: one modality for an LDM stage, a pair for a joint
+    stage, each conditioned on a random subset of the other modalities.
+
+    The codecs and the prompt encoders are frozen for the stage: each
+    target's codec latents and each other modality's shared embeddings are
+    encoded once over the train split (``encode_records``) and each batch
+    indexes them. The streams are ``subset:``, ``train-noise:`` and
+    ``train-batches:`` plus the targets joined with ``+``.
+
+    Returns ``(n, order, draw)``: the train-split size, the batch-order
+    stream and ``draw(idx) -> (t, z_t, eps, omega)``, which takes one
+    timestep per row (shared by the targets), then each target's noise in
+    target order, and last omega; ``z_t`` and ``eps`` map each target to
+    its rows.
+    """
+    train = dataset.subset("train")
+    if not train:
+        raise ValueError("empty dataset")
+    name = "+".join(targets)
+    sampler = SubsetSampler([m for m in MODALITIES if m not in targets],
+                            stream(seed, f"subset:{name}"))
+    noise_rng = stream(seed, f"train-noise:{name}")
+    z0 = {m: encode_records(codecs[m].encode, train, m, batch_size) for m in targets}
+    prompts = {m: encode_records(partial(encoders.encode_batch, m), train, m, batch_size)
+               for m in sampler.available}
+
+    def draw(idx):
+        t = noise_rng.integers(1, schedule.T + 1, size=len(idx))
+        eps = {m: noise_rng.standard_normal((len(idx), z0[m].shape[1])) for m in targets}
+        z_t = {m: q_sample(z0[m][idx], t, eps[m], schedule) for m in targets}
+        omega, _ = draw_conditioning_batch(sampler, {m: h[idx] for m, h in prompts.items()})
+        return t, z_t, eps, omega
+
+    return len(train), stream(seed, f"train-batches:{name}"), draw
 
 
 def train_ldm(dataset, target: str, encoders, codec, schedule: DiffusionSchedule,
@@ -418,32 +442,20 @@ def train_ldm(dataset, target: str, encoders, codec, schedule: DiffusionSchedule
               weight_decay: float = 1e-4, hidden: int = 96, n_blocks: int = 2,
               attn_dim: int = 32, seed: int = 0) -> tuple[Denoiser, list[float]]:
     """Train one conditional generator for ``target`` under multi-prompt
-    conditioning drawn from the other two modalities.
-
-    The codec and the prompt encoders are frozen for the stage: the codec
-    latents of every train record and their shared embeddings for each
-    conditioning modality are encoded once (``encode_records``) and each
-    batch indexes them."""
-    train = dataset.subset("train")
-    if not train:
-        raise ValueError("empty dataset")
-    available = [m for m in MODALITIES if m != target]
+    conditioning drawn from the other two modalities, on the frozen inputs
+    and draws of ``stage_batches``."""
+    n, order, draw = stage_batches(dataset, (target,), encoders, {target: codec},
+                                   schedule, batch_size, seed)
     denoiser = Denoiser(codec.latent_dim, encoders.dim, schedule.T,
                         hidden=hidden, n_blocks=n_blocks, attn_dim=attn_dim,
                         seed=seed)
-    sampler = SubsetSampler(available, stream(seed, f"subset:{target}"))
-    noise_rng = stream(seed, f"train-noise:{target}")
-    order = stream(seed, f"train-batches:{target}")
-    z0 = encode_records(codec.encode, train, target, batch_size)
-    prompts = {m: encode_records(partial(encoders.encode_batch, m), train, m, batch_size)
-               for m in available}
     state = AdamWState()
 
     def batch_loss(idx):
-        return denoise_loss(z0[idx], {m: h[idx] for m, h in prompts.items()},
-                            target, sampler, denoiser, schedule, noise_rng)
+        t, z_t, eps, omega = draw(idx)
+        return noise_prediction_loss(denoiser.forward(z_t[target], t, omega), eps[target])
 
-    history = [train_epoch(denoiser.params, state, order, len(train), batch_size,
+    history = [train_epoch(denoiser.params, state, order, n, batch_size,
                            batch_loss, f"diffusion ({target})", lr, weight_decay)
                for _ in range(epochs)]
     return denoiser, history

@@ -7,20 +7,17 @@ its exact form: the learned linear map wo(wv(partner))."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from . import tensor as T
 from .bridging import symmetric_loss
-from .conditioning import SubsetSampler, draw_conditioning_batch
-from .diffusion import (Denoiser, DiffusionSchedule, encode_records,
-                        noise_prediction_loss, noise_stream, q_sample,
-                        reverse_steps, reverse_update, step_noise, step_pool)
+from .diffusion import (Denoiser, DiffusionSchedule, noise_prediction_loss,
+                        noise_stream, reverse_steps, reverse_update, stage_batches,
+                        step_noise, step_pool)
 from .errors import NumericError
 from .nn import AdamWState, Linear, ParameterSet, mlp, mlp_apply, train_epoch
 from .rng import stream
-from .toydata import MODALITIES
 
 
 class ProjectionEncoder:
@@ -123,20 +120,18 @@ def build_joint(pair: tuple[str, str], bases: dict[str, Denoiser],
                            projections=projections, trainable=params)
 
 
-def coupled_pair_loss(components: JointComponents, z_t: dict, t: dict,
+def coupled_pair_loss(components: JointComponents, z_t: dict, t: np.ndarray,
                       eps: dict, omega: np.ndarray, lam: float = 0.1,
                       tau: float = 0.07) -> T.Tensor:
     """Sum of the two coupled noise-prediction losses plus lam times the
-    symmetric InfoNCE between the projected latents. Both trajectories must
-    sit at the same timesteps."""
+    symmetric InfoNCE between the projected latents. Both trajectories sit
+    at the timesteps ``t``."""
     m_i, m_j = components.pair
-    if np.any(np.asarray(t[m_i]) != np.asarray(t[m_j])):
-        raise ValueError("coupled trajectories must share the same timestep")
     p = {m: components.projections[m].forward(z_t[m]) for m in components.pair}
     loss_i = noise_prediction_loss(
-        components.coupled[m_i].forward(z_t[m_i], t[m_i], omega, p[m_j]), eps[m_i])
+        components.coupled[m_i].forward(z_t[m_i], t, omega, p[m_j]), eps[m_i])
     loss_j = noise_prediction_loss(
-        components.coupled[m_j].forward(z_t[m_j], t[m_j], omega, p[m_i]), eps[m_j])
+        components.coupled[m_j].forward(z_t[m_j], t, omega, p[m_i]), eps[m_j])
     contrast = symmetric_loss(p[m_i], p[m_j], tau)
     return T.add(T.add(loss_i, loss_j), T.mul(contrast, T.Tensor(float(lam))))
 
@@ -147,51 +142,27 @@ def train_joint(dataset, pair: tuple[str, str], encoders, codecs: dict,
                 weight_decay: float = 1e-4, coupling_dim: int = 16,
                 proj_hidden: int = 32, lam: float = 0.1, tau: float = 0.07,
                 seed: int = 0) -> tuple[JointComponents, list[float], dict[str, str]]:
-    """Train projections and couplings for one target pair; the base
-    denoisers are frozen and verified unchanged. Returns the components, the
-    loss history and each base's ``params.checksum()``, the same before and
-    after training.
-
-    The codecs and the prompt encoders are frozen too: each pair member's
-    codec latents and the shared embeddings of the remaining modality are
-    encoded once for the train split (``encode_records``) and each batch
-    indexes them."""
-    train = dataset.subset("train")
-    if not train:
-        raise ValueError("empty dataset")
-    m_i, m_j = pair
-    others = [m for m in MODALITIES if m not in pair]
+    """Train projections and couplings for one target pair on the frozen
+    inputs and draws of ``diffusion.stage_batches``; the base denoisers are
+    frozen and verified unchanged. Returns the components, the loss history
+    and each base's ``params.checksum()``, the same before and after
+    training."""
+    n, order, draw = stage_batches(dataset, pair, encoders, codecs, schedule,
+                                   batch_size, seed)
     before = {m: bases[m].params.checksum() for m in pair}
     for m in pair:
         bases[m].params.freeze()
     try:
         components = build_joint(pair, bases, coupling_dim=coupling_dim,
                                  proj_hidden=proj_hidden, seed=seed)
-        sampler = SubsetSampler(others, stream(seed, f"subset:{m_i}+{m_j}"))
-        noise_rng = stream(seed, f"train-noise:{m_i}+{m_j}")
-        order = stream(seed, f"train-batches:{m_i}+{m_j}")
-        z0 = {m: encode_records(codecs[m].encode, train, m, batch_size) for m in pair}
-        prompts = {m: encode_records(partial(encoders.encode_batch, m), train, m,
-                                     batch_size)
-                   for m in others}
         state = AdamWState()
 
         def batch_loss(idx):
-            t_shared = noise_rng.integers(1, schedule.T + 1, size=len(idx))
-            z_t, t_map, eps_map = {}, {}, {}
-            for m in pair:
-                z0_batch = z0[m][idx]
-                e = noise_rng.standard_normal(z0_batch.shape)
-                z_t[m] = q_sample(z0_batch, t_shared, e, schedule)
-                t_map[m] = t_shared
-                eps_map[m] = e
-            omega, _ = draw_conditioning_batch(
-                sampler, {m: h[idx] for m, h in prompts.items()}, target=m_i)
-            return coupled_pair_loss(components, z_t, t_map, eps_map, omega,
-                                     lam=lam, tau=tau)
+            t, z_t, eps, omega = draw(idx)
+            return coupled_pair_loss(components, z_t, t, eps, omega, lam=lam, tau=tau)
 
-        history = [train_epoch(components.trainable, state, order, len(train),
-                               batch_size, batch_loss, f"joint ({m_i}+{m_j})", lr,
+        history = [train_epoch(components.trainable, state, order, n, batch_size,
+                               batch_loss, f"joint ({'+'.join(pair)})", lr,
                                weight_decay, min_rows=2)
                    for _ in range(epochs)]
     finally:

@@ -23,7 +23,7 @@ from crossgen.bridging import (PromptEncoders, infonce_loss, loss_trend_ok,
                                retrieval_eval, symmetric_loss)
 from crossgen.checkpoint import file_checksum
 from crossgen.cli import main, run_utility
-from crossgen.conditioning import SubsetSampler, combine
+from crossgen.conditioning import SubsetSampler, combine, draw_conditioning_batch
 from crossgen.config import config_hash, load_config
 from crossgen.diffusion import (Denoiser, make_schedule, noise_prediction_loss,
                                 noise_stream, q_sample, sample)
@@ -213,10 +213,9 @@ def test_criterion_01_autodiff_soundness():
               "report": rng.standard_normal((3, 5))}
     eps_pair = {"view_a": rng.standard_normal((3, 6)),
                 "report": rng.standard_normal((3, 5))}
-    t_pair = {m: t_arr for m in z_pair}
 
     def coupled_loss(_p):
-        return coupled_pair_loss(comps, z_pair, t_pair, eps_pair, om,
+        return coupled_pair_loss(comps, z_pair, t_arr, eps_pair, om,
                                  lam=0.1, tau=0.5)
 
     for name in ["proj.view_a.l1.w", "proj.view_a.l2.w", "proj.report.l1.w",
@@ -273,17 +272,30 @@ def test_criterion_03_sampler_uniformity():
 # ---------------------------------------------------------------------------
 # criterion 4: conditioning simplex
 
+def _unit_rows(rng, shape):
+    x = rng.normal(size=shape)
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
 def test_criterion_04_conditioning_simplex():
+    # both weight paths the program runs: combine's uniform weights (a
+    # generate request) and the weight rows of the batched training draw
     rng = np.random.default_rng(44)
+    ks = rng.integers(1, 4, size=10_000)
     worst_sum, worst_combo = 0.0, 0.0
-    for _ in range(10_000):
-        k = int(rng.integers(1, 4))
-        vecs = rng.normal(size=(k, 16))
-        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        w = rng.dirichlet(np.ones(k)) if k > 1 else None
-        omega, weights = combine(vecs, w)
+    for k in ks:
+        vecs = _unit_rows(rng, (k, 16))
+        omega, weights = combine(vecs)
         worst_sum = max(worst_sum, abs(weights.sum() - 1.0))
-        expected = weights @ vecs
+        expected = sum(w * v for w, v in zip(weights, vecs))
+        worst_combo = max(worst_combo, float(np.max(np.abs(omega - expected))))
+        assert np.all(weights >= 0)
+    for k in (1, 2, 3):  # as many batched rows per k as combine drew
+        sampler = SubsetSampler([f"m{j}" for j in range(k)], stream(44, f"simplex:{k}"))
+        embs = {m: _unit_rows(rng, (int(np.sum(ks == k)), 16)) for m in sampler.available}
+        omega, weights = draw_conditioning_batch(sampler, embs)
+        worst_sum = max(worst_sum, float(np.max(np.abs(weights.sum(axis=1) - 1.0))))
+        expected = sum(weights[:, j:j + 1] * embs[m] for j, m in enumerate(sampler.available))
         worst_combo = max(worst_combo, float(np.max(np.abs(omega - expected))))
         assert np.all(weights >= 0)
     ok = worst_sum <= 1e-12 and worst_combo <= 1e-12

@@ -1,6 +1,7 @@
 """CLI contracts at smoke scale: stage ordering, exit codes, payload files,
 provenance and deterministic checkpoints."""
 
+import copy
 import json
 import shutil
 import sys
@@ -163,6 +164,48 @@ def test_a_denoiser_without_blocks_is_exit_2(tmp_path, capsys):
     home = tmp_path / "h"
     assert main(["--config", str(bad), "--home", str(home), "gen-data"]) == 2
     assert "diffusion.blocks" in capsys.readouterr().err
+    assert not home.exists()
+
+
+@pytest.mark.parametrize("seed", [2 ** 63, -2 ** 63 - 1])
+def test_a_seed_outside_64_bits_is_exit_2_before_gen_data_writes_anything(tmp_path, capsys,
+                                                                         seed):
+    # the dataset file packs the seed as a signed 64-bit integer
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"seed": seed, "dataset": {"n": 20}}))
+    home = tmp_path / "h"
+    assert main(["--config", str(bad), "--home", str(home), "gen-data"]) == 2
+    assert "seed must fit a signed 64-bit integer" in capsys.readouterr().err
+    assert not home.exists()
+
+
+def test_the_most_negative_seed_round_trips_through_gen_data(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -2 ** 63, "dataset": {"n": 20}}))
+    home = tmp_path / "h"
+    assert main(["--config", str(cfg), "--home", str(home), "gen-data"]) == 0
+    assert pl.load_data(load_config(str(cfg)), str(home)).seed == -2 ** 63
+
+
+SCARCITY = ["eval", "utility", "--mode", "scarcity"]
+
+
+@pytest.mark.parametrize("key, value, stage", [
+    ("classifier_hidden", [8], ["eval", "classify"]),
+    ("classifier_hidden", [8, 8, 8], ["train", "align"]),
+    ("utility.scarcity_multipliers", [-1.0], SCARCITY),
+    ("utility.scarcity_multipliers", [], SCARCITY),
+])
+def test_a_config_list_the_program_cannot_run_is_exit_2_naming_the_key(tmp_path, capsys,
+                                                                       key, value, stage):
+    section, _, leaf = key.rpartition(".")
+    ev = copy.deepcopy(TINY["eval"])
+    (ev[section] if section else ev)[leaf] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(TINY, eval=ev)))
+    home = tmp_path / "h"
+    assert main(["--config", str(bad), "--home", str(home), *stage]) == 2
+    assert f"config key eval.{key}" in capsys.readouterr().err
     assert not home.exists()
 
 

@@ -71,17 +71,13 @@ def test_combine_singleton_exact():
 
 def test_combine_mean_of_two():
     e = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    omega, _ = combine(e, weights=[0.5, 0.5])
+    omega, weights = combine(e)
     np.testing.assert_allclose(omega, [0.5, 0.5], atol=0)
+    np.testing.assert_array_equal(weights, [0.5, 0.5])
 
 
-def test_combine_rejects_bad_weights():
-    e = np.array([[1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        combine(e, weights=[0.8, 0.1])
-    with pytest.raises(ValueError):
-        combine(e, weights=[1.5, -0.5])
-    with pytest.raises(ValueError):
+def test_combine_rejects_an_empty_subset():
+    with pytest.raises(ValueError, match="non-empty"):
         combine([])
 
 
@@ -91,11 +87,10 @@ def test_combine_simplex_invariants_random():
         k = int(rng.integers(1, 4))
         vecs = rng.normal(size=(k, 8))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        w = rng.dirichlet(np.ones(k))
-        omega, weights = combine(vecs, weights=w)
+        omega, weights = combine(vecs)
         assert abs(weights.sum() - 1.0) <= 1e-12
-        assert np.all(weights >= 0)
-        np.testing.assert_allclose(omega, w @ vecs, atol=1e-12)
+        assert np.all(weights == 1.0 / k)
+        np.testing.assert_allclose(omega, vecs.mean(axis=0), atol=1e-12)
         # convex hull of the unit ball
         assert np.linalg.norm(omega) <= 1.0 + 1e-12
 
@@ -105,18 +100,9 @@ def test_draw_conditioning_singleton_equals_encode():
     enc = PromptEncoders(dim=8, hidden=16, seed=5)
     sampler = SubsetSampler(["report"], stream(5, "draw"))
     embs = _batch_embeddings(ds.records[:1], enc, sampler.available)
-    omega, weights = draw_conditioning_batch(sampler, embs, target="view_a")
+    omega, weights = draw_conditioning_batch(sampler, embs)
     np.testing.assert_array_equal(omega[0], enc.encode_batch("report", [ds.records[0].report])[0])
     np.testing.assert_array_equal(weights, [[1.0]])
-
-
-def test_draw_conditioning_rejects_target_in_available():
-    ds = td.generate_dataset(seed=5, n=12)
-    enc = PromptEncoders(dim=8, hidden=16, seed=5)
-    sampler = SubsetSampler(["view_a", "report"], stream(5, "draw"))
-    embs = _batch_embeddings(ds.records[:1], enc, sampler.available)
-    with pytest.raises(ValueError):
-        draw_conditioning_batch(sampler, embs, target="view_a")
 
 
 def test_generation_task_shares_at_k2():
@@ -135,7 +121,7 @@ def test_draw_conditioning_batch_matches_invariants():
     enc = PromptEncoders(dim=8, hidden=16, seed=7)
     sampler = SubsetSampler(["view_b", "report"], stream(7, "batch"))
     embs = _batch_embeddings(ds.records, enc, sampler.available)
-    omega, weights = draw_conditioning_batch(sampler, embs, "view_a")
+    omega, weights = draw_conditioning_batch(sampler, embs)
     assert omega.shape == (20, 8)
     assert weights.shape == (20, 2)
     assert np.all(weights >= 0) and np.all(weights.sum(axis=1) > 0)
@@ -152,12 +138,11 @@ def test_draw_conditioning_batch_equals_per_record_combine(available):
     ds = td.generate_dataset(seed=9, n=300, positive_rates=[0.5] * 5)
     enc = PromptEncoders(dim=32, hidden=128, text_embed=32, seed=9)
     embs = _batch_embeddings(ds.records, enc, available)
-    target = "view_a" if "view_a" not in available else "coupled"  # any non-prompt name
     sampler = SubsetSampler(available, stream(9, "draw"))
     reference = SubsetSampler(available, stream(9, "draw"))
     for lo, hi in ((0, 151), (151, 300)):
         omega, weights = draw_conditioning_batch(
-            sampler, {m: e[lo:hi] for m, e in embs.items()}, target)
+            sampler, {m: e[lo:hi] for m, e in embs.items()})
         assert omega.shape == (hi - lo, 32) and weights.shape == (hi - lo, len(available))
         for i in range(hi - lo):
             subset = reference.sample_subset()
@@ -169,10 +154,7 @@ def test_draw_conditioning_batch_equals_per_record_combine(available):
         assert sampler.rng.bit_generator.state == reference.rng.bit_generator.state
 
 
-def test_draw_conditioning_batch_rejects_target_and_empty_batch():
+def test_draw_conditioning_batch_rejects_an_empty_batch():
     sampler = SubsetSampler(["view_b", "report"], stream(5, "draw"))
-    embs = {m: np.zeros((3, 4)) for m in ("view_a", "view_b", "report")}
-    with pytest.raises(ValueError, match="target"):
-        draw_conditioning_batch(sampler, embs, "report")
     with pytest.raises(ValueError, match="empty"):
-        draw_conditioning_batch(sampler, {m: np.zeros((0, 4)) for m in embs}, "view_a")
+        draw_conditioning_batch(sampler, {m: np.zeros((0, 4)) for m in sampler.available})

@@ -80,6 +80,18 @@ OUT_OF_RANGE = {
     "beta_max_one": ({"diffusion": {"beta_max": 1.0}}, "beta_max"),
     "zero_temperature": ({"encoder": {"temperature": 0.0}}, "encoder.temperature"),
     "negative_temperature": ({"joint": {"temperature": -0.07}}, "joint.temperature"),
+    "seed_above_int64": ({"seed": 2 ** 63}, "seed must fit a signed 64-bit"),
+    "seed_below_int64": ({"seed": -2 ** 63 - 1}, "seed must fit a signed 64-bit"),
+    "one_classifier_width": ({"eval": {"classifier_hidden": [8]}},
+                             "eval.classifier_hidden must hold exactly 2"),
+    "three_classifier_widths": ({"eval": {"classifier_hidden": [8, 8, 8]}},
+                                "eval.classifier_hidden must hold exactly 2"),
+    "no_classifier_width": ({"eval": {"classifier_hidden": []}},
+                            "eval.classifier_hidden must hold exactly 2"),
+    "negative_multiplier": ({"eval": {"utility": {"scarcity_multipliers": [0.0, -1.0]}}},
+                            "eval.utility.scarcity_multipliers"),
+    "no_multiplier": ({"eval": {"utility": {"scarcity_multipliers": []}}},
+                      "eval.utility.scarcity_multipliers"),
 }
 
 
@@ -115,6 +127,9 @@ def test_range_edges_accepted():
                                      "batch_size": 1},
                        "joint": {"temperature": 1e-9}})
     assert cfg["diffusion"]["timesteps"] == 2
+    for seed in (-2 ** 63, -1, 0, 2 ** 63 - 1):
+        assert load_config({"seed": seed})["seed"] == seed
+    assert load_config({"eval": {"utility": {"scarcity_multipliers": [0]}}})
 
 
 def test_int_accepted_for_float_field():

@@ -16,7 +16,7 @@ from crossgen.bridging import PromptEncoders
 from crossgen.conditioning import SubsetSampler
 from crossgen.config import load_config
 from crossgen.diffusion import (THREAD_MIN_ROWS, Denoiser, DiffusionSchedule, ImageCodec,
-                                TextCodec, denoise_loss, encode_records,
+                                TextCodec, encode_records,
                                 make_schedule, noise_prediction_loss, q_sample,
                                 reverse_steps, reverse_update, sample, sample_latents,
                                 train_ldm)
@@ -386,12 +386,6 @@ def test_denoiser_rejects_out_of_range_timesteps(t):
     with pytest.raises(ValueError, match="timestep out of range 1..10"):
         den.forward(z, t, omega)
     assert den.forward(z, [1, 10], omega).shape == (2, 3)  # both ends are in range
-
-
-def test_denoise_loss_rejects_empty_batch():
-    with pytest.raises(ValueError, match="empty"):
-        denoise_loss(np.zeros((0, 64)), {}, "view_a", None, None,
-                     make_schedule(10, 0.01, 0.1), stream(0, "x"))
 
 
 # ---------------------------------------------------------------------------

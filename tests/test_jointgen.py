@@ -201,22 +201,11 @@ def test_zero_couplings_reduce_to_base_losses(small_world):
     omega = rng.standard_normal((8, enc.dim))
 
     # adapters start zero-initialized on the output side
-    joint = coupled_pair_loss(comps, z_t, {m: t for m in pair}, eps, omega,
+    joint = coupled_pair_loss(comps, z_t, t, eps, omega,
                               lam=0.0, tau=1.0)
     base_sum = (noise_prediction_loss(bases[pair[0]].forward(z_t[pair[0]], t, omega), eps[pair[0]]).item()
                 + noise_prediction_loss(bases[pair[1]].forward(z_t[pair[1]], t, omega), eps[pair[1]]).item())
     assert joint.item() == pytest.approx(base_sum, abs=1e-12)
-
-
-def test_coupled_loss_rejects_mismatched_t(small_world):
-    ds, enc, codecs, sched, bases = small_world
-    pair = ("view_a", "report")
-    comps = build_joint(pair, bases, coupling_dim=4, proj_hidden=8, seed=1)
-    z_t = {"view_a": np.zeros((2, 64)), "report": np.zeros((2, 32))}
-    t = {"view_a": np.array([3, 3]), "report": np.array([3, 4])}
-    eps = {m: np.zeros_like(z_t[m]) for m in pair}
-    with pytest.raises(ValueError, match="timestep"):
-        coupled_pair_loss(comps, z_t, t, eps, np.zeros((2, enc.dim)))
 
 
 def test_gradients_flow_only_into_trainable(small_world):
@@ -237,7 +226,7 @@ def test_gradients_flow_only_into_trainable(small_world):
             eps[m] = rng.standard_normal(z0.shape)
             z_t[m] = q_sample(z0, t, eps[m], sched)
         omega = rng.standard_normal((6, enc.dim))
-        loss = coupled_pair_loss(comps, z_t, {m: t for m in pair}, eps, omega)
+        loss = coupled_pair_loss(comps, z_t, t, eps, omega)
         comps.trainable.zero_grad()
         for m in pair:
             bases[m].params.zero_grad()
@@ -277,7 +266,7 @@ def test_coupled_path_grad_check(small_world):
         omega = r.standard_normal((4, enc.dim))
 
         def f(_p):
-            return coupled_pair_loss(comps, z_t, {m: t for m in pair}, eps, omega)
+            return coupled_pair_loss(comps, z_t, t, eps, omega)
 
         for name in ["proj.view_a.l1.w", "proj.report.l2.w",
                      "couple.view_a.block0.wo.w", "couple.report.block1.wv.w"]:
@@ -286,6 +275,69 @@ def test_coupled_path_grad_check(small_world):
     finally:
         for m in pair:
             bases[m].params.unfreeze()
+
+
+def test_train_joint_matches_per_batch_encode_reference(small_world):
+    """The stage-level encodes train the same couplings, bit for bit, as
+    encoding each batch's records inside the loop and combining per record."""
+    from crossgen.bridging import symmetric_loss
+    from crossgen.conditioning import SubsetSampler, combine
+    from crossgen.diffusion import noise_prediction_loss, q_sample
+    from crossgen.nn import AdamWState, adamw_step
+    ds, enc, codecs, sched, bases = small_world
+    pair = m_i, m_j = ("report", "view_a")
+    comps, hist, _ = train_joint(ds, pair, enc, codecs, bases, sched, epochs=2,
+                                 batch_size=32, coupling_dim=4, proj_hidden=8,
+                                 lam=0.1, tau=0.07, seed=7)
+
+    train = ds.subset("train")
+    for m in pair:
+        bases[m].params.freeze()
+    try:
+        ref = build_joint(pair, bases, coupling_dim=4, proj_hidden=8, seed=7)
+        sampler = SubsetSampler(["view_b"], stream(7, f"subset:{m_i}+{m_j}"))
+        noise_rng = stream(7, f"train-noise:{m_i}+{m_j}")
+        order = stream(7, f"train-batches:{m_i}+{m_j}")
+        state = AdamWState()
+        ref_hist = []
+        for _ in range(2):
+            perm = order.permutation(len(train))
+            losses = []
+            for lo in range(0, len(train), 32):
+                batch = [train[i] for i in perm[lo:lo + 32]]
+                if len(batch) < 2:
+                    continue
+                t = noise_rng.integers(1, sched.T + 1, size=len(batch))
+                z_t, eps = {}, {}
+                for m in pair:
+                    z0 = codecs[m].encode(td.payload_batch(batch, m))
+                    eps[m] = noise_rng.standard_normal(z0.shape)
+                    z_t[m] = q_sample(z0, t, eps[m], sched)
+                embs = {m: enc.encode_batch(m, td.payload_batch(batch, m))
+                        for m in sampler.available}
+                omega = []
+                for i in range(len(batch)):
+                    subset = sampler.sample_subset()
+                    omega.append(combine([embs[m][i] for m in subset])[0])
+                omega = np.stack(omega)
+                p = {m: ref.projections[m].forward(z_t[m]) for m in pair}
+                loss_i = noise_prediction_loss(
+                    ref.coupled[m_i].forward(z_t[m_i], t, omega, p[m_j]), eps[m_i])
+                loss_j = noise_prediction_loss(
+                    ref.coupled[m_j].forward(z_t[m_j], t, omega, p[m_i]), eps[m_j])
+                loss = T.add(T.add(loss_i, loss_j),
+                             T.mul(symmetric_loss(p[m_i], p[m_j], 0.07), T.Tensor(0.1)))
+                losses.append(loss.item())
+                ref.trainable.zero_grad()
+                T.backward(loss)
+                adamw_step(ref.trainable, state, lr=1e-3, weight_decay=1e-4)
+                T.reset_tape()
+            ref_hist.append(float(np.mean(losses)))
+    finally:
+        for m in pair:
+            bases[m].params.unfreeze()
+    assert hist == ref_hist
+    assert comps.trainable.checksum() == ref.trainable.checksum()
 
 
 def test_train_joint_freeze_and_determinism(small_world):
