@@ -17,7 +17,7 @@ import numpy as np
 
 from . import pipeline as pl
 from . import toydata as td
-from .config import load_config
+from .config import check_seed, load_config
 from .errors import (ArtifactError, ConfigError, MissingPrerequisiteError,
                      NumericError)
 from .evalkit import (bleu, frechet_distance, hamming_coherence,
@@ -76,6 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None:
+            check_seed(args.seed, "--seed")
         cfg = load_config(args.config)
         home = Path(args.home or default_home())
         if args.command == "gen-data":
@@ -162,7 +164,7 @@ def _cmd_eval(args, cfg, home) -> None:
         path = pl.run_train_classifier(cfg, home)
         model, meta = pl.load_classifier(cfg, home)
         report = pl.write_metric_report(home, "classify", {"results": meta},
-                                        cfg, args.seed)
+                                        cfg, cfg["seed"])
         print(f"classifier checkpoint {path}; report {report}")
         return
 

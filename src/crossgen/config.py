@@ -123,6 +123,14 @@ _MODES = {"diffusion.sigma_mode": ("beta", "alpha_bar_ratio")}
 _PAIR_BATCHES = ("encoder", "joint")
 
 
+def check_seed(value: int, what: str) -> None:
+    """ConfigError naming ``what`` for a seed outside a signed 64-bit
+    integer: the dataset file packs the seed so, and ``rng.stream`` would
+    fold a larger one onto a seed in range."""
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise ConfigError(f"{what} must fit a signed 64-bit integer, got {value!r}")
+
+
 def _check_ranges(section: dict, path: str) -> None:
     """ConfigError for a value outside its range: sizes and widths at least
     1 (the contrastive batch sizes 2), epoch counts at least 0, at least 2
@@ -149,9 +157,8 @@ def _check_ranges(section: dict, path: str) -> None:
             raise ConfigError(f"config key {here} must be at least 2, got {value!r}")
         elif key == "temperature" and value <= 0:
             raise ConfigError(f"config key {here} must be positive, got {value!r}")
-        elif key == "seed" and not -2 ** 63 <= value < 2 ** 63:
-            raise ConfigError(f"config key {here} must fit a signed 64-bit integer, "
-                              f"got {value!r}")
+        elif key == "seed":
+            check_seed(value, f"config key {here}")
         elif key == "classifier_hidden" and len(value) != 2:
             raise ConfigError(f"config key {here} must hold exactly 2 widths, got {value!r}")
         elif key == "scarcity_multipliers" and (not value or least < 0):

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .nn import AdamWState, Linear, ParameterSet, mlp, mlp_apply, silu_apply, train_epoch
+from .nn import (AdamWState, Linear, ParameterSet, mlp_apply, mlp_bce_loss, silu_apply,
+                 train_epoch)
 from .rng import stream
 from .toydata import NUM_CONDITIONS, rule_label_text
 
@@ -222,10 +223,6 @@ class FeatureExtractor:
     params: ParameterSet
     layers: tuple[Linear, Linear, Linear]  # l1, l2, out over ``params``
 
-    def forward(self, flat: np.ndarray) -> T.Tensor:
-        """The logits of flattened views on the tape (the training path)."""
-        return mlp(self.layers, T.Tensor(flat))
-
     def features(self, views: np.ndarray) -> np.ndarray:
         """The penultimate activations, silu(l2(silu(l1(x)))), without a tape."""
         flat = np.asarray(views, dtype=np.float64).reshape(len(views), -1)
@@ -270,7 +267,7 @@ def train_classifier(train_views, train_labels, test_views, test_labels,
                              stream(seed, "classifier-init"))
 
     def batch_loss(idx):
-        return T.tmean(T.bce_with_logits(model.forward(flat[idx]), labels[idx]))
+        return mlp_bce_loss(model.layers, flat[idx], labels[idx])
 
     order_rng, state = stream(seed, "classifier-batches"), AdamWState()
     for _ in range(epochs):

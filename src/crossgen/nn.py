@@ -183,6 +183,38 @@ def mlp_apply(layers, x: np.ndarray, unit: bool = False) -> np.ndarray:
     return T.l2_normalize_kernel(y)[0] if unit else y
 
 
+def mlp_bce_loss(layers, x: np.ndarray, targets) -> Tensor:
+    """``tmean(bce_with_logits(mlp(layers, Tensor(x)), targets))`` as one
+    tape node over the layers' weights and biases, with its bytes. The
+    forward runs on bare arrays and keeps each layer's input and SiLU
+    operands; the backward runs the tape's rules in the tape's order, through
+    the kernels the ``silu`` and ``bce_with_logits`` primitives call."""
+    inputs, acts = [x], []
+    for layer in layers[:-1]:
+        h = layer.apply(x)
+        s = np.empty_like(h)
+        x, h = T.silu_kernel(h, s)
+        inputs.append(x)
+        acts.append((h, s))
+    logits = layers[-1].apply(x)
+    losses, t = T.bce_with_logits_kernel(logits, targets)
+
+    def bw(g):
+        g = np.full(logits.shape, g.reshape(()) / logits.size)
+        g = T.bce_with_logits_grad_kernel(logits, t, g)
+        grads = []
+        for i in reversed(range(len(layers))):
+            # add's rule sums the bias gradient over rows only when there are
+            # several, so a single row keeps its -0.0s
+            grads[:0] = (inputs[i].T @ g, g.sum(axis=0) if len(g) > 1 else g[0])
+            if i:
+                g = T.silu_grad_kernel(*acts[i - 1], g @ layers[i].w.data.T)
+        return grads
+
+    params = tuple(p for layer in layers for p in (layer.w, layer.b))
+    return T.record("mlp_bce_loss", params, losses.mean(), bw)
+
+
 def token_ids(reports) -> tuple[np.ndarray, np.ndarray]:
     """The reports' token ids padded with 0 to MAX_REPORT_LEN, (B, 32), and
     their lengths, (B,); ValueError for a batch that is not a non-empty

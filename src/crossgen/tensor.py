@@ -1,7 +1,7 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Every primitive records a node on a global append-only tape when any input
-requires a gradient, and otherwise only computes: ``_record`` alone decides
+requires a gradient, and otherwise only computes: ``record`` alone decides
 whether a primitive records, and wraps the result. The tape is for
 training; inference runs on bare arrays (``nn.mlp_apply``, the array
 kernels below), so no mode switches recording off.
@@ -22,9 +22,10 @@ import numpy as np
 from .errors import ShapeError
 
 __all__ = [
-    "Tensor", "Tape", "tape", "reset_tape", "backward",
-    "grad_check", "PRIMITIVE_OPS", "silu_kernel", "layer_norm_kernel",
-    "l2_normalize_kernel",
+    "Tensor", "Tape", "tape", "reset_tape", "record", "backward",
+    "grad_check", "PRIMITIVE_OPS", "silu_kernel", "silu_grad_kernel",
+    "layer_norm_kernel", "l2_normalize_kernel", "bce_with_logits_kernel",
+    "bce_with_logits_grad_kernel",
     "add", "sub", "neg", "mul", "div", "matmul", "transpose", "reshape",
     "concat", "slice_axis", "tsum", "tmean", "exp", "log", "sqrt", "silu",
     "sigmoid", "softmax", "log_softmax", "layer_norm", "embedding",
@@ -110,9 +111,12 @@ def _bare(data) -> Tensor:
     return out
 
 
-def _record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, backward_fn) -> Tensor:
-    # the one place that decides whether a primitive records: it does when
-    # an input requires a gradient, and otherwise drops the rule it was given
+def record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, backward_fn) -> Tensor:
+    """Wrap ``out_data`` as a tensor and, when an input requires a gradient,
+    append a node of ``op`` with ``backward_fn`` (output gradient -> one
+    gradient per input, None where skipped); otherwise drop the rule. The
+    one place that decides whether an op records, for the primitives and a
+    fused node over their kernels (``nn.mlp_bce_loss``)."""
     out = _bare(out_data)
     if any(t.requires_grad for t in inputs):
         out.requires_grad = True
@@ -166,7 +170,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return (_unbroadcast(g, a.shape) if a.requires_grad else None,
                 _unbroadcast(g, b.shape) if b.requires_grad else None)
 
-    return _record("add", (a, b), out, bw)
+    return record("add", (a, b), out, bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -178,13 +182,13 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         return (_unbroadcast(g, a.shape) if a.requires_grad else None,
                 _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
-    return _record("sub", (a, b), out, bw)
+    return record("sub", (a, b), out, bw)
 
 
 def neg(a: Tensor) -> Tensor:
     a = _wrap(a)
     out = -a.data
-    return _record("neg", (a,), out, lambda g: (-g,))
+    return record("neg", (a,), out, lambda g: (-g,))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -196,7 +200,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
                 _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
-    return _record("mul", (a, b), out, bw)
+    return record("mul", (a, b), out, bw)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -209,25 +213,25 @@ def div(a: Tensor, b: Tensor) -> Tensor:
                 _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
                 if b.requires_grad else None)
 
-    return _record("div", (a, b), out, bw)
+    return record("div", (a, b), out, bw)
 
 
 def exp(a: Tensor) -> Tensor:
     a = _wrap(a)
     out = np.exp(a.data)
-    return _record("exp", (a,), out, lambda g: (g * out,))
+    return record("exp", (a,), out, lambda g: (g * out,))
 
 
 def log(a: Tensor) -> Tensor:
     a = _wrap(a)
     out = np.log(a.data)
-    return _record("log", (a,), out, lambda g: (g / a.data,))
+    return record("log", (a,), out, lambda g: (g / a.data,))
 
 
 def sqrt(a: Tensor) -> Tensor:
     a = _wrap(a)
     out = np.sqrt(a.data)
-    return _record("sqrt", (a,), out, lambda g: (g / (2.0 * out),))
+    return record("sqrt", (a,), out, lambda g: (g / (2.0 * out),))
 
 
 def _logistic(x: np.ndarray, s: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
@@ -260,32 +264,35 @@ def silu_kernel(x: np.ndarray, s: np.ndarray,
     return np.multiply(x, s, out=out), x
 
 
+def silu_grad_kernel(x: np.ndarray, s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """SiLU's backward on arrays, for ``silu`` and fused nodes: the input
+    gradient g * (s + x * s * (1 - s)) for the x ``silu_kernel`` returned
+    and the logistic s it wrote, into a fresh array."""
+    # two temporaries: IEEE + and * commute
+    if x.size and x.item(x.argmax()) < np.inf:  # no +inf, no NaN
+        d = x * s
+        d *= 1.0 - s
+    else:
+        # at +inf, x * s * (1 - s) is inf * 0; its limit is 0, so the
+        # gradient there is g * s = g (NaN stays NaN)
+        with np.errstate(invalid="ignore"):
+            d = np.where(x == np.inf, 0.0, x * s * (1.0 - s))
+    d += s
+    d *= g
+    return d
+
+
 def silu(a: Tensor) -> Tensor:
     a = _wrap(a)
     s = np.empty_like(a.data)  # an array even at 0-d
     out, x = silu_kernel(a.data, s)
-
-    def bw(g):
-        # g * (s + x * s * (1 - s)) with two temporaries: IEEE + and * commute
-        if x.size and x.item(x.argmax()) < np.inf:  # no +inf, no NaN
-            d = x * s
-            d *= 1.0 - s
-        else:
-            # at +inf, x * s * (1 - s) is inf * 0; its limit is 0, so the
-            # gradient there is g * s = g (NaN stays NaN)
-            with np.errstate(invalid="ignore"):
-                d = np.where(x == np.inf, 0.0, x * s * (1.0 - s))
-        d += s
-        d *= g
-        return (d,)
-
-    return _record("silu", (a,), out, bw)
+    return record("silu", (a,), out, lambda g: (silu_grad_kernel(x, s, g),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
     a = _wrap(a)
     out = _logistic(a.data)[0]
-    return _record("sigmoid", (a,), out, lambda g: (g * out * (1.0 - out),))
+    return record("sigmoid", (a,), out, lambda g: (g * out * (1.0 - out),))
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +302,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     a = _wrap(a)
     shape = tuple(shape)
     out = a.data.reshape(shape)
-    return _record("reshape", (a,), out, lambda g: (g.reshape(a.shape),))
+    return record("reshape", (a,), out, lambda g: (g.reshape(a.shape),))
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -304,7 +311,7 @@ def transpose(a: Tensor) -> Tensor:
     if a.data.ndim < 2:
         raise ShapeError("transpose", a.shape)
     out = np.swapaxes(a.data, -1, -2)
-    return _record("transpose", (a,), out, lambda g: (np.swapaxes(g, -1, -2),))
+    return record("transpose", (a,), out, lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -323,7 +330,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
             for i in range(len(ts))
         )
 
-    return _record("concat", tuple(ts), out, bw)
+    return record("concat", tuple(ts), out, bw)
 
 
 def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -338,7 +345,7 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
         full[idx] = g
         return (full,)
 
-    return _record("slice", (a,), out, bw)
+    return record("slice", (a,), out, bw)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +361,7 @@ def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
         ge = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(ge, a.shape).copy(),)
 
-    return _record("sum", (a,), out, bw)
+    return record("sum", (a,), out, bw)
 
 
 def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -368,7 +375,7 @@ def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
         ge = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(ge / n, a.shape).copy(),)
 
-    return _record("mean", (a,), out, bw)
+    return record("mean", (a,), out, bw)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +400,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             gb = np.swapaxes(a.data, -1, -2) @ g
         return ga, gb
 
-    return _record("matmul", (a, b), out, bw)
+    return record("matmul", (a, b), out, bw)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +416,7 @@ def softmax(a: Tensor) -> Tensor:
         dot = (g * out).sum(axis=-1, keepdims=True)
         return ((g - dot) * out,)
 
-    return _record("softmax", (a,), out, bw)
+    return record("softmax", (a,), out, bw)
 
 
 def log_softmax(a: Tensor) -> Tensor:
@@ -417,8 +424,8 @@ def log_softmax(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = shifted - lse
-    return _record("log_softmax", (a,), out,
-                   lambda g: (g - np.exp(out) * g.sum(axis=-1, keepdims=True),))
+    return record("log_softmax", (a,), out,
+                  lambda g: (g - np.exp(out) * g.sum(axis=-1, keepdims=True),))
 
 
 def layer_norm_kernel(x: np.ndarray, eps: float = 1e-5, out=None, sq=None,
@@ -453,7 +460,7 @@ def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
         gx = (g * xhat).sum(axis=-1, keepdims=True)
         return (inv / n * (n * g - gs - xhat * gx),)
 
-    return _record("layer_norm", (a,), xhat, bw)
+    return record("layer_norm", (a,), xhat, bw)
 
 
 def l2_normalize_kernel(x: np.ndarray, eps: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
@@ -472,7 +479,7 @@ def l2_normalize(a: Tensor, eps: float = 1e-12) -> Tensor:
         dot = (g * out).sum(axis=-1, keepdims=True)
         return ((g - out * dot) / norm,)
 
-    return _record("l2_normalize", (a,), out, bw)
+    return record("l2_normalize", (a,), out, bw)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -501,19 +508,31 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
             np.add.at(gt, ids.ravel(), g.reshape((-1,) + table.shape[1:]))
         return (gt,)
 
-    return _record("embedding", (table,), out, bw)
+    return record("embedding", (table,), out, bw)
+
+
+def bce_with_logits_kernel(x: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Binary cross entropy on raw logits ``x``, elementwise and numerically
+    stable, for ``bce_with_logits`` and fused nodes: (loss, targets as a
+    float64 array); ShapeError when the targets' shape is not x's."""
+    t = np.asarray(targets, dtype=np.float64)
+    if t.shape != x.shape:
+        raise ShapeError("bce_with_logits", x.shape, t.shape)
+    return np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x))), t
+
+
+def bce_with_logits_grad_kernel(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The logits' gradient g * (logistic(x) - t) of the BCE, on arrays."""
+    return g * (_logistic(x)[0] - t)
 
 
 def bce_with_logits(logits: Tensor, targets) -> Tensor:
     """Elementwise binary cross entropy on raw logits (numerically stable)."""
     logits = _wrap(logits)
-    t = np.asarray(targets, dtype=np.float64)
-    if t.shape != logits.shape:
-        raise ShapeError("bce_with_logits", logits.shape, t.shape)
     x = logits.data
-    out = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))
-    return _record("bce_with_logits", (logits,), out,
-                   lambda g: (g * (_logistic(x)[0] - t),))
+    out, t = bce_with_logits_kernel(x, targets)
+    return record("bce_with_logits", (logits,), out,
+                  lambda g: (bce_with_logits_grad_kernel(x, t, g),))
 
 
 # ---------------------------------------------------------------------------

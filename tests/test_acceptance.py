@@ -27,12 +27,11 @@ from crossgen.conditioning import SubsetSampler, combine, draw_conditioning_batc
 from crossgen.config import config_hash, load_config
 from crossgen.diffusion import (Denoiser, make_schedule, noise_prediction_loss,
                                 noise_stream, q_sample, sample)
-from crossgen.evalkit import (bleu, classification_report, frechet_distance,
-                              gaussian_frechet, hamming_coherence,
-                              intra_study_consistency,
-                              paired_bootstrap_frechet)
+from crossgen.evalkit import (bleu, build_classifier, classification_report,
+                              frechet_distance, gaussian_frechet, hamming_coherence,
+                              intra_study_consistency, paired_bootstrap_frechet)
 from crossgen.jointgen import build_joint, coupled_pair_loss, joint_sample
-from crossgen.nn import ParameterSet
+from crossgen.nn import ParameterSet, mlp_bce_loss
 from crossgen.rng import stream
 
 from test_tensor import PRIMITIVE_CASES  # noqa: E402  (shared grad-check battery)
@@ -190,6 +189,13 @@ def test_criterion_01_autodiff_soundness():
     for pname, p in den.params.items():
         check(lambda _p: noise_prediction_loss(den.forward(z_t, t_arr, om), eps),
               p, f"denoiser.{pname}")
+
+    # the classifier's fused loss node, which its training records
+    clf = build_classifier(6, (5, 4), 3, stream(55, "classifier-init"))
+    crng = np.random.default_rng(56)  # its own: the paths below keep their draws
+    xs, tg = crng.standard_normal((4, 6)), (crng.random((4, 3)) < 0.5).astype(float)
+    for pname, p in clf.params.items():
+        check(lambda _p: mlp_bce_loss(clf.layers, xs, tg), p, f"classifier.{pname}")
 
     # InfoNCE path
     other = T.Tensor(rng.normal(size=(4, 6)))

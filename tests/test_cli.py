@@ -326,6 +326,48 @@ def test_generate_joint_pair(trained_home, cfg_file, tmp_path):
     assert prov["joint"] is True and prov["seed"] == 9
 
 
+SEED_COMMANDS = {
+    "generate": ["generate", "--prompt", "report={prompt}", "--target", "view_a",
+                 "--out", "{out}"],
+    "intra_study": ["eval", "intra-study", "--count", "2"],
+}
+
+
+@pytest.mark.parametrize("seed", [2 ** 64 + 5, 2 ** 63, -2 ** 63 - 1])
+@pytest.mark.parametrize("command", sorted(SEED_COMMANDS))
+def test_a_seed_flag_outside_64_bits_is_exit_2_naming_the_flag(trained_home, cfg_file,
+                                                               tmp_path, capsys, command,
+                                                               seed):
+    # rng.stream folds the seed to 64 bits: 2**64 + 5 would draw what 5 draws
+    prompt_file = tmp_path / "p.report.json"
+    pl.save_payload(prompt_file, "report", ("routine", "study", "no", "findings", "stable"))
+    out = tmp_path / "out"
+    args = [a.format(prompt=prompt_file, out=out) for a in SEED_COMMANDS[command]]
+    assert main(["--config", cfg_file, "--home", trained_home, *args,
+                 "--seed", str(seed)]) == 2
+    assert "--seed must fit a signed 64-bit integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [2 ** 63 - 1, -2 ** 63])
+def test_a_seed_flag_at_either_64_bit_end_is_recorded(trained_home, cfg_file, tmp_path, seed):
+    prompt_file = tmp_path / "p.report.json"
+    pl.save_payload(prompt_file, "report", ("routine", "study", "no", "findings", "stable"))
+    out = tmp_path / "out"
+    assert main(["--config", cfg_file, "--home", trained_home, "generate",
+                 "--prompt", f"report={prompt_file}", "--target", "view_a",
+                 "--seed", str(seed), "--out", str(out)]) == 0
+    assert json.loads((out / "provenance.json").read_text())["seed"] == seed
+
+
+def test_the_classify_report_records_the_seed_the_classifier_trained_with(trained_home,
+                                                                          cfg_file):
+    # trained_home ran `eval classify` without --seed; training reads the config seed
+    cfg = load_config(cfg_file)
+    report = json.loads((pl.report_dir(trained_home) / "classify.json").read_text())
+    assert cfg["seed"] != 0 and report["seed"] == cfg["seed"]
+
+
 BAD_PROMPTS = {
     "missing_tokens": ("report", {"modality": "report"}),
     "missing_pixels": ("view_a", {"modality": "view_a"}),

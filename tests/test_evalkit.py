@@ -8,8 +8,10 @@ import pytest
 import scipy.linalg
 
 from crossgen import evalkit as ek
+from crossgen import tensor as T
 from crossgen import toydata as td
 from crossgen.errors import NumericError
+from crossgen.nn import AdamWState, mlp, mlp_apply, mlp_bce_loss, train_epoch
 from crossgen.rng import stream
 
 
@@ -201,6 +203,63 @@ def test_classifier_same_seed_identical_metrics():
     r2 = ek.train_classifier(views[:80], labels[:80], views[80:], labels[80:],
                              seed=3, epochs=5)[1]
     assert r1 == r2
+
+
+# ---------------------------------------------------------------------------
+# the classifier's loss against its per-primitive tape path
+
+def tape_loss(model, flat, labels):
+    """The per-primitive reference of the classifier's batch loss: the tape's
+    SiLU stack (``mlp``), then ``bce_with_logits`` and ``tmean``."""
+    return T.tmean(T.bce_with_logits(mlp(model.layers, T.Tensor(flat)), labels))
+
+
+def _grads(model, loss_fn):
+    model.params.zero_grad()
+    loss = loss_fn()
+    T.backward(loss)
+    T.reset_tape()
+    return loss.data.tobytes(), {name: (p.grad.shape, p.grad.tobytes())
+                                 for name, p in model.params.items()}
+
+
+@pytest.mark.parametrize("rows", [1, 37, 64])
+def test_fused_loss_gives_the_tape_paths_loss_and_gradients_bytes(rows):
+    model = ek.build_classifier(256, (64, 32), 5, stream(3, "classifier-init"))
+    rng = np.random.default_rng(rows)
+    flat = rng.random((rows, 256))
+    flat[-1] *= 1e4  # a row far out on both sides of every layer
+    labels = (rng.random((rows, 5)) < 0.5).astype(np.float64)
+    # the extreme row takes the overflow branch of the SiLU logistic, and a
+    # logit below -700 that of the BCE gradient's logistic
+    pre = model.layers[0].apply(flat)
+    assert pre.min() < -710.0 and mlp_apply(model.layers, flat).min() < -700.0
+    want = _grads(model, lambda: tape_loss(model, flat, labels))
+    got = _grads(model, lambda: mlp_bce_loss(model.layers, flat, labels))
+    assert got == want
+
+
+def _tape_train_classifier(views, labels, seed, epochs):
+    """``train_classifier``'s training loop with the reference loss."""
+    flat = views.reshape(len(views), -1)
+    model = ek.build_classifier(flat.shape[1], (64, 32), labels.shape[1],
+                                stream(seed, "classifier-init"))
+    order, state = stream(seed, "classifier-batches"), AdamWState()
+    for _ in range(epochs):
+        train_epoch(model.params, state, order, len(flat), 64,
+                    lambda idx: tape_loss(model, flat[idx], labels[idx]),
+                    "classifier", 3e-3, 1e-4)
+    return model
+
+
+def test_trained_classifier_has_the_tape_paths_bytes():
+    ds = td.generate_dataset(seed=10, n=150, positive_rates=[0.5] * 5)
+    views = np.stack([r.view_a for r in ds.records])
+    labels = np.stack([r.labels for r in ds.records]).astype(np.float64)
+    model, _ = ek.train_classifier(views, labels, views[:20], labels[:20], seed=3, epochs=3)
+    # 150 rows at batch 64 leave a ragged last batch of 22 rows
+    want = _tape_train_classifier(views, labels, seed=3, epochs=3)
+    assert model.params.checksum() == want.params.checksum()
 
 
 def test_scores_saturate_at_a_very_negative_logit_without_an_overflow_warning():

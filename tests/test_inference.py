@@ -1,7 +1,8 @@
 """Every inference entry point runs on bare arrays, records nothing, and
 gives its tape forward's bytes.
 
-Training records on the tape (``nn.mlp``, the modules' ``forward``);
+Training records on the tape (``nn.mlp``, the modules' ``forward``, the
+classifier's fused ``nn.mlp_bce_loss``);
 inference reads the same ``Linear`` stacks through ``nn.mlp_apply`` and the
 array kernels of ``tensor``. Each case below pairs an entry point with its
 tape forward and checks, at 1, 8 and 500 rows, that the two give the same
@@ -101,8 +102,8 @@ def _classifier_case(rng, rows):
     flat = T.Tensor(views.reshape(rows, -1))
     pairs = [(lambda: model.features(views),
               lambda: T.silu(mlp(model.layers[:2], flat)).data),
-             (lambda: model.logits(views), lambda: model.forward(flat.data).data),
-             (lambda: model.scores(views), lambda: T.sigmoid(model.forward(flat.data)).data)]
+             (lambda: model.logits(views), lambda: mlp(model.layers, flat).data),
+             (lambda: model.scores(views), lambda: T.sigmoid(mlp(model.layers, flat)).data)]
     return pairs, [views], [model.params]
 
 
