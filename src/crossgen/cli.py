@@ -123,8 +123,6 @@ def _cmd_generate(args, cfg, home) -> None:
             raise ConfigError(f"--prompt expects MODALITY=FILE, got {spec!r}")
         modality, file_ = spec.split("=", 1)
         prompts[modality] = pl.load_payload(file_, modality)[1]
-    if not args.target:
-        raise ConfigError("generate requires at least one --target")
     samples, provenance = pl.generate_samples(cfg, home, prompts, args.target,
                                               joint=args.joint, seed=args.seed,
                                               count=args.count)

@@ -14,9 +14,10 @@ import numpy as np
 
 from . import tensor as T
 from .conditioning import SubsetSampler, draw_conditioning_batch
+from .errors import ShapeError
 from .nn import (BLOCK_VALUES, AdamWState, Linear, ParameterSet, gemm_block_rows,
-                 init_normal, mean_token_embedding, mean_token_embedding_apply, mlp,
-                 mlp_apply, row_blocks, token_ids, train_epoch)
+                 init_normal, linear_grad, mean_token_embedding, mean_token_embedding_apply,
+                 mlp, mlp_apply, row_blocks, token_ids, train_epoch)
 from .rng import stream
 from .toydata import MAX_REPORT_LEN, MODALITIES, VIEW_SIZE, VOCAB, payload_batch
 
@@ -255,6 +256,32 @@ class TextCodec(_Codec):
 # ---------------------------------------------------------------------------
 # conditioned denoiser
 
+def block_step(h: np.ndarray, temb: np.ndarray, c: np.ndarray, site, fc1: Linear,
+               fc2: Linear, bufs: tuple) -> tuple:
+    """One residual block of the denoiser on arrays, written once for the
+    training node and the samplers' step: the stream ``h`` becomes, in place,
+    h + silu(fc2(silu(fc1(layer_norm(h) + temb)) + c + e)), by the
+    operations of the per-primitive tape forward in its order.
+
+    ``e`` is a coupling site's term ``site(a1)``, left out when ``site`` is
+    None; a1 holds fc1's product, which the step no longer reads then.
+    ``bufs`` = (xhat, u, a1, s1, v, a2, s2, y, stat) are the arrays the step
+    writes, in that order: each (rows, hidden) but ``stat``, (rows, 1). The
+    samplers alias them over four arrays and keep nothing; the training node
+    passes fresh ones and keeps them for its backward. Returns the layer
+    norm's inverse scale and the x each ``silu_kernel`` returned."""
+    xhat, u, a1, s1, v, a2, s2, y, stat = bufs
+    inv = T.layer_norm_kernel(h, out=xhat, sq=a1, stat=stat)[1]
+    np.add(xhat, temb, out=u)
+    x1 = T.silu_kernel(fc1.apply(u, out=a1), s1, v)[1]
+    np.add(v, c, out=v)
+    if site is not None:
+        np.add(v, site(a1), out=v)
+    x2 = T.silu_kernel(fc2.apply(v, out=a2), s2, y)[1]
+    np.add(h, y, out=h)  # r + silu(fc2(.)), in the tape's order
+    return inv, x1, x2
+
+
 class Denoiser:
     """Residual fully connected blocks with a per-block additive timestep
     embedding and one conditioning site per block. The site reads omega as a
@@ -298,41 +325,98 @@ class Denoiser:
             })
         self.out_proj = Linear(p, "out", hidden, latent_dim, rng)
 
-    def condition(self, omega) -> list[T.Tensor]:
-        """Each block's conditioning term wo(wv(omega)), in block order."""
-        om = omega if isinstance(omega, T.Tensor) else T.Tensor(omega)
-        return [block["wo"](block["wv"](om)) for block in self.blocks]
-
     def array_condition(self, omega: np.ndarray) -> list[np.ndarray]:
-        """``condition(omega)``'s bytes without a tape, as the arrays a
-        reverse draw passes to ``array_forward``."""
+        """Each block's conditioning term wo(wv(omega)) on arrays, in block
+        order: the arrays a reverse draw passes to ``array_forward``."""
         omega = np.asarray(omega, dtype=np.float64)
         return [block["wo"].apply(block["wv"].apply(omega)) for block in self.blocks]
 
-    def forward(self, z, t, omega, extra_site=None) -> T.Tensor:
-        """Predict the noise for latents z at (1-based) timesteps t, on the
-        tape: the path training records, and the reference ``array_forward``
-        matches byte for byte.
+    def forward(self, z, t, omega, sites=(), partner=None) -> T.Tensor:
+        """Predict the noise for latents z at (1-based) timesteps t under the
+        prompts omega, z and omega matrices with one row per timestep
+        (ShapeError otherwise): the path training records, as one tape node
+        over the parameters, with the bytes of the per-primitive tape
+        forward. Its forward is ``block_step`` with every block's arrays
+        kept; its backward runs the tape's rules in reverse block order
+        through ``tensor``'s kernels and ``nn.linear_grad``.
 
-        ``extra_site(block_index)`` lets a coupling wrapper inject an
-        additional additive term after the conditioning site.
+        ``sites`` holds a coupling wrapper's (wv, wo) per block: block i then
+        adds wo(wv(partner)) after its conditioning site, and the node also
+        takes those layers' parameters and ``partner``, once per site, the
+        last block's first, so its gradients add in the tape's order. With
+        the base frozen (and z and omega constants) the backward stops at
+        block 0's site.
         """
-        z_t = z if isinstance(z, T.Tensor) else T.Tensor(z)
+        z_t, om = (x if isinstance(x, T.Tensor) else T.Tensor(x) for x in (z, omega))
         t = np.asarray(t, dtype=np.int64).reshape(-1)
         steps = t.tolist()  # min/max over a list beat numpy's at this size
         if steps and (min(steps) < 1 or max(steps) > self.T_steps):
             raise ValueError(f"timestep out of range 1..{self.T_steps}")
-        cond = self.condition(omega)
-        temb = T.embedding(self.time_table, t - 1)
-        h = self.in_proj(z_t)
+        if not (z_t.data.ndim == om.data.ndim == 2 and len(z_t.data) == len(om.data) == len(t)):
+            raise ShapeError("denoiser", z_t.shape, t.shape, om.shape)
+        ids = t - 1
+        keys = [block["wv"].apply(om.data) for block in self.blocks]
+        cond = [block["wo"].apply(k) for block, k in zip(self.blocks, keys)]
+        p = T.Tensor(partner) if sites and not isinstance(partner, T.Tensor) else partner
+        site_keys = [wv.apply(p.data) for wv, _ in sites]
+        terms = [wo.apply(k) for (_, wo), k in zip(sites, site_keys)]
+        temb = self.time_table.data[ids]
+        h = self.in_proj.apply(z_t.data)
+        y = np.empty_like(h)
+        acts = []
         for i, block in enumerate(self.blocks):
-            r = h
-            h = T.add(T.layer_norm(h), temb)
-            h = T.add(T.silu(block["fc1"](h)), cond[i])
-            if extra_site is not None:
-                h = T.add(h, extra_site(i))
-            h = T.add(r, T.silu(block["fc2"](h)))
-        return self.out_proj(h)
+            bufs = (*(np.empty_like(h) for _ in range(7)), y, np.empty((len(h), 1)))
+            site = (lambda _, e=terms[i]: e) if sites else None
+            acts.append((bufs, *block_step(h, temb, cond[i], site, block["fc1"],
+                                           block["fc2"], bufs)))
+        out = self.out_proj.apply(h)
+
+        layers = [self.in_proj, self.out_proj, *(block[k] for block in self.blocks
+                                                 for k in ("fc1", "fc2", "wv", "wo"))]
+        base = [z_t, om, self.time_table, *(x for layer in layers for x in (layer.w, layer.b))]
+        deep = any(x.requires_grad for x in base)  # a gradient beyond the sites'
+        params = [x for layer in layers + [layer for site in sites for layer in site]
+                  for x in (layer.w, layer.b)]
+
+        def bw(g):
+            grads = {}
+
+            def back(layer, x, g, input_grad=True):
+                gx, grads[layer.w], grads[layer.b] = linear_grad(layer, x, g, input_grad)
+                return gx
+
+            g_h = back(self.out_proj, h, g)
+            g_om = g_temb = None
+            g_partner = []
+            for i in reversed(range(self.n_blocks)):
+                block = self.blocks[i]
+                (xhat, u, _, s1, v, _, s2, _, _), inv, x1, x2 = acts[i]
+                g_v = back(block["fc2"], v, T.silu_grad_kernel(x2, s2, g_h))
+                if sites:
+                    wv, wo = sites[i]
+                    g_partner.append(back(wv, p.data, back(wo, site_keys[i], g_v),
+                                          p.requires_grad))
+                if not (deep or i):
+                    break  # nothing before block 0's site wants a gradient
+                g_u = back(block["fc1"], u, T.silu_grad_kernel(x1, s1, g_v))
+                if deep:
+                    g_k = back(block["wv"], om.data, back(block["wo"], keys[i], g_v),
+                               om.requires_grad)
+                    if g_k is not None:
+                        g_om = g_k if g_om is None else g_om + g_k
+                    g_temb = g_u if g_temb is None else g_temb + g_u
+                g_x = T.layer_norm_grad_kernel(xhat, inv, g_u)
+                g_x += g_h  # the residual's gradient
+                g_h = g_x
+            g_z = g_table = None
+            if deep:
+                g_z = back(self.in_proj, z_t.data, g_h, z_t.requires_grad)
+                if self.time_table.requires_grad:
+                    g_table = T.embedding_grad_kernel(self.time_table.shape, ids, g_temb)
+            return (g_z, g_om, g_table, *(grads.get(x) for x in params), *g_partner)
+
+        return T.record("denoiser", (z_t, om, self.time_table, *params, *[p] * len(sites)),
+                        out, bw)
 
     def array_forward(self, cond: list[np.ndarray], t_max: int):
         """``forward`` without a tape, on bare arrays, for the rows of one
@@ -343,33 +427,26 @@ class Denoiser:
         ``t_max`` is the largest timestep the draw will pass (its schedule's
         T), checked here once instead of on every call (ValueError as in
         ``forward``). ``site(i, buf)`` returns block i's extra term and may
-        use ``buf``, a free (rows, hidden) array, for it. The four (rows,
-        hidden) activation arrays and the (rows, 1) statistics array live as
-        long as the returned function, so they go when the draw ends; each
-        thread of a draw needs its own. Every operation is one of
-        ``forward``'s, in its order on the same operands, so the output has
-        ``forward``'s bytes (the timestep row broadcasts where ``forward``
-        adds a copy of it per row).
+        use ``buf``, a free (rows, hidden) array, for it. Each block is
+        ``block_step`` over four (rows, hidden) activation arrays and one
+        (rows, 1) statistics array, which live as long as the returned
+        function, so they go when the draw ends; each thread of a draw needs
+        its own. The output has ``forward``'s bytes (the timestep row
+        broadcasts where ``forward`` adds a copy of it per row).
         """
         if t_max > self.T_steps:
             raise ValueError(f"timestep out of range 1..{self.T_steps}")
         rows = cond[0].shape[0]
         h, x, a, s = (np.empty((rows, self.hidden)) for _ in range(4))
-        stat = np.empty((rows, 1))
+        bufs = (x, x, a, s, s, a, x, x, np.empty((rows, 1)))
         table = self.time_table.data
         blocks = [(block["fc1"], block["fc2"]) for block in self.blocks]
 
         def eps(z: np.ndarray, t: int, site=None) -> np.ndarray:
             self.in_proj.apply(z, out=h)
-            for i, (fc1, fc2) in enumerate(blocks):  # h holds the residual r
-                T.layer_norm_kernel(h, out=x, sq=a, stat=stat)
-                np.add(x, table[t - 1], out=x)
-                T.silu_kernel(fc1.apply(x, out=a), s, s)
-                np.add(s, cond[i], out=s)
-                if site is not None:
-                    np.add(s, site(i, a), out=s)
-                T.silu_kernel(fc2.apply(s, out=a), x, x)
-                np.add(h, x, out=h)  # r + silu(fc2(.)), in forward's order
+            for i, (fc1, fc2) in enumerate(blocks):
+                block_step(h, table[t - 1], cond[i], None if site is None else partial(site, i),
+                           fc1, fc2, bufs)
             return self.out_proj.apply(h)
 
         return eps

@@ -54,31 +54,30 @@ class CoupledDenoiser:
     def __init__(self, base: Denoiser, params: ParameterSet, prefix: str,
                  coupling_dim: int, rng: np.random.Generator | None):
         self.base = base
-        self.adapters = []
+        self.sites = []  # (wv, wo) per block
         attn = base.attn_dim
         for i in range(base.n_blocks):
             # retired query/key projections: draw and discard, so later inits match
             if rng is not None:
                 for n_in in (base.hidden, coupling_dim):
                     Linear(ParameterSet(), "retired", n_in, attn, rng)
-            self.adapters.append({
-                "wv": Linear(params, f"{prefix}.block{i}.wv", coupling_dim, attn, rng),
-                "wo": Linear(params, f"{prefix}.block{i}.wo", attn, base.hidden, rng,
-                             zero_init=True),
-            })
+            self.sites.append((
+                Linear(params, f"{prefix}.block{i}.wv", coupling_dim, attn, rng),
+                Linear(params, f"{prefix}.block{i}.wo", attn, base.hidden, rng,
+                       zero_init=True)))
 
     def forward(self, z, t, omega, partner) -> T.Tensor:
-        """The base forward plus the coupling sites."""
-        p = partner if isinstance(partner, T.Tensor) else T.Tensor(partner)
-        ad = self.adapters
-        return self.base.forward(z, t, omega, extra_site=lambda i: ad[i]["wo"](ad[i]["wv"](p)))
+        """The base forward plus the coupling sites, as one tape node over
+        the base's and the sites' parameters and the partner
+        (``Denoiser.forward``)."""
+        return self.base.forward(z, t, omega, self.sites, partner)
 
     def array_forward(self, cond: list[np.ndarray], t_max: int):
         """``forward`` without a tape, on bare arrays, with its bytes (see
         ``Denoiser.array_forward``): returns ``eps(z, t, partner)`` for the
         partner trajectory's projected latent."""
         eps = self.base.array_forward(cond, t_max)
-        sites = [(ad["wv"], ad["wo"]) for ad in self.adapters]
+        sites = self.sites
 
         def coupled(z, t, partner):
             def site(i, buf):  # wo(wv(partner)), wo's product written into buf

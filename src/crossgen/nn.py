@@ -112,6 +112,20 @@ class Linear:
         return y
 
 
+def linear_grad(layer: Linear, x: np.ndarray, g: np.ndarray, input_grad: bool = True):
+    """The tape's backward of ``layer(x)`` on arrays, for fused nodes: for
+    the output gradient ``g``, (g @ w.T, x.T @ g, the bias gradient), each
+    None where it is not wanted (the input's without ``input_grad``, a
+    parameter's when it does not require a gradient)."""
+    gx = g @ layer.w.data.T if input_grad else None
+    gw = x.T @ g if layer.w.requires_grad else None
+    if not layer.b.requires_grad:
+        return gx, gw, None
+    # add's rule sums the bias gradient over rows only when there are
+    # several, so a single row keeps its -0.0s
+    return gx, gw, g.sum(axis=0) if len(g) > 1 else g[0]
+
+
 def mlp(layers, x: Tensor, unit: bool = False) -> Tensor:
     """The SiLU stack ``layers`` (a sequence of ``Linear``) on the tape: SiLU
     after every layer but the last, then unit rows when ``unit``."""
@@ -188,7 +202,8 @@ def mlp_bce_loss(layers, x: np.ndarray, targets) -> Tensor:
     tape node over the layers' weights and biases, with its bytes. The
     forward runs on bare arrays and keeps each layer's input and SiLU
     operands; the backward runs the tape's rules in the tape's order, through
-    the kernels the ``silu`` and ``bce_with_logits`` primitives call."""
+    the kernels the ``silu`` and ``bce_with_logits`` primitives call and
+    ``linear_grad``."""
     inputs, acts = [x], []
     for layer in layers[:-1]:
         h = layer.apply(x)

@@ -415,6 +415,8 @@ def generate_samples(cfg: dict, home, prompts: dict, targets: list[str],
     """
     if count < 1:
         raise ConfigError(f"count must be at least 1, got {count}")
+    if not targets:
+        raise ConfigError("generate needs at least one target modality")
     for t in targets:
         if t not in td.MODALITIES:
             raise ConfigError(f"unknown target modality {t!r}")

@@ -24,8 +24,8 @@ from .errors import ShapeError
 __all__ = [
     "Tensor", "Tape", "tape", "reset_tape", "record", "backward",
     "grad_check", "PRIMITIVE_OPS", "silu_kernel", "silu_grad_kernel",
-    "layer_norm_kernel", "l2_normalize_kernel", "bce_with_logits_kernel",
-    "bce_with_logits_grad_kernel",
+    "layer_norm_kernel", "layer_norm_grad_kernel", "l2_normalize_kernel",
+    "embedding_grad_kernel", "bce_with_logits_kernel", "bce_with_logits_grad_kernel",
     "add", "sub", "neg", "mul", "div", "matmul", "transpose", "reshape",
     "concat", "slice_axis", "tsum", "tmean", "exp", "log", "sqrt", "silu",
     "sigmoid", "softmax", "log_softmax", "layer_norm", "embedding",
@@ -115,8 +115,8 @@ def record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, backward_f
     """Wrap ``out_data`` as a tensor and, when an input requires a gradient,
     append a node of ``op`` with ``backward_fn`` (output gradient -> one
     gradient per input, None where skipped); otherwise drop the rule. The
-    one place that decides whether an op records, for the primitives and a
-    fused node over their kernels (``nn.mlp_bce_loss``)."""
+    one place that decides whether an op records, for the primitives and the
+    fused nodes over their kernels (``nn.mlp_bce_loss``, ``Denoiser.forward``)."""
     out = _bare(out_data)
     if any(t.requires_grad for t in inputs):
         out.requires_grad = True
@@ -449,18 +449,28 @@ def layer_norm_kernel(x: np.ndarray, eps: float = 1e-5, out=None, sq=None,
     return xhat, inv
 
 
+def layer_norm_grad_kernel(xhat: np.ndarray, inv: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Layer norm's backward on arrays, for ``layer_norm`` and fused nodes:
+    the input gradient inv / n * (n * g - sum(g) - xhat * sum(g * xhat)) for
+    the (xhat, inv) ``layer_norm_kernel`` returned, into a fresh array. The
+    products are formed in place with their operands swapped, which IEEE
+    multiplication does not notice, so two full-size temporaries serve."""
+    n = xhat.shape[-1]
+    gs = g.sum(axis=-1, keepdims=True)
+    d = np.multiply(g, xhat)
+    gx = d.sum(axis=-1, keepdims=True)
+    out = np.multiply(g, n)
+    out -= gs
+    out -= np.multiply(xhat, gx, out=d)
+    out *= inv / n
+    return out
+
+
 def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean, unit variance (no affine part)."""
     a = _wrap(a)
-    n = a.shape[-1]
     xhat, inv = layer_norm_kernel(a.data, eps)
-
-    def bw(g):
-        gs = g.sum(axis=-1, keepdims=True)
-        gx = (g * xhat).sum(axis=-1, keepdims=True)
-        return (inv / n * (n * g - gs - xhat * gx),)
-
-    return record("layer_norm", (a,), xhat, bw)
+    return record("layer_norm", (a,), xhat, lambda g: (layer_norm_grad_kernel(xhat, inv, g),))
 
 
 def l2_normalize_kernel(x: np.ndarray, eps: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
@@ -494,21 +504,26 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     except IndexError:  # an id past the last row
         raise ShapeError("embedding", table.shape, ids.shape) from None
 
-    def bw(g):
-        # bincount adds each cell's terms in input order onto +0.0, the sum
-        # np.add.at(zeros, ids, g) forms, bit for bit at any width. Where two
-        # NaNs meet they keep different ones (bincount the earlier, add.at the
-        # later), so a gradient holding a NaN is summed by add.at itself.
-        width = math.prod(table.shape[1:])
-        cells = ids.reshape(-1, 1).astype(np.intp, copy=False) * width + np.arange(width)
-        gt = np.bincount(cells.ravel(), weights=g.ravel(), minlength=table.data.size)
-        gt = gt.reshape(table.shape)
-        if np.isnan(gt).any():
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, ids.ravel(), g.reshape((-1,) + table.shape[1:]))
-        return (gt,)
+    return record("embedding", (table,), out,
+                  lambda g: (embedding_grad_kernel(table.shape, ids, g),))
 
-    return record("embedding", (table,), out, bw)
+
+def embedding_grad_kernel(shape: tuple[int, ...], ids: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient of a table of ``shape`` whose rows ``ids`` were looked up,
+    for the lookup's output gradient ``g``, on arrays: ``g``'s rows summed
+    into the rows they came from, for ``embedding`` and fused nodes."""
+    # bincount adds each cell's terms in input order onto +0.0, the sum
+    # np.add.at(zeros, ids, g) forms, bit for bit at any width. Where two
+    # NaNs meet they keep different ones (bincount the earlier, add.at the
+    # later), so a gradient holding a NaN is summed by add.at itself.
+    width = math.prod(shape[1:])
+    cells = ids.reshape(-1, 1).astype(np.intp, copy=False) * width + np.arange(width)
+    gt = np.bincount(cells.ravel(), weights=g.ravel(), minlength=math.prod(shape))
+    gt = gt.reshape(shape)
+    if np.isnan(gt).any():
+        gt = np.zeros(shape)
+        np.add.at(gt, ids.ravel(), g.reshape((-1,) + shape[1:]))
+    return gt
 
 
 def bce_with_logits_kernel(x: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:

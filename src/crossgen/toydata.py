@@ -124,10 +124,16 @@ def payload_batch(records, modality: str):
 
 
 def report_to_ids(report) -> np.ndarray:
-    """Token ids padded with 0 to MAX_REPORT_LEN."""
+    """Token ids padded with 0 to MAX_REPORT_LEN; ValueError naming a token
+    outside VOCAB, or the length of a report longer than MAX_REPORT_LEN."""
+    if len(report) > MAX_REPORT_LEN:
+        raise ValueError(f"a report holds at most {MAX_REPORT_LEN} tokens, got {len(report)}")
     ids = np.zeros(MAX_REPORT_LEN, dtype=np.int64)
-    for i, tok in enumerate(report):
-        ids[i] = TOKEN_TO_ID[tok]
+    try:
+        for i, tok in enumerate(report):
+            ids[i] = TOKEN_TO_ID[tok]
+    except KeyError:
+        raise ValueError(f"token {tok!r} is not in the vocabulary") from None
     return ids
 
 

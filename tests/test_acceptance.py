@@ -232,6 +232,26 @@ def test_criterion_01_autodiff_soundness():
     for b in bases.values():
         b.params.unfreeze()
 
+    # the fused denoiser node's inputs: the latents and the prompts, and the
+    # partner of a two-block coupled node over a frozen base, read at both sites
+    frng = np.random.default_rng(57)  # its own: the paths above keep their draws
+    z_in, om_in = T.Tensor(frng.standard_normal((3, 6))), T.Tensor(frng.standard_normal((3, 4)))
+    check(lambda z: noise_prediction_loss(den.forward(z, t_arr, om_in), eps), z_in,
+          "denoiser.latents")
+    check(lambda om: noise_prediction_loss(den.forward(z_in, t_arr, om), eps), om_in,
+          "denoiser.prompts")
+    two = Denoiser(latent_dim=6, cond_dim=4, T_steps=10, hidden=8, n_blocks=2,
+                   attn_dim=4, seed=58)
+    two.params.freeze()
+    coupled = build_joint(("view_a", "report"), {"view_a": two, "report": bases["report"]},
+                          coupling_dim=4, proj_hidden=6, seed=59).coupled["view_a"]
+    for _, wo in coupled.sites:  # live couplings: wo starts at zero
+        wo.w.data[...] = frng.normal(0, 0.3, wo.w.shape)
+    partner = T.Tensor(frng.standard_normal((3, 4)))
+    check(lambda p: noise_prediction_loss(coupled.forward(z_in.data, t_arr, om, p), eps),
+          partner, "coupled.partner")
+    two.params.unfreeze()
+
     elapsed = time.monotonic() - t0
     _criterion(1, "autodiff soundness",
                configs >= 100 and worst < 1e-5 and elapsed < 120,

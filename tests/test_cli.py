@@ -293,6 +293,7 @@ BAD_REQUESTS = {
     "zero_count": (["--target", "view_a", "--count", "0"], "at least 1"),
     "negative_count": (["--target", "view_a", "--count", "-2"], "at least 1"),
     "no_prompt": (["--target", "view_a"], "at least one prompt"),
+    "no_target": ([], "at least one target"),
 }
 
 
@@ -308,6 +309,14 @@ def test_generate_rejects_a_bad_request_before_loading(tmp_path, cfg_file, capsy
                  *prompt, *args, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_generate_samples_rejects_an_empty_target_list(trained_home, cfg_file):
+    # a set-up home: without the check the call returns ``count`` empty samples
+    prompt = {"report": ("routine", "study", "no", "findings", "stable")}
+    with pytest.raises(ConfigError, match="at least one target"):
+        pl.generate_samples(load_config(cfg_file), trained_home, prompt, [],
+                            joint=False, seed=0, count=3)
 
 
 def test_generate_joint_pair(trained_home, cfg_file, tmp_path):

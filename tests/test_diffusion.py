@@ -20,8 +20,9 @@ from crossgen.diffusion import (THREAD_MIN_ROWS, Denoiser, DiffusionSchedule, Im
                                 make_schedule, noise_prediction_loss, q_sample,
                                 reverse_steps, reverse_update, sample, sample_latents,
                                 train_ldm)
-from crossgen.errors import NumericError
+from crossgen.errors import NumericError, ShapeError
 from crossgen.rng import stream
+from denoiser_reference import reference_forward
 
 
 @pytest.fixture(autouse=True)
@@ -353,7 +354,7 @@ def test_array_step_gives_the_bytes_of_the_recorded_forward(rows, edges, silu_ed
             z[row, 3] = np.nan
         else:  # a conditioning term of about 1e5 drives fc2's pre-activations there
             omega[row] *= 1e5
-    live = den.forward(z, np.full(rows, t), omega)  # grad mode on: the recording path
+    live = reference_forward(den, z, np.full(rows, t), omega)
     assert live.requires_grad and len(T.tape()) > 0
     T.reset_tape()
     cond = den.array_condition(omega)
@@ -386,6 +387,91 @@ def test_denoiser_rejects_out_of_range_timesteps(t):
     with pytest.raises(ValueError, match="timestep out of range 1..10"):
         den.forward(z, t, omega)
     assert den.forward(z, [1, 10], omega).shape == (2, 3)  # both ends are in range
+
+
+@pytest.mark.parametrize("z_shape, t, omega_shape", [
+    ((2, 3), [1, 2], (1, 2)),     # one prompt row for two latents
+    ((2, 3), [4], (2, 2)),        # one timestep for two rows
+    ((3,), [1], (1, 2)),          # a latent that is not a row
+])
+def test_denoiser_rejects_rows_that_do_not_pair_up(z_shape, t, omega_shape):
+    den = Denoiser(latent_dim=3, cond_dim=2, T_steps=10, hidden=4, n_blocks=1,
+                   attn_dim=2, seed=1)
+    with pytest.raises(ShapeError, match="denoiser"):
+        den.forward(np.zeros(z_shape), t, np.zeros(omega_shape))
+
+
+# ---------------------------------------------------------------------------
+# the fused training node against the per-primitive reference
+
+def _grad_bytes(params, loss_fn, inputs=()):
+    """The loss's bytes and those of every gradient of ``params`` and of the
+    tensors ``inputs`` after one backward of ``loss_fn()``."""
+    params.zero_grad()
+    for x in inputs:
+        x.grad = None
+    loss = loss_fn()
+    T.backward(loss)
+    T.reset_tape()
+    return (loss.data.tobytes(),
+            {name: p.grad if p.grad is None else p.grad.tobytes() for name, p in params.items()},
+            [x.grad.tobytes() for x in inputs])
+
+
+#: 56 rows is a stage's tail batch (1,400 train rows mod 64)
+FUSED_ROWS = [1, 8, 56, 64]
+
+
+@pytest.mark.parametrize("rows", FUSED_ROWS)
+def test_the_fused_node_gives_the_per_primitive_loss_and_gradient_bytes(rows, silu_edges):
+    den = _default_denoiser(ImageCodec.latent_dim, seed=3)
+    rng = np.random.default_rng(rows)
+    z, eps = rng.standard_normal((2, rows, den.latent_dim))
+    omega = rng.standard_normal((rows, den.cond_dim))
+    t = rng.integers(1, den.T_steps + 1, size=rows)
+    omega[0] *= 1e5  # row 0 drives fc2's pre-activations below -700
+    want = _grad_bytes(den.params, lambda: noise_prediction_loss(
+        reference_forward(den, z, t, omega), eps))
+    silu_edges.clear()
+    got = _grad_bytes(den.params, lambda: noise_prediction_loss(den.forward(z, t, omega), eps))
+    assert silu_edges["below -700"]  # the fused forward took silu's overflow branch
+    assert got == want
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_the_fused_node_gives_the_latents_and_prompts_gradient_bytes(frozen):
+    den = _default_denoiser(ImageCodec.latent_dim, seed=4)
+    rng = np.random.default_rng(9)
+    z = T.Tensor(rng.standard_normal((8, den.latent_dim)), requires_grad=True)
+    omega = T.Tensor(rng.standard_normal((8, den.cond_dim)), requires_grad=True)
+    eps = rng.standard_normal((8, den.latent_dim))
+    t = rng.integers(1, den.T_steps + 1, size=8)
+    if frozen:
+        den.params.freeze()  # the inputs' gradients alone
+    want, got = (_grad_bytes(den.params, lambda f=f: noise_prediction_loss(f(z, t, omega), eps),
+                             (z, omega))
+                 for f in (partial(reference_forward, den), den.forward))
+    assert got == want
+
+
+def test_one_ldm_training_step_records_the_denoiser_node_and_the_loss_nodes(
+        toy_train, monkeypatch):
+    # the tracer rebinds Denoiser.forward by name: it stays a method of the class
+    assert "forward" in Denoiser.__dict__
+    from crossgen import nn
+    tapes, backward = [], T.backward
+
+    def spy(loss):
+        tapes.append([node.op for node in T.tape().nodes])
+        backward(loss)
+
+    monkeypatch.setattr(nn, "backward", spy)
+    enc = PromptEncoders(dim=8, hidden=16, seed=14)
+    codec = TextCodec(seed=14, latent_dim=8, hidden=16)
+    train_ldm(toy_train, "report", enc, codec, make_schedule(10, 1e-3, 0.2), epochs=1,
+              batch_size=64, hidden=16, n_blocks=2, attn_dim=8, seed=14)
+    assert len(tapes) == -(-len(toy_train.subset("train")) // 64)
+    assert all(ops == ["denoiser", "sub", "mul", "sum", "mean"] for ops in tapes)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +549,7 @@ def test_sample_latents_matches_per_step_forward_reference(sigma_mode, batch, tw
     omega = np.random.default_rng(22).standard_normal((batch, den.cond_dim))
     rng = stream(3, "ref")
     # the whole batch in every Tensor forward: a split draw must give each row its bits
-    ref = _reference_reverse(lambda z, t: den.forward(z, t, omega), s,
+    ref = _reference_reverse(lambda z, t: reference_forward(den, z, t, omega), s,
                              rng.standard_normal((batch, den.latent_dim)), rng, sigma_mode)
     out = _sample_on_threads(den, s, omega, stream(3, "ref"), sigma_mode=sigma_mode)
     np.testing.assert_array_equal(out, ref)
@@ -588,8 +674,9 @@ def _count_calls(monkeypatch, owner, name, counts):
 
 
 def test_train_ldm_matches_per_batch_encode_reference(toy_train):
-    """The stage-level encodes train the same denoiser, bit for bit, as
-    encoding each batch's records inside the loop and combining per record."""
+    """The stage-level encodes and the fused denoiser node train the same
+    denoiser, bit for bit, as encoding each batch's records inside the loop,
+    combining per record and recording the forward one primitive at a time."""
     from crossgen.conditioning import combine
     from crossgen.nn import AdamWState, adamw_step
     enc = PromptEncoders(dim=8, hidden=16, seed=12)
@@ -623,7 +710,7 @@ def test_train_ldm_matches_per_batch_encode_reference(toy_train):
                 subset = sampler.sample_subset()
                 omega.append(combine([embs[m][i] for m in subset])[0])
             loss = noise_prediction_loss(
-                ref.forward(q_sample(z0, t, eps, s), t, np.stack(omega)), eps)
+                reference_forward(ref, q_sample(z0, t, eps, s), t, np.stack(omega)), eps)
             losses.append(loss.item())
             ref.params.zero_grad()
             T.backward(loss)

@@ -2,15 +2,17 @@
 gives its tape forward's bytes.
 
 Training records on the tape (``nn.mlp``, the modules' ``forward``, the
-classifier's fused ``nn.mlp_bce_loss``);
+fused nodes ``nn.mlp_bce_loss`` and ``Denoiser.forward``);
 inference reads the same ``Linear`` stacks through ``nn.mlp_apply`` and the
 array kernels of ``tensor``. Each case below pairs an entry point with its
 tape forward and checks, at 1, 8 and 500 rows, that the two give the same
 bytes and that the array call writes into no operand and no parameter.
 The codecs have no forward of their own outside training, so their tape
 reference is the same call with ``diffusion``'s array interpreters swapped
-for the tape ones. The samplers' array step is pinned against the recorded
-forwards in ``test_diffusion`` and ``test_jointgen``."""
+for the tape ones. The denoisers' reference is the per-primitive tape
+forward of ``denoiser_reference``, which training's fused node is pinned
+against in ``test_diffusion`` and ``test_jointgen``, as are the samplers'
+whole reverse loops."""
 
 import tracemalloc
 import warnings
@@ -30,6 +32,7 @@ from crossgen.jointgen import build_joint
 from crossgen.nn import (Linear, ParameterSet, mean_token_embedding, mean_token_embedding_apply,
                          mlp, mlp_apply, silu_apply)
 from crossgen.rng import stream
+from denoiser_reference import condition, reference_coupled_forward, reference_forward
 
 CFG = load_config()
 D, J, E = CFG["diffusion"], CFG["joint"], CFG["encoder"]
@@ -110,9 +113,13 @@ def _classifier_case(rng, rows):
 def _denoiser_case(rng, rows):
     den = _denoiser(ImageCodec.latent_dim, seed=3)
     omega = rng.standard_normal((rows, den.cond_dim))
+    z = rng.standard_normal((rows, den.latent_dim))
+    t = int(rng.integers(1, den.T_steps + 1))
     pairs = [(lambda: den.array_condition(omega),
-              lambda: [c.data for c in den.condition(omega)])]
-    return pairs, [omega], [den.params]
+              lambda: [c.data for c in condition(den, omega)]),
+             (lambda: den.array_forward(den.array_condition(omega), den.T_steps)(z, t),
+              lambda: reference_forward(den, z, np.full(rows, t), omega).data)]
+    return pairs, [omega, z], [den.params]
 
 
 def _coupled_case(rng, rows):
@@ -120,17 +127,27 @@ def _coupled_case(rng, rows):
     bases = {m: _denoiser(latent[m], seed=i) for i, m in enumerate(latent)}
     comps = build_joint(("view_a", "report"), bases, coupling_dim=J["coupling_dim"],
                         proj_hidden=J["proj_hidden"], seed=5)
+    for _, p in comps.trainable.items():  # live couplings: the adapters' wo start at zero
+        p.data[...] = rng.normal(0.0, 0.3, p.shape)
     z = {m: rng.standard_normal((rows, latent[m])) for m in latent}
+    omega = rng.standard_normal((rows, E["dim"]))
+    t = int(rng.integers(1, D["timesteps"] + 1))
+    coupled, partner = comps.coupled["view_a"], comps.projections["report"].project(z["report"])
     pairs = [(lambda m=m: comps.projections[m].project(z[m]),
               lambda m=m: comps.projections[m].forward(z[m]).data) for m in z]
-    return pairs, list(z.values()), [comps.trainable]
+    pairs.append((lambda: coupled.array_forward(coupled.base.array_condition(omega),
+                                                D["timesteps"])(z["view_a"], t, partner),
+                  lambda: reference_coupled_forward(coupled, z["view_a"], np.full(rows, t),
+                                                    omega, partner).data))
+    params = [comps.trainable, *(b.params for b in bases.values())]
+    return pairs, [*z.values(), omega, partner], params
 
 
 CASES = {
     "classifier": _classifier_case,
     "codecs": _codec_case,
-    "coupled_projection": _coupled_case,
-    "denoiser_condition": _denoiser_case,
+    "coupled": _coupled_case,
+    "denoiser": _denoiser_case,
     "prompt_encoders": _encoder_case,
 }
 

@@ -16,6 +16,7 @@ from crossgen.jointgen import (ProjectionEncoder, build_joint,
                                coupled_pair_loss, joint_sample, train_joint)
 from crossgen.nn import ParameterSet
 from crossgen.rng import stream
+from denoiser_reference import reference_coupled_forward
 
 
 def zero_couplings(components) -> None:
@@ -112,8 +113,9 @@ def test_coupled_array_step_and_projection_give_the_recorded_forwards_bytes(rows
         z[m][0] *= 1e4
         z[m][1:2, 2] = np.nan
     pairs = (("view_a", "report"), ("report", "view_a"))
-    proj = {m: comps.projections[m].forward(z[m]) for m in z}  # grad mode on
-    live = [comps.coupled[m].forward(z[m], np.full(rows, t), omega, proj[o]) for m, o in pairs]
+    proj = {m: comps.projections[m].forward(z[m]) for m in z}
+    live = [reference_coupled_forward(comps.coupled[m], z[m], np.full(rows, t), omega, proj[o])
+            for m, o in pairs]
     assert all(x.requires_grad for x in [*proj.values(), *live]) and len(T.tape()) > 0
     T.reset_tape()
     silu_edges.clear()
@@ -152,6 +154,64 @@ def test_default_width_coupled_forwards_without_a_tape_equal_the_recorded_ones(b
     bare = forwards()
     assert len(T.tape()) == 0 and bare == live
     assert comps.projections["report"].project(z["report"]).tobytes() == bare[1]
+
+
+@pytest.mark.parametrize("rows", [1, 8, 56, 64])  # 56: a stage's tail batch
+def test_the_fused_coupled_nodes_give_the_per_primitive_loss_and_gradient_bytes(
+        rows, monkeypatch, silu_edges):
+    rng = np.random.default_rng(rows)
+    comps, latent = _default_width_joint(rng)
+    base = comps.coupled["view_a"].base
+    omega = rng.standard_normal((rows, base.cond_dim))
+    t = rng.integers(1, base.T_steps + 1, size=rows)
+    z = {m: rng.standard_normal((rows, latent[m])) for m in latent}
+    eps = {m: rng.standard_normal((rows, latent[m])) for m in latent}
+    omega[0] *= 1e5  # row 0 takes silu's overflow branch in both denoisers
+    for c in comps.coupled.values():
+        c.base.params.freeze()  # as in train_joint
+
+    def grads():
+        comps.trainable.zero_grad()
+        loss = coupled_pair_loss(comps, z, t, eps, omega, lam=0.1, tau=0.07)
+        T.backward(loss)
+        T.reset_tape()
+        return loss.data.tobytes(), {n: p.grad.tobytes() for n, p in comps.trainable.items()}
+
+    silu_edges.clear()
+    got = grads()
+    assert silu_edges["below -700"]
+    # each partner projection gets the contrastive gradient, then block 1's
+    # site's, then block 0's: the fused nodes must add them in that order
+    with monkeypatch.context() as mp:
+        mp.setattr(type(comps.coupled["view_a"]), "forward", reference_coupled_forward)
+        want = grads()
+    assert got == want
+
+
+def test_one_joint_training_step_records_two_denoiser_nodes_over_frozen_bases(
+        small_world, monkeypatch):
+    ds, enc, codecs, sched, bases = small_world
+    from crossgen import nn
+    steps, backward, kernel = [], T.backward, T.layer_norm_grad_kernel
+    norm_grads = []
+
+    def spy(loss):
+        steps.append([node.op for node in T.tape().nodes].count("denoiser"))
+        norm_grads.clear()
+        backward(loss)
+        steps[-1] = (steps[-1], len(norm_grads))
+
+    def counted(*args):
+        norm_grads.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(nn, "backward", spy)
+    monkeypatch.setattr(T, "layer_norm_grad_kernel", counted)
+    train_joint(ds, ("view_a", "report"), enc, codecs, bases, sched, epochs=1,
+                batch_size=32, coupling_dim=4, proj_hidden=8, seed=9)
+    # two denoiser nodes per step; a frozen base's backward stops at block
+    # 0's site, so each of the two-block bases normalises block 1 alone
+    assert steps and set(steps) == {(2, 2)}
 
 
 def test_build_joint_replays_the_attention_draw_order():
@@ -278,8 +338,9 @@ def test_coupled_path_grad_check(small_world):
 
 
 def test_train_joint_matches_per_batch_encode_reference(small_world):
-    """The stage-level encodes train the same couplings, bit for bit, as
-    encoding each batch's records inside the loop and combining per record."""
+    """The stage-level encodes and the fused coupled nodes train the same
+    couplings, bit for bit, as encoding each batch's records inside the loop,
+    combining per record and recording the forwards one primitive at a time."""
     from crossgen.bridging import symmetric_loss
     from crossgen.conditioning import SubsetSampler, combine
     from crossgen.diffusion import noise_prediction_loss, q_sample
@@ -321,10 +382,10 @@ def test_train_joint_matches_per_batch_encode_reference(small_world):
                     omega.append(combine([embs[m][i] for m in subset])[0])
                 omega = np.stack(omega)
                 p = {m: ref.projections[m].forward(z_t[m]) for m in pair}
-                loss_i = noise_prediction_loss(
-                    ref.coupled[m_i].forward(z_t[m_i], t, omega, p[m_j]), eps[m_i])
-                loss_j = noise_prediction_loss(
-                    ref.coupled[m_j].forward(z_t[m_j], t, omega, p[m_i]), eps[m_j])
+                loss_i = noise_prediction_loss(reference_coupled_forward(
+                    ref.coupled[m_i], z_t[m_i], t, omega, p[m_j]), eps[m_i])
+                loss_j = noise_prediction_loss(reference_coupled_forward(
+                    ref.coupled[m_j], z_t[m_j], t, omega, p[m_i]), eps[m_j])
                 loss = T.add(T.add(loss_i, loss_j),
                              T.mul(symmetric_loss(p[m_i], p[m_j], 0.07), T.Tensor(0.1)))
                 losses.append(loss.item())
@@ -397,7 +458,7 @@ def test_joint_sample_matches_per_step_coupled_forward_reference(small_world, tw
     for t in range(sched.T, 0, -1):
         t_arr = np.full(batch, t, dtype=np.int64)
         proj = {m: comps.projections[m].forward(z[m]).data for m in pair}
-        eps = {m: comps.coupled[m].forward(z[m], t_arr, omega, proj[o]).data
+        eps = {m: reference_coupled_forward(comps.coupled[m], z[m], t_arr, omega, proj[o]).data
                for m, o in zip(pair, pair[::-1])}
         T.reset_tape()  # the recording forwards are the reference; drop their nodes
         ab, alpha, beta = sched.alpha_bars[t - 1], sched.alphas[t - 1], sched.betas[t - 1]

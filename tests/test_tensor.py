@@ -10,6 +10,7 @@ import pytest
 
 from crossgen import tensor as T
 from crossgen import toydata as td
+from crossgen.bridging import PromptEncoders
 from crossgen.errors import ShapeError
 from crossgen.nn import (AdamWState, Linear, ParameterSet, adamw_step,
                          mean_token_embedding, mean_token_embedding_apply, silu_apply,
@@ -478,6 +479,20 @@ def test_mean_token_embedding_equals_the_per_record_loop():
 def test_token_ids_rejects_an_empty_report():
     with pytest.raises(ValueError, match="at least one token"):
         token_ids([("study",), ()])
+
+
+@pytest.mark.parametrize("report, message", [
+    (("study", "xray"), "token 'xray' is not in the vocabulary"),
+    (("study",) * (td.MAX_REPORT_LEN + 1), "at most 32 tokens, got 33"),
+])
+def test_a_report_the_ids_cannot_hold_is_a_value_error_naming_it(report, message):
+    with pytest.raises(ValueError, match=message):
+        td.report_to_ids(report)
+    with pytest.raises(ValueError, match=message):
+        token_ids([("study",), report])
+    enc = PromptEncoders(dim=8, hidden=16, seed=1)
+    with pytest.raises(ValueError, match=message):
+        enc.encode_batch("report", [report])
 
 
 def test_bce_with_logits_gradient_is_finite_at_a_very_negative_logit():
