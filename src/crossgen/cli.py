@@ -17,6 +17,7 @@ import numpy as np
 
 from . import pipeline as pl
 from . import toydata as td
+from .checkpoint import write_atomic
 from .config import check_seed, load_config
 from .errors import (ArtifactError, ConfigError, MissingPrerequisiteError,
                      NumericError)
@@ -131,7 +132,7 @@ def _cmd_generate(args, cfg, home) -> None:
     for i, sample in enumerate(samples):
         for modality, payload in sample.items():
             pl.save_payload(out / f"sample_{i:03d}.{modality}.json", modality, payload)
-    (out / "provenance.json").write_text(json.dumps(provenance, indent=1))
+    write_atomic(out / "provenance.json", [json.dumps(provenance, indent=1).encode()])
     print(f"wrote {len(samples)} sample(s) to {out}")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from pathlib import Path
 
 from .errors import ConfigError
@@ -79,8 +80,9 @@ DEFAULTS = {
 
 def _check_type(value, default, here: str) -> None:
     """ConfigError unless ``value`` has the type of ``default``: an int field
-    takes an int (not a bool), a float field an int or a float, a list field
-    a list whose elements each match the default's first element."""
+    takes an int (not a bool), a float field an int or a finite float (a
+    JSON file may spell NaN and Infinity), a list field a list whose
+    elements each match the default's first element."""
     if isinstance(default, list):
         if not isinstance(value, list):
             raise ConfigError(f"config key {here} must be a list, got {value!r}")
@@ -91,6 +93,8 @@ def _check_type(value, default, here: str) -> None:
     if isinstance(value, bool) or not isinstance(value, wanted):
         raise ConfigError(f"config key {here} must be {type(default).__name__}, "
                           f"got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"config key {here} must be finite, got {value!r}")
 
 
 def _merge(defaults: dict, overrides: dict, path: str) -> dict:
@@ -110,10 +114,17 @@ def _merge(defaults: dict, overrides: dict, path: str) -> dict:
 
 
 #: leaf keys whose values (every element, for a list) must be at least 1:
-#: dataset sizes, batch sizes, layer widths and the denoiser's block count
-_AT_LEAST_ONE = {"n", "imbalance_n", "batch_size", "retrieval_batch", "dim",
-                 "hidden", "text_embed", "attn_dim", "latent_dim", "blocks",
-                 "coupling_dim", "proj_hidden", "classifier_hidden"}
+#: dataset sizes, the utility arms' real training sets, batch sizes, layer
+#: widths and the denoiser's block count
+_AT_LEAST_ONE = {"n", "imbalance_n", "imbalance_base", "scarcity_base", "batch_size",
+                 "retrieval_batch", "dim", "hidden", "text_embed", "attn_dim", "latent_dim",
+                 "blocks", "coupling_dim", "proj_hidden", "classifier_hidden"}
+
+#: leaf keys that must be positive: learning rates and temperatures
+_POSITIVE = {"lr", "temperature"}
+
+#: leaf keys, besides the epoch counts, that must not be negative
+_NON_NEGATIVE = {"weight_decay", "pixel_noise", "contrastive_weight"}
 
 #: keys that name a mode, with the values each accepts
 _MODES = {"diffusion.sigma_mode": ("beta", "alpha_bar_ratio")}
@@ -133,11 +144,12 @@ def check_seed(value: int, what: str) -> None:
 
 def _check_ranges(section: dict, path: str) -> None:
     """ConfigError for a value outside its range: sizes and widths at least
-    1 (the contrastive batch sizes 2), epoch counts at least 0, at least 2
-    timesteps, 0 < beta_min <= beta_max < 1, positive temperatures, a seed
-    that fits a signed 64-bit integer, exactly 2 classifier widths, at least
-    one scarcity multiplier and none negative, and a known value for each
-    mode key."""
+    1 (the contrastive batch sizes 2), epoch counts, weight decays, the
+    pixel noise and the contrastive weight at least 0, at least 2
+    timesteps, 0 < beta_min <= beta_max < 1, positive learning rates and
+    temperatures, a seed that fits a signed 64-bit integer, exactly 2
+    classifier widths, at least one scarcity multiplier and none negative,
+    and a known value for each mode key."""
     for key, value in section.items():
         here = f"{path}.{key}" if path else key
         if isinstance(value, dict):
@@ -151,11 +163,11 @@ def _check_ranges(section: dict, path: str) -> None:
         least = min(value, default=1) if isinstance(value, list) else value
         if key in _AT_LEAST_ONE and least < 1:
             raise ConfigError(f"config key {here} must be at least 1, got {value!r}")
-        elif key.endswith("epochs") and value < 0:
+        elif (key.endswith("epochs") or key in _NON_NEGATIVE) and value < 0:
             raise ConfigError(f"config key {here} must not be negative, got {value!r}")
         elif key == "timesteps" and value < 2:
             raise ConfigError(f"config key {here} must be at least 2, got {value!r}")
-        elif key == "temperature" and value <= 0:
+        elif key in _POSITIVE and value <= 0:
             raise ConfigError(f"config key {here} must be positive, got {value!r}")
         elif key == "seed":
             check_seed(value, f"config key {here}")

@@ -256,15 +256,14 @@ class TextCodec(_Codec):
 # ---------------------------------------------------------------------------
 # conditioned denoiser
 
-def block_step(h: np.ndarray, temb: np.ndarray, c: np.ndarray, site, fc1: Linear,
-               fc2: Linear, bufs: tuple) -> tuple:
+def block_step(h: np.ndarray, temb: np.ndarray, c: np.ndarray, e: np.ndarray | None,
+               fc1: Linear, fc2: Linear, bufs: tuple) -> tuple:
     """One residual block of the denoiser on arrays, written once for the
     training node and the samplers' step: the stream ``h`` becomes, in place,
     h + silu(fc2(silu(fc1(layer_norm(h) + temb)) + c + e)), by the
     operations of the per-primitive tape forward in its order.
 
-    ``e`` is a coupling site's term ``site(a1)``, left out when ``site`` is
-    None; a1 holds fc1's product, which the step no longer reads then.
+    ``e`` is the block's coupling term wo(wv(partner)), left out when None.
     ``bufs`` = (xhat, u, a1, s1, v, a2, s2, y, stat) are the arrays the step
     writes, in that order: each (rows, hidden) but ``stat``, (rows, 1). The
     samplers alias them over four arrays and keep nothing; the training node
@@ -275,8 +274,8 @@ def block_step(h: np.ndarray, temb: np.ndarray, c: np.ndarray, site, fc1: Linear
     np.add(xhat, temb, out=u)
     x1 = T.silu_kernel(fc1.apply(u, out=a1), s1, v)[1]
     np.add(v, c, out=v)
-    if site is not None:
-        np.add(v, site(a1), out=v)
+    if e is not None:
+        np.add(v, e, out=v)
     x2 = T.silu_kernel(fc2.apply(v, out=a2), s2, y)[1]
     np.add(h, y, out=h)  # r + silu(fc2(.)), in the tape's order
     return inv, x1, x2
@@ -340,12 +339,12 @@ class Denoiser:
         kept; its backward runs the tape's rules in reverse block order
         through ``tensor``'s kernels and ``nn.linear_grad``.
 
-        ``sites`` holds a coupling wrapper's (wv, wo) per block: block i then
-        adds wo(wv(partner)) after its conditioning site, and the node also
-        takes those layers' parameters and ``partner``, once per site, the
-        last block's first, so its gradients add in the tape's order. With
-        the base frozen (and z and omega constants) the backward stops at
-        block 0's site.
+        ``sites`` holds one coupling site (wv, wo) per block (see
+        ``jointgen.build_joint``): block i then adds wo(wv(partner)) after
+        its conditioning site, and the node also takes those layers'
+        parameters and ``partner``, once per site, the last block's first,
+        so its gradients add in the tape's order. With the base frozen (and
+        z and omega constants) the backward stops at block 0's site.
         """
         z_t, om = (x if isinstance(x, T.Tensor) else T.Tensor(x) for x in (z, omega))
         t = np.asarray(t, dtype=np.int64).reshape(-1)
@@ -366,9 +365,8 @@ class Denoiser:
         acts = []
         for i, block in enumerate(self.blocks):
             bufs = (*(np.empty_like(h) for _ in range(7)), y, np.empty((len(h), 1)))
-            site = (lambda _, e=terms[i]: e) if sites else None
-            acts.append((bufs, *block_step(h, temb, cond[i], site, block["fc1"],
-                                           block["fc2"], bufs)))
+            acts.append((bufs, *block_step(h, temb, cond[i], terms[i] if sites else None,
+                                           block["fc1"], block["fc2"], bufs)))
         out = self.out_proj.apply(h)
 
         layers = [self.in_proj, self.out_proj, *(block[k] for block in self.blocks
@@ -418,35 +416,39 @@ class Denoiser:
         return T.record("denoiser", (z_t, om, self.time_table, *params, *[p] * len(sites)),
                         out, bw)
 
-    def array_forward(self, cond: list[np.ndarray], t_max: int):
+    def array_forward(self, cond: list[np.ndarray], t_max: int, sites=()):
         """``forward`` without a tape, on bare arrays, for the rows of one
-        reverse draw that ``cond`` holds: returns ``eps(z, t, site=None)``,
-        the noise prediction for latents z (one per row) all at timestep t.
+        reverse draw that ``cond`` holds: returns ``eps(z, t, partner=None)``,
+        the noise prediction for latents z (one per row) all at timestep t,
+        with the coupling ``sites`` (as in ``forward``) reading ``partner``.
 
         ``cond`` holds those rows' terms of ``array_condition(omega)``.
         ``t_max`` is the largest timestep the draw will pass (its schedule's
         T), checked here once instead of on every call (ValueError as in
-        ``forward``). ``site(i, buf)`` returns block i's extra term and may
-        use ``buf``, a free (rows, hidden) array, for it. Each block is
-        ``block_step`` over four (rows, hidden) activation arrays and one
-        (rows, 1) statistics array, which live as long as the returned
-        function, so they go when the draw ends; each thread of a draw needs
-        its own. The output has ``forward``'s bytes (the timestep row
-        broadcasts where ``forward`` adds a copy of it per row).
+        ``forward``). Each block is ``block_step`` over four (rows, hidden)
+        activation arrays and one (rows, 1) statistics array; with sites, a
+        fifth (rows, hidden) array takes each block's wo(wv(partner)) before
+        the block. They live as long as the returned function, so they go
+        when the draw ends; each thread of a draw needs its own. The output
+        has ``forward``'s bytes (the timestep row broadcasts where
+        ``forward`` adds a copy of it per row).
         """
         if t_max > self.T_steps:
             raise ValueError(f"timestep out of range 1..{self.T_steps}")
         rows = cond[0].shape[0]
         h, x, a, s = (np.empty((rows, self.hidden)) for _ in range(4))
         bufs = (x, x, a, s, s, a, x, x, np.empty((rows, 1)))
+        e = np.empty((rows, self.hidden)) if sites else None
         table = self.time_table.data
         blocks = [(block["fc1"], block["fc2"]) for block in self.blocks]
 
-        def eps(z: np.ndarray, t: int, site=None) -> np.ndarray:
+        def eps(z: np.ndarray, t: int, partner: np.ndarray | None = None) -> np.ndarray:
             self.in_proj.apply(z, out=h)
             for i, (fc1, fc2) in enumerate(blocks):
-                block_step(h, table[t - 1], cond[i], None if site is None else partial(site, i),
-                           fc1, fc2, bufs)
+                if sites:
+                    wv, wo = sites[i]
+                    wo.apply(wv.apply(partner), out=e)
+                block_step(h, table[t - 1], cond[i], e, fc1, fc2, bufs)
             return self.out_proj.apply(h)
 
         return eps

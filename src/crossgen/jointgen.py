@@ -45,55 +45,15 @@ class ProjectionEncoder:
         return mlp_apply(self.layers, z, unit=True)
 
 
-class CoupledDenoiser:
-    """A frozen base denoiser plus one coupling site per block, the linear map
-    wo(wv(partner)) of the partner trajectory's projected latent. The adapter
-    output projections start at zero, so an untrained coupling reproduces
-    the base exactly."""
-
-    def __init__(self, base: Denoiser, params: ParameterSet, prefix: str,
-                 coupling_dim: int, rng: np.random.Generator | None):
-        self.base = base
-        self.sites = []  # (wv, wo) per block
-        attn = base.attn_dim
-        for i in range(base.n_blocks):
-            # retired query/key projections: draw and discard, so later inits match
-            if rng is not None:
-                for n_in in (base.hidden, coupling_dim):
-                    Linear(ParameterSet(), "retired", n_in, attn, rng)
-            self.sites.append((
-                Linear(params, f"{prefix}.block{i}.wv", coupling_dim, attn, rng),
-                Linear(params, f"{prefix}.block{i}.wo", attn, base.hidden, rng,
-                       zero_init=True)))
-
-    def forward(self, z, t, omega, partner) -> T.Tensor:
-        """The base forward plus the coupling sites, as one tape node over
-        the base's and the sites' parameters and the partner
-        (``Denoiser.forward``)."""
-        return self.base.forward(z, t, omega, self.sites, partner)
-
-    def array_forward(self, cond: list[np.ndarray], t_max: int):
-        """``forward`` without a tape, on bare arrays, with its bytes (see
-        ``Denoiser.array_forward``): returns ``eps(z, t, partner)`` for the
-        partner trajectory's projected latent."""
-        eps = self.base.array_forward(cond, t_max)
-        sites = self.sites
-
-        def coupled(z, t, partner):
-            def site(i, buf):  # wo(wv(partner)), wo's product written into buf
-                wv, wo = sites[i]
-                return wo.apply(wv.apply(partner), out=buf)
-
-            return eps(z, t, site)
-
-        return coupled
-
-
 @dataclass
 class JointComponents:
-    """Everything stage three trains for one ordered modality pair."""
+    """Everything stage three trains for one ordered modality pair, and the
+    frozen bases it couples. ``sites[m]`` holds one (wv, wo) per block of
+    ``bases[m]``: the map wo(wv(partner)) of the partner's projected latent,
+    wo zero at init, so an untrained coupling reproduces the base exactly."""
     pair: tuple[str, str]
-    coupled: dict[str, CoupledDenoiser]
+    bases: dict[str, Denoiser]
+    sites: dict[str, list[tuple[Linear, Linear]]]
     projections: dict[str, ProjectionEncoder]
     trainable: ParameterSet
 
@@ -101,8 +61,8 @@ class JointComponents:
 def build_joint(pair: tuple[str, str], bases: dict[str, Denoiser],
                 coupling_dim: int = 16, proj_hidden: int = 32,
                 seed: int | None = 0) -> JointComponents:
-    """Projections and couplings for ``pair``; ``seed=None`` allocates zero
-    tensors without drawing, for components that a checkpoint load fills."""
+    """Projections and coupling sites for ``pair``; ``seed=None`` allocates
+    zero tensors without drawing, for components that a checkpoint load fills."""
     m_i, m_j = pair
     params = ParameterSet()
     rng = None if seed is None else stream(seed, f"joint-init:{m_i}+{m_j}")
@@ -111,12 +71,20 @@ def build_joint(pair: tuple[str, str], bases: dict[str, Denoiser],
                              coupling_dim, proj_hidden, rng)
         for m in pair
     }
-    coupled = {
-        m_i: CoupledDenoiser(bases[m_i], params, f"couple.{m_i}", coupling_dim, rng),
-        m_j: CoupledDenoiser(bases[m_j], params, f"couple.{m_j}", coupling_dim, rng),
-    }
-    return JointComponents(pair=(m_i, m_j), coupled=coupled,
-                           projections=projections, trainable=params)
+    sites = {m: [] for m in pair}
+    for m in pair:
+        base = bases[m]
+        for i in range(base.n_blocks):
+            # retired query/key projections: draw and discard, so later inits match
+            if rng is not None:
+                for n_in in (base.hidden, coupling_dim):
+                    Linear(ParameterSet(), "retired", n_in, base.attn_dim, rng)
+            sites[m].append((
+                Linear(params, f"couple.{m}.block{i}.wv", coupling_dim, base.attn_dim, rng),
+                Linear(params, f"couple.{m}.block{i}.wo", base.attn_dim, base.hidden, rng,
+                       zero_init=True)))
+    return JointComponents(pair=(m_i, m_j), bases={m: bases[m] for m in pair},
+                           sites=sites, projections=projections, trainable=params)
 
 
 def coupled_pair_loss(components: JointComponents, z_t: dict, t: np.ndarray,
@@ -126,11 +94,12 @@ def coupled_pair_loss(components: JointComponents, z_t: dict, t: np.ndarray,
     symmetric InfoNCE between the projected latents. Both trajectories sit
     at the timesteps ``t``."""
     m_i, m_j = components.pair
+    bases, sites = components.bases, components.sites
     p = {m: components.projections[m].forward(z_t[m]) for m in components.pair}
     loss_i = noise_prediction_loss(
-        components.coupled[m_i].forward(z_t[m_i], t, omega, p[m_j]), eps[m_i])
+        bases[m_i].forward(z_t[m_i], t, omega, sites[m_i], p[m_j]), eps[m_i])
     loss_j = noise_prediction_loss(
-        components.coupled[m_j].forward(z_t[m_j], t, omega, p[m_i]), eps[m_j])
+        bases[m_j].forward(z_t[m_j], t, omega, sites[m_j], p[m_i]), eps[m_j])
     contrast = symmetric_loss(p[m_i], p[m_j], tau)
     return T.add(T.add(loss_i, loss_j), T.mul(contrast, T.Tensor(float(lam))))
 
@@ -182,7 +151,7 @@ def joint_sample(components: JointComponents, schedule: DiffusionSchedule,
     At every step each denoiser's coupling sites map the partner's current
     latent, projected once and shared, through their linear wo(wv(.)), and
     each stream takes the ``reverse_update`` step of single sampling. The
-    noise predictions are ``CoupledDenoiser.array_forward`` and the
+    noise predictions are ``Denoiser.array_forward`` with the sites and the
     projections ``ProjectionEncoder.project``, both with the bytes of their
     tape forwards. Noise streams are per modality and match what independent
     sampling with the same seed would draw, so zeroed couplings reproduce
@@ -195,14 +164,14 @@ def joint_sample(components: JointComponents, schedule: DiffusionSchedule,
     ``diffusion.step_pool`` gives a worker. Each stream issues the same numpy
     calls either way, so the output is the same."""
     pair = m_i, m_j = components.pair
+    bases, sites = components.bases, components.sites
     steps = reverse_steps(schedule, sigma_mode)
     omega = np.atleast_2d(np.asarray(omega, dtype=np.float64))
     b = len(omega)
     rngs = {m: noise_stream(seed, m) for m in pair}
-    z = {m: rngs[m].standard_normal((b, components.coupled[m].base.latent_dim)) for m in pair}
+    z = {m: rngs[m].standard_normal((b, bases[m].latent_dim)) for m in pair}
     with step_pool(b) as pool:  # each thread steps one stream's b rows
-        eps = {m: components.coupled[m].array_forward(
-                   components.coupled[m].base.array_condition(omega), schedule.T)
+        eps = {m: bases[m].array_forward(bases[m].array_condition(omega), schedule.T, sites[m])
                for m in pair}
 
         def advance(m, z_m, step, partner_proj):  # one stream's step

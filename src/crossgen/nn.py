@@ -219,11 +219,10 @@ def mlp_bce_loss(layers, x: np.ndarray, targets) -> Tensor:
         g = T.bce_with_logits_grad_kernel(logits, t, g)
         grads = []
         for i in reversed(range(len(layers))):
-            # add's rule sums the bias gradient over rows only when there are
-            # several, so a single row keeps its -0.0s
-            grads[:0] = (inputs[i].T @ g, g.sum(axis=0) if len(g) > 1 else g[0])
+            g_x, g_w, g_b = linear_grad(layers[i], inputs[i], g, input_grad=i > 0)
+            grads[:0] = (g_w, g_b)
             if i:
-                g = T.silu_grad_kernel(*acts[i - 1], g @ layers[i].w.data.T)
+                g = T.silu_grad_kernel(*acts[i - 1], g_x)
         return grads
 
     params = tuple(p for layer in layers for p in (layer.w, layer.b))

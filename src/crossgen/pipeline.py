@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -142,10 +143,11 @@ def _write_stage(cfg: dict, home, stage: str, arrays: dict, metadata: dict,
 
 def _write_csv(path: Path, rows, header) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomic(path, [text.getvalue().encode()])
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +371,7 @@ def save_payload(path, modality: str, payload) -> None:
         doc = {"modality": modality, "tokens": list(payload)}
     else:
         doc = {"modality": modality, "pixels": np.asarray(payload).tolist()}
-    path.write_text(json.dumps(doc))
+    write_atomic(path, [json.dumps(doc).encode()])
 
 
 def load_payload(path, expect: str | None = None):
@@ -587,7 +589,7 @@ def write_metric_report(home, name: str, payload: dict, cfg: dict, seed: int,
     doc = {"metric": name, "config_hash": config_hash(cfg), "seed": int(seed)}
     doc.update(payload)
     path = out / f"{name}.json"
-    path.write_text(json.dumps(doc, sort_keys=True, indent=1, default=_jsonify))
+    write_atomic(path, [json.dumps(doc, sort_keys=True, indent=1, default=_jsonify).encode()])
     if csv_rows is not None:
         _write_csv(out / f"{name}.csv", csv_rows, csv_header)
     return path

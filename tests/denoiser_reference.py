@@ -19,7 +19,7 @@ def condition(den, omega) -> list:
 def reference_forward(den, z, t, omega, sites=(), partner=None) -> T.Tensor:
     """``den.forward(z, t, omega, sites, partner)`` one primitive at a time:
     block i adds wo(wv(partner)) after its conditioning site for the
-    ``sites[i]`` = (wv, wo) of a coupling wrapper."""
+    coupling site ``sites[i]`` = (wv, wo) of ``jointgen.build_joint``."""
     z_t = z if isinstance(z, T.Tensor) else T.Tensor(z)
     t = np.asarray(t, dtype=np.int64).reshape(-1)
     p = T.Tensor(partner) if sites and not isinstance(partner, T.Tensor) else partner
@@ -35,8 +35,3 @@ def reference_forward(den, z, t, omega, sites=(), partner=None) -> T.Tensor:
             h = T.add(h, wo(wv(p)))
         h = T.add(r, T.silu(block["fc2"](h)))
     return den.out_proj(h)
-
-
-def reference_coupled_forward(coupled, z, t, omega, partner) -> T.Tensor:
-    """``coupled.forward(z, t, omega, partner)`` one primitive at a time."""
-    return reference_forward(coupled.base, z, t, omega, coupled.sites, partner)

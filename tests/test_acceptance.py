@@ -243,12 +243,12 @@ def test_criterion_01_autodiff_soundness():
     two = Denoiser(latent_dim=6, cond_dim=4, T_steps=10, hidden=8, n_blocks=2,
                    attn_dim=4, seed=58)
     two.params.freeze()
-    coupled = build_joint(("view_a", "report"), {"view_a": two, "report": bases["report"]},
-                          coupling_dim=4, proj_hidden=6, seed=59).coupled["view_a"]
-    for _, wo in coupled.sites:  # live couplings: wo starts at zero
+    sites = build_joint(("view_a", "report"), {"view_a": two, "report": bases["report"]},
+                        coupling_dim=4, proj_hidden=6, seed=59).sites["view_a"]
+    for _, wo in sites:  # live couplings: wo starts at zero
         wo.w.data[...] = frng.normal(0, 0.3, wo.w.shape)
     partner = T.Tensor(frng.standard_normal((3, 4)))
-    check(lambda p: noise_prediction_loss(coupled.forward(z_in.data, t_arr, om, p), eps),
+    check(lambda p: noise_prediction_loss(two.forward(z_in.data, t_arr, om, sites, p), eps),
           partner, "coupled.partner")
     two.params.unfreeze()
 

@@ -1,11 +1,15 @@
 """Config validation/hashing and the XGCK checkpoint container."""
 
+import argparse
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from crossgen import cli
+from crossgen import pipeline as pl
 from crossgen.checkpoint import (XGCK_VERSION, FieldReader, file_checksum, load_checkpoint,
                                  pack_text, save_checkpoint)
 from crossgen.config import DEFAULTS, config_hash, load_config
@@ -92,6 +96,29 @@ OUT_OF_RANGE = {
                             "eval.utility.scarcity_multipliers"),
     "no_multiplier": ({"eval": {"utility": {"scarcity_multipliers": []}}},
                       "eval.utility.scarcity_multipliers"),
+    "zero_lr": ({"encoder": {"lr": 0.0}}, "encoder.lr must be positive"),
+    "negative_lr": ({"joint": {"lr": -1e-3}}, "joint.lr must be positive"),
+    "zero_codec_lr": ({"diffusion": {"image_codec": {"lr": 0}}},
+                      "diffusion.image_codec.lr must be positive"),
+    "negative_codec_lr": ({"diffusion": {"text_codec": {"lr": -3e-3}}},
+                          "diffusion.text_codec.lr must be positive"),
+    "negative_weight_decay": ({"diffusion": {"weight_decay": -1e-4}},
+                              "diffusion.weight_decay must not be negative"),
+    "negative_pixel_noise": ({"eval": {"utility": {"pixel_noise": -0.25}}},
+                             "eval.utility.pixel_noise must not be negative"),
+    "negative_contrastive_weight": ({"joint": {"contrastive_weight": -0.1}},
+                                    "joint.contrastive_weight must not be negative"),
+    "zero_scarcity_base": ({"eval": {"utility": {"scarcity_base": 0}}},
+                           "eval.utility.scarcity_base must be at least 1"),
+    "zero_imbalance_base": ({"eval": {"utility": {"imbalance_base": 0}}},
+                            "eval.utility.imbalance_base must be at least 1"),
+    "nan_lr": ({"encoder": {"lr": float("nan")}}, "encoder.lr must be finite"),
+    "nan_temperature": ({"joint": {"temperature": float("nan")}},
+                        "joint.temperature must be finite"),
+    "infinite_pixel_noise": ({"eval": {"utility": {"pixel_noise": float("inf")}}},
+                             "eval.utility.pixel_noise must be finite"),
+    "infinite_multiplier": ({"eval": {"utility": {"scarcity_multipliers": [0.0, float("inf")]}}},
+                            r"eval.utility.scarcity_multipliers\[1\] must be finite"),
 }
 
 
@@ -130,6 +157,10 @@ def test_range_edges_accepted():
     for seed in (-2 ** 63, -1, 0, 2 ** 63 - 1):
         assert load_config({"seed": seed})["seed"] == seed
     assert load_config({"eval": {"utility": {"scarcity_multipliers": [0]}}})
+    edges = load_config({"encoder": {"weight_decay": 0.0}, "joint": {"contrastive_weight": 0},
+                         "eval": {"utility": {"pixel_noise": 0.0, "scarcity_base": 1,
+                                              "imbalance_base": 1}}})
+    assert edges["encoder"]["weight_decay"] == edges["eval"]["utility"]["pixel_noise"] == 0
 
 
 def test_int_accepted_for_float_field():
@@ -269,27 +300,51 @@ def test_a_checkpoint_with_bytes_after_its_arrays_names_its_file(tmp_path):
         load_checkpoint(path)
 
 
-def _write_checkpoint(path, version):
-    save_checkpoint(path, "alignment", "00" * 32, {"w": np.full(64, float(version))},
-                    {"version": version})
+def _write_checkpoint(home, version):
+    save_checkpoint(home / "align.xgck", "alignment", "00" * 32,
+                    {"w": np.full(64, float(version))}, {"version": version})
 
 
-def _write_dataset(path, version):
-    save_dataset(generate_dataset(seed=version, n=20), path)
+def _write_dataset(home, version):
+    save_dataset(generate_dataset(seed=version, n=20), home / "toy.xgtd")
 
 
-def _write_manifest(path, version):
-    home = path.parent.parent
+def _write_manifest(home, version):
     artifact = home / "artifact.bin"
     with open(artifact, "wb") as f:  # not through the failing Path writers
-        f.write(bytes([version]) * 8)
+        f.write(b"\1" * 8)
     write_manifest(home, "align", artifact, "ab" * 32, {"v": str(version)},
                    file_checksum(artifact))
 
 
+def _write_history(home, version):  # a stage writes its history CSV first
+    pl._write_stage(load_config(), home, "align", {"w": np.full(4, float(version))}, {}, [],
+                    (("epoch", "loss"), [(0, float(version))]))
+
+
+def _write_report(home, version):
+    pl.write_metric_report(home, "fid", {"fid": float(version)}, load_config(), version,
+                           csv_rows=[(version, 0.5)], csv_header=("seed", "fid"))
+
+
+def _write_payload(home, version):
+    pl.save_payload(home / "sample_000.report.json", "report", ["no", "finding"][:version])
+
+
+def _write_provenance(home, version):  # no samples: generate writes provenance.json alone
+    args = argparse.Namespace(prompt=[], target=["view_a"], joint=False, seed=version,
+                              count=0, out=str(home / "out"))
+    with mock.patch.object(pl, "generate_samples", return_value=([], {"seed": version})):
+        cli._cmd_generate(args, load_config(), home)
+
+
+def _files(home) -> dict:
+    return {p.relative_to(home): p.read_bytes() for p in home.rglob("*") if p.is_file()}
+
+
 class _FullDisk:
-    """A file opened for writing that takes half the bytes of its first
-    write, then fails as a full disk does."""
+    """A file opened for writing that takes half the bytes (or characters)
+    of its first write, then fails as a full disk does."""
 
     def __init__(self, fh):
         self.fh = fh
@@ -301,21 +356,24 @@ class _FullDisk:
         self.fh.close()
 
     def write(self, data):
-        data = memoryview(data).cast("B")
+        if not isinstance(data, str):
+            data = memoryview(data).cast("B")
         self.fh.write(data[:len(data) // 2])
         raise OSError("no space left on device")
 
 
-@pytest.mark.parametrize("write", [_write_checkpoint, _write_dataset, _write_manifest],
-                         ids=["checkpoint", "dataset", "manifest"])
+WRITES = {"checkpoint": _write_checkpoint, "dataset": _write_dataset,
+          "manifest": _write_manifest, "history": _write_history, "report": _write_report,
+          "payload": _write_payload, "provenance": _write_provenance}
+
+
+@pytest.mark.parametrize("write", list(WRITES.values()), ids=list(WRITES))
 def test_failed_artifact_write_keeps_the_previous_file(write, tmp_path, monkeypatch):
     """A write that dies partway (here: half the bytes, then a full disk)
-    leaves every file of the artifact with its previous bytes and no
+    leaves every file under the home with its previous bytes and no
     temporary file beside it."""
-    path = tmp_path / "manifests" / "align.json"  # write_manifest's path for "align"
-    path.parent.mkdir()
-    write(path, 1)
-    before = {p.name: p.read_bytes() for p in path.parent.iterdir()}
+    write(tmp_path, 1)
+    before = _files(tmp_path)
     real_open = Path.open
 
     def half_then_fail(self, mode="r", *args, **kwargs):
@@ -324,6 +382,6 @@ def test_failed_artifact_write_keeps_the_previous_file(write, tmp_path, monkeypa
 
     monkeypatch.setattr(Path, "open", half_then_fail)
     with pytest.raises(OSError, match="no space"):
-        write(path, 2)
+        write(tmp_path, 2)
     monkeypatch.undo()
-    assert {p.name: p.read_bytes() for p in path.parent.iterdir()} == before
+    assert _files(tmp_path) == before

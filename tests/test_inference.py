@@ -32,7 +32,7 @@ from crossgen.jointgen import build_joint
 from crossgen.nn import (Linear, ParameterSet, mean_token_embedding, mean_token_embedding_apply,
                          mlp, mlp_apply, silu_apply)
 from crossgen.rng import stream
-from denoiser_reference import condition, reference_coupled_forward, reference_forward
+from denoiser_reference import condition, reference_forward
 
 CFG = load_config()
 D, J, E = CFG["diffusion"], CFG["joint"], CFG["encoder"]
@@ -132,13 +132,14 @@ def _coupled_case(rng, rows):
     z = {m: rng.standard_normal((rows, latent[m])) for m in latent}
     omega = rng.standard_normal((rows, E["dim"]))
     t = int(rng.integers(1, D["timesteps"] + 1))
-    coupled, partner = comps.coupled["view_a"], comps.projections["report"].project(z["report"])
+    base, sites = bases["view_a"], comps.sites["view_a"]
+    partner = comps.projections["report"].project(z["report"])
     pairs = [(lambda m=m: comps.projections[m].project(z[m]),
               lambda m=m: comps.projections[m].forward(z[m]).data) for m in z]
-    pairs.append((lambda: coupled.array_forward(coupled.base.array_condition(omega),
-                                                D["timesteps"])(z["view_a"], t, partner),
-                  lambda: reference_coupled_forward(coupled, z["view_a"], np.full(rows, t),
-                                                    omega, partner).data))
+    pairs.append((lambda: base.array_forward(base.array_condition(omega), D["timesteps"],
+                                             sites)(z["view_a"], t, partner),
+                  lambda: reference_forward(base, z["view_a"], np.full(rows, t), omega,
+                                            sites, partner).data))
     params = [comps.trainable, *(b.params for b in bases.values())]
     return pairs, [*z.values(), omega, partner], params
 

@@ -16,7 +16,7 @@ from crossgen.jointgen import (ProjectionEncoder, build_joint,
                                coupled_pair_loss, joint_sample, train_joint)
 from crossgen.nn import ParameterSet
 from crossgen.rng import stream
-from denoiser_reference import reference_coupled_forward
+from denoiser_reference import reference_forward
 
 
 def zero_couplings(components) -> None:
@@ -103,9 +103,9 @@ def test_coupled_array_step_and_projection_give_the_recorded_forwards_bytes(rows
                                                                            silu_edges):
     rng = np.random.default_rng(rows)
     comps, latent = _default_width_joint(rng)
-    omega = rng.standard_normal((rows, comps.coupled["view_a"].base.cond_dim))
+    omega = rng.standard_normal((rows, comps.bases["view_a"].cond_dim))
     z = {m: rng.standard_normal((rows, latent[m])) for m in latent}
-    t = int(rng.integers(1, comps.coupled["view_a"].base.T_steps + 1))
+    t = int(rng.integers(1, comps.bases["view_a"].T_steps + 1))
     # row 0 reaches silu's overflow branch in the projections and the
     # denoisers; row 1, where there is one, holds a NaN
     omega[0] *= 1e5
@@ -114,7 +114,8 @@ def test_coupled_array_step_and_projection_give_the_recorded_forwards_bytes(rows
         z[m][1:2, 2] = np.nan
     pairs = (("view_a", "report"), ("report", "view_a"))
     proj = {m: comps.projections[m].forward(z[m]) for m in z}
-    live = [reference_coupled_forward(comps.coupled[m], z[m], np.full(rows, t), omega, proj[o])
+    live = [reference_forward(comps.bases[m], z[m], np.full(rows, t), omega, comps.sites[m],
+                              proj[o])
             for m, o in pairs]
     assert all(x.requires_grad for x in [*proj.values(), *live]) and len(T.tape()) > 0
     T.reset_tape()
@@ -123,8 +124,8 @@ def test_coupled_array_step_and_projection_give_the_recorded_forwards_bytes(rows
     assert [proj_a[m].tobytes() for m in z] == [proj[m].data.tobytes() for m in z]
     eps = []
     for m, o in pairs:
-        cond = comps.coupled[m].base.array_condition(omega)
-        step = comps.coupled[m].array_forward(cond, comps.coupled[m].base.T_steps)
+        cond = comps.bases[m].array_condition(omega)
+        step = comps.bases[m].array_forward(cond, comps.bases[m].T_steps, comps.sites[m])
         eps.append(step(z[m], t, proj_a[o]))
     assert [e.tobytes() for e in eps] == [x.data.tobytes() for x in live]
     assert silu_edges["below -700"] and bool(silu_edges["nan"]) == (rows > 1)
@@ -135,21 +136,21 @@ def test_coupled_array_step_and_projection_give_the_recorded_forwards_bytes(rows
 def test_default_width_coupled_forwards_without_a_tape_equal_the_recorded_ones(batch):
     rng = np.random.default_rng(batch)
     comps, latent = _default_width_joint(rng)
-    base = comps.coupled["view_a"].base
+    base = comps.bases["view_a"]
     omega = rng.standard_normal((batch, base.cond_dim))
     t = rng.integers(1, base.T_steps + 1, size=batch)
     z = {m: rng.standard_normal((batch, latent[m])) for m in latent}
 
     def forwards():
         proj = {m: comps.projections[m].forward(z[m]) for m in z}
-        eps = [comps.coupled[m].forward(z[m], t, omega, proj[o])
+        eps = [comps.bases[m].forward(z[m], t, omega, comps.sites[m], proj[o])
                for m, o in (("view_a", "report"), ("report", "view_a"))]
         return [x.data.tobytes() for x in [*proj.values(), *eps]]
 
     live = forwards()
     assert len(T.tape()) > 0
     T.reset_tape()
-    for params in (comps.trainable, *(c.base.params for c in comps.coupled.values())):
+    for params in (comps.trainable, *(b.params for b in comps.bases.values())):
         params.freeze()  # frozen components record nothing
     bare = forwards()
     assert len(T.tape()) == 0 and bare == live
@@ -161,14 +162,14 @@ def test_the_fused_coupled_nodes_give_the_per_primitive_loss_and_gradient_bytes(
         rows, monkeypatch, silu_edges):
     rng = np.random.default_rng(rows)
     comps, latent = _default_width_joint(rng)
-    base = comps.coupled["view_a"].base
+    base = comps.bases["view_a"]
     omega = rng.standard_normal((rows, base.cond_dim))
     t = rng.integers(1, base.T_steps + 1, size=rows)
     z = {m: rng.standard_normal((rows, latent[m])) for m in latent}
     eps = {m: rng.standard_normal((rows, latent[m])) for m in latent}
     omega[0] *= 1e5  # row 0 takes silu's overflow branch in both denoisers
-    for c in comps.coupled.values():
-        c.base.params.freeze()  # as in train_joint
+    for b in comps.bases.values():
+        b.params.freeze()  # as in train_joint
 
     def grads():
         comps.trainable.zero_grad()
@@ -183,7 +184,7 @@ def test_the_fused_coupled_nodes_give_the_per_primitive_loss_and_gradient_bytes(
     # each partner projection gets the contrastive gradient, then block 1's
     # site's, then block 0's: the fused nodes must add them in that order
     with monkeypatch.context() as mp:
-        mp.setattr(type(comps.coupled["view_a"]), "forward", reference_coupled_forward)
+        mp.setattr(Denoiser, "forward", reference_forward)
         want = grads()
     assert got == want
 
@@ -382,10 +383,10 @@ def test_train_joint_matches_per_batch_encode_reference(small_world):
                     omega.append(combine([embs[m][i] for m in subset])[0])
                 omega = np.stack(omega)
                 p = {m: ref.projections[m].forward(z_t[m]) for m in pair}
-                loss_i = noise_prediction_loss(reference_coupled_forward(
-                    ref.coupled[m_i], z_t[m_i], t, omega, p[m_j]), eps[m_i])
-                loss_j = noise_prediction_loss(reference_coupled_forward(
-                    ref.coupled[m_j], z_t[m_j], t, omega, p[m_i]), eps[m_j])
+                loss_i = noise_prediction_loss(reference_forward(
+                    ref.bases[m_i], z_t[m_i], t, omega, ref.sites[m_i], p[m_j]), eps[m_i])
+                loss_j = noise_prediction_loss(reference_forward(
+                    ref.bases[m_j], z_t[m_j], t, omega, ref.sites[m_j], p[m_i]), eps[m_j])
                 loss = T.add(T.add(loss_i, loss_j),
                              T.mul(symmetric_loss(p[m_i], p[m_j], 0.07), T.Tensor(0.1)))
                 losses.append(loss.item())
@@ -458,7 +459,8 @@ def test_joint_sample_matches_per_step_coupled_forward_reference(small_world, tw
     for t in range(sched.T, 0, -1):
         t_arr = np.full(batch, t, dtype=np.int64)
         proj = {m: comps.projections[m].forward(z[m]).data for m in pair}
-        eps = {m: reference_coupled_forward(comps.coupled[m], z[m], t_arr, omega, proj[o]).data
+        eps = {m: reference_forward(comps.bases[m], z[m], t_arr, omega, comps.sites[m],
+                                    proj[o]).data
                for m, o in zip(pair, pair[::-1])}
         T.reset_tape()  # the recording forwards are the reference; drop their nodes
         ab, alpha, beta = sched.alpha_bars[t - 1], sched.alphas[t - 1], sched.betas[t - 1]
@@ -533,7 +535,12 @@ def test_an_error_in_the_worker_stream_propagates_with_grad_mode_restored(
         raised_on.append(threading.get_ident())
         raise FloatingPointError("worker stream failed")
 
-    monkeypatch.setattr(comps.coupled[worker_stream], "array_forward", lambda *a: fail)
+    array_forward = Denoiser.array_forward
+
+    def hooked(self, *args):  # the worker stream's base predicts through fail
+        return fail if self is comps.bases[worker_stream] else array_forward(self, *args)
+
+    monkeypatch.setattr(Denoiser, "array_forward", hooked)
     before = threading.active_count()
     with pytest.raises(FloatingPointError, match="worker stream failed"):
         joint_sample(comps, sched, omega, codecs, seed=4)
