@@ -1,10 +1,10 @@
-"""The field format of the binary artifact files, and the checkpoint
-container (magic "XGCK"). Fixed-width fields are little-endian; a text
-field is its UTF-8 bytes behind their length (``pack_text`` writes one,
-``FieldReader`` reads every field). A checkpoint holds a version, the stage
-tag, config hash and JSON metadata, then named float64 arrays (rank, shape,
-values in C order), and ends in the SHA-256 of all that; ``toydata`` writes
-dataset files in the same format."""
+"""The checkpoint container (magic "XGCK"), the one binary artifact format:
+every stage, the dataset included, is stored in it. Fixed-width fields are
+little-endian; a text field is its UTF-8 bytes behind their length
+(``pack_text`` writes one, ``FieldReader`` reads every field). A checkpoint
+holds a version, the stage tag, config hash and JSON metadata, then named
+float64 arrays (rank, shape, values in C order), and ends in the SHA-256 of
+all that."""
 
 from __future__ import annotations
 
@@ -46,17 +46,17 @@ def pack_text(text: str, length: str = "<H") -> bytes:
 
 
 class FieldReader:
-    """Reads an artifact file's fields in order, as views of its bytes; an
+    """Reads a checkpoint's fields in order, as views of its bytes; an
     ArtifactError names the file if a read runs past the end ("truncated
-    <what>") or, at ``finish``, bytes are left."""
+    checkpoint") or, at ``finish``, bytes are left."""
 
-    def __init__(self, data, path, what: str):
-        self.data, self.path, self.what, self.off = memoryview(data), path, what, 0
+    def __init__(self, data, path):
+        self.data, self.path, self.off = memoryview(data), path, 0
 
     def take(self, n: int) -> memoryview:
         self.off += n
         if self.off > len(self.data):
-            raise ArtifactError(f"{self.path}: truncated {self.what}")
+            raise ArtifactError(f"{self.path}: truncated checkpoint")
         return self.data[self.off - n:self.off]
 
     def unpack(self, fmt: str) -> tuple:
@@ -66,7 +66,7 @@ class FieldReader:
         try:
             return str(self.take(self.unpack(length)[0]), "utf-8")
         except UnicodeDecodeError as exc:
-            raise ArtifactError(f"{self.path}: a text field of the {self.what} "
+            raise ArtifactError(f"{self.path}: a text field of the checkpoint "
                                 f"is not UTF-8 ({exc.reason})") from exc
 
     def finish(self) -> None:
@@ -87,7 +87,9 @@ def save_checkpoint(path, stage: str, config_hash: str,
         # written from its buffer, in C order
         arr = np.require(arrays[name], dtype="<f8", requirements="C")
         chunks += [pack_text(name), struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape), arr]
-    body_hash = chunks_hash(chunks)
+    body_hash = hashlib.sha256()
+    for chunk in chunks:
+        body_hash.update(chunk)
     digest = body_hash.digest()
     write_atomic(path, chunks + [digest])
     body_hash.update(digest)
@@ -113,7 +115,7 @@ def load_checkpoint(path, expect_stage: str | None = None,
     checksum = body_hash.digest()
     if checksum != raw[-32:]:
         raise ArtifactError(f"{path}: checksum mismatch, file is corrupt")
-    fields = FieldReader(body[4:], path, "checkpoint")  # after the magic
+    fields = FieldReader(body[4:], path)  # after the magic
     (version,) = fields.unpack("<H")
     if version != XGCK_VERSION:
         raise ArtifactError(
@@ -141,15 +143,6 @@ def load_checkpoint(path, expect_stage: str | None = None,
     return {"stage": stage, "config_hash": cfg_hash, "metadata": metadata,
             "arrays": arrays, "checksum": checksum.hex(),
             "file_checksum": file_hash.hexdigest()}
-
-
-def chunks_hash(chunks):
-    """The SHA-256 state of the buffers ``chunks`` joined, without joining
-    them: what a writer of those chunks returns as the file's checksum."""
-    h = hashlib.sha256()
-    for chunk in chunks:
-        h.update(chunk)
-    return h
 
 
 def file_checksum(path) -> str:

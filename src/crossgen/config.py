@@ -124,7 +124,8 @@ _AT_LEAST_ONE = {"n", "imbalance_n", "imbalance_base", "scarcity_base", "batch_s
 _POSITIVE = {"lr", "temperature"}
 
 #: leaf keys, besides the epoch counts, that must not be negative
-_NON_NEGATIVE = {"weight_decay", "pixel_noise", "contrastive_weight"}
+_NON_NEGATIVE = {"weight_decay", "pixel_noise", "contrastive_weight", "imbalance_target",
+                 "scarcity_pool"}
 
 #: keys that name a mode, with the values each accepts
 _MODES = {"diffusion.sigma_mode": ("beta", "alpha_bar_ratio")}
@@ -136,8 +137,7 @@ _PAIR_BATCHES = ("encoder", "joint")
 
 def check_seed(value: int, what: str) -> None:
     """ConfigError naming ``what`` for a seed outside a signed 64-bit
-    integer: the dataset file packs the seed so, and ``rng.stream`` would
-    fold a larger one onto a seed in range."""
+    integer: ``rng.stream`` would fold a larger one onto a seed in range."""
     if not -2 ** 63 <= value < 2 ** 63:
         raise ConfigError(f"{what} must fit a signed 64-bit integer, got {value!r}")
 
@@ -145,7 +145,8 @@ def check_seed(value: int, what: str) -> None:
 def _check_ranges(section: dict, path: str) -> None:
     """ConfigError for a value outside its range: sizes and widths at least
     1 (the contrastive batch sizes 2), epoch counts, weight decays, the
-    pixel noise and the contrastive weight at least 0, at least 2
+    pixel noise, the contrastive weight, the imbalance target and the
+    scarcity pool at least 0, at least 2
     timesteps, 0 < beta_min <= beta_max < 1, positive learning rates and
     temperatures, a seed that fits a signed 64-bit integer, exactly 2
     classifier widths, at least one scarcity multiplier and none negative,

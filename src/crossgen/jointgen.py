@@ -1,6 +1,6 @@
 """Coupled joint generation: frozen per-modality diffusion backbones plus
-trainable projection encoders and coupling adapters that let two concurrent
-reverse processes condition on each other's latent state. Each adapter is
+trainable projection encoders and coupling sites that let two concurrent
+reverse processes condition on each other's latent state. Each site is
 one-token cross-attention onto the partner's projected latent, computed in
 its exact form: the learned linear map wo(wv(partner))."""
 

@@ -1,15 +1,15 @@
 """End-to-end orchestration over an artifact directory.
 
-Stage outputs (dataset, checkpoints, metric reports) live under a home
-directory. Each artifact gets a manifest recording its content checksum,
-the config hash that produced it and the checksums of its prerequisites;
-stage ordering is enforced through these manifests, never timestamps.
+Stage outputs (checkpoints, the dataset's included, and metric reports)
+live under a home directory. Each checkpoint gets a manifest recording its
+content checksum, the config hash that produced it and the checksums of its
+prerequisites; stage ordering is enforced through these manifests, never
+timestamps.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 from pathlib import Path
@@ -35,16 +35,22 @@ JOINT_PAIRS = (("view_a", "view_b"), ("view_a", "report"), ("view_b", "report"))
 # ---------------------------------------------------------------------------
 # layout and manifests
 
-def dataset_path(home) -> Path:
-    return Path(home) / "data" / "toy.xgtd"
+def _stage_file(home, folder: str, stage: str, suffix: str) -> Path:
+    """The file of ``stage`` in ``folder``: the stage tag with ":" and "+"
+    made "_"."""
+    return Path(home) / folder / (stage.replace(":", "_").replace("+", "_") + suffix)
 
 
 def checkpoint_path(home, stage: str) -> Path:
-    return Path(home) / "checkpoints" / (stage.replace(":", "_").replace("+", "_") + ".xgck")
+    return _stage_file(home, "checkpoints", stage, ".xgck")
+
+
+def dataset_path(home) -> Path:
+    return checkpoint_path(home, "dataset")
 
 
 def history_path(home, stage: str) -> Path:
-    return Path(home) / "history" / (stage.replace(":", "_").replace("+", "_") + ".csv")
+    return _stage_file(home, "history", stage, ".csv")
 
 
 def report_dir(home) -> Path:
@@ -52,21 +58,18 @@ def report_dir(home) -> Path:
 
 
 def manifest_path(home, stage: str) -> Path:
-    return Path(home) / "manifests" / (stage.replace(":", "_").replace("+", "_") + ".json")
+    return _stage_file(home, "manifests", stage, ".json")
 
 
 def write_manifest(home, stage: str, artifact: Path, cfg_hash: str,
-                   prerequisites: dict[str, str], checksum: str,
-                   sidecar_checksum: str | None = None) -> None:
-    """Record ``artifact`` (and its sidecar) by the checksums its writer
-    returned, which hashed the bytes it wrote: nothing is read back."""
+                   prerequisites: dict[str, str], checksum: str) -> None:
+    """Record ``artifact`` by the checksum its writer returned, which hashed
+    the bytes it wrote: nothing is read back."""
     path = manifest_path(home, stage)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {"stage": stage, "artifact": artifact.name,
                "checksum": checksum, "config_hash": cfg_hash,
                "prerequisites": prerequisites}
-    if sidecar_checksum is not None:
-        payload["sidecar_checksum"] = sidecar_checksum
     write_atomic(path, [json.dumps(payload, sort_keys=True, indent=1).encode()])
 
 
@@ -127,8 +130,9 @@ def _restore(target, ck: dict, prefix: str = ""):
 
 def _write_stage(cfg: dict, home, stage: str, arrays: dict, metadata: dict,
                  prerequisites, history=None) -> Path:
-    """Write a trained stage's history CSV (``history``: header, rows), its
-    checkpoint, and its manifest recording each prerequisite stage's checksum."""
+    """Write a stage's history CSV (``history``: header, rows), if it has one,
+    its checkpoint, and its manifest recording each prerequisite stage's
+    checksum."""
     cfg_hash = config_hash(cfg)
     if history is not None:
         _write_csv(history_path(home, stage), history[1], history[0])
@@ -157,28 +161,17 @@ def run_gen_data(cfg: dict, home, force: bool = False) -> Path:
     path = dataset_path(home)
     if path.exists() and not force:
         raise ConfigError(f"{path} already exists (pass force to overwrite)")
-    path.parent.mkdir(parents=True, exist_ok=True)
     ds = td.generate_dataset(cfg["seed"], cfg["dataset"]["n"],
                              cfg["dataset"]["positive_rates"])
-    checksum, sidecar_checksum = td.save_dataset(ds, path)
-    write_manifest(home, "dataset", path, config_hash(cfg), {}, checksum, sidecar_checksum)
-    return path
+    return _write_stage(cfg, home, "dataset", *td.save_dataset(ds), [])
 
 
 def load_data(cfg: dict, home) -> td.Dataset:
-    manifest = read_manifest(home, "dataset", config_hash(cfg))
-    path = dataset_path(home)
-    if not path.is_file():
-        raise ArtifactError(f"{path}: missing, though its manifest exists")
-    raw = path.read_bytes()  # read once: the bytes hashed are the bytes parsed
-    if hashlib.sha256(raw).hexdigest() != manifest["checksum"]:
-        raise ArtifactError(f"{path}: content does not match its manifest")
-    sidecar = td.sidecar_path(path)
-    sidecar_raw = sidecar.read_bytes() if sidecar.is_file() else None
-    if (sidecar_raw is None
-            or hashlib.sha256(sidecar_raw).hexdigest() != manifest.get("sidecar_checksum")):
-        raise ArtifactError(f"{sidecar}: split sidecar does not match its manifest")
-    return td.load_dataset(path, raw, sidecar_raw)
+    ck = _load_stage(cfg, home, "dataset", ("seed", "vocab"))
+    try:
+        return td.load_dataset(ck["arrays"], ck["metadata"])
+    except ValueError as exc:
+        raise ArtifactError(f"{ck['path']}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -515,14 +508,14 @@ def run_utility(cfg: dict, home, mode: str) -> dict:
                 lab = (label_rng.random(td.NUM_CONDITIONS) < rates).astype(np.uint8)
                 lab[k] = 1
                 aug_labels.append(lab)
-        aug_labels = np.stack(aug_labels)
-        augmented = (np.concatenate([bx, synth(aug_labels)]),
-                     np.concatenate([by, aug_labels]))
-        baseline, augmented = utility_reports([(bx, by), augmented],
-                                              _xy(td.generate_subset(
-                                                  seed + 1, u["imbalance_n"], "test")),
-                                              seed, noise,
-                                              u["imbalance_epochs"])
+        arms = [(bx, by)]
+        if aug_labels:  # no condition short of the target: augmented is the baseline
+            aug_labels = np.stack(aug_labels)
+            arms.append((np.concatenate([bx, synth(aug_labels)]),
+                         np.concatenate([by, aug_labels])))
+        reports = utility_reports(arms, _xy(td.generate_subset(
+            seed + 1, u["imbalance_n"], "test")), seed, noise, u["imbalance_epochs"])
+        baseline, augmented = reports[0], reports[-1]
         return {"mode": mode, "baseline": baseline, "augmented": augmented,
                 "baseline_positives": pos.tolist(),
                 "minority_classes": [int(k) for k in range(td.NUM_CONDITIONS)

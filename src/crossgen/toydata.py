@@ -8,23 +8,17 @@ describes the active conditions plus coarse position/intensity descriptors,
 so every pair of modalities shares recoverable information beyond the label
 bits. A rule-based labeler inverts reports exactly on in-distribution text.
 
-A dataset file (magic "XGTD", in ``checkpoint``'s field format) holds the
-seed, the vocabulary and one fixed-width row per record. Its JSON split
-sidecar maps "train", "val" and "test" to lists of record indices.
+The dataset is stored as the checkpoint of stage "dataset": ``save_dataset``
+turns it into float64 arrays and metadata, ``load_dataset`` turns them back.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import FieldReader, chunks_hash, pack_text, write_atomic
-from .errors import ArtifactError, ConfigError
+from .errors import ConfigError
 from .rng import stream
 
 NUM_CONDITIONS = 5
@@ -288,90 +282,58 @@ def generate_subset(seed: int, n: int, name: str, count: int | None = None) -> l
 
 
 # ---------------------------------------------------------------------------
-# binary dataset file (magic "XGTD") plus JSON split sidecar
+# the dataset as checkpoint arrays
 
-XGTD_MAGIC = b"XGTD"
-XGTD_VERSION = 1
-
-
-#: one record of the dataset file body, little-endian and unpadded
-_RECORD_DTYPE = np.dtype([
-    ("id", "<u4"), ("view_a", "<f8", (VIEW_SIZE, VIEW_SIZE)),
-    ("view_b", "<f8", (VIEW_SIZE, VIEW_SIZE)), ("length", "<u2"),
-    ("ids", "<u2", (MAX_REPORT_LEN,)), ("labels", "u1", (NUM_CONDITIONS,)),
-    ("factors", "<f8", (3,))])
+SPLITS = ("train", "val", "test")
 
 
-def sidecar_path(path) -> Path:
-    return Path(str(path) + ".splits.json")
+def save_dataset(dataset: Dataset) -> tuple[dict[str, np.ndarray], dict]:
+    """The arrays and metadata of the dataset's checkpoint: one row per
+    record (its id is its row), the report as token ids padded with 0 and
+    the split as its index in ``SPLITS``; every value is exact in float64."""
+    records = dataset.records
+    split = np.zeros(len(records))
+    for code, name in enumerate(SPLITS):
+        split[dataset.split[name]] = code
+    arrays = {"view_a": payload_batch(records, "view_a"),
+              "view_b": payload_batch(records, "view_b"),
+              "labels": np.stack([r.labels for r in records]),
+              "factors": np.stack([r.factors for r in records]),
+              "tokens": np.stack([report_to_ids(r.report) for r in records]),
+              "split": split}
+    return arrays, {"seed": dataset.seed, "vocab": list(VOCAB)}
 
 
-def save_dataset(dataset: Dataset, path) -> tuple[str, str]:
-    """Write the dataset file and its split sidecar; returns their SHA-256
-    checksums (hex), hashed from the chunks written, not read back."""
-    path = Path(path)
-    chunks = [XGTD_MAGIC, struct.pack("<HqHH", XGTD_VERSION, dataset.seed, NUM_CONDITIONS,
-                                      len(VOCAB))]
-    chunks += [pack_text(tok) for tok in VOCAB]
-    chunks.append(struct.pack("<I", len(dataset.records)))
-    body = np.zeros(len(dataset.records), _RECORD_DTYPE)
-    for i, rec in enumerate(dataset.records):
-        ids = [TOKEN_TO_ID[t] for t in rec.report]
-        body[i] = (rec.id, rec.view_a, rec.view_b, len(ids),
-                   ids + [0] * (MAX_REPORT_LEN - len(ids)), rec.labels, rec.factors)
-    chunks.append(body)
-    write_atomic(path, chunks)
-
-    splits = {name: [int(i) for i in idx] for name, idx in dataset.split.items()}
-    sidecar = json.dumps(splits, sort_keys=True).encode()
-    write_atomic(sidecar_path(path), [sidecar])
-    return chunks_hash(chunks).hexdigest(), hashlib.sha256(sidecar).hexdigest()
-
-
-def load_dataset(path, raw: bytes, sidecar_raw: bytes) -> Dataset:
-    """Parse ``raw``, the bytes of the dataset file ``path``, and
-    ``sidecar_raw``, those of its split sidecar, as the caller read them
-    (nothing is read here); ArtifactError naming the file for a malformed
-    file or sidecar."""
-    path = Path(path)
-    fields = FieldReader(raw, path, "dataset file")
-    if fields.take(4) != XGTD_MAGIC:
-        raise ArtifactError(f"{path}: bad magic, not a dataset file")
-    (version,) = fields.unpack("<H")
-    if version != XGTD_VERSION:
-        raise ArtifactError(f"{path}: unsupported dataset format version {version}")
-    seed, c = fields.unpack("<qH")
-    if c != NUM_CONDITIONS:
-        raise ArtifactError(f"{path}: condition count {c} != {NUM_CONDITIONS}")
-    vocab = tuple(fields.text() for _ in range(fields.unpack("<H")[0]))
-    if vocab != VOCAB:
-        raise ArtifactError(f"{path}: vocabulary does not match this build")
-
-    (n,) = fields.unpack("<I")
-    # one read-only view of every record, without copying the body
-    block = np.frombuffer(fields.take(n * _RECORD_DTYPE.itemsize), _RECORD_DTYPE)
-    fields.finish()
-    ids, lengths = block["ids"], block["length"]
-    if np.any(ids >= len(VOCAB)):
-        raise ArtifactError(f"{path}: token id out of range")
-    if n and not (1 <= lengths.min() and lengths.max() <= MAX_REPORT_LEN):
-        raise ArtifactError(f"{path}: report length outside 1..{MAX_REPORT_LEN}")
-    if np.any((ids == 0) & (np.arange(MAX_REPORT_LEN) < lengths[:, None])):
-        raise ArtifactError(f"{path}: pad token inside a report")
-    records = [Record(rec_id, view_a, view_b, tuple([VOCAB[i] for i in row[:length]]),
-                      labels, factors)
-               for rec_id, view_a, view_b, row, length, labels, factors in zip(
-                   block["id"].tolist(), block["view_a"], block["view_b"], ids.tolist(),
-                   lengths.tolist(), block["labels"], block["factors"])]
-    sidecar = sidecar_path(path)
-    try:
-        splits = json.loads(str(sidecar_raw, "utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ArtifactError(f"{sidecar}: split sidecar is not JSON text ({exc})") from exc
-    names = ("train", "val", "test")
-    if not (isinstance(splits, dict) and all(
-            isinstance(splits.get(k), list)
-            and all(type(i) is int and 0 <= i < n for i in splits[k]) for k in names)):
-        raise ArtifactError(f"{sidecar}: split sidecar is not an object whose 'train', 'val' "
-                            f"and 'test' lists hold record indices in 0..{n - 1}")
-    return Dataset(records, {k: np.asarray(splits[k], dtype=np.int64) for k in names}, seed)
+def load_dataset(arrays: dict[str, np.ndarray], metadata: dict) -> Dataset:
+    """The dataset of ``save_dataset``'s arrays and metadata; ValueError for
+    another vocabulary, an array of the wrong shape, a token id outside the
+    vocabulary, an empty report or one with a pad token inside it, a label
+    outside {0, 1} or a split code outside {0, 1, 2}."""
+    if metadata["vocab"] != list(VOCAB):
+        raise ValueError("vocabulary does not match this build")
+    shapes = {name: a.shape for name, a in arrays.items()}
+    n = (shapes.get("split") or (-1,))[0]
+    expected = {"view_a": (n, VIEW_SIZE, VIEW_SIZE), "view_b": (n, VIEW_SIZE, VIEW_SIZE),
+                "labels": (n, NUM_CONDITIONS), "factors": (n, 3),
+                "tokens": (n, MAX_REPORT_LEN), "split": (n,)}
+    if shapes != expected:
+        raise ValueError(f"dataset arrays have shapes {shapes}, expected {expected}")
+    tokens, split, labels = arrays["tokens"], arrays["split"], arrays["labels"]
+    if not np.all(np.isin(tokens, np.arange(len(VOCAB)))):
+        raise ValueError("token id out of range")
+    filled = tokens != 0
+    lengths = filled.sum(axis=1)
+    if np.any(lengths == 0):
+        raise ValueError("empty report")
+    if np.any(filled != (np.arange(MAX_REPORT_LEN) < lengths[:, None])):
+        raise ValueError("pad token inside a report")
+    if not np.all(np.isin(labels, (0, 1))):
+        raise ValueError("label outside {0, 1}")
+    if not np.all(np.isin(split, (0, 1, 2))):
+        raise ValueError("split code outside {0, 1, 2}")
+    records = [Record(i, view_a, view_b, tuple([VOCAB[t] for t in row[:length]]), lab, fac)
+               for i, (view_a, view_b, row, length, lab, fac) in enumerate(zip(
+                   arrays["view_a"], arrays["view_b"], tokens.astype(np.int64).tolist(),
+                   lengths.tolist(), labels.astype(np.uint8), arrays["factors"]))]
+    return Dataset(records, {name: np.flatnonzero(split == code)
+                             for code, name in enumerate(SPLITS)}, metadata["seed"])

@@ -3,6 +3,7 @@ provenance and deterministic checkpoints."""
 
 import copy
 import json
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -420,16 +421,16 @@ def test_generate_names_a_prompt_file_that_is_not_json(tmp_path, cfg_file, capsy
         pl.load_payload(prompt_file)
 
 
-def test_tampered_split_sidecar_is_exit_2(tmp_path, cfg_file):
+def test_tampered_dataset_file_is_exit_2(tmp_path, cfg_file, capsys):
     home = tmp_path / "h"
     assert main(["--config", cfg_file, "--home", str(home), "gen-data"]) == 0
-    sidecar = td.sidecar_path(pl.dataset_path(home))
-    splits = json.loads(sidecar.read_text())
-    splits["train"], splits["test"] = splits["test"], splits["train"]
-    sidecar.write_text(json.dumps(splits, sort_keys=True))
+    data = pl.dataset_path(home)
+    raw = bytearray(data.read_bytes())
+    raw[len(raw) // 2] ^= 1
+    data.write_bytes(bytes(raw))
+    capsys.readouterr()
     assert main(["--config", cfg_file, "--home", str(home), "train", "align"]) == 2
-    with pytest.raises(ArtifactError, match="sidecar"):
-        pl.load_data(load_config(cfg_file), home)
+    assert f"error: {data}: checksum mismatch" in capsys.readouterr().err
 
 
 def test_checkpoint_missing_an_array_is_exit_2(trained_home, cfg_file, tmp_path):
@@ -474,16 +475,10 @@ def test_training_stages_hash_no_checkpoint_they_wrote(tmp_path, cfg_file, monke
     monkeypatch.undo()
     for stage in ("dataset", "alignment", "ldm:view_a"):
         manifest = json.loads(pl.manifest_path(home, stage).read_text())
-        artifact = (pl.dataset_path(home) if stage == "dataset"
-                    else pl.checkpoint_path(home, stage))
-        assert manifest["checksum"] == file_checksum(artifact)
-        if stage == "dataset":
-            sidecar = td.sidecar_path(artifact)
-            assert manifest["sidecar_checksum"] == file_checksum(sidecar)
+        assert manifest["checksum"] == file_checksum(pl.checkpoint_path(home, stage))
 
 
-def test_load_data_reads_the_dataset_file_and_its_sidecar_once_each(tmp_path, cfg_file,
-                                                                      monkeypatch):
+def test_load_data_reads_the_dataset_file_once(tmp_path, cfg_file, monkeypatch):
     home = tmp_path / "h"
     assert main(["--config", cfg_file, "--home", str(home), "gen-data"]) == 0
     reads = []
@@ -494,20 +489,23 @@ def test_load_data_reads_the_dataset_file_and_its_sidecar_once_each(tmp_path, cf
                         or read_text(self, *a, **k))
     ds = pl.load_data(load_config(cfg_file), home)
     monkeypatch.undo()
-    data = pl.dataset_path(home)
-    assert sorted(r for r in reads if r.startswith(data.name)) == sorted(
-        [data.name, td.sidecar_path(data).name])
+    assert [r for r in reads if r.endswith(".xgck")] == [pl.dataset_path(home).name]
     assert len(ds.records) == TINY["dataset"]["n"]
 
 
 def test_a_dataset_file_that_does_not_match_its_manifest_fails_before_it_is_parsed(
-        tmp_path, cfg_file):
+        tmp_path, cfg_file, monkeypatch):
     home = tmp_path / "h"
     assert main(["--config", cfg_file, "--home", str(home), "gen-data"]) == 0
     data = pl.dataset_path(home)
-    data.write_bytes(b"NOPE" + data.read_bytes()[4:])  # a parse would say "bad magic"
+    ck = load_checkpoint(data)
+    ck["arrays"]["split"][:] = 0  # a valid checkpoint the manifest does not record
+    save_checkpoint(data, ck["stage"], ck["config_hash"], ck["arrays"], ck["metadata"])
+    parsed = []
+    monkeypatch.setattr(td, "load_dataset", lambda *a: parsed.append(a))
     with pytest.raises(ArtifactError, match=f"^{data}: content does not match its manifest"):
         pl.load_data(load_config(cfg_file), home)
+    assert parsed == []
 
 
 def test_the_imbalance_arm_renders_only_the_records_it_reads(trained_home, cfg_file,
@@ -532,6 +530,20 @@ def test_the_imbalance_arm_stacks_only_the_records_it_draws(trained_home, cfg_fi
     monkeypatch.setattr(pl, "_xy", lambda records: stacked.append(len(records)) or xy(records))
     run_utility(load_config(cfg_file), trained_home, "imbalance")
     assert sum(stacked) == drawn
+
+
+def test_the_imbalance_arm_reports_the_baseline_when_no_condition_is_short(tmp_path):
+    # a target of 0 positives: every condition meets it, so nothing is drawn
+    zero = json.loads(json.dumps(TINY))
+    zero["eval"]["utility"]["imbalance_target"] = 0
+    cfg_file = tmp_path / "zero.json"
+    cfg_file.write_text(json.dumps(zero))
+    home = str(tmp_path / "h")
+    for stage in (["gen-data"], ["train", "align"], ["train", "ldm", "--target", "view_a"],
+                  ["eval", "utility", "--mode", "imbalance"]):
+        assert main(["--config", str(cfg_file), "--home", home, *stage]) == 0
+    report = json.loads((pl.report_dir(home) / "utility_imbalance.json").read_text())
+    assert report["augmented"] == report["baseline"]
 
 
 def _rewrite_recorded(home, stage, edit) -> Path:
@@ -581,28 +593,47 @@ def test_a_recorded_malformed_checkpoint_is_exit_2(trained_home, cfg_file, tmp_p
         assert f"error: {path}: checkpoint {message}" in err
 
 
-#: case -> the split sidecar's new text, from its parsed content
-SIDECAR_DEFECTS = {
-    "no_train": lambda splits: json.dumps({k: v for k, v in splits.items() if k != "train"}),
-    "index_past_the_end": lambda splits: json.dumps(
-        {**splits, "train": splits["train"] + [TINY["dataset"]["n"]]}),
-    "not_json": lambda splits: "not json",
+def _set(name, index, value):
+    """An edit of the dataset checkpoint that sets ``arrays[name][index]``."""
+    return lambda ck: ck["arrays"][name].__setitem__(index, value)
+
+
+#: case -> (edit of the dataset checkpoint, text of the error after its path)
+DATASET_DEFECTS = {
+    "vocabulary": (lambda ck: ck["metadata"]["vocab"].reverse(),
+                   "vocabulary does not match this build"),
+    "token_id_past_the_vocabulary": (_set("tokens", (0, 0), len(td.VOCAB)),
+                                     "token id out of range"),
+    "negative_token_id": (_set("tokens", (0, 0), -1), "token id out of range"),
+    "fractional_token_id": (_set("tokens", (0, 0), 1.5), "token id out of range"),
+    "empty_report": (_set("tokens", 0, 0), "empty report"),
+    "report_past_the_max_length": (
+        lambda ck: ck["arrays"].update(tokens=np.ones((TINY["dataset"]["n"],
+                                                       td.MAX_REPORT_LEN + 1))),
+        "dataset arrays have shapes"),
+    "pad_inside_a_report": (_set("tokens", (0, 1), 0), "pad token inside a report"),
+    "split_code": (_set("split", 0, 3), r"split code outside \{0, 1, 2\}"),
+    "label": (_set("labels", (0, 0), 2), r"label outside \{0, 1\}"),
+    "condition_count": (lambda ck: ck["arrays"].update(labels=ck["arrays"]["labels"][:, :4]),
+                        "dataset arrays have shapes"),
+    "view_shape": (lambda ck: ck["arrays"].update(view_b=ck["arrays"]["view_b"][1:]),
+                   "dataset arrays have shapes"),
+    "missing_array": (lambda ck: ck["arrays"].pop("factors"), "dataset arrays have shapes"),
+    "missing_seed": (lambda ck: ck["metadata"].pop("seed"), r"metadata lacks \['seed'\]"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(SIDECAR_DEFECTS))
-def test_a_recorded_malformed_sidecar_is_exit_2_naming_it(tmp_path, cfg_file, capsys, case):
+@pytest.mark.parametrize("case", sorted(DATASET_DEFECTS))
+def test_a_recorded_malformed_dataset_is_exit_2_naming_it(tmp_path, cfg_file, capsys, case):
+    edit, message = DATASET_DEFECTS[case]
     home = tmp_path / "h"
     assert main(["--config", cfg_file, "--home", str(home), "gen-data"]) == 0
-    sidecar = td.sidecar_path(pl.dataset_path(home))
-    sidecar.write_text(SIDECAR_DEFECTS[case](json.loads(sidecar.read_text())))
-    manifest_file = pl.manifest_path(home, "dataset")
-    manifest = json.loads(manifest_file.read_text())
-    manifest["sidecar_checksum"] = file_checksum(sidecar)
-    manifest_file.write_text(json.dumps(manifest))
+    path = _rewrite_recorded(home, "dataset", edit)
     capsys.readouterr()
     assert main(["--config", cfg_file, "--home", str(home), "train", "align"]) == 2
-    assert f"error: {sidecar}: split sidecar" in capsys.readouterr().err
+    assert re.search(f"error: {re.escape(str(path))}: .*{message}", capsys.readouterr().err)
+    with pytest.raises(ArtifactError, match=f"^{re.escape(str(path))}: .*{message}"):
+        pl.load_data(load_config(cfg_file), home)
 
 
 def test_a_prompt_file_of_another_modality_is_exit_2_naming_it(tmp_path, cfg_file, capsys):

@@ -15,7 +15,6 @@ from crossgen.checkpoint import (XGCK_VERSION, FieldReader, file_checksum, load_
 from crossgen.config import DEFAULTS, config_hash, load_config
 from crossgen.errors import ArtifactError, ConfigError
 from crossgen.pipeline import write_manifest
-from crossgen.toydata import generate_dataset, save_dataset
 
 
 def test_defaults_resolve():
@@ -112,6 +111,10 @@ OUT_OF_RANGE = {
                            "eval.utility.scarcity_base must be at least 1"),
     "zero_imbalance_base": ({"eval": {"utility": {"imbalance_base": 0}}},
                             "eval.utility.imbalance_base must be at least 1"),
+    "negative_imbalance_target": ({"eval": {"utility": {"imbalance_target": -1}}},
+                                  "eval.utility.imbalance_target must not be negative"),
+    "negative_scarcity_pool": ({"eval": {"utility": {"scarcity_pool": -1}}},
+                               "eval.utility.scarcity_pool must not be negative"),
     "nan_lr": ({"encoder": {"lr": float("nan")}}, "encoder.lr must be finite"),
     "nan_temperature": ({"joint": {"temperature": float("nan")}},
                         "joint.temperature must be finite"),
@@ -159,8 +162,11 @@ def test_range_edges_accepted():
     assert load_config({"eval": {"utility": {"scarcity_multipliers": [0]}}})
     edges = load_config({"encoder": {"weight_decay": 0.0}, "joint": {"contrastive_weight": 0},
                          "eval": {"utility": {"pixel_noise": 0.0, "scarcity_base": 1,
-                                              "imbalance_base": 1}}})
+                                              "imbalance_base": 1, "imbalance_target": 0,
+                                              "scarcity_pool": 0}}})
     assert edges["encoder"]["weight_decay"] == edges["eval"]["utility"]["pixel_noise"] == 0
+    assert edges["eval"]["utility"]["imbalance_target"] == edges["eval"]["utility"][
+        "scarcity_pool"] == 0
 
 
 def test_int_accepted_for_float_field():
@@ -264,17 +270,17 @@ def test_checkpoint_stage_and_hash_mismatch(tmp_path):
 def test_field_reader_reads_back_what_pack_text_and_struct_wrote(tmp_path):
     import struct
     data = pack_text("stage:\u00e9") + struct.pack("<qB", -7, 3) + pack_text("{}", "<I")
-    fields = FieldReader(data, tmp_path / "f.bin", "test file")
+    fields = FieldReader(data, tmp_path / "f.bin")
     assert fields.text() == "stage:\u00e9"
     assert fields.unpack("<qB") == (-7, 3)
     assert fields.text("<I") == "{}"
     fields.finish()
-    with pytest.raises(ArtifactError, match=f"^{tmp_path / 'f.bin'}: truncated test file"):
+    with pytest.raises(ArtifactError, match=f"^{tmp_path / 'f.bin'}: truncated checkpoint"):
         fields.take(1)
 
 
 def test_field_reader_finish_counts_the_trailing_bytes(tmp_path):
-    fields = FieldReader(pack_text("ab") + b"xyz", tmp_path / "f.bin", "test file")
+    fields = FieldReader(pack_text("ab") + b"xyz", tmp_path / "f.bin")
     assert fields.text() == "ab"
     with pytest.raises(ArtifactError, match=f"^{tmp_path / 'f.bin'}: 3 trailing bytes"):
         fields.finish()
@@ -305,8 +311,8 @@ def _write_checkpoint(home, version):
                     {"w": np.full(64, float(version))}, {"version": version})
 
 
-def _write_dataset(home, version):
-    save_dataset(generate_dataset(seed=version, n=20), home / "toy.xgtd")
+def _write_dataset(home, version):  # the dataset stage's checkpoint, then its manifest
+    pl.run_gen_data(load_config({"seed": version, "dataset": {"n": 20}}), home, force=True)
 
 
 def _write_manifest(home, version):

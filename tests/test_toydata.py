@@ -1,12 +1,16 @@
-"""Dataset generator, renderers, rule labeler and XGTD file round-trips."""
+"""Dataset generator, renderers, rule labeler and the dataset checkpoint's
+round trip."""
 
+import hashlib
 import itertools
+import json
 import struct
 
 import numpy as np
 import pytest
 
 from crossgen import toydata as td
+from crossgen.checkpoint import load_checkpoint, save_checkpoint
 from crossgen.errors import ArtifactError, ConfigError
 
 
@@ -19,20 +23,27 @@ def all_label_vectors():
         yield np.array(bits, dtype=np.uint8)
 
 
+def _save(ds, path):
+    """Write ``ds`` as the checkpoint of stage "dataset" at ``path``."""
+    save_checkpoint(path, "dataset", "00" * 32, *td.save_dataset(ds))
+    return path
+
+
+def _load(path):
+    ck = load_checkpoint(path, "dataset")
+    return td.load_dataset(ck["arrays"], ck["metadata"])
+
+
 def test_same_seed_gives_byte_identical_datasets(tmp_path):
-    a = td.generate_dataset(seed=11, n=30)
-    b = td.generate_dataset(seed=11, n=30)
-    td.save_dataset(a, tmp_path / "a.xgtd")
-    td.save_dataset(b, tmp_path / "b.xgtd")
-    assert (tmp_path / "a.xgtd").read_bytes() == (tmp_path / "b.xgtd").read_bytes()
+    a = _save(td.generate_dataset(seed=11, n=30), tmp_path / "a.xgck")
+    b = _save(td.generate_dataset(seed=11, n=30), tmp_path / "b.xgck")
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_different_seed_differs(tmp_path):
-    a = td.generate_dataset(seed=1, n=30)
-    b = td.generate_dataset(seed=2, n=30)
-    td.save_dataset(a, tmp_path / "a.xgtd")
-    td.save_dataset(b, tmp_path / "b.xgtd")
-    assert (tmp_path / "a.xgtd").read_bytes() != (tmp_path / "b.xgtd").read_bytes()
+    a = _save(td.generate_dataset(seed=1, n=30), tmp_path / "a.xgck")
+    b = _save(td.generate_dataset(seed=2, n=30), tmp_path / "b.xgck")
+    assert a.read_bytes() != b.read_bytes()
 
 
 def test_default_rates_match_profile_at_10k():
@@ -188,114 +199,119 @@ def test_generate_subset_renders_the_records_of_generate_dataset(name, count, mo
             assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
 
 
-def test_save_dataset_returns_the_checksums_of_the_files_it_wrote(tmp_path):
-    import hashlib
-    path = tmp_path / "toy.xgtd"
-    checksums = td.save_dataset(td.generate_dataset(seed=2, n=12), path)
-    assert checksums == tuple(hashlib.sha256(p.read_bytes()).hexdigest()
-                              for p in (path, td.sidecar_path(path)))
-
-
-def test_load_dataset_parses_the_bytes_it_is_given(tmp_path):
-    path = tmp_path / "toy.xgtd"
-    td.save_dataset(td.generate_dataset(seed=2, n=12), path)
-    raw, sidecar_raw = path.read_bytes(), td.sidecar_path(path).read_bytes()
-    path.unlink()
-    td.sidecar_path(path).unlink()
-    back = td.load_dataset(path, raw, sidecar_raw)
-    assert len(back.records) == 12 and back.split["train"].size == 8
-
-
-def _load(path):
-    """``load_dataset`` on the bytes of the dataset file ``path`` and its sidecar."""
-    return td.load_dataset(path, path.read_bytes(), td.sidecar_path(path).read_bytes())
+def test_save_dataset_stores_one_row_per_record():
+    ds = td.generate_dataset(seed=2, n=12)
+    arrays, metadata = td.save_dataset(ds)
+    assert metadata == {"seed": 2, "vocab": list(td.VOCAB)}
+    for i, rec in enumerate(ds.records):
+        assert rec.id == i
+        for field in ("view_a", "view_b", "labels", "factors"):
+            np.testing.assert_array_equal(arrays[field][i], getattr(rec, field))
+        ids = arrays["tokens"][i]
+        assert [td.VOCAB[int(t)] for t in ids[:len(rec.report)]] == list(rec.report)
+        assert not ids[len(rec.report):].any()  # padded with 0
+    for code, name in enumerate(td.SPLITS):
+        assert np.flatnonzero(arrays["split"] == code).tolist() == ds.split[name].tolist()
 
 
 def test_dataset_file_roundtrip(tmp_path):
     ds = td.generate_dataset(seed=21, n=40, positive_rates=[0.5] * 5)
-    path = tmp_path / "toy.xgtd"
-    td.save_dataset(ds, path)
+    path = _save(ds, tmp_path / "dataset.xgck")
     back = _load(path)
     assert back.seed == ds.seed
     assert len(back.records) == len(ds.records)
     for a, b in zip(ds.records, back.records):
-        assert a.id == b.id
-        np.testing.assert_array_equal(a.view_a, b.view_a)
-        np.testing.assert_array_equal(a.view_b, b.view_b)
-        assert a.report == b.report
-        np.testing.assert_array_equal(a.labels, b.labels)
-        np.testing.assert_array_equal(a.factors, b.factors)
-    for name in ("train", "val", "test"):
-        np.testing.assert_array_equal(ds.split[name], back.split[name])
+        assert a.id == b.id and a.report == b.report
+        for field in ("view_a", "view_b", "labels", "factors"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+    for name in td.SPLITS:
+        x, y = ds.split[name], back.split[name]
+        assert (x.dtype, x.tolist()) == (y.dtype, y.tolist())
     # save-load-save is byte stable
-    td.save_dataset(back, tmp_path / "again.xgtd")
-    assert (tmp_path / "again.xgtd").read_bytes() == path.read_bytes()
+    assert _save(back, tmp_path / "again.xgck").read_bytes() == path.read_bytes()
 
 
-def _packed_file(ds) -> bytes:
-    """The XGTD layout packed field by field with struct: the reference."""
-    cells, width = td.VIEW_SIZE ** 2, td.MAX_REPORT_LEN
-    out = [td.XGTD_MAGIC, struct.pack("<HqHH", td.XGTD_VERSION, ds.seed,
-                                      td.NUM_CONDITIONS, len(td.VOCAB))]
-    out += [struct.pack("<H", len(t.encode())) + t.encode() for t in td.VOCAB]
-    out.append(struct.pack("<I", len(ds.records)))
-    for rec in ds.records:
-        ids = [td.TOKEN_TO_ID[t] for t in rec.report]
-        out.append(struct.pack(f"<I{cells}d{cells}dH{width}H{td.NUM_CONDITIONS}B3d",
-                               rec.id, *rec.view_a.ravel(), *rec.view_b.ravel(),
-                               len(ids), *ids, *[0] * (width - len(ids)),
-                               *rec.labels, *rec.factors))
-    return b"".join(out)
+def _packed_file(ds, cfg_hash) -> bytes:
+    """The dataset checkpoint packed with struct, each array record by
+    record: the reference for the layout README documents."""
+    def text(value, length="<H"):
+        return struct.pack(length, len(value.encode())) + value.encode()
+
+    n, width = len(ds.records), td.MAX_REPORT_LEN
+    codes = {int(i): code for code, name in enumerate(td.SPLITS) for i in ds.split[name]}
+    rows = {  # array name -> (shape of one record's row, the row's values)
+        "factors": ((3,), lambda r: r.factors),
+        "labels": ((td.NUM_CONDITIONS,), lambda r: r.labels),
+        "split": ((), lambda r: [codes[r.id]]),
+        "tokens": ((width,), lambda r: [td.TOKEN_TO_ID[t] for t in r.report]
+                   + [0] * (width - len(r.report))),
+        "view_a": ((td.VIEW_SIZE, td.VIEW_SIZE), lambda r: r.view_a.ravel()),
+        "view_b": ((td.VIEW_SIZE, td.VIEW_SIZE), lambda r: r.view_b.ravel()),
+    }
+    metadata = json.dumps({"seed": ds.seed, "vocab": list(td.VOCAB)}, sort_keys=True)
+    out = [b"XGCK", struct.pack("<H", 1), text("dataset"), text(cfg_hash),
+           text(metadata, "<I"), struct.pack("<I", len(rows))]
+    for name, (shape, row) in sorted(rows.items()):
+        out.append(text(name) + struct.pack(f"<B{len(shape) + 1}I", len(shape) + 1, n, *shape))
+        for rec in ds.records:
+            values = list(row(rec))
+            out.append(struct.pack(f"<{len(values)}d", *values))
+    body = b"".join(out)
+    return body + hashlib.sha256(body).digest()
 
 
 def test_dataset_file_matches_a_per_record_struct_packing(tmp_path):
     ds = td.generate_dataset(seed=5, n=300)
-    path = tmp_path / "toy.xgtd"
-    td.save_dataset(ds, path)
-    assert path.read_bytes() == _packed_file(ds)
+    assert _save(ds, tmp_path / "dataset.xgck").read_bytes() == _packed_file(ds, "00" * 32)
 
 
 def test_dataset_file_rejects_corruption(tmp_path):
-    ds = td.generate_dataset(seed=2, n=12)
-    path = tmp_path / "toy.xgtd"
-    td.save_dataset(ds, path)
+    path = _save(td.generate_dataset(seed=2, n=12), tmp_path / "dataset.xgck")
     raw = bytearray(path.read_bytes())
-    raw[0:4] = b"NOPE"
-    bad = tmp_path / "bad.xgtd"
-    bad.write_bytes(bytes(raw))
-    (tmp_path / "bad.xgtd.splits.json").write_text("{}")
-    with pytest.raises(ArtifactError):
-        _load(bad)
-
-
-def _with_first_report_length(tmp_path, length):
-    ds = td.generate_dataset(seed=2, n=12)
-    path = tmp_path / "toy.xgtd"
-    td.save_dataset(ds, path)
-    raw = bytearray(path.read_bytes())
-    # a record: u4 id, two 16x16 f8 views, u2 length, 32 u2 ids, 5 u1 labels, 3 f8
-    views = 2 * 8 * td.VIEW_SIZE ** 2
-    record = 4 + views + 2 + 2 * td.MAX_REPORT_LEN + td.NUM_CONDITIONS + 3 * 8
-    at = len(raw) - 12 * record + 4 + views
-    raw[at:at + 2] = struct.pack("<H", length(len(ds.records[0].report)))
+    raw[len(raw) // 2] ^= 1
     path.write_bytes(bytes(raw))
-    return path
+    with pytest.raises(ArtifactError, match=f"^{path}: checksum mismatch"):
+        _load(path)
 
 
-@pytest.mark.parametrize("length, message", [
-    (lambda n: 0, "report length"),
-    (lambda n: td.MAX_REPORT_LEN + 8, "report length"),
-    (lambda n: n + 1, "pad token inside a report"),
-], ids=["zero", "above_max", "pad_inside"])
-def test_dataset_file_rejects_a_bad_report_length(tmp_path, length, message):
-    with pytest.raises(ArtifactError, match=message):
-        _load(_with_first_report_length(tmp_path, length))
+@pytest.mark.parametrize("cut", [2, 10, 300, 5000])
+def test_a_truncated_dataset_file_names_itself(tmp_path, cut):
+    path = _save(td.generate_dataset(seed=2, n=12), tmp_path / "dataset.xgck")
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(ArtifactError,
+                       match=f"^{path}: (not a checkpoint file|checksum mismatch)"):
+        _load(path)
+
+
+#: case -> (byte offset into the body to overwrite, or None to append; the
+#: bytes; the message). The body is sealed again, so each defect reaches the
+#: parse past the checksum.
+FILE_DEFECTS = {
+    "bad_magic": (0, b"NOPE", "not a checkpoint file"),
+    "version": (4, struct.pack("<H", 2), "checkpoint format version 2 not supported"),
+    "stage": (8, b"D", "stage 'Dataset', expected 'dataset'"),
+    "not_utf8": (8, b"\xff", "a text field of the checkpoint is not UTF-8"),
+    "trailing": (None, b"\0", "1 trailing bytes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILE_DEFECTS))
+def test_a_malformed_dataset_file_names_itself_and_its_defect(tmp_path, case):
+    path = _save(td.generate_dataset(seed=2, n=12), tmp_path / "dataset.xgck")
+    at, patch, message = FILE_DEFECTS[case]
+    body = bytearray(path.read_bytes()[:-32])
+    if at is None:
+        body += patch
+    else:
+        body[at:at + len(patch)] = patch
+    path.write_bytes(bytes(body) + hashlib.sha256(body).digest())
+    with pytest.raises(ArtifactError, match=f"^{path}: {message}"):
+        _load(path)
 
 
 def test_loaded_records_keep_their_types(tmp_path):
-    ds = td.generate_dataset(seed=5, n=20)
-    path = tmp_path / "toy.xgtd"
-    td.save_dataset(ds, path)
+    path = _save(td.generate_dataset(seed=5, n=20), tmp_path / "dataset.xgck")
     for rec in _load(path).records:
         assert type(rec.id) is int and type(rec.report) is tuple
         for view in (rec.view_a, rec.view_b):
@@ -305,72 +321,11 @@ def test_loaded_records_keep_their_types(tmp_path):
         assert rec.factors.dtype == np.float64 and rec.factors.shape == (3,)
 
 
-BAD_SIDECARS = {
-    "not_json": "not json",
-    "not_an_object": "[]",
-    "no_train": '{"val": [], "test": []}',
-    "index_past_the_end": '{"train": [12], "val": [], "test": []}',
-    "negative_index": '{"train": [-1], "val": [], "test": []}',
-    "not_an_index": '{"train": [1.0], "val": [], "test": []}',
-    "not_a_list": '{"train": 3, "val": [], "test": []}',
-}
-
-
-@pytest.mark.parametrize("case", sorted(BAD_SIDECARS))
-def test_dataset_load_rejects_a_malformed_sidecar_naming_it(tmp_path, case):
-    path = tmp_path / "toy.xgtd"
-    td.save_dataset(td.generate_dataset(seed=2, n=12), path)
-    td.sidecar_path(path).write_text(BAD_SIDECARS[case])
-    with pytest.raises(ArtifactError, match=f"^{td.sidecar_path(path)}: split sidecar"):
-        _load(path)
-
-
-def test_dataset_load_keeps_the_three_splits_of_a_valid_sidecar(tmp_path):
-    path = tmp_path / "toy.xgtd"
-    td.save_dataset(td.generate_dataset(seed=2, n=12), path)
-    td.sidecar_path(path).write_text('{"train": [0, 11], "val": [], "test": [5]}')
-    split = _load(path).split
+def test_dataset_load_keeps_the_three_splits_of_valid_codes():
+    arrays, metadata = td.save_dataset(td.generate_dataset(seed=2, n=12))
+    arrays["split"][:] = 1
+    arrays["split"][[0, 11]], arrays["split"][5] = 0, 2
+    split = td.load_dataset(arrays, metadata).split
     assert sorted(split) == ["test", "train", "val"]
-    assert split["train"].tolist() == [0, 11] and split["val"].dtype == np.int64
-
-
-@pytest.mark.parametrize("cut", [2, 10, 300, 5000])
-def test_a_truncated_dataset_file_names_itself(tmp_path, cut):
-    path = tmp_path / "toy.xgtd"
-    td.save_dataset(td.generate_dataset(seed=2, n=12), path)
-    path.write_bytes(path.read_bytes()[:cut])
-    with pytest.raises(ArtifactError, match=f"^{path}: truncated dataset file"):
-        _load(path)
-
-
-def _first_record_ids_at():
-    # after the header, the first record's u4 id, two 16x16 f8 views and u2 length
-    header = 4 + 2 + 8 + 2 + 2 + sum(2 + len(t.encode()) for t in td.VOCAB) + 4
-    return header + 4 + 2 * 8 * td.VIEW_SIZE ** 2 + 2
-
-
-#: case -> (byte offset to overwrite, or None to append; the bytes; the message)
-DATASET_DEFECTS = {
-    "bad_magic": (0, b"NOPE", "bad magic"),
-    "version": (4, struct.pack("<H", 2), "unsupported dataset format version 2"),
-    "conditions": (14, struct.pack("<H", 4), "condition count 4"),
-    "vocabulary": (20, b"[", "vocabulary does not match"),
-    "token_id": (_first_record_ids_at(), struct.pack("<H", 999), "token id out of range"),
-    "trailing": (None, b"\0", "1 trailing bytes"),
-    "not_utf8": (20, b"\xff", "a text field of the dataset file is not UTF-8"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(DATASET_DEFECTS))
-def test_a_malformed_dataset_file_names_itself_and_its_defect(tmp_path, case):
-    path = tmp_path / "toy.xgtd"
-    td.save_dataset(td.generate_dataset(seed=2, n=12), path)
-    at, patch, message = DATASET_DEFECTS[case]
-    raw = bytearray(path.read_bytes())
-    if at is None:
-        raw += patch
-    else:
-        raw[at:at + len(patch)] = patch
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ArtifactError, match=f"^{path}: {message}"):
-        _load(path)
+    assert split["train"].tolist() == [0, 11] and split["test"].tolist() == [5]
+    assert len(split["val"]) == 9 and split["val"].dtype == np.int64
